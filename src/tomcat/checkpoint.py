@@ -5,12 +5,13 @@ Layout (all integers little-endian): magic "TOMCAT01", a mode byte
 per parameter or running-statistic array (name, rank, dims, float64 data),
 a JSON echo of the training config, the RNG seed, and finally the
 training-split document frequencies needed to TF-IDF-transform unseen
-documents at inference time.
+documents at inference time. Nothing may follow them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +22,7 @@ from .corpus import Vocabulary
 from .networks import Network, make_classifier, make_critic, make_encoder, make_generator
 
 MAGIC = b"TOMCAT01"
+MAX_TOKEN_BYTES = 0xFFFF  # token lengths are stored as u16
 
 
 class CheckpointError(Exception):
@@ -52,6 +54,16 @@ class Checkpoint:
         return nets
 
 
+def check_vocabulary(vocab: Vocabulary) -> None:
+    """Raise ValueError if a token is too long for a checkpoint to store."""
+    for token in vocab.tokens:
+        size = len(token.encode("utf-8"))
+        if size > MAX_TOKEN_BYTES:
+            raise ValueError(
+                f"token {token[:16]!r}... is {size} UTF-8 bytes; a checkpoint "
+                f"stores tokens of at most {MAX_TOKEN_BYTES} bytes")
+
+
 def _network_blobs(name: str, net: Network) -> list[tuple[str, np.ndarray]]:
     return [(f"{name}.{key}", arr) for key, arr in net.state().items()]
 
@@ -61,6 +73,7 @@ def save_checkpoint(path: str | Path, *, vocab: Vocabulary, encoder: Network,
                     classifier: Network | None, config: dict, seed: int,
                     doc_freq: np.ndarray, train_doc_count: int,
                     hidden: int, num_topics: int) -> None:
+    check_vocabulary(vocab)
     supervised = classifier is not None
     num_classes = classifier.layers[-2].out_dim if supervised else 0
     parts = [MAGIC, struct.pack("<B", 1 if supervised else 0),
@@ -112,7 +125,16 @@ class _Reader:
         return out
 
     def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+        try:
+            return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+        except struct.error as exc:
+            raise CheckpointError(f"undecodable field: {exc}") from exc
+
+    def text(self, n: int) -> str:
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"undecodable text field: {exc}") from exc
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -130,7 +152,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     tokens = []
     for _ in range(token_count):
         (n,) = reader.unpack("<H")
-        tokens.append(reader.take(n).decode("utf-8"))
+        tokens.append(reader.text(n))
     try:
         vocab = Vocabulary(tokens)
     except ValueError as exc:
@@ -140,21 +162,37 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     arrays: dict[str, np.ndarray] = {}
     for _ in range(blob_count):
         (n,) = reader.unpack("<H")
-        name = reader.take(n).decode("utf-8")
+        name = reader.text(n)
         (rank,) = reader.unpack("<B")
+        if rank not in (1, 2):   # every stored array is a vector or a matrix
+            raise CheckpointError(f"blob {name!r} has rank {rank}")
         dims = reader.unpack(f"<{rank}I")
-        size = int(np.prod(dims)) if rank else 1
+        size = math.prod(dims)
         data = np.frombuffer(reader.take(size * 8), dtype="<f8")
         arrays[name] = data.reshape(dims).astype(np.float64)
 
     (config_len,) = reader.unpack("<I")
     try:
-        config = json.loads(reader.take(config_len).decode("utf-8"))
+        config = json.loads(reader.text(config_len))
     except json.JSONDecodeError as exc:
         raise CheckpointError("invalid config echo") from exc
+    if not isinstance(config, dict):
+        raise CheckpointError("config echo is not an object")
     (seed,) = reader.unpack("<q")
     (train_doc_count,) = reader.unpack("<I")
     doc_freq = np.frombuffer(reader.take(num_words * 4), dtype="<u4").astype(np.int64)
+    if reader.pos != len(reader.buf):
+        raise CheckpointError(f"{len(reader.buf) - reader.pos} unexpected bytes after the end")
+
+    # check the dims against stored blobs before building any network, so a
+    # corrupt dim cannot ask for a huge allocation
+    expected = {"E.0.W": (hidden, num_words), "E.3.W": (num_topics, hidden)}
+    if mode:
+        expected["C.3.W"] = (num_classes, hidden)
+    if min(num_topics, hidden) < 1 or (mode and num_classes < 2) or any(
+            name not in arrays or arrays[name].shape != shape
+            for name, shape in expected.items()):
+        raise CheckpointError("blob shapes inconsistent with dims")
 
     rng = np.random.default_rng(0)  # placeholder weights, overwritten below
     encoder = make_encoder(num_words, hidden, num_topics, rng)

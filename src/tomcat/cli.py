@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, check_vocabulary, load_checkpoint, save_checkpoint
 from .corpus import (
     CorpusError,
     Vocabulary,
@@ -104,6 +104,7 @@ def cmd_ingest(args) -> int:
 def cmd_train(args) -> int:
     data_dir = Path(args.data)
     vocab, corpus, _ = _load_data_dir(data_dir, want_labels=args.supervised)
+    check_vocabulary(vocab)   # fail now, not when saving after the whole run
     mat = tfidf(corpus)
     labels = None
     if args.supervised:

@@ -32,17 +32,21 @@ class Network:
             caches.append(cache)
         return x, caches
 
-    def backward(self, caches: list, grad_out: np.ndarray) -> np.ndarray:
-        for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            grad_out = layer.backward(cache, grad_out)
-        return grad_out
+    def backward(self, caches: list, grad_out: np.ndarray, param_grads: bool = True,
+                 input_rows: slice | None = slice(None)) -> np.ndarray | None:
+        """Chain the layers' backward passes from the output gradient.
+
+        param_grads=False accumulates no parameter gradients, for a network
+        that is only differentiated through. input_rows selects the rows of
+        the returned input gradient; None returns none, for an input that is
+        data. The first layer is a Linear, which takes input_rows.
+        """
+        for layer, cache in zip(reversed(self.layers[1:]), reversed(caches[1:])):
+            grad_out = layer.backward(cache, grad_out, param_grads)
+        return self.layers[0].backward(caches[0], grad_out, param_grads, input_rows)
 
     def parameters(self) -> list[Tensor]:
         return [p for layer in self.layers for p in layer.parameters()]
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
 
     def num_parameters(self) -> int:
         return sum(p.data.size for p in self.parameters())

@@ -1,12 +1,17 @@
 """Dense float64 layers with hand-derived backward passes, Adam, and weight clipping.
 
 Forward methods return (output, cache) so the same layer can be applied to
-several batches inside one training step; backward(cache, grad_out) returns
-the input gradient and accumulates parameter gradients in place.
+several batches inside one training step; backward(cache, grad_out,
+param_grads=True) returns the input gradient and, unless param_grads is
+False, accumulates parameter gradients in place.
+
+Optimizers work on a ParamGroup: tensors whose data and gradients are views
+into two flat buffers, so an Adam step or a clip is one pass per group.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Iterable
 
@@ -22,28 +27,91 @@ class NonFiniteError(ArithmeticError):
 
 
 class Tensor:
-    """Parameter array (row-major float64) with an optional gradient accumulator."""
+    """Parameter array (row-major float64) with a gradient accumulator.
 
-    __slots__ = ("data", "grad")
+    ``grad`` is None until the first add_grad after zero_grad; that first
+    write copies into the gradient buffer, later ones add to it. A ParamGroup
+    replaces ``data`` and the gradient buffer with views of its flat arrays.
+    """
+
+    __slots__ = ("data", "_grad", "_has_grad")
 
     def __init__(self, data):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
+        self._grad = np.empty_like(self.data)
+        self._has_grad = False
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._grad if self._has_grad else None
+
     def add_grad(self, g: np.ndarray) -> None:
         if g.shape != self.data.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {self.data.shape}")
-        if self.grad is None:
-            self.grad = g.copy()
+        if self._has_grad:
+            self._grad += g
         else:
-            self.grad += g
+            np.copyto(self._grad, g)
+            self._has_grad = True
 
     def zero_grad(self) -> None:
-        self.grad = None
+        self._has_grad = False
+
+
+class ParamGroup:
+    """Tensors updated together, flattened into contiguous float64 buffers.
+
+    Each tensor's data and gradient become views into ``data`` and ``grad``,
+    so the optimizer and clipping make a fixed number of array passes per
+    group rather than per tensor. The group also holds its Adam state: the
+    moments ``m`` and ``v`` and the step count. A tensor belongs to at most
+    one group.
+    """
+
+    def __init__(self, tensors: Iterable[Tensor]):
+        self.tensors = list(tensors)
+        self._adopt()
+        self.m = np.zeros(self.data.size)
+        self.v = np.zeros(self.data.size)
+        self.steps = 0
+
+    def _adopt(self) -> None:
+        """Copy every tensor's data and gradient into fresh flat buffers and
+        point the tensor at views of them."""
+        size = sum(t.data.size for t in self.tensors)
+        self.data = np.empty(size)
+        self.grad = np.empty(size)
+        self._scratch = np.empty((2, size))
+        offset = 0
+        for t in self.tensors:
+            end = offset + t.data.size
+            data = self.data[offset:end].reshape(t.data.shape)
+            grad = self.grad[offset:end].reshape(t.data.shape)
+            data[...] = t.data
+            grad[...] = t._grad
+            t.data, t._grad = data, grad
+            offset = end
+
+    def __deepcopy__(self, memo):
+        # a deep copy of a view is a detached array: copy the tensors, then
+        # adopt the copies into new buffers
+        new = copy.copy(self)
+        memo[id(self)] = new
+        new.tensors = copy.deepcopy(self.tensors, memo)
+        new.m, new.v = self.m.copy(), self.v.copy()
+        new._adopt()
+        return new
+
+    def __iter__(self):
+        return iter(self.tensors)
+
+    def zero_grad(self) -> None:
+        for t in self.tensors:
+            t.zero_grad()
 
 
 class Linear:
@@ -61,11 +129,17 @@ class Linear:
             raise ShapeError(f"expected (batch, {self.in_dim}) input, got {x.shape}")
         return x @ self.W.data.T + self.b.data, x
 
-    def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, cache, grad_out: np.ndarray, param_grads: bool = True,
+                 input_rows: slice | None = slice(None)) -> np.ndarray | None:
+        """input_rows selects the rows of the input gradient to compute;
+        None computes none, for an input that is data."""
         x = cache
-        self.W.add_grad(grad_out.T @ x)
-        self.b.add_grad(grad_out.sum(axis=0))
-        return grad_out @ self.W.data
+        if param_grads:
+            self.W.add_grad(grad_out.T @ x)
+            self.b.add_grad(grad_out.sum(axis=0))
+        if input_rows is None:
+            return None
+        return grad_out[input_rows] @ self.W.data
 
     def parameters(self) -> list[Tensor]:
         return [self.W, self.b]
@@ -85,7 +159,7 @@ class LeakyReLU:
     def forward(self, x: np.ndarray, train: bool):
         return np.where(x >= 0, x, self.slope * x), x
 
-    def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, cache, grad_out: np.ndarray, param_grads: bool = True) -> np.ndarray:
         x = cache
         return grad_out * np.where(x >= 0, 1.0, self.slope)
 
@@ -131,13 +205,14 @@ class BatchNorm:
             cache = None
         return self.gamma.data * x_hat + self.beta.data, cache
 
-    def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, cache, grad_out: np.ndarray, param_grads: bool = True) -> np.ndarray:
         if cache is None:
             raise ValueError("backward requires a train-mode cache")
         x_hat, inv_std = cache
         batch = grad_out.shape[0]
-        self.gamma.add_grad((grad_out * x_hat).sum(axis=0))
-        self.beta.add_grad(grad_out.sum(axis=0))
+        if param_grads:
+            self.gamma.add_grad((grad_out * x_hat).sum(axis=0))
+            self.beta.add_grad(grad_out.sum(axis=0))
         g_hat = grad_out * self.gamma.data
         return (inv_std / batch) * (
             batch * g_hat - g_hat.sum(axis=0) - x_hat * (g_hat * x_hat).sum(axis=0)
@@ -164,7 +239,7 @@ class Softmax:
         y = e / e.sum(axis=1, keepdims=True)
         return y, y
 
-    def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, cache, grad_out: np.ndarray, param_grads: bool = True) -> np.ndarray:
         y = cache
         return y * (grad_out - (grad_out * y).sum(axis=1, keepdims=True))
 
@@ -210,11 +285,11 @@ def cross_entropy_backward(pred: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 class Adam:
-    """Adam with bias correction.
+    """Adam with bias correction, stepping one ParamGroup at a time.
 
-    Moments and step counts are kept per parameter, so one optimizer can
-    cover several networks whose parameters are updated in different phases
-    without the phases distorting each other's bias correction.
+    Moments and the step count live on the group, so one optimizer can
+    update several groups in different phases without the phases distorting
+    each other's bias correction.
     """
 
     def __init__(self, lr: float, beta1: float, beta2: float = 0.999, eps: float = 1e-8):
@@ -222,28 +297,41 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._slots: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
 
-    def step(self, params: Iterable[Tensor]) -> None:
-        for p in params:
-            g = p.grad
-            if g is None:
-                continue
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteError("non-finite gradient passed to Adam")
-            m, v, t = self._slots.get(id(p), (np.zeros_like(p.data), np.zeros_like(p.data), 0))
-            t += 1
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            self._slots[id(p)] = (m, v, t)
+    def step(self, params: ParamGroup) -> None:
+        """One in-place update of every tensor in the group.
+
+        Every tensor needs a gradient. The floating-point operations and
+        their order are those of m = b1*m + (1-b1)*g,
+        v = b2*v + (1-b2)*g*g, p -= lr*m_hat / (sqrt(v_hat) + eps), so the
+        result is bit-identical to that formula.
+        """
+        if any(p.grad is None for p in params):
+            raise ValueError("Adam.step needs a gradient for every tensor of the group")
+        g, m, v = params.grad, params.m, params.v
+        if not np.isfinite(g).all():
+            raise NonFiniteError("non-finite gradient passed to Adam")
+        params.steps += 1
+        t = params.steps
+        a, b = params._scratch
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=a)
+        m += a
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=a)
+        a *= g
+        v += a
+        np.divide(m, 1.0 - self.beta1 ** t, out=a)
+        a *= self.lr
+        np.divide(v, 1.0 - self.beta2 ** t, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        params.data -= a
 
 
-def clip_weights(params: Iterable[Tensor], c: float) -> None:
-    """Clamp every parameter entry to [-c, c]."""
+def clip_weights(params: ParamGroup, c: float) -> None:
+    """Clamp every parameter entry of the group to [-c, c]."""
     if c <= 0:
         raise ValueError("clip bound must be positive")
-    for p in params:
-        np.clip(p.data, -c, c, out=p.data)
+    np.clip(params.data, -c, c, out=params.data)

@@ -28,6 +28,7 @@ from .networks import (
 from .nn import (
     Adam,
     NonFiniteError,
+    ParamGroup,
     ShapeError,
     clip_weights,
     cross_entropy,
@@ -147,6 +148,10 @@ class _EpochBatcher:
 
 @dataclass
 class TrainState:
+    """Networks, optimizers and their parameter groups: both critics, the
+    mappings E and G, and the classifier each form one ParamGroup with its
+    own Adam moments and step count."""
+
     config: TrainConfig
     encoder: Network
     generator: Network
@@ -156,15 +161,12 @@ class TrainState:
     prior: DirichletPrior
     adam_main: Adam
     adam_cls: Adam | None
+    critic_params: ParamGroup
+    mapper_params: ParamGroup
+    classifier_params: ParamGroup | None
     rng: np.random.Generator
     iteration: int = 0
     loss_log: list[LossRecord] = field(default_factory=list)
-
-    def critic_parameters(self):
-        return self.critic_x.parameters() + self.critic_z.parameters()
-
-    def mapper_parameters(self):
-        return self.encoder.parameters() + self.generator.parameters()
 
 
 def init_state(config: TrainConfig, num_words: int, num_classes: int = 0) -> TrainState:
@@ -178,9 +180,11 @@ def init_state(config: TrainConfig, num_words: int, num_classes: int = 0) -> Tra
     critic_z = make_critic("D_Z", config.num_topics, config.hidden, rng)
     classifier = None
     adam_cls = None
+    classifier_params = None
     if config.supervised:
         classifier = make_classifier(config.num_topics, config.hidden, num_classes, rng)
         adam_cls = Adam(lr=config.lr_cls, beta1=config.beta1_cls)
+        classifier_params = ParamGroup(classifier.parameters())
     return TrainState(
         config=config,
         encoder=encoder,
@@ -191,6 +195,9 @@ def init_state(config: TrainConfig, num_words: int, num_classes: int = 0) -> Tra
         prior=DirichletPrior(config.num_topics, config.alpha),
         adam_main=Adam(lr=config.lr_main, beta1=config.beta1_main),
         adam_cls=adam_cls,
+        critic_params=ParamGroup(critic_x.parameters() + critic_z.parameters()),
+        mapper_params=ParamGroup(encoder.parameters() + generator.parameters()),
+        classifier_params=classifier_params,
         rng=rng,
     )
 
@@ -209,26 +216,28 @@ def _critic_scores(critic, real: np.ndarray, fake: np.ndarray, train: bool):
     return scores[: real.shape[0]], scores[real.shape[0]:], cache
 
 
-def adv_loss_x(critic, x_real: np.ndarray, x_fake: np.ndarray, train: bool = True) -> float:
-    """mean critic(real) - mean critic(fake); the critic ascends this, the
-    generator descends it through the fake term."""
-    real_scores, fake_scores, _ = _critic_scores(critic, x_real, x_fake, train)
-    return float(real_scores.mean() - fake_scores.mean())
+def adv_loss(critic, real: np.ndarray, fake: np.ndarray, train: bool = True):
+    """(mean critic(real) - mean critic(fake), critic cache).
+
+    The critic ascends this; the mappings descend it through the fake term.
+    Used in word space (D_X: documents vs G(z)) and in topic space (D_Z:
+    prior draws vs E(x)).
+    """
+    real_scores, fake_scores, cache = _critic_scores(critic, real, fake, train)
+    return float(real_scores.mean() - fake_scores.mean()), cache
 
 
-def adv_loss_z(critic, z_real: np.ndarray, z_fake: np.ndarray, train: bool = True) -> float:
-    """Mirror of adv_loss_x in topic space (real = prior draws, fake = encoded docs)."""
-    return adv_loss_x(critic, z_real, z_fake, train)
+def cycle_losses(generator, encoder, x: np.ndarray, z: np.ndarray, train: bool = True):
+    """(mean |G(E(x)) - x|_1, mean |E(G(z)) - z|_1, passes).
 
-
-def cycle_losses(generator, encoder, x: np.ndarray, z: np.ndarray,
-                 train: bool = True) -> tuple[float, float]:
-    """(mean |G(E(x)) - x|_1, mean |E(G(z)) - z|_1)."""
-    z_fake, _ = encoder.forward(x, train)
-    x_rec, _ = generator.forward(z_fake, train)
-    x_fake, _ = generator.forward(z, train)
-    z_rec, _ = encoder.forward(x_fake, train)
-    return l1_loss(x_rec, x), l1_loss(z_rec, z)
+    passes holds the (output, cache) pairs of E(x), G(z), G(E(x)) and
+    E(G(z)), in that order, for the backward pass.
+    """
+    e_x = encoder.forward(x, train)
+    g_z = generator.forward(z, train)
+    g_e_x = generator.forward(e_x[0], train)
+    e_g_z = encoder.forward(g_z[0], train)
+    return l1_loss(g_e_x[0], x), l1_loss(e_g_z[0], z), (e_x, g_z, g_e_x, e_g_z)
 
 
 _NORM_FLOOR = 1e-12
@@ -259,7 +268,7 @@ def critic_phase(state: TrainState, x_batches: list[np.ndarray],
     cfg = state.config
     if len(x_batches) != cfg.critic_steps:
         raise ConfigError(f"expected {cfg.critic_steps} critic batches, got {len(x_batches)}")
-    critic_params = state.critic_parameters()
+    critic_params = state.critic_params
     for step, x in enumerate(x_batches):
         batch = x.shape[0]
         z = (prior_batches[step] if prior_batches is not None
@@ -267,20 +276,18 @@ def critic_phase(state: TrainState, x_batches: list[np.ndarray],
         x_fake, _ = state.generator.forward(z, train=True)
         z_fake, _ = state.encoder.forward(x, train=True)
 
-        for p in critic_params:
-            p.zero_grad()
+        critic_params.zero_grad()
         # ascend real - fake: descend its negation
         upstream = np.vstack([np.full((batch, 1), -1.0 / batch),
                               np.full((batch, 1), 1.0 / batch)])
 
-        real_x, fake_x, cache_x = _critic_scores(state.critic_x, x, x_fake, train=True)
-        state.critic_x.backward(cache_x, upstream)
-        real_z, fake_z, cache_z = _critic_scores(state.critic_z, z, z_fake, train=True)
-        state.critic_z.backward(cache_z, upstream)
+        # the critics' inputs are data here: no input gradient
+        adv_x, cache_x = adv_loss(state.critic_x, x, x_fake)
+        state.critic_x.backward(cache_x, upstream, input_rows=None)
+        adv_z, cache_z = adv_loss(state.critic_z, z, z_fake)
+        state.critic_z.backward(cache_z, upstream, input_rows=None)
 
-        _check_finite(state,
-                      adv_x=float(real_x.mean() - fake_x.mean()),
-                      adv_z=float(real_z.mean() - fake_z.mean()))
+        _check_finite(state, adv_x=adv_x, adv_z=adv_z)
         state.adam_main.step(critic_params)
         clip_weights(critic_params, cfg.clip_c)
 
@@ -290,9 +297,10 @@ def mapper_phase(state: TrainState, x: np.ndarray,
                  prior_batch: np.ndarray | None = None) -> LossRecord:
     """One update of generator and encoder (plus classifier when supervised).
 
-    Critic parameters are read but never updated. Gradient norms for the
-    balancing factors are taken at G's output for the forward cycle pair and
-    at E's output for the backward cycle and classification pairs.
+    Critic parameters are read but never updated, and no gradient is
+    computed for them. Gradient norms for the balancing factors are taken at
+    G's output for the forward cycle pair and at E's output for the backward
+    cycle and classification pairs.
     """
     cfg = state.config
     enc, gen = state.encoder, state.generator
@@ -301,29 +309,25 @@ def mapper_phase(state: TrainState, x: np.ndarray,
         raise ConfigError("supervised mapper step needs labels")
     z = prior_batch if prior_batch is not None else sample_prior(state.prior, batch, state.rng)
 
-    for p in state.mapper_parameters() + state.critic_parameters():
-        p.zero_grad()
-    if state.classifier is not None:
-        state.classifier.zero_grad()
+    state.mapper_params.zero_grad()
+    state.critic_params.zero_grad()
+    if state.classifier_params is not None:
+        state.classifier_params.zero_grad()
 
-    z_fake, cache_e1 = enc.forward(x, train=True)        # E(x)
-    x_fake, cache_g1 = gen.forward(z, train=True)        # G(z)
-    x_rec, cache_g2 = gen.forward(z_fake, train=True)    # G(E(x))
-    z_rec, cache_e2 = enc.forward(x_fake, train=True)    # E(G(z))
-
-    real_x, fake_x, cache_dx = _critic_scores(state.critic_x, x, x_fake, train=True)
-    real_z, fake_z, cache_dz = _critic_scores(state.critic_z, z, z_fake, train=True)
-
-    adv_x = float(real_x.mean() - fake_x.mean())
-    adv_z = float(real_z.mean() - fake_z.mean())
-    cyc_f = l1_loss(x_rec, x)
-    cyc_b = l1_loss(z_rec, z)
+    cyc_f, cyc_b, passes = cycle_losses(gen, enc, x, z)
+    (z_fake, cache_e1), (x_fake, cache_g1), (x_rec, cache_g2), (z_rec, cache_e2) = passes
+    adv_x, cache_dx = adv_loss(state.critic_x, x, x_fake)
+    adv_z, cache_dz = adv_loss(state.critic_z, z, z_fake)
 
     # gradients of the mapper-relevant adversarial terms (the -mean fake-score
-    # halves) at G(z) and E(x); the real halves are data, their grads discarded
+    # halves) at G(z) and E(x); the real halves are data, so only the fake
+    # rows of the critics' input gradients are computed
     up_fake = np.vstack([np.zeros((batch, 1)), np.full((batch, 1), -1.0 / batch)])
-    g_adv_at_xfake = state.critic_x.backward(cache_dx, up_fake)[batch:]
-    g_adv_at_zfake = state.critic_z.backward(cache_dz, up_fake)[batch:]
+    fake_rows = slice(batch, None)
+    g_adv_at_xfake = state.critic_x.backward(cache_dx, up_fake, param_grads=False,
+                                             input_rows=fake_rows)
+    g_adv_at_zfake = state.critic_z.backward(cache_dz, up_fake, param_grads=False,
+                                             input_rows=fake_rows)
 
     g_cyc_at_xrec = l1_loss_backward(x_rec, x)
     g_cyc_at_zrec = l1_loss_backward(z_rec, z)
@@ -343,24 +347,24 @@ def mapper_phase(state: TrainState, x: np.ndarray,
         lam3 = balance(float(np.linalg.norm(g_adv_at_zfake)),
                        float(np.linalg.norm(g_cls_at_zfake)), cfg.lambda3_hat)
         # classifier gradients were accumulated unscaled; apply the weight now
-        for p in state.classifier.parameters():
-            p.grad *= lam3
+        state.classifier_params.grad *= lam3
 
     d_zfake_from_cyc = gen.backward(cache_g2, lam1 * g_cyc_at_xrec)
     d_xfake_from_cyc = enc.backward(cache_e2, lam2 * g_cyc_at_zrec)
-    gen.backward(cache_g1, g_adv_at_xfake + d_xfake_from_cyc)
+    # z (prior draws) and x (documents) are data: no input gradient
+    gen.backward(cache_g1, g_adv_at_xfake + d_xfake_from_cyc, input_rows=None)
     d_zfake_total = g_adv_at_zfake + d_zfake_from_cyc
     if g_cls_at_zfake is not None:
         d_zfake_total = d_zfake_total + lam3 * g_cls_at_zfake
-    enc.backward(cache_e1, d_zfake_total)
+    enc.backward(cache_e1, d_zfake_total, input_rows=None)
 
     total = adv_x + adv_z + lam1 * cyc_f + lam2 * cyc_b + lam3 * cls_value
     _check_finite(state, adv_x=adv_x, adv_z=adv_z, cyc_forward=cyc_f, cyc_backward=cyc_b,
                   cls=cls_value, lambda1=lam1, lambda2=lam2, lambda3=lam3, total=total)
 
-    state.adam_main.step(state.mapper_parameters())
+    state.adam_main.step(state.mapper_params)
     if cfg.supervised:
-        state.adam_cls.step(state.classifier.parameters())
+        state.adam_cls.step(state.classifier_params)
 
     record = LossRecord(state.iteration, adv_x, adv_z, cyc_f, cyc_b, cls_value,
                         lam1, lam2, lam3, total)

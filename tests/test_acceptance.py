@@ -245,7 +245,7 @@ class TestCriterion2InvariantSuite:
             state.iteration = it
             idx = order.choice(200, size=(5, 16), replace=True)
             critic_phase(state, [rows[i] for i in idx])
-            for p in state.critic_parameters():
+            for p in state.critic_params:
                 assert np.all(np.abs(p.data) <= config.clip_c + 1e-15)
             mapper_phase(state, rows[order.choice(200, size=16, replace=False)])
 

@@ -1,7 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from tomcat.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from tomcat.cli import main
 from tomcat.corpus import Vocabulary
 from tomcat.training import TrainConfig, train
 
@@ -125,3 +128,72 @@ class TestCorruption:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path, capsys):
+        state = trained_state(11)
+        vocab = Vocabulary([f"t{i}" for i in range(9)])
+        path = tmp_path / "model.ckpt"
+        save_state(state, vocab, path)
+        path.write_bytes(path.read_bytes() + b"\x00junk\x00")
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+        assert main(["topics", "--ckpt", str(path)]) == 2
+
+
+def _header_and_text_offsets(blob: bytes) -> list[int]:
+    """Byte offsets of the mode byte, the dims, the token count, and every
+    token and blob name with its u16 length prefix, in a TOMCAT01 file."""
+    pos = 8 + 1 + 16
+    offsets = list(range(8, pos + 4))
+    (count,) = struct.unpack_from("<I", blob, pos)
+    pos += 4
+    for _ in range(count):
+        (n,) = struct.unpack_from("<H", blob, pos)
+        offsets.extend(range(pos, pos + 2 + n))
+        pos += 2 + n
+    (count,) = struct.unpack_from("<I", blob, pos)
+    pos += 4
+    for _ in range(count):
+        (n,) = struct.unpack_from("<H", blob, pos)
+        offsets.extend(range(pos, pos + 2 + n))
+        pos += 2 + n
+        (rank,) = struct.unpack_from("<B", blob, pos)
+        dims = struct.unpack_from(f"<{rank}I", blob, pos + 1)
+        pos += 1 + 4 * rank + 8 * int(np.prod(dims))
+    return offsets
+
+
+class TestCorruptionFuzz:
+    def test_header_and_text_field_byte_flips_exit_0_or_2(self, tmp_path, capsys):
+        # every single-byte corruption of the dims, the vocabulary and the
+        # blob names either still loads or is reported as a corrupt artefact;
+        # a corrupt dim must not reach an allocation
+        state = trained_state(12)
+        vocab = Vocabulary(["alpha", "beta", "gamma", "d\u00e9lta", "\u03b5psilon",
+                            "zeta", "eta", "theta", "iota"])
+        path = tmp_path / "model.ckpt"
+        save_state(state, vocab, path)
+        clean = path.read_bytes()
+        offsets = _header_and_text_offsets(clean)
+        assert len(offsets) > 300
+        codes = set()
+        for pos in offsets:
+            for value in {0xFF, 0x00, clean[pos] ^ 0x01}:
+                blob = bytearray(clean)
+                blob[pos] = value
+                path.write_bytes(bytes(blob))
+                code = main(["topics", "--ckpt", str(path), "--top-n", "3"])
+                assert code in (0, 2), (pos, value)
+                codes.add(code)
+        capsys.readouterr()
+        assert codes == {0, 2}
+
+    def test_undecodable_token_is_exit_2(self, tmp_path, capsys):
+        state = trained_state(13)
+        path = tmp_path / "model.ckpt"
+        save_state(state, Vocabulary([f"t{i}" for i in range(9)]), path)
+        blob = bytearray(path.read_bytes())
+        blob[31] = 0xFF   # first byte of the first token
+        path.write_bytes(bytes(blob))
+        assert main(["topics", "--ckpt", str(path)]) == 2
+        assert "decod" in capsys.readouterr().err

@@ -80,6 +80,24 @@ class TestTrain:
         assert lines[0].startswith("#iteration")
         assert len(lines) == 31
 
+    def test_unsavable_token_rejected_before_training(self, tmp_path, capsys, monkeypatch):
+        long_token = "a" * 70000    # token lengths are stored as u16
+        docs = tmp_path / "docs.txt"
+        docs.write_text("".join(f"{long_token} word{i % 3} filler\n" for i in range(20)),
+                        encoding="utf-8")
+        assert main(["ingest", "--docs", str(docs), "--min-count", "1",
+                     "--out", str(tmp_path / "data")]) == 0
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("tomcat.cli.train", must_not_run)
+        code = main(["train", "--data", str(tmp_path / "data"), "--topics", "2",
+                     "--batch", "4", "--iters", "1", "--out", str(tmp_path / "m.ckpt")])
+        assert code == 1
+        assert "70000 UTF-8 bytes" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_supervised_without_labels(self, capsys, tmp_path):
         (tmp_path / "docs.txt").write_text("a b\nb c\na c\nc c\n" * 8)
         assert main(["ingest", "--docs", str(tmp_path / "docs.txt"),

@@ -10,6 +10,7 @@ from tomcat.nn import (
     LeakyReLU,
     Linear,
     NonFiniteError,
+    ParamGroup,
     ShapeError,
     Softmax,
     Tensor,
@@ -257,66 +258,132 @@ class TestCrossEntropy:
             cross_entropy(np.full((1, 3), 1 / 3), np.array([3]))
 
 
+def group_with_grads(*pairs):
+    """A ParamGroup of fresh tensors, each given its gradient."""
+    tensors = []
+    for data, grad in pairs:
+        t = Tensor(np.array(data, dtype=np.float64))
+        t.add_grad(np.array(grad, dtype=np.float64))
+        tensors.append(t)
+    return ParamGroup(tensors)
+
+
+def set_grads(group, *grads):
+    group.zero_grad()
+    for t, g in zip(group, grads):
+        t.add_grad(np.asarray(g, dtype=np.float64))
+
+
 class TestAdam:
     def test_first_step_is_signed_learning_rate(self):
-        p = Tensor(np.array([1.0, -2.0]))
-        p.grad = np.array([0.5, -0.25])
+        group = group_with_grads(([1.0, -2.0], [0.5, -0.25]))
         opt = Adam(lr=0.01, beta1=0.5)
-        opt.step([p])
-        np.testing.assert_allclose(p.data, [1.0 - 0.01, -2.0 + 0.01], atol=0.01 * 1e-6)
+        opt.step(group)
+        np.testing.assert_allclose(group.tensors[0].data, [1.0 - 0.01, -2.0 + 0.01],
+                                   atol=0.01 * 1e-6)
 
     def test_zero_gradient_never_moves(self):
-        p = Tensor(np.array([3.0]))
+        group = ParamGroup([Tensor(np.array([3.0]))])
         opt = Adam(lr=0.1, beta1=0.9)
         for _ in range(50):
-            p.grad = np.array([0.0])
-            opt.step([p])
-        np.testing.assert_array_equal(p.data, [3.0])
+            set_grads(group, [0.0])
+            opt.step(group)
+        np.testing.assert_array_equal(group.tensors[0].data, [3.0])
 
     def test_parameters_update_independently(self):
         rng = np.random.default_rng(10)
         a1, a2 = Tensor(np.array([1.0])), Tensor(np.array([1.0]))
         b = Tensor(np.array([5.0]))
-        opt_joint = Adam(lr=0.01, beta1=0.5)
-        opt_solo = Adam(lr=0.01, beta1=0.5)
+        joint, solo = ParamGroup([a1, b]), ParamGroup([a2])
+        opt = Adam(lr=0.01, beta1=0.5)
         for _ in range(5):
             g = rng.normal(size=1)
-            a1.grad, b.grad = g.copy(), rng.normal(size=1)
-            opt_joint.step([a1, b])
-            a2.grad = g.copy()
-            opt_solo.step([a2])
+            set_grads(joint, g, rng.normal(size=1))
+            opt.step(joint)
+            set_grads(solo, g)
+            opt.step(solo)
         np.testing.assert_array_equal(a1.data, a2.data)
 
     def test_deterministic(self):
         updates = []
         for _ in range(2):
-            p = Tensor(np.array([0.3, -0.7]))
+            group = ParamGroup([Tensor(np.array([0.3, -0.7]))])
             opt = Adam(lr=0.001, beta1=0.5)
             for step in range(10):
-                p.grad = np.array([0.1 * step, -0.05])
-                opt.step([p])
-            updates.append(p.data.copy())
+                set_grads(group, [0.1 * step, -0.05])
+                opt.step(group)
+            updates.append(group.data.copy())
         np.testing.assert_array_equal(updates[0], updates[1])
 
     def test_non_finite_gradient_rejected(self):
-        p = Tensor(np.array([1.0]))
-        p.grad = np.array([np.nan])
+        group = group_with_grads(([1.0], [np.nan]))
         with pytest.raises(NonFiniteError):
-            Adam(lr=0.01, beta1=0.5).step([p])
+            Adam(lr=0.01, beta1=0.5).step(group)
+        np.testing.assert_array_equal(group.data, [1.0])
+
+    def test_tensor_without_gradient_rejected(self):
+        group = group_with_grads(([1.0], [0.5]))
+        group.zero_grad()
+        with pytest.raises(ValueError):
+            Adam(lr=0.01, beta1=0.5).step(group)
+
+    def test_matches_per_tensor_formula_bitwise(self):
+        # oracle: the per-tensor Adam the group step replaces, moments keyed
+        # by tensor, evaluated with the same expression order
+        def reference_step(state, tensors, grads, lr, b1, b2=0.999, eps=1e-8):
+            for i, (p, g) in enumerate(zip(tensors, grads)):
+                m, v, t = state.get(i, (np.zeros_like(p), np.zeros_like(p), 0))
+                t += 1
+                m = b1 * m + (1.0 - b1) * g
+                v = b2 * v + (1.0 - b2) * g * g
+                m_hat = m / (1.0 - b1 ** t)
+                v_hat = v / (1.0 - b2 ** t)
+                p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+                state[i] = (m, v, t)
+
+        rng = np.random.default_rng(11)
+        shapes = [(4, 7), (4,), (3, 4), (3,), (1,)]
+        init = [rng.normal(size=s) for s in shapes]
+        group = ParamGroup([Tensor(a) for a in init])
+        expected = [a.copy() for a in init]
+        slots = {}
+        opt = Adam(lr=1e-2, beta1=0.5)
+        for _ in range(12):
+            grads = []
+            for s in shapes:
+                g = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=s)
+                g[rng.uniform(size=s) < 0.3] = 0.0
+                grads.append(g)
+            set_grads(group, *grads)
+            opt.step(group)
+            reference_step(slots, expected, grads, lr=1e-2, b1=0.5)
+        for t, want in zip(group, expected):
+            np.testing.assert_array_equal(t.data, want)
+
+    def test_data_and_grad_are_views_of_the_group(self):
+        w, b = Tensor(np.ones((2, 3))), Tensor(np.zeros(2))
+        group = ParamGroup([w, b])
+        assert np.shares_memory(w.data, group.data) and np.shares_memory(b.data, group.data)
+        w.add_grad(np.full((2, 3), 2.0))
+        b.add_grad(np.array([1.0, -1.0]))
+        b.add_grad(np.array([1.0, 1.0]))
+        np.testing.assert_array_equal(group.grad, [2.0] * 6 + [2.0, 0.0])
+        np.testing.assert_array_equal(group.data, [1.0] * 6 + [0.0, 0.0])
 
 
 class TestClipWeights:
     def test_clips_above(self):
-        p = Tensor(np.array([0.5]))
-        clip_weights([p], 0.01)
-        np.testing.assert_array_equal(p.data, [0.01])
+        group = ParamGroup([Tensor(np.array([0.5]))])
+        clip_weights(group, 0.01)
+        np.testing.assert_array_equal(group.tensors[0].data, [0.01])
 
     def test_in_range_unchanged(self):
-        p = Tensor(np.array([0.005, -0.002]))
-        clip_weights([p], 0.01)
-        np.testing.assert_array_equal(p.data, [0.005, -0.002])
+        group = ParamGroup([Tensor(np.array([0.005, -0.002]))])
+        clip_weights(group, 0.01)
+        np.testing.assert_array_equal(group.tensors[0].data, [0.005, -0.002])
 
     def test_clips_below_symmetric(self):
-        p = Tensor(np.array([-1.0]))
-        clip_weights([p], 0.01)
-        np.testing.assert_array_equal(p.data, [-0.01])
+        group = ParamGroup([Tensor(np.array([-1.0])), Tensor(np.array([[0.3, -0.001]]))])
+        clip_weights(group, 0.01)
+        np.testing.assert_array_equal(group.tensors[0].data, [-0.01])
+        np.testing.assert_array_equal(group.tensors[1].data, [[0.01, -0.001]])

@@ -11,8 +11,7 @@ from tomcat.training import (
     NonFiniteLossError,
     TrainConfig,
     _critic_scores,
-    adv_loss_x,
-    adv_loss_z,
+    adv_loss,
     balance,
     critic_phase,
     cycle_losses,
@@ -48,28 +47,28 @@ class TestAdvLosses:
     def test_constant_critic_cancels(self):
         critic = _StubNet(lambda x: np.full((x.shape[0], 1), 3.7))
         x = simplex_rows(8, 5, 0)
-        assert adv_loss_x(critic, x, simplex_rows(8, 5, 1)) == 0.0
+        assert adv_loss(critic, x, simplex_rows(8, 5, 1))[0] == 0.0
 
     def test_row_sum_critic_on_simplex(self):
         critic = _StubNet(lambda x: x.sum(axis=1, keepdims=True))
-        loss = adv_loss_x(critic, simplex_rows(6, 4, 2), simplex_rows(6, 4, 3))
+        loss, _ = adv_loss(critic, simplex_rows(6, 4, 2), simplex_rows(6, 4, 3))
         assert abs(loss) < 1e-12
 
     def test_identical_batches_cancel(self):
         critic = make_critic("D_X", 5, 6, np.random.default_rng(4))
         x = simplex_rows(8, 5, 5)
-        assert abs(adv_loss_x(critic, x, x.copy())) < 1e-12
+        assert abs(adv_loss(critic, x, x.copy())[0]) < 1e-12
 
     def test_uniform_score_gap(self):
         critic = _StubNet(lambda x: np.where(x[:, :1] > 0.5, 1.0, 0.5))
         z_real = np.full((4, 3), 0.9)
         z_fake = np.full((4, 3), 0.1)
-        assert adv_loss_z(critic, z_real, z_fake) == 0.5
+        assert adv_loss(critic, z_real, z_fake)[0] == 0.5
 
     def test_shape_mismatch(self):
         critic = _StubNet(lambda x: x.sum(axis=1, keepdims=True))
         with pytest.raises(ValueError):
-            adv_loss_x(critic, np.zeros((2, 3)), np.zeros((3, 3)))
+            adv_loss(critic, np.zeros((2, 3)), np.zeros((3, 3)))
 
 
 class TestCycleLosses:
@@ -77,13 +76,13 @@ class TestCycleLosses:
         ident = _StubNet(lambda x: x)
         x = simplex_rows(5, 4, 6)
         z = simplex_rows(5, 4, 7)
-        assert cycle_losses(ident, ident, x, z) == (0.0, 0.0)
+        assert cycle_losses(ident, ident, x, z)[:2] == (0.0, 0.0)
 
     def test_nonnegative_and_bounded_on_simplex(self):
         state = init_state(small_config(), num_words=9)
         x = simplex_rows(16, 9, 8)
         z = sample_prior(state.prior, 16, np.random.default_rng(9))
-        fwd, bwd = cycle_losses(state.generator, state.encoder, x, z)
+        fwd, bwd, _ = cycle_losses(state.generator, state.encoder, x, z)
         assert fwd >= 0 and bwd >= 0
         # the L1 diameter of the probability simplex is 2
         assert fwd <= 2.0 + 1e-12 and bwd <= 2.0 + 1e-12
@@ -120,11 +119,11 @@ class TestCriticPhase:
         cfg = small_config()
         state = init_state(cfg, num_words=12)
         rows = simplex_rows(200, 12, 12)
-        mapper_before = [p.data.copy() for p in state.mapper_parameters()]
+        mapper_before = [p.data.copy() for p in state.mapper_params]
         critic_phase(state, [rows[i * 16:(i + 1) * 16] for i in range(5)])
-        for p in state.critic_parameters():
+        for p in state.critic_params:
             assert np.all(np.abs(p.data) <= cfg.clip_c)
-        for before, p in zip(mapper_before, state.mapper_parameters()):
+        for before, p in zip(mapper_before, state.mapper_params):
             np.testing.assert_array_equal(before, p.data)
 
     def test_wrong_batch_count_rejected(self):
@@ -145,8 +144,8 @@ class TestCriticPhase:
         probe_zf, _ = state.encoder.forward(probe_x, train=True)
 
         def critic_objective():
-            return (adv_loss_x(state.critic_x, probe_x, probe_xf)
-                    + adv_loss_z(state.critic_z, probe_z, probe_zf))
+            return (adv_loss(state.critic_x, probe_x, probe_xf)[0]
+                    + adv_loss(state.critic_z, probe_z, probe_zf)[0])
 
         start = critic_objective()
         for _ in range(100):
@@ -167,7 +166,7 @@ class TestCriticPhase:
         def neg_adv(critic, real, fake):
             bn = [l for l in critic.layers if isinstance(l, BatchNorm)][0]
             saved = (bn.running_mean.copy(), bn.running_var.copy())
-            value = -adv_loss_x(critic, real, fake)
+            value = -adv_loss(critic, real, fake)[0]
             bn.running_mean, bn.running_var = saved
             return value
 
@@ -179,14 +178,14 @@ class TestCriticPhase:
 class TestMapperPhase:
     def test_critics_untouched(self):
         state = init_state(small_config(), num_words=12)
-        critic_before = [p.data.copy() for p in state.critic_parameters()]
+        critic_before = [p.data.copy() for p in state.critic_params]
         mapper_phase(state, simplex_rows(16, 12, 21))
-        for before, p in zip(critic_before, state.critic_parameters()):
+        for before, p in zip(critic_before, state.critic_params):
             np.testing.assert_array_equal(before, p.data)
 
     def test_zero_critics_and_zero_lambdas_give_zero_gradients(self):
         state = init_state(small_config(), num_words=12)
-        for p in state.critic_parameters():
+        for p in state.critic_params:
             p.data[:] = 0.0
         state.config.lambda1_hat = 0.0
         state.config.lambda2_hat = 0.0
@@ -196,6 +195,15 @@ class TestMapperPhase:
             np.testing.assert_array_equal(p.grad, np.zeros_like(p.grad))
         for before, p in zip(gen_before, state.generator.parameters()):
             np.testing.assert_array_equal(before, p.data)
+
+    def test_no_critic_gradients(self):
+        state = init_state(small_config(), num_words=12)
+        rows = simplex_rows(96, 12, 40)
+        critic_phase(state, [rows[i * 16:(i + 1) * 16] for i in range(5)])
+        assert all(p.grad is not None for p in state.critic_params)
+        mapper_phase(state, rows[80:])
+        assert all(p.grad is None for p in state.critic_params)
+        assert all(p.grad is not None for p in state.mapper_params)
 
     def test_supervised_requires_labels(self):
         cfg = small_config(supervised=True)
@@ -249,6 +257,34 @@ class TestMapperPhase:
         for ref_p, p in zip(analytic_params, fd_params):
             fd = numerical_grad(lambda _: objective(), p.data)
             assert_grad_close(ref_p.grad, fd, rtol=1e-3, atol=1e-8)
+
+
+class TestStateCopy:
+    @pytest.mark.parametrize("supervised", [False, True])
+    def test_deepcopy_trains_identically(self, supervised):
+        cfg = small_config(supervised=supervised)
+        rows = simplex_rows(96, 12, 41)
+        labels = np.random.default_rng(42).integers(0, 2, size=16)
+        state = init_state(cfg, num_words=12, num_classes=2)
+        critic_phase(state, [rows[i * 16:(i + 1) * 16] for i in range(5)])
+        clone = copy.deepcopy(state)
+        for s in (state, clone):
+            critic_phase(s, [rows[i * 16:(i + 1) * 16] for i in range(5)],
+                         prior_batches=[sample_prior(s.prior, 16, np.random.default_rng(i))
+                                        for i in range(5)])
+            mapper_phase(s, rows[80:], labels,
+                         prior_batch=sample_prior(s.prior, 16, np.random.default_rng(9)))
+        groups = [(state.critic_params, clone.critic_params),
+                  (state.mapper_params, clone.mapper_params)]
+        if supervised:
+            groups.append((state.classifier_params, clone.classifier_params))
+        for orig, copied in groups:
+            assert not np.shares_memory(orig.data, copied.data)
+            assert orig.steps == copied.steps
+            np.testing.assert_array_equal(orig.data, copied.data)
+            for p, q in zip(orig, copied):
+                assert np.shares_memory(q.data, copied.data)
+                np.testing.assert_array_equal(p.data, q.data)
 
 
 class TestTrain:
