@@ -31,6 +31,7 @@ from .evaluation import (
     npmi_pair,
     topic_npmi,
     topic_recovery_score,
+    topic_word_ids,
 )
 from .networks import (
     DirichletPrior,

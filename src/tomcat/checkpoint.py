@@ -5,7 +5,8 @@ Layout (all integers little-endian): magic "TOMCAT01", a mode byte
 per parameter or running-statistic array (name, rank, dims, float64 data),
 a JSON echo of the training config, the RNG seed, and finally the
 training-split document frequencies needed to TF-IDF-transform unseen
-documents at inference time. Nothing may follow them.
+documents at inference time. Nothing may follow them. Every stored float
+must be finite. Files are written atomically.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Vocabulary
+from .fileio import write_atomic
 from .networks import Network, make_classifier, make_critic, make_encoder, make_generator
 
 MAGIC = b"TOMCAT01"
@@ -109,7 +111,7 @@ def save_checkpoint(path: str | Path, *, vocab: Vocabulary, encoder: Network,
     parts.append(struct.pack("<I", train_doc_count))
     parts.append(np.ascontiguousarray(doc_freq, dtype="<u4").tobytes())
 
-    Path(path).write_bytes(b"".join(parts))
+    write_atomic(path, b"".join(parts))
 
 
 class _Reader:
@@ -169,6 +171,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         dims = reader.unpack(f"<{rank}I")
         size = math.prod(dims)
         data = np.frombuffer(reader.take(size * 8), dtype="<f8")
+        if not np.isfinite(data).all():   # training never saves a NaN or inf
+            raise CheckpointError(f"blob {name!r} holds a non-finite value")
         arrays[name] = data.reshape(dims).astype(np.float64)
 
     (config_len,) = reader.unpack("<I")

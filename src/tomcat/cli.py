@@ -36,6 +36,7 @@ from .evaluation import (
     make_synthetic,
     model_coherence,
     synthetic_vocabulary,
+    topic_word_ids,
 )
 from .networks import SamplingError, top_words, topic_word_distributions
 from .nn import NonFiniteError
@@ -121,8 +122,13 @@ def cmd_train(args) -> int:
     for key, value in config.as_dict().items():
         print(f"config\t{key}\t{value}")
 
-    state = train(mat.rows, config, labels=labels,
-                  num_classes=corpus.num_classes if args.supervised else None)
+    loss_log_path = args.loss_log or (str(args.out) + ".losses.tsv")
+    try:
+        state = train(mat.rows, config, labels=labels,
+                      num_classes=corpus.num_classes if args.supervised else None)
+    except NonFiniteLossError as exc:
+        write_loss_log(exc.records, loss_log_path, abort=str(exc))
+        raise
 
     config_echo = config.as_dict()
     config_echo["data_dir"] = str(data_dir)
@@ -131,7 +137,6 @@ def cmd_train(args) -> int:
         critic_x=state.critic_x, critic_z=state.critic_z, classifier=state.classifier,
         config=config_echo, seed=config.seed, doc_freq=mat.doc_freq,
         train_doc_count=mat.n_docs, hidden=config.hidden, num_topics=config.num_topics)
-    loss_log_path = args.loss_log or (str(args.out) + ".losses.tsv")
     write_loss_log(state.loss_log, loss_log_path)
 
     if state.loss_log:
@@ -192,6 +197,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_eval_coherence(args) -> int:
+    if args.top_n < 2:
+        raise ConfigError("--top-n must be >= 2: topic coherence needs at least 2 words")
+    if args.window < 2:
+        raise ConfigError("--window must be >= 2")
     ckpt = load_checkpoint(args.ckpt)
     reference = args.reference
     if reference is None:
@@ -201,8 +210,9 @@ def cmd_eval_coherence(args) -> int:
             raise ConfigError("no --reference given and the training corpus "
                               "is not available; pass --reference")
         reference = candidate
+    word_sets = topic_word_ids(ckpt.generator, args.top_n)
     docs, _ = load_documents(reference)
-    stats = build_cooc(docs, ckpt.vocab, window_size=args.window)
+    stats = build_cooc(docs, ckpt.vocab, window_size=args.window, word_sets=word_sets)
     reports, mean = model_coherence(ckpt.generator, ckpt.vocab, stats, n=args.top_n)
     sys.stdout.write(format_coherence_report(reports, mean))
     return EXIT_OK

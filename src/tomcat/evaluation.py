@@ -4,14 +4,13 @@ synthetic corpus generator with known topic supports for end-to-end checks."""
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, repeat
 
 import numpy as np
 
 from .corpus import RawCorpus, Vocabulary
-from .networks import DirichletPrior, Network, sample_prior, top_words, topic_word_distributions
+from .networks import DirichletPrior, Network, sample_prior, top_word_ids, topic_word_distributions
 
 
 class EvaluationError(ValueError):
@@ -37,31 +36,70 @@ class TopicReport:
 
 
 def build_cooc(reference_docs: list[list[str]], vocab: Vocabulary,
-               window_size: int) -> CoocStats:
-    """Slide a width-window boolean window (stride 1) over each document.
+               window_size: int, word_sets: list[list[int]]) -> CoocStats:
+    """Boolean co-occurrence counts of the words being scored, over every
+    position of a width-window sliding window (stride 1).
 
-    Every window position is one virtual document; words and unordered word
-    pairs are counted at most once per window. Windows shorter than the
-    document still yield one virtual document. Tokens outside the vocabulary
-    occupy window slots but are never counted.
+    Every window position is one virtual document; a document shorter than
+    the window is one virtual document, and windows never cross documents.
+    Counts every word that appears in any of word_sets and every unordered
+    pair of distinct words inside one set, each at most once per window, and
+    stores a count, zero included, for exactly those words and pairs. Every
+    other token, in the vocabulary or not, occupies its window slot but is
+    never counted.
     """
     if window_size < 2:
         raise EvaluationError("window_size must be >= 2")
     if not reference_docs:
         raise EvaluationError("empty reference corpus")
-    word_counts: Counter = Counter()
-    pair_counts: Counter = Counter()
-    virtual_docs = 0
-    for doc in reference_docs:
-        ids = [vocab.index.get(tok) for tok in doc]
-        positions = max(1, len(ids) - window_size + 1)
-        virtual_docs += positions
-        for start in range(positions):
-            present = sorted({w for w in ids[start:start + window_size] if w is not None})
-            word_counts.update(present)
-            pair_counts.update(combinations(present, 2))
-    return CoocStats(window_size=window_size, virtual_doc_count=virtual_docs,
-                     word_doc_counts=dict(word_counts), pair_doc_counts=dict(pair_counts))
+    scored = sorted({int(w) for words in word_sets for w in words})
+    slot = {w: j for j, w in enumerate(scored)}
+    local = {vocab.tokens[w]: j for w, j in slot.items()}
+    lengths = np.fromiter(map(len, reference_docs), dtype=np.int64, count=len(reference_docs))
+    # set-local id of every token of the concatenated documents, -1 if unscored
+    tokens = np.fromiter(map(local.get, chain.from_iterable(reference_docs), repeat(-1)),
+                         dtype=np.int32, count=int(lengths.sum()))
+    windows = np.maximum(1, lengths - window_size + 1)
+    first_window = np.cumsum(windows) - windows
+    first_token = np.cumsum(lengths) - lengths
+    n_windows = int(windows.sum())
+
+    hits = np.flatnonzero(tokens >= 0)
+    word = tokens[hits]
+    order = np.argsort(word, kind="stable")
+    hits, word = hits[order], word[order]
+    doc = np.searchsorted(first_token, hits, side="right") - 1
+    pos = hits - first_token[doc]
+    # the windows holding the token at pos start at lo .. hi (inclusive)
+    lo = first_window[doc] + np.maximum(0, pos - window_size + 1)
+    hi = first_window[doc] + np.minimum(pos, windows[doc] - 1)
+    bounds = np.searchsorted(word, np.arange(len(scored) + 1))
+
+    # one bitset of windows per scored word, packed into 64-bit words; the
+    # padding bits past the last window stay clear
+    bits = np.empty((len(scored), -(-n_windows // 64)), dtype=np.uint64)
+    covered = np.empty(bits.shape[1] * 64, dtype=bool)
+    for j in range(len(scored)):
+        covered[:] = False
+        first, last = lo[bounds[j]:bounds[j + 1]], hi[bounds[j]:bounds[j + 1]]
+        for offset in range(window_size):
+            start = first + offset
+            covered[start[start <= last]] = True
+        bits[j] = np.packbits(covered).view(np.uint64)
+
+    counts = np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
+    word_counts = {w: int(c) for w, c in zip(scored, counts)}
+    pair_counts: dict[tuple[int, int], int] = {}
+    for words in word_sets:
+        pairs = list(combinations(sorted({slot[int(w)] for w in words}), 2))
+        if not pairs:
+            continue
+        a, b = np.array(pairs).T
+        both = np.bitwise_count(bits[a] & bits[b]).sum(axis=1, dtype=np.int64)
+        for (i, j), c in zip(pairs, both):
+            pair_counts[(scored[i], scored[j])] = int(c)
+    return CoocStats(window_size=window_size, virtual_doc_count=n_windows,
+                     word_doc_counts=word_counts, pair_doc_counts=pair_counts)
 
 
 _NPMI_EPS = 1e-12
@@ -93,16 +131,24 @@ def topic_npmi(stats: CoocStats, word_ids: list[int]) -> float:
     return float(np.mean(scores))
 
 
+def topic_word_ids(generator: Network, n: int) -> list[list[int]]:
+    """Word ids of each topic's n most probable words (see top_word_ids)."""
+    return [top_word_ids(row, n) for row in topic_word_distributions(generator)]
+
+
 def model_coherence(generator: Network, vocab: Vocabulary, stats: CoocStats,
                     n: int = 10) -> tuple[list[TopicReport], float]:
-    """Per-topic NPMI of the generator's top-n words, plus the mean across topics."""
-    rows = topic_word_distributions(generator)
+    """Per-topic NPMI of the generator's top-n words, plus the mean across topics.
+
+    stats must count these words: pass topic_word_ids(generator, n) among
+    the word sets given to build_cooc.
+    """
     reports = []
-    for k in range(rows.shape[0]):
-        words = top_words(rows[k], vocab, n)
-        ids = [vocab.id_of(w) for w in words]
-        reports.append(TopicReport(topic_id=k, word_distribution=rows[k],
-                                   top_words=words, npmi=topic_npmi(stats, ids)))
+    for k, row in enumerate(topic_word_distributions(generator)):
+        ids = top_word_ids(row, n)
+        reports.append(TopicReport(topic_id=k, word_distribution=row,
+                                   top_words=[vocab.tokens[i] for i in ids],
+                                   npmi=topic_npmi(stats, ids)))
     return reports, float(np.mean([r.npmi for r in reports]))
 
 

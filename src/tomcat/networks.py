@@ -156,9 +156,13 @@ def topic_word_distributions(generator: Network) -> np.ndarray:
     return rows
 
 
-def top_words(word_distribution: np.ndarray, vocab, n: int) -> list[str]:
-    """The n most probable tokens, ties broken by ascending word id."""
+def top_word_ids(word_distribution: np.ndarray, n: int) -> list[int]:
+    """Ids of the n most probable words, ties broken by ascending word id."""
     if not 1 <= n <= word_distribution.shape[0]:
         raise ValueError(f"n must be in [1, {word_distribution.shape[0]}]")
-    order = np.argsort(-word_distribution, kind="stable")
-    return [vocab.tokens[i] for i in order[:n]]
+    return np.argsort(-word_distribution, kind="stable")[:n].tolist()
+
+
+def top_words(word_distribution: np.ndarray, vocab, n: int) -> list[str]:
+    """The n most probable tokens, ties broken by ascending word id."""
+    return [vocab.tokens[i] for i in top_word_ids(word_distribution, n)]

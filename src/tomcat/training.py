@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .fileio import write_atomic
 from .networks import (
     DirichletPrior,
     Network,
@@ -43,12 +44,17 @@ class ConfigError(ValueError):
 
 
 class NonFiniteLossError(NonFiniteError):
-    """Training aborted: a loss term or balancing factor went NaN/inf."""
+    """Training aborted: a loss term or balancing factor went NaN/inf.
+
+    ``records`` holds the loss records of the iterations completed before
+    the abort; train() fills it in.
+    """
 
     def __init__(self, iteration: int, term: str):
         super().__init__(f"non-finite value for '{term}' at iteration {iteration}")
         self.iteration = iteration
         self.term = term
+        self.records: list[LossRecord] = []
 
 
 @dataclass
@@ -118,10 +124,15 @@ class LossRecord:
         return "\t".join([str(self.iteration)] + vals)
 
 
-def write_loss_log(records: list[LossRecord], path: str | Path) -> None:
+def write_loss_log(records: list[LossRecord], path: str | Path,
+                   abort: str | None = None) -> None:
+    """Header, one row per record and, for an aborted run, a final
+    '# aborted: <abort>' line; written atomically."""
     lines = ["#" + "\t".join(LOSS_LOG_FIELDS)]
     lines.extend(r.tsv_line() for r in records)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if abort is not None:
+        lines.append(f"# aborted: {abort}")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 class _EpochBatcher:
@@ -399,9 +410,13 @@ def train(rows: np.ndarray, config: TrainConfig,
                        num_classes=num_classes or 0)
     batcher = _EpochBatcher(rows, labels if config.supervised else None,
                             config.batch_size, state.rng)
-    for it in range(config.iterations):
-        state.iteration = it
-        critic_phase(state, [batcher.next()[0] for _ in range(config.critic_steps)])
-        x, y = batcher.next()
-        mapper_phase(state, x, y)
+    try:
+        for it in range(config.iterations):
+            state.iteration = it
+            critic_phase(state, [batcher.next()[0] for _ in range(config.critic_steps)])
+            x, y = batcher.next()
+            mapper_phase(state, x, y)
+    except NonFiniteLossError as exc:
+        exc.records = state.loss_log
+        raise
     return state

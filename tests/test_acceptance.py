@@ -32,6 +32,7 @@ from tomcat.evaluation import (
     npmi_pair,
     topic_npmi,
     topic_recovery_score,
+    topic_word_ids,
 )
 from tomcat.networks import (
     make_classifier,
@@ -364,16 +365,15 @@ class TestCriterion5RealTextCoherence:
 
         config = TrainConfig(num_topics=20, batch_size=64, iterations=1500, seed=42)
         state = train(mat.rows, config)
-        stats = build_cooc(docs, vocab, window_size=10)
-        _, trained_mean = model_coherence(state.generator, vocab, stats, n=10)
-
         fresh = init_state(config, num_words=vocab.size)
-        _, untrained_mean = model_coherence(fresh.generator, vocab, stats, n=10)
-
         rng = np.random.default_rng(7)
-        random_mean = float(np.mean([
-            topic_npmi(stats, list(rng.choice(vocab.size, size=10, replace=False)))
-            for _ in range(20)]))
+        random_sets = [list(rng.choice(vocab.size, size=10, replace=False)) for _ in range(20)]
+        stats = build_cooc(docs, vocab, window_size=10,
+                           word_sets=(topic_word_ids(state.generator, 10)
+                                      + topic_word_ids(fresh.generator, 10) + random_sets))
+        _, trained_mean = model_coherence(state.generator, vocab, stats, n=10)
+        _, untrained_mean = model_coherence(fresh.generator, vocab, stats, n=10)
+        random_mean = float(np.mean([topic_npmi(stats, words) for words in random_sets]))
 
         elapsed = time.monotonic() - started
         ok = (trained_mean >= random_mean + 0.05) and (trained_mean >= untrained_mean + 0.05)
@@ -430,7 +430,8 @@ class TestCriterion7NpmiOracleEquivalence:
 
         # hand corpus: windows {a,b}, {a,b}, {c} give NPMI(a,b) = 1
         vocab = Vocabulary(["a", "b", "c"])
-        stats = build_cooc([["a", "b"], ["a", "b"], ["c"]], vocab, window_size=2)
+        stats = build_cooc([["a", "b"], ["a", "b"], ["c"]], vocab, window_size=2,
+                           word_sets=[[0, 1]])
         value = npmi_pair(stats, 0, 1)
         assert abs(value - 1.0) < 1e-9
         report(7, True, f"50 brute-force equalities exact; hand corpus NPMI={value:.12f}")

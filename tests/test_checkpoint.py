@@ -140,11 +140,13 @@ class TestCorruption:
         assert main(["topics", "--ckpt", str(path)]) == 2
 
 
-def _header_and_text_offsets(blob: bytes) -> list[int]:
+def _layout(blob: bytes) -> tuple[list[int], list[tuple[int, int]]]:
     """Byte offsets of the mode byte, the dims, the token count, and every
-    token and blob name with its u16 length prefix, in a TOMCAT01 file."""
+    token and blob name with its u16 length prefix, in a TOMCAT01 file; and
+    the (start, end) byte range of every blob's float data."""
     pos = 8 + 1 + 16
     offsets = list(range(8, pos + 4))
+    data = []
     (count,) = struct.unpack_from("<I", blob, pos)
     pos += 4
     for _ in range(count):
@@ -159,8 +161,10 @@ def _header_and_text_offsets(blob: bytes) -> list[int]:
         pos += 2 + n
         (rank,) = struct.unpack_from("<B", blob, pos)
         dims = struct.unpack_from(f"<{rank}I", blob, pos + 1)
-        pos += 1 + 4 * rank + 8 * int(np.prod(dims))
-    return offsets
+        pos += 1 + 4 * rank
+        data.append((pos, pos + 8 * int(np.prod(dims))))
+        pos = data[-1][1]
+    return offsets, data
 
 
 class TestCorruptionFuzz:
@@ -174,7 +178,7 @@ class TestCorruptionFuzz:
         path = tmp_path / "model.ckpt"
         save_state(state, vocab, path)
         clean = path.read_bytes()
-        offsets = _header_and_text_offsets(clean)
+        offsets, _ = _layout(clean)
         assert len(offsets) > 300
         codes = set()
         for pos in offsets:
@@ -197,3 +201,23 @@ class TestCorruptionFuzz:
         path.write_bytes(bytes(blob))
         assert main(["topics", "--ckpt", str(path)]) == 2
         assert "decod" in capsys.readouterr().err
+
+    def test_non_finite_blob_value_is_exit_2(self, tmp_path, capsys):
+        # a float that is NaN or infinite in any blob is corruption, not a
+        # model: loading it would print nan probabilities and exit 0
+        state = trained_state(14)
+        path = tmp_path / "model.ckpt"
+        save_state(state, Vocabulary([f"t{i}" for i in range(9)]), path)
+        clean = path.read_bytes()
+        _, data = _layout(clean)
+        assert len(data) > 20
+        for start, end in data:
+            at = start + 8 * ((end - start) // 16)
+            for value in (b"\xff" * 8, struct.pack("<d", float("inf"))):
+                path.write_bytes(clean[:at] + value + clean[at + 8:])
+                with pytest.raises(CheckpointError, match="non-finite"):
+                    load_checkpoint(path)
+                assert main(["topics", "--ckpt", str(path), "--top-n", "3"]) == 2
+        assert capsys.readouterr().out == ""
+        path.write_bytes(clean)
+        assert main(["topics", "--ckpt", str(path), "--top-n", "3"]) == 0

@@ -1,10 +1,16 @@
+import errno
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from test_evaluation import oracle_cooc
+from tomcat.checkpoint import load_checkpoint
 from tomcat.cli import main
+from tomcat.corpus import load_documents
+from tomcat.evaluation import format_coherence_report, model_coherence
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +200,34 @@ class TestEvalCoherence:
                      "--window", "5", "--top-n", "3"]) == 0
         assert capsys.readouterr().out.count("\n") == 4
 
+    def test_report_equals_oracle_report(self, workdir, capsys):
+        ckpt_path = workdir / "model.ckpt"
+        reference = workdir / "data" / "docs.txt"
+        for window, top_n in ((10, 10), (5, 3), (2, 12)):
+            assert main(["eval-coherence", "--ckpt", str(ckpt_path), "--reference",
+                         str(reference), "--window", str(window),
+                         "--top-n", str(top_n)]) == 0
+            ckpt = load_checkpoint(ckpt_path)
+            docs, _ = load_documents(reference)
+            stats = oracle_cooc(docs, ckpt.vocab, window)
+            expected = format_coherence_report(
+                *model_coherence(ckpt.generator, ckpt.vocab, stats, n=top_n))
+            assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("flag", ["--top-n", "--window"])
+    def test_below_two_rejected_before_reading_reference(self, workdir, capsys,
+                                                         monkeypatch, flag):
+        def unexpected(*args, **kwargs):
+            pytest.fail("the reference corpus was read")
+
+        monkeypatch.setattr("tomcat.cli.load_documents", unexpected)
+        code = main(["eval-coherence", "--ckpt", str(workdir / "model.ckpt"),
+                     "--reference", str(workdir / "data" / "docs.txt"), flag, "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert flag in captured.err
+        assert captured.out == ""
+
 
 class TestErrorPaths:
     def test_numerical_abort_is_exit_3(self, workdir, tmp_path, capsys, monkeypatch):
@@ -210,6 +244,56 @@ class TestErrorPaths:
         assert code == 3
         assert "iteration 12" in captured.err
         assert "adv_x" in captured.err
+
+    def test_numerical_abort_keeps_loss_log(self, workdir, tmp_path, capsys, monkeypatch):
+        import tomcat.training as training
+
+        k = 4
+        real = training.cycle_losses
+        calls = []
+
+        def nan_at_iteration_k(*args, **kwargs):
+            fwd, bwd, passes = real(*args, **kwargs)
+            calls.append(None)
+            return (float("nan") if len(calls) == k + 1 else fwd), bwd, passes
+
+        monkeypatch.setattr(training, "cycle_losses", nan_at_iteration_k)
+        log = tmp_path / "x.losses.tsv"
+        code = main(["train", "--data", str(workdir / "data"), "--topics", "2",
+                     "--batch", "16", "--iters", "10", "--seed", "3",
+                     "--out", str(tmp_path / "x.ckpt"), "--loss-log", str(log)])
+        assert code == 3
+        assert f"iteration {k}" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+        lines = log.read_text(encoding="utf-8").splitlines()
+        rows = [line for line in lines if not line.startswith("#")]
+        assert [int(row.split("\t")[0]) for row in rows] == list(range(k))
+        assert lines[0].startswith("#iteration")
+        assert lines[-1] == f"# aborted: non-finite value for 'cyc_forward' at iteration {k}"
+
+    def test_failed_save_keeps_previous_files(self, workdir, tmp_path, capsys, monkeypatch):
+        args = ["train", "--data", str(workdir / "data"), "--topics", "2",
+                "--batch", "16", "--iters", "2", "--out", str(tmp_path / "x.ckpt")]
+        assert main(args + ["--seed", "1"]) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(before) == ["x.ckpt", "x.ckpt.losses.tsv"]
+        real_write = os.write
+
+        def write_half_then_fail(fd, data):
+            real_write(fd, bytes(data[:len(data) // 2]))
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "write", write_half_then_fail)
+        assert main(args + ["--seed", "2"]) == 1
+        assert "No space left" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+        # the loss log is written the same way
+        from tomcat.training import write_loss_log
+        with pytest.raises(OSError):
+            write_loss_log([], tmp_path / "x.ckpt.losses.tsv", abort="test")
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_corrupt_magic_is_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -18,6 +19,7 @@ from tomcat.evaluation import (
     synthetic_vocabulary,
     topic_npmi,
     topic_recovery_score,
+    topic_word_ids,
 )
 from tomcat.networks import make_classifier, make_encoder, make_generator
 
@@ -29,10 +31,28 @@ def hand_npmi(p_i, p_j, p_ij):
     return math.log((p_ij + EPS) / (p_i * p_j)) / -math.log(p_ij + EPS)
 
 
+def oracle_cooc(reference_docs, vocab, window_size):
+    """Reference counts: every window's word set, enumerated one window at a
+    time, for the whole vocabulary."""
+    word_counts = Counter()
+    pair_counts = Counter()
+    virtual_docs = 0
+    for doc in reference_docs:
+        ids = [vocab.index.get(tok) for tok in doc]
+        positions = max(1, len(ids) - window_size + 1)
+        virtual_docs += positions
+        for start in range(positions):
+            present = sorted({w for w in ids[start:start + window_size] if w is not None})
+            word_counts.update(present)
+            pair_counts.update(combinations(present, 2))
+    return CoocStats(window_size=window_size, virtual_doc_count=virtual_docs,
+                     word_doc_counts=dict(word_counts), pair_doc_counts=dict(pair_counts))
+
+
 class TestBuildCooc:
     def test_single_window(self):
         vocab = Vocabulary(["a", "b"])
-        stats = build_cooc([["a", "b"]], vocab, window_size=2)
+        stats = build_cooc([["a", "b"]], vocab, window_size=2, word_sets=[[0, 1]])
         assert stats.virtual_doc_count == 1
         assert stats.word_doc_counts == {0: 1, 1: 1}
         assert stats.pair_doc_counts == {(0, 1): 1}
@@ -40,7 +60,7 @@ class TestBuildCooc:
     def test_sliding_enumeration(self):
         # doc [a, b, c], window 2 -> virtual docs {a,b}, {b,c}
         vocab = Vocabulary(["a", "b", "c"])
-        stats = build_cooc([["a", "b", "c"]], vocab, window_size=2)
+        stats = build_cooc([["a", "b", "c"]], vocab, window_size=2, word_sets=[[0, 1, 2]])
         assert stats.virtual_doc_count == 2
         assert stats.word_doc_counts == {0: 1, 1: 2, 2: 1}
         assert stats.pair_doc_counts.get((0, 2), 0) == 0
@@ -49,29 +69,67 @@ class TestBuildCooc:
 
     def test_window_longer_than_doc(self):
         vocab = Vocabulary(["a", "b", "c"])
-        stats = build_cooc([["a", "b"]], vocab, window_size=10)
+        stats = build_cooc([["a", "b"]], vocab, window_size=10, word_sets=[[0, 1]])
         assert stats.virtual_doc_count == 1
         assert stats.word_doc_counts == {0: 1, 1: 1}
 
     def test_repeated_token_counted_once_per_window(self):
         vocab = Vocabulary(["a", "b"])
-        stats = build_cooc([["a", "a", "b"]], vocab, window_size=3)
+        stats = build_cooc([["a", "a", "b"]], vocab, window_size=3, word_sets=[[0, 1]])
         assert stats.word_doc_counts == {0: 1, 1: 1}
 
     def test_out_of_vocab_tokens_occupy_slots(self):
         vocab = Vocabulary(["a", "b"])
-        stats = build_cooc([["a", "zzz", "b"]], vocab, window_size=2)
+        stats = build_cooc([["a", "zzz", "b"]], vocab, window_size=2, word_sets=[[0, 1]])
         # windows {a, zzz} and {zzz, b}: a and b never share a window
         assert stats.virtual_doc_count == 2
         assert stats.pair_doc_counts.get((0, 1), 0) == 0
 
     def test_empty_reference_error(self):
         with pytest.raises(EvaluationError):
-            build_cooc([], Vocabulary(["a", "b"]), window_size=2)
+            build_cooc([], Vocabulary(["a", "b"]), window_size=2, word_sets=[[0, 1]])
 
     def test_window_size_validated(self):
         with pytest.raises(EvaluationError):
-            build_cooc([["a"]], Vocabulary(["a", "b"]), window_size=1)
+            build_cooc([["a"]], Vocabulary(["a", "b"]), window_size=1, word_sets=[[0, 1]])
+
+    def test_only_scored_words_and_pairs_inside_one_set(self):
+        vocab = Vocabulary(["a", "b", "c", "d"])
+        stats = build_cooc([["a", "b", "c", "d"]], vocab, window_size=4,
+                           word_sets=[[0, 1], [1, 2]])
+        assert stats.word_doc_counts == {0: 1, 1: 1, 2: 1}
+        assert stats.pair_doc_counts == {(0, 1): 1, (1, 2): 1}
+
+    def test_scored_word_that_never_occurs_counts_zero(self):
+        vocab = Vocabulary(["a", "b", "c"])
+        stats = build_cooc([["a", "b"]], vocab, window_size=2, word_sets=[[0, 2]])
+        assert stats.word_doc_counts == {0: 1, 2: 0}
+        assert stats.pair_doc_counts == {(0, 2): 0}
+
+    def test_restricted_counts_equal_oracle_on_random_corpora(self):
+        # out-of-vocabulary tokens, documents shorter than the window (and
+        # empty ones), repeated tokens, sets sharing words, scored words that
+        # never occur, windows longer than some documents and sets repeating a word
+        rng = np.random.default_rng(31)
+        for trial in range(50):
+            size = int(rng.integers(2, 16))
+            vocab = Vocabulary([f"w{i}" for i in range(size)])
+            present = rng.choice(size, size=int(rng.integers(1, size + 1)), replace=False)
+            names = [vocab.tokens[w] for w in present] + ["oov1", "oov2"]
+            docs = [[names[k] for k in rng.integers(0, len(names), size=rng.integers(0, 30))]
+                    for _ in range(int(rng.integers(1, 9)))]
+            window = int(rng.integers(2, 12))
+            word_sets = [[int(w) for w in rng.choice(size, size=rng.integers(1, 7))]
+                         for _ in range(int(rng.integers(1, 5)))]
+            stats = build_cooc(docs, vocab, window_size=window, word_sets=word_sets)
+            oracle = oracle_cooc(docs, vocab, window)
+            scored = {w for words in word_sets for w in words}
+            pairs = {pair for words in word_sets for pair in combinations(sorted(set(words)), 2)}
+            assert stats.virtual_doc_count == oracle.virtual_doc_count, trial
+            assert stats.word_doc_counts == {
+                w: oracle.word_doc_counts.get(w, 0) for w in scored}, trial
+            assert stats.pair_doc_counts == {
+                p: oracle.pair_doc_counts.get(p, 0) for p in pairs}, trial
 
 
 def stats_from_windows(windows, num_words):
@@ -180,7 +238,7 @@ class TestModelCoherence:
         final.b.data[:] = 0.0  # softmax of zeros: every topic is uniform
         vocab = Vocabulary([f"w{i}" for i in range(12)])
         docs = [[f"w{i}" for i in range(12)]] * 3
-        stats = build_cooc(docs, vocab, window_size=5)
+        stats = build_cooc(docs, vocab, window_size=5, word_sets=topic_word_ids(gen, 4))
         reports, mean = model_coherence(gen, vocab, stats, n=4)
         assert len(reports) == 4
         for r in reports:
@@ -191,7 +249,8 @@ class TestModelCoherence:
         rng = np.random.default_rng(4)
         gen = make_generator(2, 5, 8, rng)
         vocab = Vocabulary([f"w{i}" for i in range(8)])
-        stats = build_cooc([[f"w{i}" for i in range(8)]], vocab, window_size=8)
+        stats = build_cooc([[f"w{i}" for i in range(8)]], vocab, window_size=8,
+                           word_sets=topic_word_ids(gen, 3))
         reports, mean = model_coherence(gen, vocab, stats, n=3)
         text = format_coherence_report(reports, mean)
         lines = text.strip().split("\n")
@@ -306,14 +365,15 @@ class TestCoherenceEndToEnd:
         mat = tfidf(corpus)
         cfg = TrainConfig(num_topics=5, hidden=32, batch_size=32, iterations=400, seed=1)
         state = train(mat.rows, cfg)
-        stats = build_cooc(docs, vocab, window_size=10)
-        _, trained = model_coherence(state.generator, vocab, stats, n=6)
         fresh = init_state(cfg, num_words=vocab.size)
-        _, untrained = model_coherence(fresh.generator, vocab, stats, n=6)
         rng = np.random.default_rng(3)
-        random_mean = float(np.mean([
-            topic_npmi(stats, list(rng.choice(vocab.size, size=6, replace=False)))
-            for _ in range(5)]))
+        random_sets = [list(rng.choice(vocab.size, size=6, replace=False)) for _ in range(5)]
+        stats = build_cooc(docs, vocab, window_size=10,
+                           word_sets=(topic_word_ids(state.generator, 6)
+                                      + topic_word_ids(fresh.generator, 6) + random_sets))
+        _, trained = model_coherence(state.generator, vocab, stats, n=6)
+        _, untrained = model_coherence(fresh.generator, vocab, stats, n=6)
+        random_mean = float(np.mean([topic_npmi(stats, words) for words in random_sets]))
         assert trained >= untrained + 0.05
         assert trained >= random_mean + 0.05
 
