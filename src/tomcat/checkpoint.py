@@ -49,12 +49,6 @@ class Checkpoint:
     doc_freq: np.ndarray
     train_doc_count: int
 
-    def networks(self) -> list[Network]:
-        nets = [self.encoder, self.generator, self.critic_x, self.critic_z]
-        if self.classifier is not None:
-            nets.append(self.classifier)
-        return nets
-
 
 def check_vocabulary(vocab: Vocabulary) -> None:
     """Raise ValueError if a token is too long for a checkpoint to store."""

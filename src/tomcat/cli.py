@@ -31,7 +31,6 @@ from .evaluation import (
     EvaluationError,
     SyntheticSpec,
     build_cooc,
-    classify_accuracy,
     format_coherence_report,
     make_synthetic,
     model_coherence,
@@ -56,20 +55,38 @@ def _err(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
+class ManifestError(ValueError):
+    """A data directory's manifest.json is not one that ingest writes."""
+
+
+def _read_manifest(path: Path) -> dict:
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ManifestError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ManifestError(f"{path} does not hold a JSON object")
+    n_classes = manifest.get("n_classes")
+    if type(n_classes) is not int or n_classes < 0:
+        raise ManifestError(f"{path}: n_classes must be a nonnegative integer, "
+                            f"not {n_classes!r}")
+    return manifest
+
+
 def _load_data_dir(data_dir: Path, want_labels: bool):
     manifest_path = data_dir / "manifest.json"
     if not manifest_path.exists():
         raise CorpusError(f"{manifest_path} not found; run 'ingest' first")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = _read_manifest(manifest_path)
     vocab = Vocabulary.load(data_dir / "vocab.txt")
     labels_path = data_dir / "labels.txt"
-    has_labels = manifest.get("n_classes", 0) > 0 and labels_path.exists()
+    has_labels = manifest["n_classes"] > 0 and labels_path.exists()
     if want_labels and not has_labels:
         raise ConfigError(f"data directory {data_dir} has no labels")
     docs, labels = load_documents(data_dir / "docs.txt",
                                   labels_path if has_labels else None)
     corpus = count_documents(docs, vocab, labels=labels,
-                             num_classes=manifest.get("n_classes", 0))
+                             num_classes=manifest["n_classes"])
     return vocab, corpus, manifest
 
 
@@ -78,6 +95,7 @@ def cmd_ingest(args) -> int:
     vocab = build_vocabulary(docs, min_count=args.min_count, max_vocab=args.max_vocab)
     num_classes = (max(labels) + 1) if labels else 0
     corpus = count_documents(docs, vocab, labels=labels, num_classes=num_classes)
+    del docs   # free the token lists before tfidf allocates its working matrix
     mat = tfidf(corpus)
 
     out = Path(args.out)
@@ -110,6 +128,8 @@ def cmd_train(args) -> int:
     labels = None
     if args.supervised:
         labels = np.array([corpus.labels[i] for i in mat.kept_docs], dtype=np.int64)
+    num_classes = corpus.num_classes
+    del corpus   # training needs only the TF-IDF rows
 
     config = TrainConfig(
         num_topics=args.topics, hidden=args.hidden, alpha=args.alpha,
@@ -125,7 +145,7 @@ def cmd_train(args) -> int:
     loss_log_path = args.loss_log or (str(args.out) + ".losses.tsv")
     try:
         state = train(mat.rows, config, labels=labels,
-                      num_classes=corpus.num_classes if args.supervised else None)
+                      num_classes=num_classes if args.supervised else None)
     except NonFiniteLossError as exc:
         write_loss_log(exc.records, loss_log_path, abort=str(exc))
         raise
@@ -160,14 +180,19 @@ def cmd_topics(args) -> int:
 def _encode_documents(ckpt, docs_path):
     """Topic rows for a document file. Zero-weight documents are given the
     uniform sentinel row and reported on stderr."""
-    docs, _ = load_documents(docs_path)
-    corpus = count_documents(docs, ckpt.vocab)
-    rows, valid = tfidf_transform(corpus.docs, ckpt.num_words,
-                                  ckpt.doc_freq, ckpt.train_doc_count)
+    return _encode(ckpt, load_documents(docs_path)[0])
+
+
+def _encode(ckpt, docs):
+    """Topic rows for tokenized documents (see _encode_documents)."""
+    counts = count_documents(docs, ckpt.vocab).counts
+    del docs
+    rows, valid = tfidf_transform(counts, ckpt.doc_freq, ckpt.train_doc_count)
+    del counts   # the encoder pass is the peak; hold only the rows through it
     z = np.full((rows.shape[0], ckpt.num_topics), 1.0 / ckpt.num_topics)
     if valid.any():
-        encoded, _ = ckpt.encoder.forward(rows[valid], train=False)
-        z[valid] = encoded
+        z[valid], _ = ckpt.encoder.forward(rows if valid.all() else rows[valid],
+                                           train=False)
     for i in np.flatnonzero(~valid):
         print(f"warning: document {i} has no usable tokens; emitting uniform row",
               file=sys.stderr)
@@ -187,9 +212,13 @@ def cmd_classify(args) -> int:
     if ckpt.classifier is None:
         raise ConfigError("checkpoint was trained unsupervised; cannot classify")
     docs, labels = load_documents(args.docs, args.labels)
-    if labels is None:
-        raise ConfigError("classify needs a label file")
-    z = _encode_documents(ckpt, args.docs)
+    if not docs:
+        raise ConfigError(f"{args.docs} holds no document (every line is blank)")
+    bad = [lab for lab in labels if not 0 <= lab < ckpt.num_classes]
+    if bad:
+        raise ConfigError(f"label {bad[0]} out of range [0, {ckpt.num_classes}) "
+                          "of the checkpoint's classifier")
+    z = _encode(ckpt, docs)
     probs, _ = ckpt.classifier.forward(z, train=False)
     accuracy = float((probs.argmax(axis=1) == np.asarray(labels)).mean())
     print(f"accuracy\t{_fmt(accuracy)}")
@@ -226,12 +255,10 @@ def cmd_synth(args) -> int:
     vocab = synthetic_vocabulary(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    tokens = np.array(vocab.tokens)
     with (out / "docs.txt").open("w", encoding="utf-8") as fh:
-        for doc in corpus.docs:
-            toks = []
-            for wid, cnt in sorted(doc.items()):
-                toks.extend([vocab.tokens[wid]] * cnt)
-            fh.write(" ".join(toks) + "\n")
+        for row in corpus.counts:
+            fh.write(" ".join(np.repeat(tokens, row.astype(np.int64))) + "\n")
     (out / "labels.txt").write_text(
         "\n".join(str(lab) for lab in corpus.labels) + "\n", encoding="utf-8")
     (out / "supports.txt").write_text(
@@ -330,7 +357,7 @@ def main(argv=None) -> int:
         # interpreter's shutdown flush from erroring too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except CheckpointError as exc:
+    except (CheckpointError, ManifestError) as exc:
         _err(str(exc))
         return EXIT_CORRUPT
     except (NonFiniteLossError, NonFiniteError) as exc:

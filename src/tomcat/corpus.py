@@ -1,6 +1,6 @@
 """Corpus ingestion: vocabulary construction and normalized TF-IDF rows.
 
-Documents are represented as word-id count maps. The smoothed TF-IDF of
+A corpus is a (documents, vocabulary) count matrix. The smoothed TF-IDF of
 entry (i, j) is tf(i, j) * log(N / (1 + df(j))); negative weights (words
 present in every document) are clamped to zero so that every retained row
 normalizes onto the vocabulary simplex.
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -50,30 +51,33 @@ class Vocabulary:
 
 @dataclass
 class RawCorpus:
-    """Bag-of-words corpus over word ids, with optional integer class labels."""
+    """A (documents, vocabulary) float64 count matrix with optional class labels."""
 
-    docs: list[dict[int, int]]
-    num_words: int
+    counts: np.ndarray
     labels: list[int] | None = None
     num_classes: int = 0
 
     def __post_init__(self):
-        for doc in self.docs:
-            for wid, cnt in doc.items():
-                if not 0 <= wid < self.num_words:
-                    raise CorpusError(f"word id {wid} out of range [0, {self.num_words})")
-                if cnt < 0:
-                    raise CorpusError("word counts must be nonnegative")
+        self.counts = np.asarray(self.counts, dtype=np.float64)
+        if self.counts.ndim != 2:
+            raise CorpusError("counts must be a (documents, words) matrix")
+        if not ((self.counts >= 0) & (self.counts < np.inf)).all():
+            raise CorpusError("word counts must be finite and nonnegative")
         if self.labels is not None:
-            if len(self.labels) != len(self.docs):
+            if len(self.labels) != self.n_docs:
                 raise CorpusError("labels must align one-to-one with documents")
-            for lab in self.labels:
-                if not 0 <= lab < self.num_classes:
-                    raise CorpusError(f"label {lab} out of range [0, {self.num_classes})")
+            labels = np.asarray(self.labels, dtype=np.int64)
+            bad = labels[(labels < 0) | (labels >= self.num_classes)]
+            if bad.size:
+                raise CorpusError(f"label {bad[0]} out of range [0, {self.num_classes})")
 
     @property
     def n_docs(self) -> int:
-        return len(self.docs)
+        return self.counts.shape[0]
+
+    @property
+    def num_words(self) -> int:
+        return self.counts.shape[1]
 
 
 @dataclass
@@ -100,6 +104,8 @@ def build_vocabulary(docs: list[list[str]], min_count: int = 1,
     Ties are broken by ascending token so the ordering is deterministic;
     the list is truncated to the max_vocab most frequent entries.
     """
+    if max_vocab is not None and max_vocab < 1:
+        raise CorpusError(f"max_vocab must be >= 1, not {max_vocab}")
     if not docs:
         raise CorpusError("no documents given")
     counts = Counter()
@@ -148,16 +154,16 @@ def load_documents(path: str | Path,
 def count_documents(docs: list[list[str]], vocab: Vocabulary,
                     labels: list[int] | None = None,
                     num_classes: int = 0) -> RawCorpus:
-    """Map tokenized documents to word-id count maps; out-of-vocabulary tokens are dropped."""
-    id_docs = []
-    for doc in docs:
-        counts: dict[int, int] = {}
-        for tok in doc:
-            wid = vocab.index.get(tok)
-            if wid is not None:
-                counts[wid] = counts.get(wid, 0) + 1
-        id_docs.append(counts)
-    return RawCorpus(id_docs, vocab.size, labels=labels, num_classes=num_classes)
+    """Count matrix of tokenized documents; out-of-vocabulary tokens are dropped."""
+    lengths = np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
+    # word id of every token of the concatenated documents, -1 if out of vocabulary
+    ids = np.fromiter(map(vocab.index.get, chain.from_iterable(docs), repeat(-1)),
+                      dtype=np.int64, count=int(lengths.sum()))
+    # the flat index doc * V + id of each in-vocabulary token's matrix cell
+    cells = (np.repeat(np.arange(len(docs)) * vocab.size, lengths) + ids)[ids >= 0]
+    counts = np.bincount(cells, weights=np.ones(cells.size), minlength=len(docs) * vocab.size)
+    return RawCorpus(counts.reshape(len(docs), vocab.size), labels=labels,
+                     num_classes=num_classes)
 
 
 def idf_weights(doc_freq: np.ndarray, n_docs: int) -> np.ndarray:
@@ -166,19 +172,16 @@ def idf_weights(doc_freq: np.ndarray, n_docs: int) -> np.ndarray:
     return np.maximum(idf, 0.0)
 
 
-def _count_matrix(docs: list[dict[int, int]], num_words: int) -> np.ndarray:
-    mat = np.zeros((len(docs), num_words), dtype=np.float64)
-    for i, doc in enumerate(docs):
-        for wid, cnt in doc.items():
-            mat[i, wid] = cnt
-    return mat
-
-
-def _smoothed_rows(counts: np.ndarray, doc_freq: np.ndarray, n_docs: int) -> np.ndarray:
+def _weighted_rows(counts: np.ndarray, doc_freq: np.ndarray,
+                   n_docs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Smoothed TF-IDF of every row of counts, in a new matrix, and each
+    row's total weight. Totals are summed over the dense rows: summing the
+    nonzeros alone would group the pairwise sums differently."""
     token_totals = counts.sum(axis=1, keepdims=True)
     tf = np.divide(counts, token_totals, out=np.zeros_like(counts),
                    where=token_totals > 0)
-    return tf * idf_weights(doc_freq, n_docs)
+    tf *= idf_weights(doc_freq, n_docs)
+    return tf, tf.sum(axis=1)
 
 
 def tfidf(corpus: RawCorpus) -> TfidfMatrix:
@@ -189,32 +192,28 @@ def tfidf(corpus: RawCorpus) -> TfidfMatrix:
     """
     if corpus.n_docs < 2:
         raise CorpusError("tfidf needs at least 2 documents")
-    counts = _count_matrix(corpus.docs, corpus.num_words)
-    doc_freq = (counts > 0).sum(axis=0)
-    smoothed = _smoothed_rows(counts, doc_freq, corpus.n_docs)
-    weight = smoothed.sum(axis=1)
+    doc_freq = (corpus.counts > 0).sum(axis=0)
+    smoothed, weight = _weighted_rows(corpus.counts, doc_freq, corpus.n_docs)
     kept = np.flatnonzero(weight > 0)
     if kept.size == 0:
         raise CorpusError("every document lost all TF-IDF weight (all rows dropped)")
     dropped = np.flatnonzero(weight <= 0)
-    rows = smoothed[kept] / weight[kept, None]
+    rows = smoothed if dropped.size == 0 else smoothed[kept]
+    rows /= weight[kept, None]
     return TfidfMatrix(rows=rows, kept_docs=kept.tolist(), dropped_docs=dropped.tolist(),
                        doc_freq=doc_freq, n_docs=corpus.n_docs)
 
 
-def tfidf_transform(docs: list[dict[int, int]], num_words: int,
-                    doc_freq: np.ndarray, n_docs: int
+def tfidf_transform(counts: np.ndarray, doc_freq: np.ndarray, n_docs: int
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """TF-IDF rows for unseen documents using training-split idf statistics.
+    """TF-IDF rows of an unseen documents' count matrix, using training-split
+    idf statistics.
 
     Returns (rows, valid): documents whose weight sums to zero keep an
     all-zero row and are marked invalid rather than dropped, so callers
     can report them positionally.
     """
-    counts = _count_matrix(docs, num_words)
-    smoothed = _smoothed_rows(counts, doc_freq, n_docs)
-    weight = smoothed.sum(axis=1)
+    rows, weight = _weighted_rows(counts, doc_freq, n_docs)
     valid = weight > 0
-    rows = np.divide(smoothed, weight[:, None], out=np.zeros_like(smoothed),
-                     where=valid[:, None])
+    np.divide(rows, weight[:, None], out=rows, where=valid[:, None])
     return rows, valid

@@ -206,16 +206,14 @@ def make_synthetic(spec: SyntheticSpec) -> tuple[RawCorpus, list[list[int]]]:
                 for k in range(spec.num_topics)]
     prior = DirichletPrior(spec.num_topics, spec.doc_topic_alpha)
     thetas = sample_prior(prior, spec.num_docs, rng)
-    docs = []
-    labels = []
-    for theta in thetas:
+    counts = np.empty((spec.num_docs, spec.vocab_size))
+    for row, theta in zip(counts, thetas):
         topics = rng.choice(spec.num_topics, size=spec.doc_length, p=theta)
         offsets = rng.integers(0, spec.words_per_topic, size=spec.doc_length)
-        words = topics * spec.words_per_topic + offsets
-        ids, counts = np.unique(words, return_counts=True)
-        docs.append({int(w): int(c) for w, c in zip(ids, counts)})
-        labels.append(int(theta.argmax()))
-    corpus = RawCorpus(docs, spec.vocab_size, labels=labels, num_classes=spec.num_topics)
+        row[:] = np.bincount(topics * spec.words_per_topic + offsets,
+                             minlength=spec.vocab_size)
+    corpus = RawCorpus(counts, labels=thetas.argmax(axis=1).tolist(),
+                       num_classes=spec.num_topics)
     return corpus, supports
 
 

@@ -11,6 +11,7 @@ of the mapping that feeds each loss.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -77,23 +78,24 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, not {value}")
         if self.num_topics < 1:
             raise ConfigError("num_topics must be >= 1")
         if self.hidden < 1:
             raise ConfigError("hidden must be >= 1")
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be positive")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2 (batch norm)")
         if self.iterations < 0:
             raise ConfigError("iterations must be >= 0")
         if self.critic_steps < 1:
             raise ConfigError("critic_steps must be >= 1")
-        if self.clip_c <= 0:
-            raise ConfigError("clip_c must be positive")
-        for name in ("lr_main", "lr_cls", "beta1_main", "beta1_cls",
+        for name in ("alpha", "clip_c", "lr_main", "lr_cls", "beta1_main", "beta1_cls",
                      "lambda1_hat", "lambda2_hat", "lambda3_hat"):
-            if getattr(self, name) <= 0:
+            # `not x > 0`, not `x <= 0`: every comparison with NaN is false
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
         if not (0 <= self.beta1_main < 1 and 0 <= self.beta1_cls < 1):
             raise ConfigError("beta1 values must lie in [0, 1)")

@@ -78,13 +78,12 @@ def supervised_run():
     split = np.random.default_rng(101).permutation(corpus.n_docs)
     test_idx = np.sort(split[: corpus.n_docs // 5])
     train_idx = np.sort(split[corpus.n_docs // 5:])
-    mat = tfidf(RawCorpus([corpus.docs[i] for i in train_idx], corpus.num_words))
+    mat = tfidf(RawCorpus(corpus.counts[train_idx]))
     kept_labels = labels[train_idx][mat.kept_docs]
     config = TrainConfig(num_topics=5, batch_size=64, iterations=2000,
                          supervised=True, lambda3_hat=1.0, seed=0)
     state = train(mat.rows, config, labels=kept_labels, num_classes=5)
-    test_rows, valid = tfidf_transform([corpus.docs[i] for i in test_idx],
-                                       corpus.num_words, mat.doc_freq, mat.n_docs)
+    test_rows, valid = tfidf_transform(corpus.counts[test_idx], mat.doc_freq, mat.n_docs)
     accuracy = classify_accuracy(state.encoder, state.classifier,
                                  test_rows[valid], labels[test_idx][valid])
     topics = topic_word_distributions(state.generator)
@@ -224,12 +223,13 @@ class TestCriterion2InvariantSuite:
         # TF-IDF row normalization on random corpora
         for _ in range(20):
             n, v = int(rng.integers(3, 25)), int(rng.integers(3, 30))
-            docs = []
-            for _ in range(n):
+            counts = np.zeros((n, v))
+            for row in counts:
                 ids = rng.choice(v, size=int(rng.integers(1, v + 1)), replace=False)
-                docs.append({int(i): int(rng.integers(1, 7)) for i in ids})
+                for i in ids:
+                    row[i] = rng.integers(1, 7)
             try:
-                mat = tfidf(RawCorpus(docs, v))
+                mat = tfidf(RawCorpus(counts))
             except Exception:
                 continue
             assert np.all(mat.rows >= 0)

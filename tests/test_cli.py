@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,16 @@ class TestIngest:
         assert code == 1
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("max_vocab", ["0", "-1"])
+    def test_max_vocab_below_one_rejected(self, workdir, capsys, tmp_path, max_vocab):
+        code = main(["ingest", "--docs", str(workdir / "raw" / "docs.txt"),
+                     "--max-vocab", max_vocab, "--out", str(tmp_path / "d")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "max_vocab" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "d").exists()
+
 
 class TestTrain:
     def test_same_seed_byte_identical_checkpoints(self, workdir, tmp_path):
@@ -114,6 +125,42 @@ class TestTrain:
                      "--out", str(tmp_path / "x.ckpt")])
         assert code == 1
         assert "labels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--alpha", "--clip", "--lr-main", "--lr-cls",
+                                      "--beta1-main", "--beta1-cls", "--lambda1",
+                                      "--lambda2", "--lambda3"])
+    def test_non_finite_flag_rejected(self, workdir, tmp_path, capsys, flag, value):
+        code = main(["train", "--data", str(workdir / "data"), "--topics", "2",
+                     "--batch", "16", "--iters", "1", flag, value,
+                     "--out", str(tmp_path / "m.ckpt")])
+        assert code == 1
+        assert "must be" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("manifest", [
+        b"{", b"\xff\xfe", b"[1, 2]", b'{"n_classes": "3"}', b'{"n_classes": -1}',
+        b'{"n_classes": 1.5}', b'{"n_docs": 150}',
+    ])
+    def test_malformed_manifest_is_exit_2(self, workdir, tmp_path, capsys, manifest):
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        (data / "manifest.json").write_bytes(manifest)
+        code = main(["train", "--data", str(data), "--topics", "2", "--batch", "16",
+                     "--iters", "1", "--out", str(tmp_path / "m.ckpt")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "manifest.json" in captured.err
+        assert captured.out == ""
+
+    def test_missing_manifest_is_exit_1(self, workdir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        (data / "manifest.json").unlink()
+        code = main(["train", "--data", str(data), "--topics", "2", "--batch", "16",
+                     "--iters", "1", "--out", str(tmp_path / "m.ckpt")])
+        assert code == 1
+        assert "run 'ingest' first" in capsys.readouterr().err
 
 
 class TestTopics:
@@ -184,6 +231,28 @@ class TestClassify:
                      "--labels", str(workdir / "raw" / "labels.txt")])
         assert code == 1
         assert capsys.readouterr().out == ""
+
+    def test_label_outside_classifier_rejected(self, workdir, tmp_path, capsys):
+        n_docs = len((workdir / "raw" / "labels.txt").read_text().split())
+        (tmp_path / "labels.txt").write_text("99\n" * n_docs)
+        code = main(["classify", "--ckpt", str(workdir / "model_sup.ckpt"),
+                     "--docs", str(workdir / "raw" / "docs.txt"),
+                     "--labels", str(tmp_path / "labels.txt")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "label 99 out of range [0, 3)" in captured.err
+        assert captured.out == ""
+
+    def test_all_blank_documents_rejected(self, workdir, tmp_path, capsys):
+        (tmp_path / "docs.txt").write_text("\n  \n")
+        (tmp_path / "labels.txt").write_text("0\n1\n")
+        code = main(["classify", "--ckpt", str(workdir / "model_sup.ckpt"),
+                     "--docs", str(tmp_path / "docs.txt"),
+                     "--labels", str(tmp_path / "labels.txt")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "no document" in captured.err
+        assert captured.out == ""
 
 
 class TestEvalCoherence:

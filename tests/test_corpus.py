@@ -59,10 +59,7 @@ class TestTfidf:
     def test_hand_example_idf_cancels(self):
         # ids: a=0 b=1 c=2 d=3; every word has df=2, so idf=log(4/3) is a
         # common factor and cancels in the row normalization.
-        corpus = RawCorpus(
-            docs=[{0: 2, 1: 1}, {1: 1, 2: 1}, {2: 1, 3: 1}, {3: 2, 0: 1}],
-            num_words=4,
-        )
+        corpus = RawCorpus(counts=[[2, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
         mat = tfidf(corpus)
         assert mat.dropped_docs == []
         np.testing.assert_allclose(mat.rows[0], [2 / 3, 1 / 3, 0.0, 0.0], atol=1e-12)
@@ -72,41 +69,39 @@ class TestTfidf:
     def test_word_in_every_doc_drops_pure_row(self):
         # 'a' (id 0) appears in all 3 docs: idf = log(3/4) < 0, clamped to 0.
         # Doc 0 consists only of 'a', so its weight sum is 0 and it is dropped.
-        corpus = RawCorpus(
-            docs=[{0: 1}, {0: 2, 1: 1}, {0: 1, 2: 1}],
-            num_words=3,
-        )
+        corpus = RawCorpus(counts=[[1, 0, 0], [2, 1, 0], [1, 0, 1]])
         mat = tfidf(corpus)
         assert mat.dropped_docs == [0]
         assert mat.kept_docs == [1, 2]
         np.testing.assert_allclose(mat.rows[0], [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_one_hot_row(self):
-        corpus = RawCorpus(docs=[{0: 3}, {1: 1}, {2: 2}], num_words=3)
+        corpus = RawCorpus(counts=[[3, 0, 0], [0, 1, 0], [0, 0, 2]])
         mat = tfidf(corpus)
         np.testing.assert_allclose(mat.rows[0], [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_all_rows_dropped_error(self):
-        corpus = RawCorpus(docs=[{0: 1}, {0: 2}], num_words=2)
+        corpus = RawCorpus(counts=[[1, 0], [2, 0]])
         with pytest.raises(CorpusError):
             tfidf(corpus)
 
     def test_requires_two_documents(self):
         with pytest.raises(CorpusError):
-            tfidf(RawCorpus(docs=[{0: 1}], num_words=2))
+            tfidf(RawCorpus(counts=[[1, 0]]))
 
     def test_row_simplex_property(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
             n = int(rng.integers(2, 30))
             v = int(rng.integers(2, 40))
-            docs = []
-            for _ in range(n):
+            counts = np.zeros((n, v))
+            for row in counts:
                 k = int(rng.integers(1, v + 1))
                 ids = rng.choice(v, size=k, replace=False)
-                docs.append({int(i): int(rng.integers(1, 9)) for i in ids})
+                for i in ids:
+                    row[i] = rng.integers(1, 9)
             try:
-                mat = tfidf(RawCorpus(docs=docs, num_words=v))
+                mat = tfidf(RawCorpus(counts=counts))
             except CorpusError:
                 continue
             assert np.all(mat.rows >= 0)
@@ -123,22 +118,17 @@ class TestTfidf:
         assert w[-1] == 0.0
 
     def test_transform_uses_training_idf(self):
-        corpus = RawCorpus(
-            docs=[{0: 2, 1: 1}, {1: 1, 2: 1}, {2: 1, 3: 1}, {3: 2, 0: 1}],
-            num_words=4,
-        )
+        corpus = RawCorpus(counts=[[2, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
         mat = tfidf(corpus)
-        rows, valid = tfidf_transform(corpus.docs, 4, mat.doc_freq, mat.n_docs)
+        rows, valid = tfidf_transform(corpus.counts, mat.doc_freq, mat.n_docs)
         assert valid.all()
         np.testing.assert_allclose(rows, mat.rows, atol=1e-12)
 
     def test_transform_flags_zero_weight_docs(self):
-        corpus = RawCorpus(
-            docs=[{0: 2, 1: 1}, {1: 1, 2: 1}, {2: 1, 3: 1}, {3: 2, 0: 1}],
-            num_words=4,
-        )
+        corpus = RawCorpus(counts=[[2, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
         mat = tfidf(corpus)
-        rows, valid = tfidf_transform([{}, {0: 1}], 4, mat.doc_freq, mat.n_docs)
+        rows, valid = tfidf_transform(np.array([[0.0, 0, 0, 0], [1, 0, 0, 0]]),
+                                      mat.doc_freq, mat.n_docs)
         assert valid.tolist() == [False, True]
         np.testing.assert_allclose(rows[0], 0.0)
 
@@ -185,7 +175,7 @@ class TestCountDocuments:
     def test_oov_tokens_dropped(self):
         vocab = Vocabulary(["a", "b"])
         corpus = count_documents([["a", "a", "zzz"], ["b"]], vocab)
-        assert corpus.docs == [{0: 2}, {1: 1}]
+        assert corpus.counts.tolist() == [[2, 0], [0, 1]]
         assert corpus.num_words == 2
 
     def test_labels_carried(self):
@@ -193,3 +183,145 @@ class TestCountDocuments:
         corpus = count_documents([["a"], ["b"]], vocab, labels=[1, 0], num_classes=2)
         assert corpus.labels == [1, 0]
         assert corpus.num_classes == 2
+
+
+class TestRawCorpus:
+    def test_shape_gives_sizes(self):
+        corpus = RawCorpus(counts=np.zeros((3, 5)))
+        assert (corpus.n_docs, corpus.num_words) == (3, 5)
+
+    @pytest.mark.parametrize("counts", [[1.0, 2.0], [[1.0, -1.0]], [[np.nan, 1.0]],
+                                        [[np.inf, 1.0]]])
+    def test_malformed_counts_rejected(self, counts):
+        with pytest.raises(CorpusError):
+            RawCorpus(counts=counts)
+
+    @pytest.mark.parametrize("labels", [[0], [0, 2], [-1, 0]])
+    def test_malformed_labels_rejected(self, labels):
+        with pytest.raises(CorpusError):
+            RawCorpus(counts=np.ones((2, 3)), labels=labels, num_classes=2)
+
+
+# The pipeline the count matrix replaced: one dict of word-id counts per
+# document, densified item by item. The property test requires the same
+# bytes from both.
+def oracle_count_documents(docs, vocab):
+    id_docs = []
+    for doc in docs:
+        counts = {}
+        for tok in doc:
+            wid = vocab.index.get(tok)
+            if wid is not None:
+                counts[wid] = counts.get(wid, 0) + 1
+        id_docs.append(counts)
+    return id_docs
+
+
+def oracle_count_matrix(docs, num_words):
+    mat = np.zeros((len(docs), num_words), dtype=np.float64)
+    for i, doc in enumerate(docs):
+        for wid, cnt in doc.items():
+            mat[i, wid] = cnt
+    return mat
+
+
+def oracle_smoothed_rows(counts, doc_freq, n_docs):
+    token_totals = counts.sum(axis=1, keepdims=True)
+    tf = np.divide(counts, token_totals, out=np.zeros_like(counts),
+                   where=token_totals > 0)
+    return tf * idf_weights(doc_freq, n_docs)
+
+
+def oracle_tfidf(docs, num_words):
+    """(rows, kept_docs, dropped_docs, doc_freq) of dict documents."""
+    counts = oracle_count_matrix(docs, num_words)
+    doc_freq = (counts > 0).sum(axis=0)
+    smoothed = oracle_smoothed_rows(counts, doc_freq, len(docs))
+    weight = smoothed.sum(axis=1)
+    kept = np.flatnonzero(weight > 0)
+    dropped = np.flatnonzero(weight <= 0)
+    return smoothed[kept] / weight[kept, None], kept.tolist(), dropped.tolist(), doc_freq
+
+
+def oracle_tfidf_transform(docs, num_words, doc_freq, n_docs):
+    counts = oracle_count_matrix(docs, num_words)
+    smoothed = oracle_smoothed_rows(counts, doc_freq, n_docs)
+    weight = smoothed.sum(axis=1)
+    valid = weight > 0
+    rows = np.divide(smoothed, weight[:, None], out=np.zeros_like(smoothed),
+                     where=valid[:, None])
+    return rows, valid
+
+
+def random_token_docs(rng, words, n_docs):
+    """Documents over words plus out-of-vocabulary tokens: some hold only
+    unknown tokens, some a single word. In about half the corpora every
+    document also holds words[0], whose idf is then clamped to zero."""
+    docs = []
+    for _ in range(n_docs):
+        kind = rng.integers(6)
+        if kind == 0:
+            docs.append([f"oov{int(i)}" for i in rng.integers(0, 5, size=rng.integers(1, 4))])
+            continue
+        if kind == 1:
+            docs.append([words[int(rng.integers(len(words)))]] * int(rng.integers(1, 4)))
+            continue
+        length = int(rng.integers(1, 40))
+        # Zipf-like draws so that some words are frequent and some rare
+        ids = np.minimum(rng.zipf(1.5, size=length) - 1, len(words) - 1)
+        doc = [words[int(i)] for i in ids] + ["oov"] * int(rng.integers(0, 3))
+        rng.shuffle(doc)
+        docs.append(doc)
+    if rng.integers(2):
+        docs = [doc + [words[0]] for doc in docs]
+    return docs
+
+
+def random_corpora():
+    """50 seeded (seed, vocabulary, documents, held-out documents) cases."""
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        words = [f"w{i}" for i in range(int(rng.integers(2, 60)))]
+        docs = random_token_docs(rng, words, int(rng.integers(2, 80)))
+        held_out = random_token_docs(rng, words, int(rng.integers(1, 30)))
+        yield seed, Vocabulary(words), docs, held_out
+
+
+class TestCountMatrixMatchesOracle:
+    def test_random_corpora_byte_identical(self):
+        for seed, vocab, docs, held_out in random_corpora():
+            corpus = count_documents(docs, vocab)
+            id_docs = oracle_count_documents(docs, vocab)
+            assert (corpus.counts.tobytes()
+                    == oracle_count_matrix(id_docs, vocab.size).tobytes()), seed
+
+            rows, kept, dropped, doc_freq = oracle_tfidf(id_docs, vocab.size)
+            if not kept:
+                with pytest.raises(CorpusError):
+                    tfidf(corpus)
+                continue
+            before = corpus.counts.copy()
+            mat = tfidf(corpus)
+            assert mat.rows.tobytes() == rows.tobytes(), seed
+            assert mat.doc_freq.tobytes() == doc_freq.tobytes(), seed
+            assert (mat.kept_docs, mat.dropped_docs) == (kept, dropped), seed
+            assert corpus.counts.tobytes() == before.tobytes(), seed
+
+            new_rows, new_valid = tfidf_transform(count_documents(held_out, vocab).counts,
+                                                  mat.doc_freq, mat.n_docs)
+            old_rows, old_valid = oracle_tfidf_transform(
+                oracle_count_documents(held_out, vocab), vocab.size, doc_freq, len(docs))
+            assert new_rows.tobytes() == old_rows.tobytes(), seed
+            assert new_valid.tobytes() == old_valid.tobytes(), seed
+
+    def test_corpora_cover_the_edge_cases(self):
+        # the property test above is only as good as the corpora it sees
+        seen = {"oov_only": 0, "one_word": 0, "dropped_rows": 0, "all_rows_kept": 0}
+        for _, vocab, docs, _ in random_corpora():
+            id_docs = oracle_count_documents(docs, vocab)
+            seen["oov_only"] += sum(not d for d in id_docs)
+            seen["one_word"] += sum(len(d) == 1 for d in id_docs)
+            _, kept, dropped, _ = oracle_tfidf(id_docs, vocab.size)
+            seen["dropped_rows"] += bool(kept and dropped)
+            seen["all_rows_kept"] += not dropped
+        assert min(seen.values()) > 0, seen

@@ -21,7 +21,8 @@ from tomcat.evaluation import (
     topic_recovery_score,
     topic_word_ids,
 )
-from tomcat.networks import make_classifier, make_encoder, make_generator
+from test_corpus import oracle_count_matrix
+from tomcat.networks import DirichletPrior, make_classifier, make_encoder, make_generator, sample_prior
 
 EPS = 1e-12
 
@@ -305,8 +306,8 @@ class TestMakeSynthetic:
                              doc_length=20, doc_topic_alpha=0.5, seed=1)
         corpus, supports = make_synthetic(spec)
         assert supports == [[0], [1], [2], [3]]
-        for doc in corpus.docs:
-            assert len(doc) <= 4
+        for row in corpus.counts:
+            assert np.count_nonzero(row) <= 4
 
     def test_small_alpha_concentrates_on_dominant_support(self):
         spec = SyntheticSpec(num_topics=4, words_per_topic=3, num_docs=300,
@@ -314,10 +315,9 @@ class TestMakeSynthetic:
         corpus, supports = make_synthetic(spec)
         in_support = 0
         total = 0
-        for doc, label in zip(corpus.docs, corpus.labels):
-            sup = set(supports[label])
-            in_support += sum(c for w, c in doc.items() if w in sup)
-            total += sum(doc.values())
+        for row, label in zip(corpus.counts, corpus.labels):
+            in_support += row[supports[label]].sum()
+            total += row.sum()
         assert in_support / total >= 0.95
 
     def test_fixed_seed_reproducible(self):
@@ -325,8 +325,34 @@ class TestMakeSynthetic:
                              doc_length=25, doc_topic_alpha=0.1, seed=3)
         a, _ = make_synthetic(spec)
         b, _ = make_synthetic(spec)
-        assert a.docs == b.docs
+        assert np.array_equal(a.counts, b.counts)
         assert a.labels == b.labels
+
+    @pytest.mark.parametrize("spec", [
+        SyntheticSpec(num_topics=3, words_per_topic=5, num_docs=50,
+                      doc_length=25, doc_topic_alpha=0.1, seed=3),
+        SyntheticSpec(num_topics=5, words_per_topic=20, num_docs=200,
+                      doc_length=50, doc_topic_alpha=0.05, seed=13),
+        SyntheticSpec(num_topics=1, words_per_topic=2, num_docs=10,
+                      doc_length=1, doc_topic_alpha=1.0, seed=8),
+    ])
+    def test_counts_match_dict_generator(self, spec):
+        # the generator as it was when documents were dicts of word-id counts
+        rng = np.random.default_rng(spec.seed)
+        thetas = sample_prior(DirichletPrior(spec.num_topics, spec.doc_topic_alpha),
+                              spec.num_docs, rng)
+        docs, labels = [], []
+        for theta in thetas:
+            topics = rng.choice(spec.num_topics, size=spec.doc_length, p=theta)
+            offsets = rng.integers(0, spec.words_per_topic, size=spec.doc_length)
+            ids, counts = np.unique(topics * spec.words_per_topic + offsets,
+                                    return_counts=True)
+            docs.append({int(w): int(c) for w, c in zip(ids, counts)})
+            labels.append(int(theta.argmax()))
+        corpus, _ = make_synthetic(spec)
+        assert (corpus.counts.tobytes()
+                == oracle_count_matrix(docs, spec.vocab_size).tobytes())
+        assert corpus.labels == labels
 
     def test_labels_are_dominant_topic(self):
         spec = SyntheticSpec(num_topics=3, words_per_topic=5, num_docs=100,
@@ -356,12 +382,8 @@ class TestCoherenceEndToEnd:
                              doc_length=40, doc_topic_alpha=0.05, seed=21)
         corpus, _ = make_synthetic(spec)
         vocab = synthetic_vocabulary(spec)
-        docs = []
-        for doc in corpus.docs:
-            toks = []
-            for wid, cnt in sorted(doc.items()):
-                toks.extend([vocab.tokens[wid]] * cnt)
-            docs.append(toks)
+        tokens = np.array(vocab.tokens)
+        docs = [np.repeat(tokens, row.astype(np.int64)).tolist() for row in corpus.counts]
         mat = tfidf(corpus)
         cfg = TrainConfig(num_topics=5, hidden=32, batch_size=32, iterations=400, seed=1)
         state = train(mat.rows, cfg)
