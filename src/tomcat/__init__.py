@@ -10,6 +10,7 @@ a supervised objective.
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .corpus import (
     CorpusError,
+    CsrRows,
     RawCorpus,
     TfidfMatrix,
     Vocabulary,

@@ -9,6 +9,7 @@ configuration error, 2 corrupt artifact, 3 numerical abort.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import shutil
@@ -19,11 +20,15 @@ import numpy as np
 
 from .checkpoint import CheckpointError, check_vocabulary, load_checkpoint, save_checkpoint
 from .corpus import (
+    BLOCK_ROWS,
     CorpusError,
+    RowsError,
     Vocabulary,
     build_vocabulary,
     count_documents,
     load_documents,
+    load_rows,
+    save_rows,
     tfidf,
     tfidf_transform,
 )
@@ -66,28 +71,39 @@ def _read_manifest(path: Path) -> dict:
         raise ManifestError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ManifestError(f"{path} does not hold a JSON object")
-    n_classes = manifest.get("n_classes")
-    if type(n_classes) is not int or n_classes < 0:
-        raise ManifestError(f"{path}: n_classes must be a nonnegative integer, "
-                            f"not {n_classes!r}")
+    for key in ("n_docs", "n_classes"):
+        value = manifest.get(key)
+        if type(value) is not int or value < 0:
+            raise ManifestError(f"{path}: {key} must be a nonnegative integer, "
+                                f"not {value!r}")
     return manifest
 
 
-def _load_data_dir(data_dir: Path, want_labels: bool):
-    manifest_path = data_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise CorpusError(f"{manifest_path} not found; run 'ingest' first")
-    manifest = _read_manifest(manifest_path)
-    vocab = Vocabulary.load(data_dir / "vocab.txt")
-    labels_path = data_dir / "labels.txt"
-    has_labels = manifest["n_classes"] > 0 and labels_path.exists()
-    if want_labels and not has_labels:
-        raise ConfigError(f"data directory {data_dir} has no labels")
-    docs, labels = load_documents(data_dir / "docs.txt",
-                                  labels_path if has_labels else None)
-    corpus = count_documents(docs, vocab, labels=labels,
-                             num_classes=manifest["n_classes"])
-    return vocab, corpus, manifest
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_blocks_in_heap() -> None:
+    """Pin glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB.
+
+    glibc serves each block above the mmap threshold with its own mapping
+    and unmaps it on free, so every such block is page-faulted afresh. The
+    threshold starts at 128 KiB and rises only when a larger mapped block is
+    freed, so without the pin the speed of the training loop, whose
+    temporaries are 1-2 MB, would depend on what the process freed before
+    it. A no-op where the C library has no mallopt.
+    """
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except (OSError, TypeError):   # no C library to load by that name
+        return
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 * 2 ** 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 * 2 ** 20)
 
 
 def cmd_ingest(args) -> int:
@@ -95,7 +111,7 @@ def cmd_ingest(args) -> int:
     vocab = build_vocabulary(docs, min_count=args.min_count, max_vocab=args.max_vocab)
     num_classes = (max(labels) + 1) if labels else 0
     corpus = count_documents(docs, vocab, labels=labels, num_classes=num_classes)
-    del docs   # free the token lists before tfidf allocates its working matrix
+    del docs   # free the token lists before tfidf
     mat = tfidf(corpus)
 
     out = Path(args.out)
@@ -103,8 +119,8 @@ def cmd_ingest(args) -> int:
     vocab.save(out / "vocab.txt")
     if Path(args.docs).resolve() != (out / "docs.txt").resolve():
         shutil.copyfile(args.docs, out / "docs.txt")
-    if args.labels is not None and Path(args.labels).resolve() != (out / "labels.txt").resolve():
-        shutil.copyfile(args.labels, out / "labels.txt")
+    save_rows(out / "rows.npz", mat,
+              None if labels is None else np.asarray(labels, dtype=np.int64)[mat.kept_docs])
     manifest = {
         "n_docs": corpus.n_docs,
         "vocab_size": vocab.size,
@@ -122,14 +138,20 @@ def cmd_ingest(args) -> int:
 
 def cmd_train(args) -> int:
     data_dir = Path(args.data)
-    vocab, corpus, _ = _load_data_dir(data_dir, want_labels=args.supervised)
+    manifest_path = data_dir / "manifest.json"
+    if not manifest_path.exists():
+        raise CorpusError(f"{manifest_path} not found; run 'ingest' first")
+    manifest = _read_manifest(manifest_path)
+    vocab = Vocabulary.load(data_dir / "vocab.txt")
     check_vocabulary(vocab)   # fail now, not when saving after the whole run
-    mat = tfidf(corpus)
-    labels = None
-    if args.supervised:
-        labels = np.array([corpus.labels[i] for i in mat.kept_docs], dtype=np.int64)
-    num_classes = corpus.num_classes
-    del corpus   # training needs only the TF-IDF rows
+    rows_path = data_dir / "rows.npz"
+    if not rows_path.exists():
+        raise CorpusError(f"{rows_path} not found; the data directory was written "
+                          "by an older ingest: re-run 'ingest'")
+    num_classes = manifest["n_classes"]
+    mat, labels = load_rows(rows_path, vocab.size, manifest["n_docs"], num_classes)
+    if args.supervised and labels is None:
+        raise ConfigError(f"data directory {data_dir} has no labels")
 
     config = TrainConfig(
         num_topics=args.topics, hidden=args.hidden, alpha=args.alpha,
@@ -143,8 +165,9 @@ def cmd_train(args) -> int:
         print(f"config\t{key}\t{value}")
 
     loss_log_path = args.loss_log or (str(args.out) + ".losses.tsv")
+    _keep_freed_blocks_in_heap()
     try:
-        state = train(mat.rows, config, labels=labels,
+        state = train(mat.csr, config, labels=labels,
                       num_classes=num_classes if args.supervised else None)
     except NonFiniteLossError as exc:
         write_loss_log(exc.records, loss_log_path, abort=str(exc))
@@ -184,18 +207,19 @@ def _encode_documents(ckpt, docs_path):
 
 
 def _encode(ckpt, docs):
-    """Topic rows for tokenized documents (see _encode_documents)."""
-    counts = count_documents(docs, ckpt.vocab).counts
-    del docs
-    rows, valid = tfidf_transform(counts, ckpt.doc_freq, ckpt.train_doc_count)
-    del counts   # the encoder pass is the peak; hold only the rows through it
-    z = np.full((rows.shape[0], ckpt.num_topics), 1.0 / ckpt.num_topics)
-    if valid.any():
-        z[valid], _ = ckpt.encoder.forward(rows if valid.all() else rows[valid],
-                                           train=False)
-    for i in np.flatnonzero(~valid):
-        print(f"warning: document {i} has no usable tokens; emitting uniform row",
-              file=sys.stderr)
+    """Topic rows for tokenized documents (see _encode_documents), counted,
+    weighted and encoded a block of documents at a time."""
+    z = np.full((len(docs), ckpt.num_topics), 1.0 / ckpt.num_topics)
+    for start in range(0, len(docs), BLOCK_ROWS):
+        counts = count_documents(docs[start:start + BLOCK_ROWS], ckpt.vocab).counts
+        rows, valid = tfidf_transform(counts, ckpt.doc_freq, ckpt.train_doc_count)
+        if valid.any():
+            block = z[start:start + rows.shape[0]]
+            block[valid], _ = ckpt.encoder.forward(rows if valid.all() else rows[valid],
+                                                   train=False)
+        for i in np.flatnonzero(~valid):
+            print(f"warning: document {start + i} has no usable tokens; emitting uniform row",
+                  file=sys.stderr)
     return z
 
 
@@ -357,7 +381,7 @@ def main(argv=None) -> int:
         # interpreter's shutdown flush from erroring too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (CheckpointError, ManifestError) as exc:
+    except (CheckpointError, ManifestError, RowsError) as exc:
         _err(str(exc))
         return EXIT_CORRUPT
     except (NonFiniteLossError, NonFiniteError) as exc:

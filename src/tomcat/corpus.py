@@ -1,6 +1,7 @@
 """Corpus ingestion: vocabulary construction and normalized TF-IDF rows.
 
-A corpus is a (documents, vocabulary) count matrix. The smoothed TF-IDF of
+A corpus is a (documents, vocabulary) count matrix, held as CSR rows and
+weighted a block of documents at a time. The smoothed TF-IDF of
 entry (i, j) is tf(i, j) * log(N / (1 + df(j))); negative weights (words
 present in every document) are clamped to zero so that every retained row
 normalizes onto the vocabulary simplex.
@@ -8,12 +9,19 @@ normalizes onto the vocabulary simplex.
 
 from __future__ import annotations
 
+import io
+import lzma
+import tokenize
+import zipfile
+import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
+
+from .fileio import write_atomic
 
 
 class CorpusError(ValueError):
@@ -49,40 +57,116 @@ class Vocabulary:
         return cls(Path(path).read_text(encoding="utf-8").splitlines())
 
 
+class RowsError(ValueError):
+    """A rows.npz archive that save_rows did not write: undecodable, or its
+    arrays break the layout."""
+
+
+# Documents per block: ingest and infer count and weigh this many documents
+# at a time, so no dense matrix of the vocabulary's width has more rows.
+BLOCK_ROWS = 256
+
+
 @dataclass
+class CsrRows:
+    """Rows of an (n_rows, num_cols) float64 matrix in compressed sparse row
+    form, the layout of scikit-learn's CSR matrices: row i holds the values
+    ``data[indptr[i]:indptr[i + 1]]`` at the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, in increasing column order. Entries
+    not stored are zero."""
+
+    indptr: np.ndarray    # int64, n_rows + 1 offsets from 0 to nnz
+    indices: np.ndarray   # int64 column of each stored entry
+    data: np.ndarray      # float64 value of each stored entry
+    num_cols: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.indptr.size - 1, self.num_cols
+
+    @classmethod
+    def from_dense(cls, dense: np.ndarray) -> "CsrRows":
+        """The nonzero entries of a 2-d matrix, as float64."""
+        # a flat scan of a boolean mask: np.nonzero of the 2-d matrix itself
+        # is several times slower
+        flat = np.flatnonzero(dense.ravel() != 0)
+        rows, cols = np.divmod(flat, dense.shape[1])
+        return cls(_offsets(np.bincount(rows, minlength=dense.shape[0])), cols,
+                   dense.ravel()[flat].astype(np.float64), dense.shape[1])
+
+    @classmethod
+    def stack(cls, blocks: list["CsrRows"], num_cols: int) -> "CsrRows":
+        """The rows of every block, in order (no rows for no blocks)."""
+        lengths = [np.diff(b.indptr) for b in blocks]
+        return cls(_offsets(np.concatenate([np.zeros(0, np.int64)] + lengths)),
+                   np.concatenate([np.zeros(0, np.int64)] + [b.indices for b in blocks]),
+                   np.concatenate([np.zeros(0)] + [b.data for b in blocks]), num_cols)
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The given rows as a new dense (len(rows), num_cols) matrix."""
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        # position in indices/data of every stored entry of the chosen rows
+        pos = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths,
+                                                   lengths)
+        out = np.zeros((len(rows), self.num_cols))
+        out[np.repeat(np.arange(len(rows)), lengths), self.indices[pos]] = self.data[pos]
+        return out
+
+    def toarray(self) -> np.ndarray:
+        return self.take(np.arange(self.shape[0]))
+
+
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    """Row offsets (indptr) of rows with the given numbers of entries."""
+    indptr = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return indptr
+
+
 class RawCorpus:
-    """A (documents, vocabulary) float64 count matrix with optional class labels."""
+    """A (documents, vocabulary) float64 count matrix with optional class
+    labels. The counts are held as CSR rows (``csr``); ``counts`` builds the
+    dense matrix when read."""
 
-    counts: np.ndarray
-    labels: list[int] | None = None
-    num_classes: int = 0
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.float64)
-        if self.counts.ndim != 2:
-            raise CorpusError("counts must be a (documents, words) matrix")
-        if not ((self.counts >= 0) & (self.counts < np.inf)).all():
+    def __init__(self, counts: np.ndarray | CsrRows, labels: list[int] | None = None,
+                 num_classes: int = 0):
+        if not isinstance(counts, CsrRows):
+            dense = np.asarray(counts, dtype=np.float64)
+            if dense.ndim != 2:
+                raise CorpusError("counts must be a (documents, words) matrix")
+            counts = CsrRows.from_dense(dense)
+        # a negative or NaN count is a nonzero, so it is stored and seen here
+        if not ((counts.data > 0) & (counts.data < np.inf)).all():
             raise CorpusError("word counts must be finite and nonnegative")
-        if self.labels is not None:
-            if len(self.labels) != self.n_docs:
+        self.csr = counts
+        self.labels = labels
+        self.num_classes = num_classes
+        if labels is not None:
+            if len(labels) != self.n_docs:
                 raise CorpusError("labels must align one-to-one with documents")
-            labels = np.asarray(self.labels, dtype=np.int64)
-            bad = labels[(labels < 0) | (labels >= self.num_classes)]
+            labels = np.asarray(labels, dtype=np.int64)
+            bad = labels[(labels < 0) | (labels >= num_classes)]
             if bad.size:
-                raise CorpusError(f"label {bad[0]} out of range [0, {self.num_classes})")
+                raise CorpusError(f"label {bad[0]} out of range [0, {num_classes})")
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The dense count matrix, built on each read."""
+        return self.csr.toarray()
 
     @property
     def n_docs(self) -> int:
-        return self.counts.shape[0]
+        return self.csr.shape[0]
 
     @property
     def num_words(self) -> int:
-        return self.counts.shape[1]
+        return self.csr.shape[1]
 
 
 @dataclass
 class TfidfMatrix:
-    """Row-normalized TF-IDF rows for the retained documents.
+    """Row-normalized TF-IDF rows for the retained documents, as CSR rows.
 
     ``kept_docs`` / ``dropped_docs`` index into the original corpus; rows
     whose smoothed weight summed to zero are dropped. ``doc_freq`` and
@@ -90,11 +174,16 @@ class TfidfMatrix:
     with the same idf.
     """
 
-    rows: np.ndarray
+    csr: CsrRows
     kept_docs: list[int]
     dropped_docs: list[int]
     doc_freq: np.ndarray
     n_docs: int
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The rows as a dense matrix, built on each read."""
+        return self.csr.toarray()
 
 
 def build_vocabulary(docs: list[list[str]], min_count: int = 1,
@@ -154,15 +243,23 @@ def load_documents(path: str | Path,
 def count_documents(docs: list[list[str]], vocab: Vocabulary,
                     labels: list[int] | None = None,
                     num_classes: int = 0) -> RawCorpus:
-    """Count matrix of tokenized documents; out-of-vocabulary tokens are dropped."""
+    """Count rows of tokenized documents, built a block of documents at a
+    time; out-of-vocabulary tokens are dropped."""
     lengths = np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
     # word id of every token of the concatenated documents, -1 if out of vocabulary
     ids = np.fromiter(map(vocab.index.get, chain.from_iterable(docs), repeat(-1)),
                       dtype=np.int64, count=int(lengths.sum()))
-    # the flat index doc * V + id of each in-vocabulary token's matrix cell
-    cells = (np.repeat(np.arange(len(docs)) * vocab.size, lengths) + ids)[ids >= 0]
-    counts = np.bincount(cells, weights=np.ones(cells.size), minlength=len(docs) * vocab.size)
-    return RawCorpus(counts.reshape(len(docs), vocab.size), labels=labels,
+    ends = np.cumsum(lengths)
+    blocks = []
+    for start in range(0, len(docs), BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, len(docs))
+        block_ids = ids[ends[start] - lengths[start]:ends[stop - 1]]
+        # the flat index (doc - start) * V + id of each in-vocabulary token's cell
+        cells = (np.repeat(np.arange(stop - start) * vocab.size, lengths[start:stop])
+                 + block_ids)[block_ids >= 0]
+        counts = np.bincount(cells, minlength=(stop - start) * vocab.size)
+        blocks.append(CsrRows.from_dense(counts.reshape(stop - start, vocab.size)))
+    return RawCorpus(CsrRows.stack(blocks, vocab.size), labels=labels,
                      num_classes=num_classes)
 
 
@@ -172,35 +269,46 @@ def idf_weights(doc_freq: np.ndarray, n_docs: int) -> np.ndarray:
     return np.maximum(idf, 0.0)
 
 
-def _weighted_rows(counts: np.ndarray, doc_freq: np.ndarray,
-                   n_docs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Smoothed TF-IDF of every row of counts, in a new matrix, and each
-    row's total weight. Totals are summed over the dense rows: summing the
-    nonzeros alone would group the pairwise sums differently."""
+def _weigh_rows(counts: np.ndarray, idf: np.ndarray) -> np.ndarray:
+    """Turn a nonnegative count matrix into its smoothed TF-IDF in place and
+    return each row's total weight. Totals are summed over the dense rows:
+    summing the nonzeros alone would group the pairwise sums differently."""
     token_totals = counts.sum(axis=1, keepdims=True)
-    tf = np.divide(counts, token_totals, out=np.zeros_like(counts),
-                   where=token_totals > 0)
-    tf *= idf_weights(doc_freq, n_docs)
-    return tf, tf.sum(axis=1)
+    token_totals[token_totals == 0] = 1.0   # an all-zero row stays zero
+    counts /= token_totals
+    counts *= idf
+    return counts.sum(axis=1)
 
 
 def tfidf(corpus: RawCorpus) -> TfidfMatrix:
     """Normalized TF-IDF rows; documents with zero total weight are dropped.
 
-    idf is computed on this corpus; reuse it on held-out documents via
-    tfidf_transform with the returned doc_freq / n_docs.
+    The rows are weighted a block of documents at a time, each block
+    densified for its row sums, so no dense matrix of the whole corpus is
+    built. idf is computed on this corpus; reuse it on held-out documents
+    via tfidf_transform with the returned doc_freq / n_docs.
     """
     if corpus.n_docs < 2:
         raise CorpusError("tfidf needs at least 2 documents")
-    doc_freq = (corpus.counts > 0).sum(axis=0)
-    smoothed, weight = _weighted_rows(corpus.counts, doc_freq, corpus.n_docs)
+    counts = corpus.csr
+    # every stored count is positive: one entry per (document, word) pair
+    doc_freq = np.bincount(counts.indices, minlength=corpus.num_words)
+    idf = idf_weights(doc_freq, corpus.n_docs)
+    blocks, weights = [], []
+    for start in range(0, corpus.n_docs, BLOCK_ROWS):
+        block = counts.take(np.arange(start, min(start + BLOCK_ROWS, corpus.n_docs)))
+        weight = _weigh_rows(block, idf)
+        kept = weight > 0
+        rows = block if kept.all() else block[kept]
+        rows /= weight[kept, None]
+        blocks.append(CsrRows.from_dense(rows))
+        weights.append(weight)
+    weight = np.concatenate(weights)
     kept = np.flatnonzero(weight > 0)
     if kept.size == 0:
         raise CorpusError("every document lost all TF-IDF weight (all rows dropped)")
-    dropped = np.flatnonzero(weight <= 0)
-    rows = smoothed if dropped.size == 0 else smoothed[kept]
-    rows /= weight[kept, None]
-    return TfidfMatrix(rows=rows, kept_docs=kept.tolist(), dropped_docs=dropped.tolist(),
+    return TfidfMatrix(csr=CsrRows.stack(blocks, corpus.num_words), kept_docs=kept.tolist(),
+                       dropped_docs=np.flatnonzero(weight <= 0).tolist(),
                        doc_freq=doc_freq, n_docs=corpus.n_docs)
 
 
@@ -213,7 +321,93 @@ def tfidf_transform(counts: np.ndarray, doc_freq: np.ndarray, n_docs: int
     all-zero row and are marked invalid rather than dropped, so callers
     can report them positionally.
     """
-    rows, weight = _weighted_rows(counts, doc_freq, n_docs)
+    rows = np.array(counts, dtype=np.float64)
+    weight = _weigh_rows(rows, idf_weights(doc_freq, n_docs))
     valid = weight > 0
     np.divide(rows, weight[:, None], out=rows, where=valid[:, None])
     return rows, valid
+
+
+# The arrays of a rows.npz archive; "labels" is stored only for labelled corpora.
+_ROWS_ARRAYS = ("indptr", "indices", "data", "doc_freq", "kept_docs")
+# What reading a damaged zip or .npy member can raise: zipfile's own errors,
+# bad .npy headers and truncated members (ValueError, EOFError, and
+# TokenError from numpy's fallback parse of an old-style header), a flipped
+# compression method or flag (NotImplementedError, RuntimeError, zlib.error,
+# LZMAError, and OSError from bz2), a name absent from the directory (KeyError).
+_DECODE_ERRORS = (zipfile.BadZipFile, ValueError, EOFError, tokenize.TokenError, KeyError,
+                  NotImplementedError, RuntimeError, OSError, zlib.error, lzma.LZMAError)
+
+
+def save_rows(path: str | Path, mat: TfidfMatrix, labels: np.ndarray | None) -> None:
+    """Write mat's CSR rows, doc_freq, kept row ids and, when given, the kept
+    rows' labels to an uncompressed .npz archive, atomically."""
+    arrays = {"indptr": mat.csr.indptr, "indices": mat.csr.indices, "data": mat.csr.data,
+              "doc_freq": np.asarray(mat.doc_freq, dtype=np.int64),
+              "kept_docs": np.asarray(mat.kept_docs, dtype=np.int64)}
+    if labels is not None:
+        arrays["labels"] = np.asarray(labels, dtype=np.int64)
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    write_atomic(path, buf.getbuffer())
+
+
+def load_rows(path: str | Path, num_words: int, n_docs: int,
+              num_classes: int) -> tuple[TfidfMatrix, np.ndarray | None]:
+    """The TF-IDF rows and the kept rows' labels (None when the archive has
+    none) of a rows.npz archive of a corpus of n_docs documents over
+    num_words words.
+
+    Raises RowsError when the archive cannot be decoded or its arrays break
+    the layout save_rows writes; an unreadable file raises OSError.
+    """
+    raw = Path(path).read_bytes()
+    if not raw.startswith(b"PK\x03\x04"):
+        raise RowsError(f"{path} is not a zip archive")
+    try:
+        with np.load(io.BytesIO(raw), allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+    except _DECODE_ERRORS as exc:
+        raise RowsError(f"{path} cannot be decoded: {type(exc).__name__}: {exc}") from exc
+    if not set(_ROWS_ARRAYS) <= set(arrays) <= {*_ROWS_ARRAYS, "labels"}:
+        raise RowsError(f"{path} holds the arrays {sorted(arrays)}, not "
+                        f"{list(_ROWS_ARRAYS)} and optionally labels")
+
+    def check(ok, what: str) -> None:
+        if not ok:
+            raise RowsError(f"{path}: {what}")
+
+    for name, array in arrays.items():
+        check(array.ndim == 1 and array.dtype == (np.float64 if name == "data" else np.int64),
+              f"{name} must be a 1-d {'float64' if name == 'data' else 'int64'} array, "
+              f"not {array.ndim}-d {array.dtype}")
+    indptr, indices, data = arrays["indptr"], arrays["indices"], arrays["data"]
+    n_rows = indptr.size - 1
+    check(n_rows >= 0 and indptr[0] == 0 and indptr[-1] == indices.size == data.size,
+          "indptr must run from 0 to the number of stored entries")
+    lengths = np.diff(indptr)
+    check((lengths > 0).all(), "indptr must be strictly increasing (no empty row)")
+    check(((indices >= 0) & (indices < num_words)).all(),
+          f"a column index lies outside [0, {num_words})")
+    # columns increase within each row: row * V + column increases throughout
+    cells = np.repeat(np.arange(n_rows) * num_words, lengths) + indices
+    check((np.diff(cells) > 0).all(), "columns must increase within each row")
+    check(((data > 0) & (data < np.inf)).all(), "data must be finite and positive")
+    doc_freq = arrays["doc_freq"]
+    check(doc_freq.size == num_words and ((doc_freq >= 0) & (doc_freq <= n_docs)).all(),
+          f"doc_freq must hold {num_words} counts in [0, {n_docs}]")
+    kept = arrays["kept_docs"]
+    check(kept.size == n_rows, f"{kept.size} kept row ids for {n_rows} rows")
+    check(kept.size == 0 or (kept[0] >= 0 and kept[-1] < n_docs and (np.diff(kept) > 0).all()),
+          f"kept row ids must increase within [0, {n_docs})")
+    labels = arrays.get("labels")
+    if labels is not None:
+        check(labels.size == n_rows, f"{labels.size} labels for {n_rows} rows")
+        check(((labels >= 0) & (labels < num_classes)).all(),
+              f"a label lies outside [0, {num_classes})")
+    dropped = np.ones(n_docs, dtype=bool)
+    dropped[kept] = False
+    mat = TfidfMatrix(csr=CsrRows(indptr, indices, data, num_words), kept_docs=kept.tolist(),
+                      dropped_docs=np.flatnonzero(dropped).tolist(), doc_freq=doc_freq,
+                      n_docs=n_docs)
+    return mat, labels

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import CsrRows
 from .fileio import write_atomic
 from .networks import (
     DirichletPrior,
@@ -92,7 +93,7 @@ class TrainConfig:
             raise ConfigError("iterations must be >= 0")
         if self.critic_steps < 1:
             raise ConfigError("critic_steps must be >= 1")
-        for name in ("alpha", "clip_c", "lr_main", "lr_cls", "beta1_main", "beta1_cls",
+        for name in ("alpha", "clip_c", "lr_main", "lr_cls",
                      "lambda1_hat", "lambda2_hat", "lambda3_hat"):
             # `not x > 0`, not `x <= 0`: every comparison with NaN is false
             if not getattr(self, name) > 0:
@@ -138,9 +139,10 @@ def write_loss_log(records: list[LossRecord], path: str | Path,
 
 
 class _EpochBatcher:
-    """Shuffled epochs over document rows; ragged tails trigger a reshuffle."""
+    """Shuffled epochs over document rows; ragged tails trigger a reshuffle.
+    Each batch is densified from the CSR rows."""
 
-    def __init__(self, rows: np.ndarray, labels: np.ndarray | None,
+    def __init__(self, rows: CsrRows, labels: np.ndarray | None,
                  batch_size: int, rng: np.random.Generator):
         self.rows = rows
         self.labels = labels
@@ -156,7 +158,7 @@ class _EpochBatcher:
         idx = self.order[self.pos:self.pos + self.batch_size]
         self.pos += self.batch_size
         labels = self.labels[idx] if self.labels is not None else None
-        return self.rows[idx], labels
+        return self.rows.take(idx), labels
 
 
 @dataclass
@@ -385,18 +387,22 @@ def mapper_phase(state: TrainState, x: np.ndarray,
     return record
 
 
-def train(rows: np.ndarray, config: TrainConfig,
+def train(rows: np.ndarray | CsrRows, config: TrainConfig,
           labels: np.ndarray | None = None,
           num_classes: int | None = None) -> TrainState:
     """Alternate critic and mapper phases over shuffled document epochs.
 
-    Deterministic for a fixed config seed: initialization, batch order, and
-    prior draws all come from one seeded generator.
+    rows is a dense (documents, words) matrix or its CSR rows; batches are
+    densified from CSR rows either way. Deterministic for a fixed config
+    seed: initialization, batch order, and prior draws all come from one
+    seeded generator.
     """
     config.validate()
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ConfigError("rows must be a 2-d document/word matrix")
+    if not isinstance(rows, CsrRows):
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2:
+            raise ConfigError("rows must be a 2-d document/word matrix")
+        rows = CsrRows.from_dense(rows)
     if rows.shape[0] < config.batch_size:
         raise ConfigError(
             f"corpus has {rows.shape[0]} rows, fewer than batch_size={config.batch_size}")

@@ -32,6 +32,14 @@ def test_install_wraps_and_uninstall_restores(monkeypatch, tmp_path, capsys):
                          "--out", str(tmp_path / "data")]) == 0
         names = {span[0] for span in tracer.spans}
         assert {"corpus.load_documents", "corpus.count_documents", "corpus.tfidf"} <= names
+
+        assert cli.main(["train", "--data", str(tmp_path / "data"), "--topics", "2",
+                         "--hidden", "4", "--batch", "8", "--iters", "1",
+                         "--out", str(tmp_path / "model.ckpt")]) == 0
+        assert cli.main(["infer", "--ckpt", str(tmp_path / "model.ckpt"),
+                         "--docs", str(tmp_path / "raw" / "docs.txt")]) == 0
+        names = {span[0] for span in tracer.spans}
+        assert {"training.train", "training.batch", "corpus.tfidf_transform"} <= names
     finally:
         tracer.uninstall()
     for owner, attr, original in patches:

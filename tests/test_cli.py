@@ -1,16 +1,29 @@
 import errno
+import io
 import json
 import os
 import shutil
+import zipfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from test_corpus import csr_of, oracle_count_documents, oracle_tfidf
 from test_evaluation import oracle_cooc
+from tomcat import cli
 from tomcat.checkpoint import load_checkpoint
 from tomcat.cli import main
-from tomcat.corpus import load_documents
+from tomcat.corpus import (
+    BLOCK_ROWS,
+    RowsError,
+    Vocabulary,
+    count_documents,
+    load_documents,
+    load_rows,
+    tfidf_transform,
+)
 from tomcat.evaluation import format_coherence_report, model_coherence
 
 
@@ -138,6 +151,25 @@ class TestTrain:
         assert "must be" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("flag", ["--beta1-main", "--beta1-cls"])
+    def test_beta1_zero_trains(self, workdir, tmp_path, capsys, flag):
+        # Adam without first-moment averaging
+        assert main(["train", "--data", str(workdir / "data"), "--topics", "2",
+                     "--hidden", "8", "--batch", "16", "--iters", "2", "--supervised",
+                     flag, "0", "--out", str(tmp_path / "m.ckpt")]) == 0
+        assert f"config\t{flag[2:].replace('-', '_')}\t0.0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["-0.1", "1", "nan"])
+    @pytest.mark.parametrize("flag", ["--beta1-main", "--beta1-cls"])
+    def test_beta1_outside_unit_interval_rejected(self, workdir, tmp_path, capsys, flag,
+                                                  value):
+        code = main(["train", "--data", str(workdir / "data"), "--topics", "2",
+                     "--batch", "16", "--iters", "1", "--supervised", flag, value,
+                     "--out", str(tmp_path / "m.ckpt")])
+        assert code == 1
+        assert "beta1" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
     @pytest.mark.parametrize("manifest", [
         b"{", b"\xff\xfe", b"[1, 2]", b'{"n_classes": "3"}', b'{"n_classes": -1}',
         b'{"n_classes": 1.5}', b'{"n_docs": 150}',
@@ -161,6 +193,192 @@ class TestTrain:
                      "--iters", "1", "--out", str(tmp_path / "m.ckpt")])
         assert code == 1
         assert "run 'ingest' first" in capsys.readouterr().err
+
+
+def _train_args(data, tmp_path):
+    return ["train", "--data", str(data), "--topics", "2", "--hidden", "4", "--batch", "16",
+            "--iters", "0", "--out", str(tmp_path / "m.ckpt")]
+
+
+def _member_data_spans(archive: bytes):
+    """(start, end) of every member's stored bytes: the .npy header and the
+    array, which the member's CRC-32 covers."""
+    spans = []
+    with zipfile.ZipFile(io.BytesIO(archive)) as zf:
+        for info in zf.infolist():
+            at = info.header_offset
+            name_len = int.from_bytes(archive[at + 26:at + 28], "little")
+            extra_len = int.from_bytes(archive[at + 28:at + 30], "little")
+            start = at + 30 + name_len + extra_len
+            spans.append((start, start + info.compress_size))
+    return spans
+
+
+def _rewrite(path, change):
+    """Load every array of a rows.npz archive, let change edit the dict, save it."""
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    change(arrays)
+    with path.open("wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _set(name, index, value):
+    def change(arrays):
+        arrays[name][index] = value
+    return change
+
+
+def _swap_first_two_columns(arrays):
+    start = int(np.flatnonzero(np.diff(arrays["indptr"]) > 1)[0])
+    at = arrays["indptr"][start]
+    arrays["indices"][[at, at + 1]] = arrays["indices"][[at + 1, at]]
+
+
+# structural violations of rows.npz; the corpus has 12 words and 3 classes
+ARCHIVE_DAMAGE = {
+    "missing indptr": lambda a: a.pop("indptr"),
+    "missing indices": lambda a: a.pop("indices"),
+    "missing data": lambda a: a.pop("data"),
+    "missing doc_freq": lambda a: a.pop("doc_freq"),
+    "missing kept_docs": lambda a: a.pop("kept_docs"),
+    "unknown array": lambda a: a.update(extra=np.zeros(1)),
+    "indptr not monotone": _set("indptr", 2, 10 ** 6),
+    "indptr one too long": lambda a: a.update(indptr=np.append(a["indptr"], a["indptr"][-1])),
+    "indptr one too short": lambda a: a.update(indptr=a["indptr"][:-1]),
+    "indptr not from 0": lambda a: a.update(indptr=a["indptr"] + 1),
+    "index equal to V": _set("indices", 5, 12),
+    "negative index": _set("indices", 5, -1),
+    "columns out of order": _swap_first_two_columns,
+    "data NaN": _set("data", 3, np.nan),
+    "data infinite": _set("data", 3, np.inf),
+    "data zero": _set("data", 3, 0.0),
+    "data negative": _set("data", 3, -0.5),
+    "data float32": lambda a: a.update(data=a["data"].astype(np.float32)),
+    "indices 2-d": lambda a: a.update(indices=a["indices"][:, None]),
+    "doc_freq one short": lambda a: a.update(doc_freq=a["doc_freq"][:-1]),
+    "doc_freq above n_docs": _set("doc_freq", 0, 151),
+    "kept ids one short": lambda a: a.update(kept_docs=a["kept_docs"][:-1]),
+    "kept ids one too many": lambda a: a.update(kept_docs=np.append(a["kept_docs"], 149)),
+    "kept ids repeated": _set("kept_docs", 1, 0),
+    "labels one short": lambda a: a.update(labels=a["labels"][:-1]),
+    "label outside the classes": _set("labels", 0, 3),
+    "object array": lambda a: a.update(labels=np.array([None] * a["labels"].size)),
+}
+
+
+class TestDataDirectory:
+    def test_rows_archive_equals_dense_tfidf(self, workdir):
+        # the CSR arrays of the dense TF-IDF the oracle builds from the corpus
+        docs, labels = load_documents(workdir / "raw" / "docs.txt",
+                                      workdir / "raw" / "labels.txt")
+        vocab = Vocabulary.load(workdir / "data" / "vocab.txt")
+        rows, kept, _, doc_freq = oracle_tfidf(oracle_count_documents(docs, vocab), vocab.size)
+        want = dict(zip(("indptr", "indices", "data"), csr_of(rows)),
+                    doc_freq=doc_freq, kept_docs=np.array(kept, dtype=np.int64),
+                    labels=np.array(labels, dtype=np.int64)[kept])
+        with np.load(workdir / "data" / "rows.npz", allow_pickle=False) as npz:
+            assert sorted(npz.files) == sorted(want)
+            for name, array in want.items():
+                assert (npz[name].dtype, npz[name].tobytes()) == (array.dtype, array.tobytes())
+        assert sorted(p.name for p in (workdir / "data").iterdir()) == [
+            "docs.txt", "manifest.json", "rows.npz", "vocab.txt"]
+
+    def test_train_reads_no_document(self, workdir, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        (data / "docs.txt").unlink()
+        monkeypatch.setattr("tomcat.cli.load_documents", lambda *a: pytest.fail("read"))
+        assert main(_train_args(data, tmp_path) + ["--supervised"]) == 0
+
+    def test_missing_rows_archive_is_exit_1(self, workdir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        (data / "rows.npz").unlink()
+        code = main(_train_args(data, tmp_path))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "rows.npz" in captured.err and "'ingest'" in captured.err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("content", [b"", b"not an archive", b"PK\x03\x04" + b"\x00" * 40,
+                                         "truncated", "unclosed .npy header"])
+    def test_undecodable_archive_is_exit_2(self, workdir, tmp_path, capsys, content):
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        clean = (data / "rows.npz").read_bytes()
+        if content == "truncated":
+            content = clean[:len(clean) // 2]
+        elif content == "unclosed .npy header":
+            # a member whose CRC-32 holds; numpy's fallback parse of the
+            # header raises tokenize.TokenError
+            out = io.BytesIO()
+            with zipfile.ZipFile(io.BytesIO(clean)) as src, zipfile.ZipFile(out, "w") as dst:
+                for name in src.namelist():
+                    member = src.read(name)
+                    assert b"), }" in member
+                    dst.writestr(name, member.replace(b"), }", b"),  ", 1))
+            content = out.getvalue()
+        (data / "rows.npz").write_bytes(content)
+        code = main(_train_args(data, tmp_path))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "rows.npz" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("damage", sorted(ARCHIVE_DAMAGE))
+    def test_malformed_archive_is_exit_2(self, workdir, tmp_path, capsys, damage):
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        _rewrite(data / "rows.npz", ARCHIVE_DAMAGE[damage])
+        with pytest.raises(RowsError):
+            load_rows(data / "rows.npz", 12, 150, 3)
+        code = main(_train_args(data, tmp_path))
+        captured = capsys.readouterr()
+        assert code == 2, captured.err
+        assert "rows.npz" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_member_byte_flips_are_exit_2(self, workdir, tmp_path, capsys):
+        # the CRC-32 of each member covers its .npy header and its array
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        path = data / "rows.npz"
+        clean = path.read_bytes()
+        positions = np.concatenate([np.arange(a, b) for a, b in _member_data_spans(clean)])
+        rng = np.random.default_rng(2024)
+        for pos in rng.choice(positions, size=200, replace=False):
+            blob = bytearray(clean)
+            blob[pos] = (blob[pos] + int(rng.integers(1, 256))) % 256
+            path.write_bytes(bytes(blob))
+            assert main(_train_args(data, tmp_path)) == 2, pos
+        assert capsys.readouterr().out == ""
+
+    def test_zip_structure_byte_flips_load_or_raise(self, workdir, tmp_path):
+        # a flipped byte of the zip headers either leaves the arrays intact
+        # (a field the reader ignores) or is reported as corruption
+        path = tmp_path / "rows.npz"
+        clean = (workdir / "data" / "rows.npz").read_bytes()
+        want, _ = load_rows(workdir / "data" / "rows.npz", 12, 150, 3)
+        in_members = np.zeros(len(clean), dtype=bool)
+        for a, b in _member_data_spans(clean):
+            in_members[a:b] = True
+        outcomes = set()
+        for pos in np.flatnonzero(~in_members):
+            for value in {0xFF, 0x00, clean[pos] ^ 0x01} - {clean[pos]}:
+                blob = bytearray(clean)
+                blob[pos] = value
+                path.write_bytes(bytes(blob))
+                try:
+                    got, _ = load_rows(path, 12, 150, 3)
+                except RowsError:
+                    outcomes.add("error")
+                    continue
+                outcomes.add("intact")
+                assert got.rows.tobytes() == want.rows.tobytes(), (pos, value)
+                assert got.kept_docs == want.kept_docs, (pos, value)
+        assert outcomes == {"error", "intact"}
 
 
 class TestTopics:
@@ -213,6 +431,34 @@ class TestInfer:
         vals = [float(v) for v in captured.out.strip().split("\t")]
         np.testing.assert_allclose(vals, 1 / 3, atol=1e-9)
         assert "uniform" in captured.err
+
+
+    def test_block_wise_infer_equals_one_pass(self, workdir, tmp_path, capsys):
+        # two blocks, with documents of unknown tokens only on both sides of
+        # the boundary, against the one-pass encoder it replaced
+        lines = (workdir / "raw" / "docs.txt").read_text().splitlines()
+        docs = [lines[i % len(lines)] for i in range(BLOCK_ROWS + 37)]
+        for i in (BLOCK_ROWS - 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 3):
+            docs[i] = "qqq zzz"
+        path = tmp_path / "docs.txt"
+        path.write_text("\n".join(docs) + "\n")
+        assert main(["infer", "--ckpt", str(workdir / "model.ckpt"), "--docs", str(path)]) == 0
+        captured = capsys.readouterr()
+
+        ckpt = load_checkpoint(workdir / "model.ckpt")
+        tokens, _ = load_documents(path)
+        rows, valid = tfidf_transform(count_documents(tokens, ckpt.vocab).counts,
+                                      ckpt.doc_freq, ckpt.train_doc_count)
+        z = np.full((len(tokens), ckpt.num_topics), 1.0 / ckpt.num_topics)
+        z[valid], _ = ckpt.encoder.forward(rows[valid], train=False)
+        assert captured.out == "".join("\t".join(f"{v:.9g}" for v in row) + "\n" for row in z)
+        assert np.flatnonzero(~valid).tolist() == [BLOCK_ROWS - 2, BLOCK_ROWS - 1, BLOCK_ROWS,
+                                                   BLOCK_ROWS + 3]
+        assert captured.err == "".join(
+            f"warning: document {i} has no usable tokens; emitting uniform row\n"
+            for i in np.flatnonzero(~valid))
+        assert cli._encode_documents(ckpt, path).tobytes() == z.tobytes()
+        capsys.readouterr()
 
 
 class TestClassify:
@@ -296,6 +542,24 @@ class TestEvalCoherence:
         assert code == 1
         assert flag in captured.err
         assert captured.out == ""
+
+
+class TestAllocatorSetting:
+    def test_pins_glibc_thresholds(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        cli._keep_freed_blocks_in_heap()
+        # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in glibc's malloc.h
+        assert calls == [(-3, 32 * 2 ** 20), (-1, 64 * 2 ** 20)]
+
+    def test_no_op_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        cli._keep_freed_blocks_in_heap()
 
 
 class TestErrorPaths:

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
+import tomcat.corpus as corpus_module
 from tomcat.corpus import (
+    BLOCK_ROWS,
     CorpusError,
+    CsrRows,
     RawCorpus,
     Vocabulary,
     build_vocabulary,
     count_documents,
     idf_weights,
     load_documents,
+    load_rows,
+    save_rows,
     tfidf,
     tfidf_transform,
 )
@@ -202,6 +207,40 @@ class TestRawCorpus:
             RawCorpus(counts=np.ones((2, 3)), labels=labels, num_classes=2)
 
 
+class TestCsrRows:
+    def test_take_equals_dense_gather(self):
+        dense = np.array([[0.0, 2.5, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 3.0], [0.0, 0.5, 0.0]])
+        csr = CsrRows.from_dense(dense)
+        assert csr.shape == (4, 3)
+        assert csr.indptr.tolist() == [0, 1, 1, 3, 4]
+        for idx in ([0, 1, 2, 3], [3, 3, 1, 0], [1], []):
+            idx = np.array(idx, dtype=np.int64)
+            assert csr.take(idx).tobytes() == dense[idx].tobytes()
+        assert csr.toarray().tobytes() == dense.tobytes()
+
+    def test_stack_concatenates_rows(self):
+        a, b = np.eye(3)[:2], np.array([[0.0, 0.0, 4.0]])
+        stacked = CsrRows.stack([CsrRows.from_dense(a), CsrRows.from_dense(b)], 3)
+        assert stacked.toarray().tobytes() == np.vstack([a, b]).tobytes()
+        assert CsrRows.stack([], 3).shape == (0, 3)
+
+
+class TestRowsArchive:
+    def test_round_trip(self, tmp_path):
+        corpus = RawCorpus(counts=[[2, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 1, 1, 1]])
+        mat = tfidf(corpus)
+        for labels in (None, np.array([1, 0, 2, 1])[mat.kept_docs]):
+            save_rows(tmp_path / "rows.npz", mat, labels)
+            loaded, loaded_labels = load_rows(tmp_path / "rows.npz", 4, 4, 3)
+            assert loaded.rows.tobytes() == mat.rows.tobytes()
+            assert loaded.doc_freq.tobytes() == mat.doc_freq.tobytes()
+            assert (loaded.kept_docs, loaded.dropped_docs) == (mat.kept_docs, mat.dropped_docs)
+            assert loaded.n_docs == 4
+            assert (loaded_labels is None if labels is None
+                    else loaded_labels.tolist() == labels.tolist())
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.npz"]
+
+
 # The pipeline the count matrix replaced: one dict of word-id counts per
 # document, densified item by item. The property test requires the same
 # bytes from both.
@@ -287,32 +326,76 @@ def random_corpora():
         yield seed, Vocabulary(words), docs, held_out
 
 
+def csr_of(dense):
+    """(indptr, indices, data) of the nonzero entries of a dense matrix."""
+    rows, cols = np.nonzero(dense)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=dense.shape[0]))])
+    return indptr.astype(np.int64), cols.astype(np.int64), dense[rows, cols]
+
+
+def assert_matches_oracle(vocab, docs, held_out, case):
+    """count_documents, tfidf and tfidf_transform give the oracle's bytes,
+    and the CSR rows of tfidf are the nonzeros of the oracle's dense rows."""
+    corpus = count_documents(docs, vocab)
+    id_docs = oracle_count_documents(docs, vocab)
+    assert (corpus.counts.tobytes()
+            == oracle_count_matrix(id_docs, vocab.size).tobytes()), case
+
+    rows, kept, dropped, doc_freq = oracle_tfidf(id_docs, vocab.size)
+    if not kept:
+        with pytest.raises(CorpusError):
+            tfidf(corpus)
+        return None
+    before = corpus.counts.copy()
+    mat = tfidf(corpus)
+    assert mat.rows.tobytes() == rows.tobytes(), case
+    for got, want in zip((mat.csr.indptr, mat.csr.indices, mat.csr.data), csr_of(rows)):
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), case
+    assert mat.doc_freq.tobytes() == doc_freq.tobytes(), case
+    assert (mat.kept_docs, mat.dropped_docs) == (kept, dropped), case
+    assert corpus.counts.tobytes() == before.tobytes(), case
+
+    new_rows, new_valid = tfidf_transform(count_documents(held_out, vocab).counts,
+                                          mat.doc_freq, mat.n_docs)
+    old_rows, old_valid = oracle_tfidf_transform(
+        oracle_count_documents(held_out, vocab), vocab.size, doc_freq, len(docs))
+    assert new_rows.tobytes() == old_rows.tobytes(), case
+    assert new_valid.tobytes() == old_valid.tobytes(), case
+    return mat
+
+
+def boundary_docs(n_docs):
+    """n_docs documents that all hold w0, whose idf is then clamped to zero.
+    The documents on both sides of the first block boundary hold only w0 or
+    only unknown tokens, so their rows are dropped."""
+    rng = np.random.default_rng(n_docs)
+    words = [f"w{i}" for i in range(20)]
+    docs = [["w0"] + [words[int(i)] for i in rng.integers(1, 20, size=rng.integers(1, 12))]
+            for _ in range(n_docs)]
+    for i in range(BLOCK_ROWS - 3, min(BLOCK_ROWS + 2, n_docs)):
+        docs[i] = ["w0"] * (1 + i % 3) if i % 2 else ["oov", "w0"]
+    docs[BLOCK_ROWS - 3] = ["oov"]
+    return Vocabulary(words), docs
+
+
 class TestCountMatrixMatchesOracle:
     def test_random_corpora_byte_identical(self):
         for seed, vocab, docs, held_out in random_corpora():
-            corpus = count_documents(docs, vocab)
-            id_docs = oracle_count_documents(docs, vocab)
-            assert (corpus.counts.tobytes()
-                    == oracle_count_matrix(id_docs, vocab.size).tobytes()), seed
+            assert_matches_oracle(vocab, docs, held_out, seed)
 
-            rows, kept, dropped, doc_freq = oracle_tfidf(id_docs, vocab.size)
-            if not kept:
-                with pytest.raises(CorpusError):
-                    tfidf(corpus)
-                continue
-            before = corpus.counts.copy()
-            mat = tfidf(corpus)
-            assert mat.rows.tobytes() == rows.tobytes(), seed
-            assert mat.doc_freq.tobytes() == doc_freq.tobytes(), seed
-            assert (mat.kept_docs, mat.dropped_docs) == (kept, dropped), seed
-            assert corpus.counts.tobytes() == before.tobytes(), seed
+    def test_random_corpora_byte_identical_in_small_blocks(self, monkeypatch):
+        # a block of 7 documents puts block boundaries inside every corpus
+        monkeypatch.setattr(corpus_module, "BLOCK_ROWS", 7)
+        for seed, vocab, docs, held_out in random_corpora():
+            assert_matches_oracle(vocab, docs, held_out, seed)
 
-            new_rows, new_valid = tfidf_transform(count_documents(held_out, vocab).counts,
-                                                  mat.doc_freq, mat.n_docs)
-            old_rows, old_valid = oracle_tfidf_transform(
-                oracle_count_documents(held_out, vocab), vocab.size, doc_freq, len(docs))
-            assert new_rows.tobytes() == old_rows.tobytes(), seed
-            assert new_valid.tobytes() == old_valid.tobytes(), seed
+    @pytest.mark.parametrize("n_docs", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+    def test_rows_dropped_at_a_block_boundary(self, n_docs):
+        vocab, docs = boundary_docs(n_docs)
+        mat = assert_matches_oracle(vocab, docs, docs[-40:], n_docs)
+        expected = [i for i in range(BLOCK_ROWS - 3, BLOCK_ROWS + 2) if i < n_docs]
+        assert mat.dropped_docs == expected
+        assert mat.n_docs == n_docs
 
     def test_corpora_cover_the_edge_cases(self):
         # the property test above is only as good as the corpora it sees

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_grad_close, numerical_grad
+from tomcat.corpus import CsrRows
 from tomcat.networks import make_critic, sample_prior
 from tomcat.nn import BatchNorm, l1_loss
 from tomcat.training import (
@@ -11,6 +12,7 @@ from tomcat.training import (
     NonFiniteLossError,
     TrainConfig,
     _critic_scores,
+    _EpochBatcher,
     adv_loss,
     balance,
     critic_phase,
@@ -343,3 +345,26 @@ class TestTrain:
         assert len(state.loss_log) == 3
         rec = state.loss_log[-1]
         assert rec.lambda3 > 0 and np.isfinite(rec.cls)
+
+
+class TestEpochBatcher:
+    def test_csr_batches_equal_the_dense_gather(self):
+        # the dense batcher the CSR one replaced, kept as the oracle: the same
+        # rng calls, and each batch gathered as rows[idx]
+        dense = simplex_rows(70, 30, 40)
+        dense[dense < 0.025] = 0.0
+        dense[[3, 41]] = 0.0
+        labels = np.arange(70) % 4
+        batcher = _EpochBatcher(CsrRows.from_dense(dense), labels, 16,
+                                np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        order, pos = rng.permutation(70), 0
+        for _ in range(5 * 5):   # five epochs of four batches and a ragged tail
+            if pos + 16 > 70:
+                order, pos = rng.permutation(70), 0
+            idx = order[pos:pos + 16]
+            pos += 16
+            x, y = batcher.next()
+            assert x.tobytes() == dense[idx].tobytes()
+            assert y.tobytes() == labels[idx].tobytes()
+        assert (dense == 0).any() and (dense > 0).any()
