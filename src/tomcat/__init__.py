@@ -11,6 +11,7 @@ from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_check
 from .corpus import (
     CorpusError,
     CsrRows,
+    Documents,
     RawCorpus,
     TfidfMatrix,
     Vocabulary,

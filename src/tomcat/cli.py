@@ -76,6 +76,9 @@ def _read_manifest(path: Path) -> dict:
         if type(value) is not int or value < 0:
             raise ManifestError(f"{path}: {key} must be a nonnegative integer, "
                                 f"not {value!r}")
+    if manifest["n_classes"] > manifest["n_docs"]:
+        raise ManifestError(f"{path}: n_classes {manifest['n_classes']} exceeds "
+                            f"n_docs {manifest['n_docs']}")
     return manifest
 
 
@@ -107,11 +110,16 @@ def _keep_freed_blocks_in_heap() -> None:
 
 
 def cmd_ingest(args) -> int:
-    docs, labels = load_documents(args.docs, args.labels)
+    docs = load_documents(args.docs, args.labels)
     vocab = build_vocabulary(docs, min_count=args.min_count, max_vocab=args.max_vocab)
+    labels = docs.labels
+    # a label is a class id, and a corpus has no more classes than documents
+    bad = [lab for lab in labels or () if not 0 <= lab < len(docs.lengths)]
+    if bad:
+        raise CorpusError(f"label {bad[0]} out of range [0, {len(docs.lengths)}), "
+                          "the number of documents")
     num_classes = (max(labels) + 1) if labels else 0
     corpus = count_documents(docs, vocab, labels=labels, num_classes=num_classes)
-    del docs   # free the token lists before tfidf
     mat = tfidf(corpus)
 
     out = Path(args.out)
@@ -201,24 +209,26 @@ def cmd_topics(args) -> int:
 
 
 def _encode_documents(ckpt, docs_path):
-    """Topic rows for a document file. Zero-weight documents are given the
-    uniform sentinel row and reported on stderr."""
-    return _encode(ckpt, load_documents(docs_path)[0])
+    """Topic rows for a document file, one per line. Zero-weight documents,
+    blank lines among them, are given the uniform sentinel row and reported
+    on stderr by line."""
+    return _encode(ckpt, load_documents(docs_path, vocab=ckpt.vocab, keep_blank=True))
 
 
 def _encode(ckpt, docs):
-    """Topic rows for tokenized documents (see _encode_documents), counted,
-    weighted and encoded a block of documents at a time."""
-    z = np.full((len(docs), ckpt.num_topics), 1.0 / ckpt.num_topics)
-    for start in range(0, len(docs), BLOCK_ROWS):
-        counts = count_documents(docs[start:start + BLOCK_ROWS], ckpt.vocab).counts
-        rows, valid = tfidf_transform(counts, ckpt.doc_freq, ckpt.train_doc_count)
+    """Topic rows for documents read with the checkpoint's vocabulary (see
+    _encode_documents): counted at once, then weighted and encoded a block
+    of documents at a time."""
+    counts = count_documents(docs, ckpt.vocab).csr
+    z = np.full((counts.shape[0], ckpt.num_topics), 1.0 / ckpt.num_topics)
+    for start in range(0, len(z), BLOCK_ROWS):
+        block = np.arange(start, min(start + BLOCK_ROWS, len(z)))
+        rows, valid = tfidf_transform(counts.take(block), ckpt.doc_freq, ckpt.train_doc_count)
         if valid.any():
-            block = z[start:start + rows.shape[0]]
-            block[valid], _ = ckpt.encoder.forward(rows if valid.all() else rows[valid],
-                                                   train=False)
-        for i in np.flatnonzero(~valid):
-            print(f"warning: document {start + i} has no usable tokens; emitting uniform row",
+            z[block[valid]], _ = ckpt.encoder.forward(rows if valid.all() else rows[valid],
+                                                      train=False)
+        for i in block[~valid]:
+            print(f"warning: document {i} has no usable tokens; emitting uniform row",
                   file=sys.stderr)
     return z
 
@@ -235,8 +245,9 @@ def cmd_classify(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     if ckpt.classifier is None:
         raise ConfigError("checkpoint was trained unsupervised; cannot classify")
-    docs, labels = load_documents(args.docs, args.labels)
-    if not docs:
+    docs = load_documents(args.docs, args.labels, vocab=ckpt.vocab)
+    labels = docs.labels
+    if not labels:
         raise ConfigError(f"{args.docs} holds no document (every line is blank)")
     bad = [lab for lab in labels if not 0 <= lab < ckpt.num_classes]
     if bad:
@@ -264,8 +275,8 @@ def cmd_eval_coherence(args) -> int:
                               "is not available; pass --reference")
         reference = candidate
     word_sets = topic_word_ids(ckpt.generator, args.top_n)
-    docs, _ = load_documents(reference)
-    stats = build_cooc(docs, ckpt.vocab, window_size=args.window, word_sets=word_sets)
+    docs = load_documents(reference, vocab=ckpt.vocab)
+    stats = build_cooc(docs, window_size=args.window, word_sets=word_sets)
     reports, mean = model_coherence(ckpt.generator, ckpt.vocab, stats, n=args.top_n)
     sys.stdout.write(format_coherence_report(reports, mean))
     return EXIT_OK

@@ -14,7 +14,7 @@ import lzma
 import tokenize
 import zipfile
 import zlib
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
@@ -46,9 +46,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.tokens)
 
-    def id_of(self, token: str) -> int:
-        return self.index[token]
-
     def save(self, path: str | Path) -> None:
         Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")
 
@@ -62,8 +59,8 @@ class RowsError(ValueError):
     arrays break the layout."""
 
 
-# Documents per block: ingest and infer count and weigh this many documents
-# at a time, so no dense matrix of the vocabulary's width has more rows.
+# Documents per block: tfidf and infer weigh this many documents at a time,
+# so no dense matrix of the vocabulary's width has more rows.
 BLOCK_ROWS = 256
 
 
@@ -186,81 +183,110 @@ class TfidfMatrix:
         return self.csr.toarray()
 
 
-def build_vocabulary(docs: list[list[str]], min_count: int = 1,
+@dataclass
+class Documents:
+    """A document file as word ids: document i is the next ``lengths[i]``
+    ids. An id indexes ``tokens``; -1 marks a token outside them."""
+
+    tokens: list[str]
+    ids: np.ndarray        # int64
+    lengths: np.ndarray    # int64
+    labels: list[int] | None
+
+
+READ_CHARS = 1 << 16   # load_documents reads blocks of about this many characters
+
+
+def _id_table(vocab: Vocabulary | None) -> defaultdict:
+    """token -> id: vocab's, -1 for any other token; with no vocabulary,
+    each new token takes the next id, so ids follow first appearance."""
+    table = defaultdict(repeat(-1).__next__, vocab.index if vocab is not None else ())
+    if vocab is None:
+        table.default_factory = table.__len__
+    return table
+
+
+def _token_ids(table: defaultdict, tokens, count: int) -> np.ndarray:
+    """The int64 id of each of count tokens: the one place a token becomes an id."""
+    return np.fromiter(map(table.__getitem__, tokens), dtype=np.int64, count=count)
+
+
+def load_documents(path: str | Path, label_path: str | Path | None = None,
+                   vocab: Vocabulary | None = None, keep_blank: bool = False) -> Documents:
+    """Read one whitespace-tokenized document per line, lowercased, as the
+    ids of vocab's tokens, or, with no vocabulary, of the file's distinct
+    tokens in order of first appearance.
+
+    Lines are those of ``str.splitlines``. Blank lines are dropped together
+    with their labels, unless keep_blank, when each is a document of no
+    tokens. The label file, when given, must have exactly one integer per
+    document line.
+    """
+    table = _id_table(vocab)
+    lengths, ids = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    with open(path, encoding="utf-8") as fh:
+        # each block ends at a line end, so its lines are the file's lines
+        while block := fh.readlines(READ_CHARS):
+            lines = [line.split() for line in "".join(block).lower().splitlines()]
+            lengths.append(np.fromiter(map(len, lines), np.int64, len(lines)))
+            ids.append(_token_ids(table, chain.from_iterable(lines), int(lengths[-1].sum())))
+    lengths = np.concatenate(lengths)
+    labels: list[int] | None = None
+    if label_path is not None:
+        raw = Path(label_path).read_text(encoding="utf-8").splitlines()
+        if len(raw) != lengths.size:
+            raise CorpusError(
+                f"label/document count mismatch: {len(raw)} labels for {lengths.size} lines")
+        try:
+            labels = [int(s.strip()) for s in raw]
+        except ValueError as exc:
+            raise CorpusError(f"label file {label_path} contains a non-integer line") from exc
+    if not keep_blank:
+        kept = np.flatnonzero(lengths)
+        lengths = lengths[kept]
+        if labels is not None:
+            labels = [labels[i] for i in kept]
+    return Documents(vocab.tokens if vocab is not None else list(table), np.concatenate(ids),
+                     lengths, labels)
+
+
+def build_vocabulary(docs: Documents, min_count: int = 1,
                      max_vocab: int | None = None) -> Vocabulary:
-    """Tokens with corpus frequency >= min_count, most frequent first.
+    """Tokens with corpus frequency >= min_count, most frequent first, from
+    documents read without a vocabulary.
 
     Ties are broken by ascending token so the ordering is deterministic;
     the list is truncated to the max_vocab most frequent entries.
     """
     if max_vocab is not None and max_vocab < 1:
         raise CorpusError(f"max_vocab must be >= 1, not {max_vocab}")
-    if not docs:
+    if not docs.lengths.size:
         raise CorpusError("no documents given")
-    counts = Counter()
-    for doc in docs:
-        counts.update(doc)
-    survivors = [(tok, c) for tok, c in counts.items() if c >= min_count]
+    counts = np.bincount(docs.ids, minlength=len(docs.tokens)).tolist()
+    survivors = [i for i, c in enumerate(counts) if c >= min_count]
     if not survivors:
         raise CorpusError("no token survives the frequency filters (empty vocabulary)")
-    survivors.sort(key=lambda tc: (-tc[1], tc[0]))
-    if max_vocab is not None:
-        survivors = survivors[:max_vocab]
-    return Vocabulary([tok for tok, _ in survivors])
+    survivors.sort(key=lambda i: (-counts[i], docs.tokens[i]))
+    return Vocabulary([docs.tokens[i] for i in survivors[:max_vocab]])
 
 
-def load_documents(path: str | Path,
-                   label_path: str | Path | None = None
-                   ) -> tuple[list[list[str]], list[int] | None]:
-    """Read one whitespace-tokenized document per line, lowercased.
-
-    Blank lines are dropped together with their labels. The label file,
-    when given, must have exactly one integer per document line.
-    """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    labels: list[int] | None = None
-    if label_path is not None:
-        raw = Path(label_path).read_text(encoding="utf-8").splitlines()
-        if len(raw) != len(lines):
-            raise CorpusError(
-                f"label/document count mismatch: {len(raw)} labels for {len(lines)} lines")
-        try:
-            labels = [int(s.strip()) for s in raw]
-        except ValueError as exc:
-            raise CorpusError(f"label file {label_path} contains a non-integer line") from exc
-    docs = []
-    kept_labels = []
-    for i, line in enumerate(lines):
-        toks = line.lower().split()
-        if not toks:
-            continue
-        docs.append(toks)
-        if labels is not None:
-            kept_labels.append(labels[i])
-    return docs, (kept_labels if labels is not None else None)
-
-
-def count_documents(docs: list[list[str]], vocab: Vocabulary,
+def count_documents(docs: Documents, vocab: Vocabulary,
                     labels: list[int] | None = None,
                     num_classes: int = 0) -> RawCorpus:
-    """Count rows of tokenized documents, built a block of documents at a
-    time; out-of-vocabulary tokens are dropped."""
-    lengths = np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
-    # word id of every token of the concatenated documents, -1 if out of vocabulary
-    ids = np.fromiter(map(vocab.index.get, chain.from_iterable(docs), repeat(-1)),
-                      dtype=np.int64, count=int(lengths.sum()))
-    ends = np.cumsum(lengths)
-    blocks = []
-    for start in range(0, len(docs), BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, len(docs))
-        block_ids = ids[ends[start] - lengths[start]:ends[stop - 1]]
-        # the flat index (doc - start) * V + id of each in-vocabulary token's cell
-        cells = (np.repeat(np.arange(stop - start) * vocab.size, lengths[start:stop])
-                 + block_ids)[block_ids >= 0]
-        counts = np.bincount(cells, minlength=(stop - start) * vocab.size)
-        blocks.append(CsrRows.from_dense(counts.reshape(stop - start, vocab.size)))
-    return RawCorpus(CsrRows.stack(blocks, vocab.size), labels=labels,
-                     num_classes=num_classes)
+    """Count rows of the documents over vocab's words; tokens outside the
+    vocabulary are dropped."""
+    ids = docs.ids
+    if docs.tokens is not vocab.tokens:
+        # vocab's id of each of the documents' tokens; the last entry keeps -1 at -1
+        ids = np.append(_token_ids(_id_table(vocab), docs.tokens, len(docs.tokens)), -1)[ids]
+    n_docs = docs.lengths.size
+    # the flat index doc * V + id of each in-vocabulary token's cell
+    cells = (np.repeat(np.arange(n_docs) * vocab.size, docs.lengths) + ids)[ids >= 0]
+    cells, counts = np.unique(cells, return_counts=True)
+    rows, cols = np.divmod(cells, vocab.size)
+    return RawCorpus(CsrRows(_offsets(np.bincount(rows, minlength=n_docs)), cols,
+                             counts.astype(np.float64), vocab.size),
+                     labels=labels, num_classes=num_classes)
 
 
 def idf_weights(doc_freq: np.ndarray, n_docs: int) -> np.ndarray:

@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
+from itertools import combinations
 
 import numpy as np
 
-from .corpus import RawCorpus, Vocabulary
+from .corpus import Documents, RawCorpus, Vocabulary
 from .networks import DirichletPrior, Network, sample_prior, top_word_ids, topic_word_distributions
 
 
@@ -35,8 +35,8 @@ class TopicReport:
     npmi: float
 
 
-def build_cooc(reference_docs: list[list[str]], vocab: Vocabulary,
-               window_size: int, word_sets: list[list[int]]) -> CoocStats:
+def build_cooc(reference_docs: Documents, window_size: int,
+               word_sets: list[list[int]]) -> CoocStats:
     """Boolean co-occurrence counts of the words being scored, over every
     position of a width-window sliding window (stride 1).
 
@@ -44,21 +44,24 @@ def build_cooc(reference_docs: list[list[str]], vocab: Vocabulary,
     the window is one virtual document, and windows never cross documents.
     Counts every word that appears in any of word_sets and every unordered
     pair of distinct words inside one set, each at most once per window, and
-    stores a count, zero included, for exactly those words and pairs. Every
-    other token, in the vocabulary or not, occupies its window slot but is
-    never counted.
+    stores a count, zero included, for exactly those words and pairs. Word
+    ids index reference_docs.tokens. Every other token, in the vocabulary or
+    not, occupies its window slot but is never counted.
     """
     if window_size < 2:
         raise EvaluationError("window_size must be >= 2")
-    if not reference_docs:
+    lengths = reference_docs.lengths
+    if not lengths.size:
         raise EvaluationError("empty reference corpus")
     scored = sorted({int(w) for words in word_sets for w in words})
-    slot = {w: j for j, w in enumerate(scored)}
-    local = {vocab.tokens[w]: j for w, j in slot.items()}
-    lengths = np.fromiter(map(len, reference_docs), dtype=np.int64, count=len(reference_docs))
-    # set-local id of every token of the concatenated documents, -1 if unscored
-    tokens = np.fromiter(map(local.get, chain.from_iterable(reference_docs), repeat(-1)),
-                         dtype=np.int32, count=int(lengths.sum()))
+    num_words = len(reference_docs.tokens)
+    if scored and (scored[0] < 0 or scored[-1] >= num_words):
+        raise EvaluationError(f"a scored word id lies outside [0, {num_words})")
+    # set-local id of each word, -1 if unscored; the last entry keeps -1 at -1
+    local = np.full(num_words + 1, -1, dtype=np.int32)
+    local[scored] = np.arange(len(scored))
+    # set-local id of every token of the concatenated documents
+    tokens = local[reference_docs.ids]
     windows = np.maximum(1, lengths - window_size + 1)
     first_window = np.cumsum(windows) - windows
     first_token = np.cumsum(lengths) - lengths
@@ -91,7 +94,7 @@ def build_cooc(reference_docs: list[list[str]], vocab: Vocabulary,
     word_counts = {w: int(c) for w, c in zip(scored, counts)}
     pair_counts: dict[tuple[int, int], int] = {}
     for words in word_sets:
-        pairs = list(combinations(sorted({slot[int(w)] for w in words}), 2))
+        pairs = list(combinations(sorted({int(local[w]) for w in words}), 2))
         if not pairs:
             continue
         a, b = np.array(pairs).T

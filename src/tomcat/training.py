@@ -387,22 +387,17 @@ def mapper_phase(state: TrainState, x: np.ndarray,
     return record
 
 
-def train(rows: np.ndarray | CsrRows, config: TrainConfig,
+def train(rows: CsrRows, config: TrainConfig,
           labels: np.ndarray | None = None,
           num_classes: int | None = None) -> TrainState:
     """Alternate critic and mapper phases over shuffled document epochs.
 
-    rows is a dense (documents, words) matrix or its CSR rows; batches are
-    densified from CSR rows either way. Deterministic for a fixed config
+    rows are the (documents, words) matrix's CSR rows; each batch is
+    densified from them. Deterministic for a fixed config
     seed: initialization, batch order, and prior draws all come from one
     seeded generator.
     """
     config.validate()
-    if not isinstance(rows, CsrRows):
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim != 2:
-            raise ConfigError("rows must be a 2-d document/word matrix")
-        rows = CsrRows.from_dense(rows)
     if rows.shape[0] < config.batch_size:
         raise ConfigError(
             f"corpus has {rows.shape[0]} rows, fewer than batch_size={config.batch_size}")

@@ -20,8 +20,9 @@ import numpy as np
 import pytest
 
 from conftest import assert_grad_close, numerical_grad
+from test_corpus import documents
 from tomcat.checkpoint import load_checkpoint, save_checkpoint
-from tomcat.corpus import RawCorpus, Vocabulary, build_vocabulary, count_documents, tfidf, tfidf_transform
+from tomcat.corpus import CsrRows, RawCorpus, Vocabulary, build_vocabulary, count_documents, tfidf, tfidf_transform
 from tomcat.evaluation import (
     SyntheticSpec,
     build_cooc,
@@ -59,7 +60,7 @@ def synthetic_run():
     corpus, supports = make_synthetic(SYNTH_SPEC)
     mat = tfidf(corpus)
     config = TrainConfig(num_topics=5, batch_size=64, iterations=2000, seed=0)
-    state = train(mat.rows, config)
+    state = train(mat.csr, config)
     topics = topic_word_distributions(state.generator)
     return {
         "corpus": corpus,
@@ -82,7 +83,7 @@ def supervised_run():
     kept_labels = labels[train_idx][mat.kept_docs]
     config = TrainConfig(num_topics=5, batch_size=64, iterations=2000,
                          supervised=True, lambda3_hat=1.0, seed=0)
-    state = train(mat.rows, config, labels=kept_labels, num_classes=5)
+    state = train(mat.csr, config, labels=kept_labels, num_classes=5)
     test_rows, valid = tfidf_transform(corpus.counts[test_idx], mat.doc_freq, mat.n_docs)
     accuracy = classify_accuracy(state.encoder, state.classifier,
                                  test_rows[valid], labels[test_idx][valid])
@@ -256,7 +257,7 @@ class TestCriterion2InvariantSuite:
             cfg = TrainConfig(num_topics=3, hidden=6, batch_size=16, iterations=2,
                               supervised=supervised, seed=6)
             labels = np.random.default_rng(7).integers(0, 3, size=200) if supervised else None
-            st = train(rows, cfg, labels=labels)
+            st = train(CsrRows.from_dense(rows), cfg, labels=labels)
             path = tmp_path / f"round_{int(supervised)}.ckpt"
             save_checkpoint(path, vocab=vocab, encoder=st.encoder, generator=st.generator,
                             critic_x=st.critic_x, critic_z=st.critic_z,
@@ -277,7 +278,7 @@ class TestCriterion2InvariantSuite:
         paths = []
         for name in ("det_a.ckpt", "det_b.ckpt"):
             cfg = TrainConfig(num_topics=3, hidden=6, batch_size=16, iterations=5, seed=17)
-            st = train(rows, cfg)
+            st = train(CsrRows.from_dense(rows), cfg)
             path = tmp_path / name
             save_checkpoint(path, vocab=vocab, encoder=st.encoder, generator=st.generator,
                             critic_x=st.critic_x, critic_z=st.critic_z, classifier=None,
@@ -358,17 +359,17 @@ class TestCriterion5RealTextCoherence:
         started = time.monotonic()
         docs = [d for d in docs if len(d) >= 20][:6000]
         assert len(docs) >= 5000, f"only {len(docs)} usable documents"
-        vocab = build_vocabulary(docs, min_count=2, max_vocab=2000)
+        vocab = build_vocabulary(documents(docs), min_count=2, max_vocab=2000)
         assert vocab.size == 2000
-        corpus = count_documents(docs, vocab)
+        corpus = count_documents(documents(docs, vocab), vocab)
         mat = tfidf(corpus)
 
         config = TrainConfig(num_topics=20, batch_size=64, iterations=1500, seed=42)
-        state = train(mat.rows, config)
+        state = train(mat.csr, config)
         fresh = init_state(config, num_words=vocab.size)
         rng = np.random.default_rng(7)
         random_sets = [list(rng.choice(vocab.size, size=10, replace=False)) for _ in range(20)]
-        stats = build_cooc(docs, vocab, window_size=10,
+        stats = build_cooc(documents(docs, vocab), window_size=10,
                            word_sets=(topic_word_ids(state.generator, 10)
                                       + topic_word_ids(fresh.generator, 10) + random_sets))
         _, trained_mean = model_coherence(state.generator, vocab, stats, n=10)
@@ -430,7 +431,7 @@ class TestCriterion7NpmiOracleEquivalence:
 
         # hand corpus: windows {a,b}, {a,b}, {c} give NPMI(a,b) = 1
         vocab = Vocabulary(["a", "b", "c"])
-        stats = build_cooc([["a", "b"], ["a", "b"], ["c"]], vocab, window_size=2,
+        stats = build_cooc(documents([["a", "b"], ["a", "b"], ["c"]], vocab), window_size=2,
                            word_sets=[[0, 1]])
         value = npmi_pair(stats, 0, 1)
         assert abs(value - 1.0) < 1e-9

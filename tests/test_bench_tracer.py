@@ -45,3 +45,33 @@ def test_install_wraps_and_uninstall_restores(monkeypatch, tmp_path, capsys):
     for owner, attr, original in patches:
         assert _lookup(owner, attr) is original, (owner, attr)
     capsys.readouterr()
+
+
+def test_probe_captures_train_and_infer(monkeypatch, tmp_path, capsys):
+    # the benchmark's Probe rebinds cli.train and cli._encode_documents by
+    # name; train_iters_per_s and the infer check read what it captures
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    originals = cli.train, cli._encode_documents
+    probe = importlib.import_module("worker").Probe(cli)
+    try:
+        assert cli.train is not originals[0] and cli._encode_documents is not originals[1]
+        assert cli.main(["synth", "--k", "2", "--words-per-topic", "3", "--docs", "20",
+                         "--doc-len", "10", "--seed", "1", "--out", str(tmp_path / "raw")]) == 0
+        assert cli.main(["ingest", "--docs", str(tmp_path / "raw" / "docs.txt"),
+                         "--out", str(tmp_path / "data")]) == 0
+        capsys.readouterr()
+        assert cli.main(["train", "--data", str(tmp_path / "data"), "--topics", "2",
+                         "--hidden", "4", "--batch", "8", "--iters", "2",
+                         "--out", str(tmp_path / "model.ckpt")]) == 0
+        assert len(probe.state.loss_log) == 2
+        assert probe.train_s > 0 and probe.train_start > 0
+        capsys.readouterr()
+        assert cli.main(["infer", "--ckpt", str(tmp_path / "model.ckpt"),
+                         "--docs", str(tmp_path / "raw" / "docs.txt")]) == 0
+        printed = capsys.readouterr().out
+        assert probe.encoded.shape == (20, 2)
+        assert printed == "".join("\t".join(f"{v:.9g}" for v in row) + "\n"
+                                  for row in probe.encoded)
+    finally:
+        cli.train, cli._encode_documents = originals
+    assert cli.train is originals[0] and cli._encode_documents is originals[1]

@@ -5,7 +5,7 @@ import pytest
 
 from tomcat.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from tomcat.cli import main
-from tomcat.corpus import Vocabulary
+from tomcat.corpus import CsrRows, Vocabulary
 from tomcat.training import TrainConfig, train
 
 
@@ -16,7 +16,7 @@ def trained_state(seed, supervised=False, num_words=9, num_topics=3):
     labels = rng.integers(0, 2, size=40) if supervised else None
     cfg = TrainConfig(num_topics=num_topics, hidden=5, batch_size=8, iterations=2,
                       critic_steps=2, supervised=supervised, seed=seed)
-    return train(rows, cfg, labels=labels)
+    return train(CsrRows.from_dense(rows), cfg, labels=labels)
 
 
 def save_state(state, vocab, path):

@@ -10,20 +10,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from test_corpus import csr_of, oracle_count_documents, oracle_tfidf
+from test_corpus import (
+    csr_of,
+    oracle_count_documents,
+    oracle_count_matrix,
+    oracle_load_documents,
+    oracle_tfidf,
+)
 from test_evaluation import oracle_cooc
 from tomcat import cli
 from tomcat.checkpoint import load_checkpoint
 from tomcat.cli import main
-from tomcat.corpus import (
-    BLOCK_ROWS,
-    RowsError,
-    Vocabulary,
-    count_documents,
-    load_documents,
-    load_rows,
-    tfidf_transform,
-)
+from tomcat.corpus import BLOCK_ROWS, RowsError, Vocabulary, load_rows, tfidf_transform
 from tomcat.evaluation import format_coherence_report, model_coherence
 
 
@@ -71,6 +69,20 @@ class TestIngest:
                      "--out", str(tmp_path / "d")])
         assert code == 1
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("label", ["-1", "2", str(10 ** 15), str(2 ** 70)])
+    def test_label_outside_document_count_rejected(self, capsys, tmp_path, label):
+        # a label names a class, and two documents hold at most two classes
+        (tmp_path / "docs.txt").write_text("a b\n\nc d\n")
+        (tmp_path / "labels.txt").write_text(f"1\n7\n{label}\n")
+        code = main(["ingest", "--docs", str(tmp_path / "docs.txt"),
+                     "--labels", str(tmp_path / "labels.txt"),
+                     "--out", str(tmp_path / "d")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"label {label} out of range [0, 2)" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("max_vocab", ["0", "-1"])
     def test_max_vocab_below_one_rejected(self, workdir, capsys, tmp_path, max_vocab):
@@ -173,6 +185,7 @@ class TestTrain:
     @pytest.mark.parametrize("manifest", [
         b"{", b"\xff\xfe", b"[1, 2]", b'{"n_classes": "3"}', b'{"n_classes": -1}',
         b'{"n_classes": 1.5}', b'{"n_docs": 150}',
+        b'{"n_docs": 150, "n_classes": 1000000000000001}',
     ])
     def test_malformed_manifest_is_exit_2(self, workdir, tmp_path, capsys, manifest):
         data = tmp_path / "data"
@@ -270,8 +283,8 @@ ARCHIVE_DAMAGE = {
 class TestDataDirectory:
     def test_rows_archive_equals_dense_tfidf(self, workdir):
         # the CSR arrays of the dense TF-IDF the oracle builds from the corpus
-        docs, labels = load_documents(workdir / "raw" / "docs.txt",
-                                      workdir / "raw" / "labels.txt")
+        docs, labels = oracle_load_documents(workdir / "raw" / "docs.txt",
+                                             workdir / "raw" / "labels.txt")
         vocab = Vocabulary.load(workdir / "data" / "vocab.txt")
         rows, kept, _, doc_freq = oracle_tfidf(oracle_count_documents(docs, vocab), vocab.size)
         want = dict(zip(("indptr", "indices", "data"), csr_of(rows)),
@@ -433,6 +446,31 @@ class TestInfer:
         assert "uniform" in captured.err
 
 
+    def test_one_row_per_input_line(self, workdir, tmp_path, capsys):
+        # blank lines at the start, in the middle, at the end and on both
+        # sides of a block boundary keep their place with the uniform row
+        lines = (workdir / "raw" / "docs.txt").read_text().splitlines()
+        docs = [lines[i % len(lines)] for i in range(BLOCK_ROWS + 10)]
+        blank = [0, 5, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 9]
+        for i in blank:
+            docs[i] = " \t" if i % 2 else ""
+        path = tmp_path / "docs.txt"
+        path.write_text("\n".join(docs) + "\n")
+        assert main(["infer", "--ckpt", str(workdir / "model.ckpt"), "--docs", str(path)]) == 0
+        captured = capsys.readouterr()
+
+        ckpt = load_checkpoint(workdir / "model.ckpt")
+        tokens = [line.lower().split() for line in docs]
+        counts = oracle_count_matrix(oracle_count_documents(tokens, ckpt.vocab), ckpt.vocab.size)
+        rows, valid = tfidf_transform(counts, ckpt.doc_freq, ckpt.train_doc_count)
+        z = np.full((len(docs), ckpt.num_topics), 1.0 / ckpt.num_topics)
+        z[valid], _ = ckpt.encoder.forward(rows[valid], train=False)
+        assert np.flatnonzero(~valid).tolist() == blank
+        assert captured.out == "".join("\t".join(f"{v:.9g}" for v in row) + "\n" for row in z)
+        assert captured.err == "".join(
+            f"warning: document {i} has no usable tokens; emitting uniform row\n"
+            for i in blank)
+
     def test_block_wise_infer_equals_one_pass(self, workdir, tmp_path, capsys):
         # two blocks, with documents of unknown tokens only on both sides of
         # the boundary, against the one-pass encoder it replaced
@@ -446,9 +484,9 @@ class TestInfer:
         captured = capsys.readouterr()
 
         ckpt = load_checkpoint(workdir / "model.ckpt")
-        tokens, _ = load_documents(path)
-        rows, valid = tfidf_transform(count_documents(tokens, ckpt.vocab).counts,
-                                      ckpt.doc_freq, ckpt.train_doc_count)
+        tokens, _ = oracle_load_documents(path)
+        counts = oracle_count_matrix(oracle_count_documents(tokens, ckpt.vocab), ckpt.vocab.size)
+        rows, valid = tfidf_transform(counts, ckpt.doc_freq, ckpt.train_doc_count)
         z = np.full((len(tokens), ckpt.num_topics), 1.0 / ckpt.num_topics)
         z[valid], _ = ckpt.encoder.forward(rows[valid], train=False)
         assert captured.out == "".join("\t".join(f"{v:.9g}" for v in row) + "\n" for row in z)
@@ -523,11 +561,23 @@ class TestEvalCoherence:
                          str(reference), "--window", str(window),
                          "--top-n", str(top_n)]) == 0
             ckpt = load_checkpoint(ckpt_path)
-            docs, _ = load_documents(reference)
+            docs, _ = oracle_load_documents(reference)
             stats = oracle_cooc(docs, ckpt.vocab, window)
             expected = format_coherence_report(
                 *model_coherence(ckpt.generator, ckpt.vocab, stats, n=top_n))
             assert capsys.readouterr().out == expected
+
+    def test_blank_lines_do_not_count(self, workdir, tmp_path, capsys):
+        # a blank line is no document and no window
+        lines = (workdir / "data" / "docs.txt").read_text().splitlines()
+        spaced = tmp_path / "docs.txt"
+        spaced.write_text("\n" + "\n \n".join(lines) + "\n\n")
+        reports = []
+        for reference in (workdir / "data" / "docs.txt", spaced):
+            assert main(["eval-coherence", "--ckpt", str(workdir / "model.ckpt"),
+                         "--reference", str(reference), "--window", "3"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("flag", ["--top-n", "--window"])
     def test_below_two_rejected_before_reading_reference(self, workdir, capsys,

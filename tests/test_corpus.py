@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from tomcat.corpus import (
     BLOCK_ROWS,
     CorpusError,
     CsrRows,
+    Documents,
     RawCorpus,
     Vocabulary,
     build_vocabulary,
@@ -19,31 +22,54 @@ from tomcat.corpus import (
 )
 
 
+def documents(token_lists, vocab=None):
+    """The Documents record of the given token lists, as load_documents reads
+    them from a file: over vocab's tokens, or, with no vocabulary, over the
+    distinct tokens in order of first appearance."""
+    tokens = vocab.tokens if vocab is not None else list(
+        dict.fromkeys(t for doc in token_lists for t in doc))
+    index = {t: i for i, t in enumerate(tokens)}
+    ids = [index.get(t, -1) for doc in token_lists for t in doc]
+    return Documents(tokens, np.array(ids, dtype=np.int64),
+                     np.array([len(doc) for doc in token_lists], dtype=np.int64), None)
+
+
+def token_lists(docs):
+    """The tokens of each document of a record read without a vocabulary."""
+    ends = np.cumsum(docs.lengths).tolist()
+    words = [docs.tokens[i] for i in docs.ids]
+    return [words[end - n:end] for end, n in zip(ends, docs.lengths.tolist())]
+
+
 class TestBuildVocabulary:
     def test_tie_break_lexicographic(self):
         # a and b both occur twice, c once: frequency desc, then token asc
-        docs = [["a", "a", "b"], ["b", "c"]]
+        docs = documents([["b", "c"], ["a", "a", "b"]])
         vocab = build_vocabulary(docs, min_count=1, max_vocab=10)
         assert vocab.tokens == ["a", "b", "c"]
 
     def test_min_count_filters(self):
-        docs = [["a", "a", "b"], ["b", "c"]]
+        docs = documents([["a", "a", "b"], ["b", "c"]])
         vocab = build_vocabulary(docs, min_count=2, max_vocab=10)
         assert vocab.tokens == ["a", "b"]
 
     def test_empty_vocabulary_error(self):
         with pytest.raises(CorpusError):
-            build_vocabulary([["x"]], min_count=2, max_vocab=10)
+            build_vocabulary(documents([["x"]]), min_count=2, max_vocab=10)
+
+    def test_no_documents_error(self):
+        with pytest.raises(CorpusError, match="no documents"):
+            build_vocabulary(documents([]), min_count=1)
 
     def test_max_vocab_truncates_most_frequent(self):
-        docs = [["a"] * 5 + ["b"] * 3 + ["c"] * 2 + ["d"]]
+        docs = documents([["d"] + ["c"] * 2 + ["b"] * 3 + ["a"] * 5])
         vocab = build_vocabulary(docs, min_count=1, max_vocab=2)
         assert vocab.tokens == ["a", "b"]
 
     def test_single_surviving_token_rejected(self):
         # Vocabulary requires at least two tokens
         with pytest.raises(ValueError):
-            build_vocabulary([["a", "a", "b"]], min_count=2, max_vocab=10)
+            build_vocabulary(documents([["a", "a", "b"]]), min_count=2, max_vocab=10)
 
 
 class TestVocabulary:
@@ -53,7 +79,7 @@ class TestVocabulary:
         vocab.save(path)
         loaded = Vocabulary.load(path)
         assert loaded.tokens == vocab.tokens
-        assert all(loaded.id_of(t) == vocab.id_of(t) for t in vocab.tokens)
+        assert loaded.index == vocab.index
 
     def test_duplicate_tokens_rejected(self):
         with pytest.raises(ValueError):
@@ -142,17 +168,33 @@ class TestLoadDocuments:
     def test_lowercase_and_blank_line_drop(self, tmp_path):
         path = tmp_path / "docs.txt"
         path.write_text("A b\n\nc", encoding="utf-8")
-        docs, labels = load_documents(path)
-        assert docs == [["a", "b"], ["c"]]
-        assert labels is None
+        docs = load_documents(path)
+        assert token_lists(docs) == [["a", "b"], ["c"]]
+        assert docs.tokens == ["a", "b", "c"]
+        assert docs.labels is None
+
+    def test_ids_of_a_vocabulary(self, tmp_path):
+        path = tmp_path / "docs.txt"
+        path.write_text("b zzz A\n\nzzz\n", encoding="utf-8")
+        vocab = Vocabulary(["a", "b"])
+        docs = load_documents(path, vocab=vocab)
+        assert docs.tokens is vocab.tokens
+        assert (docs.ids.dtype, docs.ids.tolist()) == (np.int64, [1, -1, 0, -1])
+        assert (docs.lengths.dtype, docs.lengths.tolist()) == (np.int64, [3, 1])
+
+    def test_keep_blank_gives_a_document_per_line(self, tmp_path):
+        path = tmp_path / "docs.txt"
+        path.write_text("\n a\n \t\nb c\n\n", encoding="utf-8")
+        docs = load_documents(path, keep_blank=True)
+        assert docs.lengths.tolist() == [0, 1, 0, 2, 0]
+        assert token_lists(docs) == [[], ["a"], [], ["b", "c"], []]
 
     def test_labels_aligned(self, tmp_path):
         docs_path = tmp_path / "docs.txt"
         docs_path.write_text("a b\nc d\n", encoding="utf-8")
         labels_path = tmp_path / "labels.txt"
         labels_path.write_text("0\n1\n", encoding="utf-8")
-        docs, labels = load_documents(docs_path, labels_path)
-        assert labels == [0, 1]
+        assert load_documents(docs_path, labels_path).labels == [0, 1]
 
     def test_label_count_mismatch(self, tmp_path):
         docs_path = tmp_path / "docs.txt"
@@ -167,9 +209,10 @@ class TestLoadDocuments:
         docs_path.write_text("a b\n\nc\n", encoding="utf-8")
         labels_path = tmp_path / "labels.txt"
         labels_path.write_text("0\n1\n2\n", encoding="utf-8")
-        docs, labels = load_documents(docs_path, labels_path)
-        assert docs == [["a", "b"], ["c"]]
-        assert labels == [0, 2]
+        docs = load_documents(docs_path, labels_path)
+        assert token_lists(docs) == [["a", "b"], ["c"]]
+        assert docs.labels == [0, 2]
+        assert load_documents(docs_path, labels_path, keep_blank=True).labels == [0, 1, 2]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -179,13 +222,30 @@ class TestLoadDocuments:
 class TestCountDocuments:
     def test_oov_tokens_dropped(self):
         vocab = Vocabulary(["a", "b"])
-        corpus = count_documents([["a", "a", "zzz"], ["b"]], vocab)
-        assert corpus.counts.tolist() == [[2, 0], [0, 1]]
-        assert corpus.num_words == 2
+        for docs in (documents([["a", "a", "zzz"], ["b"]], vocab),
+                     documents([["a", "a", "zzz"], ["b"]])):
+            corpus = count_documents(docs, vocab)
+            assert corpus.counts.tolist() == [[2, 0], [0, 1]]
+            assert corpus.num_words == 2
+
+    def test_empty_documents_give_empty_rows(self):
+        vocab = Vocabulary(["a", "b"])
+        corpus = count_documents(documents([[], ["zzz"], ["b", "a", "b"], []], vocab), vocab)
+        assert corpus.csr.indptr.tolist() == [0, 0, 0, 2, 2]
+        assert corpus.counts.tolist() == [[0, 0], [0, 0], [1, 2], [0, 0]]
+        assert count_documents(documents([], vocab), vocab).csr.shape == (0, 2)
+
+    def test_unknown_id_stays_unknown_through_the_lookup_table(self):
+        # numpy reads table[-1] as the table's last entry: a token outside the
+        # vocabulary the documents were read with must not become vocab's b
+        docs = documents([["qq", "b", "qq"]], Vocabulary(["zzz", "a", "b"]))
+        assert docs.ids.tolist() == [-1, 2, -1]
+        assert count_documents(docs, Vocabulary(["a", "b"])).counts.tolist() == [[0, 1]]
 
     def test_labels_carried(self):
         vocab = Vocabulary(["a", "b"])
-        corpus = count_documents([["a"], ["b"]], vocab, labels=[1, 0], num_classes=2)
+        corpus = count_documents(documents([["a"], ["b"]], vocab), vocab, labels=[1, 0],
+                                 num_classes=2)
         assert corpus.labels == [1, 0]
         assert corpus.num_classes == 2
 
@@ -336,7 +396,7 @@ def csr_of(dense):
 def assert_matches_oracle(vocab, docs, held_out, case):
     """count_documents, tfidf and tfidf_transform give the oracle's bytes,
     and the CSR rows of tfidf are the nonzeros of the oracle's dense rows."""
-    corpus = count_documents(docs, vocab)
+    corpus = count_documents(documents(docs), vocab)
     id_docs = oracle_count_documents(docs, vocab)
     assert (corpus.counts.tobytes()
             == oracle_count_matrix(id_docs, vocab.size).tobytes()), case
@@ -355,7 +415,8 @@ def assert_matches_oracle(vocab, docs, held_out, case):
     assert (mat.kept_docs, mat.dropped_docs) == (kept, dropped), case
     assert corpus.counts.tobytes() == before.tobytes(), case
 
-    new_rows, new_valid = tfidf_transform(count_documents(held_out, vocab).counts,
+    new_rows, new_valid = tfidf_transform(count_documents(documents(held_out, vocab),
+                                                          vocab).counts,
                                           mat.doc_freq, mat.n_docs)
     old_rows, old_valid = oracle_tfidf_transform(
         oracle_count_documents(held_out, vocab), vocab.size, doc_freq, len(docs))
@@ -408,3 +469,107 @@ class TestCountMatrixMatchesOracle:
             seen["dropped_rows"] += bool(kept and dropped)
             seen["all_rows_kept"] += not dropped
         assert min(seen.values()) > 0, seen
+
+
+# The reader load_documents replaced: the whole file as lists of str tokens.
+# The property test requires the same documents and labels from both.
+def oracle_load_documents(path, label_path=None):
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    labels = None
+    if label_path is not None:
+        raw = Path(label_path).read_text(encoding="utf-8").splitlines()
+        if len(raw) != len(lines):
+            raise CorpusError(
+                f"label/document count mismatch: {len(raw)} labels for {len(lines)} lines")
+        labels = [int(s.strip()) for s in raw]
+    docs = []
+    kept_labels = []
+    for i, line in enumerate(lines):
+        toks = line.lower().split()
+        if not toks:
+            continue
+        docs.append(toks)
+        if labels is not None:
+            kept_labels.append(labels[i])
+    return docs, (kept_labels if labels is not None else None)
+
+
+# Line ends that str.splitlines honours, file iteration ignoring all but the
+# first three; whitespace that str.split splits on; letters whose lowercase
+# differs in length (İ) or depends on what follows (Σ).
+LINE_ENDS = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+             "\u2028", "\u2029")
+SPACES = (" ", "\t", "\xa0", "\u2003", "\x1f")
+LETTERS = ("a", "B", "c", "\u0130", "i", "\u03a3", "\u00e9", "\u212a")
+
+
+def random_text(rng):
+    """Words, spaces and line ends of every kind, blank and whitespace-only
+    lines among them, ending with or without a line end."""
+    pieces = []
+    for _ in range(int(rng.integers(0, 80))):
+        kind = int(rng.integers(8))
+        if kind < 2:
+            pieces.append(LINE_ENDS[int(rng.integers(len(LINE_ENDS)))])
+        elif kind < 4:
+            pieces.append(SPACES[int(rng.integers(len(SPACES)))])
+        else:
+            pieces.append("".join(LETTERS[int(i)]
+                                  for i in rng.integers(0, len(LETTERS), rng.integers(1, 4))))
+    return "".join(pieces) + ("\n" if rng.integers(2) else "")
+
+
+def reader_cases():
+    """60 seeded texts, written with their line ends untranslated, each with
+    a label file for about half of them."""
+    for seed in range(60):
+        rng = np.random.default_rng(1000 + seed)
+        yield seed, rng, random_text(rng)
+
+
+def assert_reads_like_oracle(tmp_path, seed, rng, text, vocab):
+    path = tmp_path / f"docs{seed}.txt"
+    path.write_bytes(text.encode("utf-8"))
+    label_path = None
+    if rng.integers(2):
+        label_path = tmp_path / f"labels{seed}.txt"
+        n_lines = len(path.read_text(encoding="utf-8").splitlines())
+        label_path.write_text("".join(f"{i}\n" for i in range(n_lines)), encoding="utf-8")
+    want, want_labels = oracle_load_documents(path, label_path)
+    docs = load_documents(path, label_path, vocab=vocab)
+    assert (docs.ids.dtype, docs.lengths.dtype) == (np.int64, np.int64), seed
+    assert docs.lengths.tolist() == [len(doc) for doc in want], seed
+    assert docs.labels == want_labels, seed
+    flat = [tok for doc in want for tok in doc]
+    if vocab is None:
+        assert docs.tokens == list(dict.fromkeys(flat)), seed
+        assert token_lists(docs) == want, seed
+    else:
+        assert docs.tokens is vocab.tokens, seed
+        assert docs.ids.tolist() == [vocab.index.get(tok, -1) for tok in flat], seed
+    lines = path.read_text(encoding="utf-8").splitlines()
+    every_line = load_documents(path, vocab=vocab, keep_blank=True)
+    assert every_line.lengths.tolist() == [len(line.lower().split()) for line in lines], seed
+    assert every_line.ids.tobytes() == docs.ids.tobytes(), seed
+
+
+class TestReaderMatchesOracle:
+    VOCAB = Vocabulary(["a", "b", "i\u0307", "\u03c3", "\u03c2", "k", "aa"])
+
+    @pytest.mark.parametrize("read_chars", [corpus_module.READ_CHARS, 1, 7])
+    @pytest.mark.parametrize("with_vocab", [False, True])
+    def test_random_texts(self, tmp_path, monkeypatch, read_chars, with_vocab):
+        # one line per block at 1 character; blocks end mid-text at 7
+        monkeypatch.setattr(corpus_module, "READ_CHARS", read_chars)
+        for seed, rng, text in reader_cases():
+            assert_reads_like_oracle(tmp_path, seed, rng, text,
+                                     self.VOCAB if with_vocab else None)
+
+    def test_texts_cover_the_edge_cases(self):
+        texts = [text for _, _, text in reader_cases()]
+        for piece in LINE_ENDS + SPACES + ("\u0130", "\u03a3"):
+            assert any(piece in text for text in texts), repr(piece)
+        lines = [line for text in texts for line in text.splitlines()]
+        assert any(line and not line.split() for line in lines)
+        assert any(not text.endswith(LINE_ENDS) for text in texts if text)
+        assert any(len(text.lower()) > len(text) for text in texts)

@@ -21,7 +21,7 @@ from tomcat.evaluation import (
     topic_recovery_score,
     topic_word_ids,
 )
-from test_corpus import oracle_count_matrix
+from test_corpus import documents, oracle_count_matrix
 from tomcat.networks import DirichletPrior, make_classifier, make_encoder, make_generator, sample_prior
 
 EPS = 1e-12
@@ -53,7 +53,7 @@ def oracle_cooc(reference_docs, vocab, window_size):
 class TestBuildCooc:
     def test_single_window(self):
         vocab = Vocabulary(["a", "b"])
-        stats = build_cooc([["a", "b"]], vocab, window_size=2, word_sets=[[0, 1]])
+        stats = build_cooc(documents([["a", "b"]], vocab), window_size=2, word_sets=[[0, 1]])
         assert stats.virtual_doc_count == 1
         assert stats.word_doc_counts == {0: 1, 1: 1}
         assert stats.pair_doc_counts == {(0, 1): 1}
@@ -61,7 +61,8 @@ class TestBuildCooc:
     def test_sliding_enumeration(self):
         # doc [a, b, c], window 2 -> virtual docs {a,b}, {b,c}
         vocab = Vocabulary(["a", "b", "c"])
-        stats = build_cooc([["a", "b", "c"]], vocab, window_size=2, word_sets=[[0, 1, 2]])
+        stats = build_cooc(documents([["a", "b", "c"]], vocab), window_size=2,
+                           word_sets=[[0, 1, 2]])
         assert stats.virtual_doc_count == 2
         assert stats.word_doc_counts == {0: 1, 1: 2, 2: 1}
         assert stats.pair_doc_counts.get((0, 2), 0) == 0
@@ -70,40 +71,56 @@ class TestBuildCooc:
 
     def test_window_longer_than_doc(self):
         vocab = Vocabulary(["a", "b", "c"])
-        stats = build_cooc([["a", "b"]], vocab, window_size=10, word_sets=[[0, 1]])
+        stats = build_cooc(documents([["a", "b"]], vocab), window_size=10, word_sets=[[0, 1]])
         assert stats.virtual_doc_count == 1
         assert stats.word_doc_counts == {0: 1, 1: 1}
 
     def test_repeated_token_counted_once_per_window(self):
         vocab = Vocabulary(["a", "b"])
-        stats = build_cooc([["a", "a", "b"]], vocab, window_size=3, word_sets=[[0, 1]])
+        stats = build_cooc(documents([["a", "a", "b"]], vocab), window_size=3, word_sets=[[0, 1]])
         assert stats.word_doc_counts == {0: 1, 1: 1}
 
     def test_out_of_vocab_tokens_occupy_slots(self):
         vocab = Vocabulary(["a", "b"])
-        stats = build_cooc([["a", "zzz", "b"]], vocab, window_size=2, word_sets=[[0, 1]])
+        stats = build_cooc(documents([["a", "zzz", "b"]], vocab), window_size=2, word_sets=[[0, 1]])
         # windows {a, zzz} and {zzz, b}: a and b never share a window
         assert stats.virtual_doc_count == 2
         assert stats.pair_doc_counts.get((0, 1), 0) == 0
 
     def test_empty_reference_error(self):
         with pytest.raises(EvaluationError):
-            build_cooc([], Vocabulary(["a", "b"]), window_size=2, word_sets=[[0, 1]])
+            build_cooc(documents([], Vocabulary(["a", "b"])), window_size=2, word_sets=[[0, 1]])
 
     def test_window_size_validated(self):
         with pytest.raises(EvaluationError):
-            build_cooc([["a"]], Vocabulary(["a", "b"]), window_size=1, word_sets=[[0, 1]])
+            build_cooc(documents([["a"]], Vocabulary(["a", "b"])), window_size=1,
+                       word_sets=[[0, 1]])
+
+    def test_unknown_id_stays_unknown_through_the_lookup_table(self):
+        # numpy reads table[-1] as the table's last entry: the unknown zzz
+        # must not count as b, the last word
+        vocab = Vocabulary(["a", "b"])
+        stats = build_cooc(documents([["a", "zzz"]], vocab), window_size=2,
+                           word_sets=[[0, 1]])
+        assert stats.word_doc_counts == {0: 1, 1: 0}
+        assert stats.pair_doc_counts == {(0, 1): 0}
+
+    @pytest.mark.parametrize("word", [-1, 2])
+    def test_scored_word_outside_the_vocabulary_rejected(self, word):
+        with pytest.raises(EvaluationError, match="outside"):
+            build_cooc(documents([["a", "b"]], Vocabulary(["a", "b"])), window_size=2,
+                       word_sets=[[0, word]])
 
     def test_only_scored_words_and_pairs_inside_one_set(self):
         vocab = Vocabulary(["a", "b", "c", "d"])
-        stats = build_cooc([["a", "b", "c", "d"]], vocab, window_size=4,
+        stats = build_cooc(documents([["a", "b", "c", "d"]], vocab), window_size=4,
                            word_sets=[[0, 1], [1, 2]])
         assert stats.word_doc_counts == {0: 1, 1: 1, 2: 1}
         assert stats.pair_doc_counts == {(0, 1): 1, (1, 2): 1}
 
     def test_scored_word_that_never_occurs_counts_zero(self):
         vocab = Vocabulary(["a", "b", "c"])
-        stats = build_cooc([["a", "b"]], vocab, window_size=2, word_sets=[[0, 2]])
+        stats = build_cooc(documents([["a", "b"]], vocab), window_size=2, word_sets=[[0, 2]])
         assert stats.word_doc_counts == {0: 1, 2: 0}
         assert stats.pair_doc_counts == {(0, 2): 0}
 
@@ -122,7 +139,7 @@ class TestBuildCooc:
             window = int(rng.integers(2, 12))
             word_sets = [[int(w) for w in rng.choice(size, size=rng.integers(1, 7))]
                          for _ in range(int(rng.integers(1, 5)))]
-            stats = build_cooc(docs, vocab, window_size=window, word_sets=word_sets)
+            stats = build_cooc(documents(docs, vocab), window_size=window, word_sets=word_sets)
             oracle = oracle_cooc(docs, vocab, window)
             scored = {w for words in word_sets for w in words}
             pairs = {pair for words in word_sets for pair in combinations(sorted(set(words)), 2)}
@@ -239,7 +256,7 @@ class TestModelCoherence:
         final.b.data[:] = 0.0  # softmax of zeros: every topic is uniform
         vocab = Vocabulary([f"w{i}" for i in range(12)])
         docs = [[f"w{i}" for i in range(12)]] * 3
-        stats = build_cooc(docs, vocab, window_size=5, word_sets=topic_word_ids(gen, 4))
+        stats = build_cooc(documents(docs, vocab), window_size=5, word_sets=topic_word_ids(gen, 4))
         reports, mean = model_coherence(gen, vocab, stats, n=4)
         assert len(reports) == 4
         for r in reports:
@@ -250,7 +267,7 @@ class TestModelCoherence:
         rng = np.random.default_rng(4)
         gen = make_generator(2, 5, 8, rng)
         vocab = Vocabulary([f"w{i}" for i in range(8)])
-        stats = build_cooc([[f"w{i}" for i in range(8)]], vocab, window_size=8,
+        stats = build_cooc(documents([[f"w{i}" for i in range(8)]], vocab), window_size=8,
                            word_sets=topic_word_ids(gen, 3))
         reports, mean = model_coherence(gen, vocab, stats, n=3)
         text = format_coherence_report(reports, mean)
@@ -386,11 +403,11 @@ class TestCoherenceEndToEnd:
         docs = [np.repeat(tokens, row.astype(np.int64)).tolist() for row in corpus.counts]
         mat = tfidf(corpus)
         cfg = TrainConfig(num_topics=5, hidden=32, batch_size=32, iterations=400, seed=1)
-        state = train(mat.rows, cfg)
+        state = train(mat.csr, cfg)
         fresh = init_state(cfg, num_words=vocab.size)
         rng = np.random.default_rng(3)
         random_sets = [list(rng.choice(vocab.size, size=6, replace=False)) for _ in range(5)]
-        stats = build_cooc(docs, vocab, window_size=10,
+        stats = build_cooc(documents(docs, vocab), window_size=10,
                            word_sets=(topic_word_ids(state.generator, 6)
                                       + topic_word_ids(fresh.generator, 6) + random_sets))
         _, trained = model_coherence(state.generator, vocab, stats, n=6)

@@ -291,7 +291,7 @@ class TestStateCopy:
 
 class TestTrain:
     def test_deterministic_for_fixed_seed(self):
-        rows = simplex_rows(80, 10, 29)
+        rows = CsrRows.from_dense(simplex_rows(80, 10, 29))
         states = [train(rows, small_config(num_topics=3, hidden=6, iterations=3))
                   for _ in range(2)]
         for net_a, net_b in zip(
@@ -301,7 +301,7 @@ class TestTrain:
                 np.testing.assert_array_equal(arr, net_b.state()[key])
 
     def test_zero_iterations_keeps_initialization(self):
-        rows = simplex_rows(80, 10, 30)
+        rows = CsrRows.from_dense(simplex_rows(80, 10, 30))
         cfg = small_config(num_topics=3, hidden=6, iterations=0)
         trained = train(rows, cfg)
         fresh = init_state(cfg, num_words=10)
@@ -309,7 +309,7 @@ class TestTrain:
             np.testing.assert_array_equal(arr, fresh.encoder.state()[key])
 
     def test_unsupervised_ignores_labels(self):
-        rows = simplex_rows(80, 10, 31)
+        rows = CsrRows.from_dense(simplex_rows(80, 10, 31))
         labels = np.random.default_rng(32).integers(0, 2, size=80)
         a = train(rows, small_config(num_topics=3, hidden=6, iterations=3))
         b = train(rows, small_config(num_topics=3, hidden=6, iterations=3), labels=labels)
@@ -317,12 +317,12 @@ class TestTrain:
             np.testing.assert_array_equal(arr, b.generator.state()[key])
 
     def test_supervised_without_labels_rejected(self):
-        rows = simplex_rows(80, 10, 33)
+        rows = CsrRows.from_dense(simplex_rows(80, 10, 33))
         with pytest.raises(ConfigError):
             train(rows, small_config(supervised=True))
 
     def test_corpus_smaller_than_batch_rejected(self):
-        rows = simplex_rows(8, 10, 34)
+        rows = CsrRows.from_dense(simplex_rows(8, 10, 34))
         with pytest.raises(ConfigError):
             train(rows, small_config(batch_size=16))
 
@@ -338,7 +338,7 @@ class TestTrain:
                                   "lambda1", "lambda2", "total")
 
     def test_supervised_training_runs_and_logs(self):
-        rows = simplex_rows(80, 10, 36)
+        rows = CsrRows.from_dense(simplex_rows(80, 10, 36))
         labels = np.random.default_rng(37).integers(0, 2, size=80)
         cfg = small_config(num_topics=3, hidden=6, iterations=3, supervised=True)
         state = train(rows, cfg, labels=labels)
