@@ -38,10 +38,8 @@ from .evaluation import (
 from .networks import (
     DirichletPrior,
     Network,
-    make_classifier,
-    make_critic,
-    make_encoder,
-    make_generator,
+    build_networks,
+    network_table,
     sample_prior,
     top_words,
     topic_word_distributions,

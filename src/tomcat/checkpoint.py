@@ -2,11 +2,12 @@
 
 Layout (all integers little-endian): magic "TOMCAT01", a mode byte
 (0 unsupervised / 1 supervised), the dims K/V/H/L, the vocabulary, one blob
-per parameter or running-statistic array (name, rank, dims, float64 data),
-a JSON echo of the training config, the RNG seed, and finally the
-training-split document frequencies needed to TF-IDF-transform unseen
-documents at inference time. Nothing may follow them. Every stored float
-must be finite. Files are written atomically.
+per parameter or running-statistic array (name, rank, dims, float64 data;
+exactly the arrays of the mode's networks, in network_table order), a JSON
+echo of the training config, the RNG seed, and finally the training-split
+document frequencies needed to TF-IDF-transform unseen documents at
+inference time. Nothing may follow them. Every stored float must be
+finite. Files are written atomically.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .corpus import Vocabulary
 from .fileio import write_atomic
-from .networks import Network, make_classifier, make_critic, make_encoder, make_generator
+from .networks import Network, build_networks, end_weight_shapes, network_table
 
 MAGIC = b"TOMCAT01"
 MAX_TOKEN_BYTES = 0xFFFF  # token lengths are stored as u16
@@ -60,18 +61,41 @@ def check_vocabulary(vocab: Vocabulary) -> None:
                 f"stores tokens of at most {MAX_TOKEN_BYTES} bytes")
 
 
-def _network_blobs(name: str, net: Network) -> list[tuple[str, np.ndarray]]:
-    return [(f"{name}.{key}", arr) for key, arr in net.state().items()]
+def _blob_arrays(networks) -> dict[str, np.ndarray]:
+    """Every array of the networks by blob name ("E.0.W", "G.2.gamma", ...),
+    network by network in the given order."""
+    return {f"{net.name}.{key}": arr for net in networks for key, arr in net.state().items()}
+
+
+def _dims_problem(arrays: dict[str, np.ndarray], table, hidden: int) -> str | None:
+    """What keeps the first and last Linear weights of the table's networks
+    from matching the dims, or None."""
+    for name, shape in end_weight_shapes(table, hidden).items():
+        if name not in arrays:
+            return f"blob {name!r} is missing"
+        if arrays[name].shape != shape:
+            return f"blob {name!r} has shape {arrays[name].shape}, the dims give {shape}"
+    return None
 
 
 def save_checkpoint(path: str | Path, *, vocab: Vocabulary, encoder: Network,
                     generator: Network, critic_x: Network, critic_z: Network,
                     classifier: Network | None, config: dict, seed: int,
-                    doc_freq: np.ndarray, train_doc_count: int,
-                    hidden: int, num_topics: int) -> None:
+                    doc_freq: np.ndarray, train_doc_count: int) -> None:
+    """Write the networks and the vocabulary. The dims K and H come from the
+    encoder and L from the classifier; every network must agree with them."""
     check_vocabulary(vocab)
     supervised = classifier is not None
-    num_classes = classifier.layers[-2].out_dim if supervised else 0
+    _, hidden, num_topics = encoder.widths
+    num_classes = classifier.widths[2] if supervised else 0
+    table = network_table(vocab.size, num_topics, num_classes)
+    given = {net.name: net for net in (encoder, generator, critic_x, critic_z, classifier)
+             if net is not None}
+    blobs = _blob_arrays(given[name] for name, *_ in table)
+    problem = _dims_problem(blobs, table, hidden)
+    if problem:
+        raise ValueError(f"the networks disagree with their dims: {problem}")
+
     parts = [MAGIC, struct.pack("<B", 1 if supervised else 0),
              struct.pack("<4I", num_topics, vocab.size, hidden, num_classes)]
 
@@ -81,15 +105,8 @@ def save_checkpoint(path: str | Path, *, vocab: Vocabulary, encoder: Network,
         parts.append(struct.pack("<H", len(raw)))
         parts.append(raw)
 
-    blobs = []
-    blobs.extend(_network_blobs("E", encoder))
-    blobs.extend(_network_blobs("G", generator))
-    blobs.extend(_network_blobs("D_X", critic_x))
-    blobs.extend(_network_blobs("D_Z", critic_z))
-    if supervised:
-        blobs.extend(_network_blobs("C", classifier))
     parts.append(struct.pack("<I", len(blobs)))
-    for name, arr in blobs:
+    for name, arr in blobs.items():
         raw = name.encode("utf-8")
         parts.append(struct.pack("<H", len(raw)))
         parts.append(raw)
@@ -162,6 +179,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         (rank,) = reader.unpack("<B")
         if rank not in (1, 2):   # every stored array is a vector or a matrix
             raise CheckpointError(f"blob {name!r} has rank {rank}")
+        if name in arrays:
+            raise CheckpointError(f"blob {name!r} is repeated")
         dims = reader.unpack(f"<{rank}I")
         size = math.prod(dims)
         data = np.frombuffer(reader.take(size * 8), dtype="<f8")
@@ -184,34 +203,30 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
     # check the dims against stored blobs before building any network, so a
     # corrupt dim cannot ask for a huge allocation
-    expected = {"E.0.W": (hidden, num_words), "E.3.W": (num_topics, hidden)}
-    if mode:
-        expected["C.3.W"] = (num_classes, hidden)
-    if min(num_topics, hidden) < 1 or (mode and num_classes < 2) or any(
-            name not in arrays or arrays[name].shape != shape
-            for name, shape in expected.items()):
-        raise CheckpointError("blob shapes inconsistent with dims")
+    if min(num_topics, hidden) < 1 or (num_classes < 2 if mode else num_classes != 0):
+        raise CheckpointError(f"dims K={num_topics} H={hidden} L={num_classes} out of range "
+                              f"for a {'supervised' if mode else 'unsupervised'} checkpoint")
+    table = network_table(num_words, num_topics, num_classes if mode else 0)
+    problem = _dims_problem(arrays, table, hidden)
+    if problem:
+        raise CheckpointError(f"blob shapes inconsistent with dims: {problem}")
 
-    rng = np.random.default_rng(0)  # placeholder weights, overwritten below
-    encoder = make_encoder(num_words, hidden, num_topics, rng)
-    generator = make_generator(num_topics, hidden, num_words, rng)
-    critic_x = make_critic("D_X", num_words, hidden, rng)
-    critic_z = make_critic("D_Z", num_topics, hidden, rng)
-    classifier = make_classifier(num_topics, hidden, num_classes, rng) if mode else None
-
-    named = [("E", encoder), ("G", generator), ("D_X", critic_x), ("D_Z", critic_z)]
-    if classifier is not None:
-        named.append(("C", classifier))
-    for name, net in named:
-        prefix = f"{name}."
-        subset = {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
+    # placeholder weights, overwritten below
+    networks = build_networks(table, hidden, np.random.default_rng(0))
+    expected = _blob_arrays(networks.values())
+    odd = sorted(arrays.keys() ^ expected.keys())   # blob names must be the networks' arrays
+    if odd:
+        raise CheckpointError(f"blob {odd[0]!r} " + ("is missing" if odd[0] in expected else
+                                                     "belongs to no network of this checkpoint"))
+    for net in networks.values():
         try:
-            net.load_state(subset)
+            net.load_state({key: arrays[f"{net.name}.{key}"] for key in net.state()})
         except ValueError as exc:
             raise CheckpointError(f"blob shapes inconsistent with dims: {exc}") from exc
 
     return Checkpoint(supervised=bool(mode), num_topics=num_topics, num_words=num_words,
                       hidden=hidden, num_classes=num_classes, vocab=vocab,
-                      encoder=encoder, generator=generator, critic_x=critic_x,
-                      critic_z=critic_z, classifier=classifier, config=config,
+                      encoder=networks["E"], generator=networks["G"],
+                      critic_x=networks["D_X"], critic_z=networks["D_Z"],
+                      classifier=networks.get("C"), config=config,
                       seed=seed, doc_freq=doc_freq, train_doc_count=train_doc_count)

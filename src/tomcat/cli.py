@@ -36,13 +36,14 @@ from .evaluation import (
     EvaluationError,
     SyntheticSpec,
     build_cooc,
+    classify_accuracy,
     format_coherence_report,
     make_synthetic,
     model_coherence,
     synthetic_vocabulary,
     topic_word_ids,
 )
-from .networks import SamplingError, top_words, topic_word_distributions
+from .networks import SamplingError, top_word_ids, topic_word_distributions
 from .nn import NonFiniteError
 from .training import ConfigError, NonFiniteLossError, TrainConfig, train, write_loss_log
 
@@ -187,7 +188,7 @@ def cmd_train(args) -> int:
         args.out, vocab=vocab, encoder=state.encoder, generator=state.generator,
         critic_x=state.critic_x, critic_z=state.critic_z, classifier=state.classifier,
         config=config_echo, seed=config.seed, doc_freq=mat.doc_freq,
-        train_doc_count=mat.n_docs, hidden=config.hidden, num_topics=config.num_topics)
+        train_doc_count=mat.n_docs)
     write_loss_log(state.loss_log, loss_log_path)
 
     if state.loss_log:
@@ -201,10 +202,10 @@ def cmd_train(args) -> int:
 def cmd_topics(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     rows = topic_word_distributions(ckpt.generator)
-    for k in range(rows.shape[0]):
-        words = top_words(rows[k], ckpt.vocab, args.top_n)
-        probs = sorted(rows[k], reverse=True)[:args.top_n]
-        print(f"{k}\t{' '.join(words)}\t{' '.join(_fmt(p) for p in probs)}")
+    for k, row in enumerate(rows):
+        ids = top_word_ids(row, args.top_n)
+        words = " ".join(ckpt.vocab.tokens[i] for i in ids)
+        print(f"{k}\t{words}\t{' '.join(_fmt(p) for p in row[ids])}")
     return EXIT_OK
 
 
@@ -254,9 +255,7 @@ def cmd_classify(args) -> int:
         raise ConfigError(f"label {bad[0]} out of range [0, {ckpt.num_classes}) "
                           "of the checkpoint's classifier")
     z = _encode(ckpt, docs)
-    probs, _ = ckpt.classifier.forward(z, train=False)
-    accuracy = float((probs.argmax(axis=1) == np.asarray(labels)).mean())
-    print(f"accuracy\t{_fmt(accuracy)}")
+    print(f"accuracy\t{_fmt(classify_accuracy(ckpt.classifier, z, labels))}")
     return EXIT_OK
 
 

@@ -161,17 +161,16 @@ def format_coherence_report(reports: list[TopicReport], mean: float) -> str:
     return "\n".join(lines) + "\n"
 
 
-def classify_accuracy(encoder: Network, classifier: Network,
-                      rows: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of argmax-correct predictions of C(E(x)) in eval mode.
+def classify_accuracy(classifier: Network, topic_rows: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of argmax-correct predictions of the classifier on topic rows
+    (encoder outputs) in eval mode.
 
     Ties resolve to the lowest class id.
     """
     labels = np.asarray(labels)
-    if rows.shape[0] != labels.shape[0]:
+    if topic_rows.shape[0] != labels.shape[0]:
         raise EvaluationError("labels must align with rows")
-    z, _ = encoder.forward(rows, train=False)
-    probs, _ = classifier.forward(z, train=False)
+    probs, _ = classifier.forward(topic_rows, train=False)
     return float((probs.argmax(axis=1) == labels).mean())
 
 

@@ -1,8 +1,8 @@
 """The five network stacks, the Dirichlet prior, and topic extraction helpers.
 
-Encoder, generator, and classifier all share the shape
-Linear -> LeakyReLU(0.1) -> BatchNorm -> Linear -> Softmax; the critics drop
-the terminal softmax and emit one unbounded score per sample.
+Every network has the shape Linear -> LeakyReLU(0.1) -> BatchNorm -> Linear;
+the encoder, generator and classifier end in a softmax, and the critics emit
+one unbounded score per sample. network_table gives each network's widths.
 """
 
 from __future__ import annotations
@@ -45,6 +45,11 @@ class Network:
             grad_out = layer.backward(cache, grad_out, param_grads)
         return self.layers[0].backward(caches[0], grad_out, param_grads, input_rows)
 
+    @property
+    def widths(self) -> tuple[int, int, int]:
+        """Input, hidden and output width: those of the first and the last Linear."""
+        return self.layers[0].in_dim, self.layers[0].out_dim, self.layers[3].out_dim
+
     def parameters(self) -> list[Tensor]:
         return [p for layer in self.layers for p in layer.parameters()]
 
@@ -71,48 +76,41 @@ class Network:
             np.copyto(state[key], arr)
 
 
-def make_encoder(num_words: int, hidden: int, num_topics: int,
-                 rng: np.random.Generator) -> Network:
-    return Network("E", [
-        Linear(num_words, hidden, rng),
-        LeakyReLU(0.1),
-        BatchNorm(hidden),
-        Linear(hidden, num_topics, rng),
-        Softmax(),
-    ])
+def network_table(num_words: int, num_topics: int,
+                  num_classes: int = 0) -> list[tuple[str, int, int, bool]]:
+    """(name, input width, output width, ends in softmax) of every network,
+    in the order they are built from one rng and stored in a checkpoint.
+
+    The WGAN critics D_X and D_Z emit one raw score per sample. The
+    classifier C is there only when there are classes.
+    """
+    table = [("E", num_words, num_topics, True), ("G", num_topics, num_words, True),
+             ("D_X", num_words, 1, False), ("D_Z", num_topics, 1, False)]
+    if num_classes:
+        table.append(("C", num_topics, num_classes, True))
+    return table
 
 
-def make_generator(num_topics: int, hidden: int, num_words: int,
-                   rng: np.random.Generator) -> Network:
-    return Network("G", [
-        Linear(num_topics, hidden, rng),
-        LeakyReLU(0.1),
-        BatchNorm(hidden),
-        Linear(hidden, num_words, rng),
-        Softmax(),
-    ])
+def build_networks(table: list[tuple[str, int, int, bool]], hidden: int,
+                   rng: np.random.Generator) -> dict[str, Network]:
+    """Linear -> LeakyReLU(0.1) -> BatchNorm -> Linear (-> Softmax) of the
+    given hidden width for every row of a network_table, by name, drawing
+    the weights from rng in table order."""
+    networks = {}
+    for name, in_dim, out_dim, softmax in table:
+        layers = [Linear(in_dim, hidden, rng), LeakyReLU(0.1), BatchNorm(hidden),
+                  Linear(hidden, out_dim, rng)]
+        networks[name] = Network(name, layers + [Softmax()] if softmax else layers)
+    return networks
 
 
-def make_critic(name: str, in_dim: int, hidden: int,
-                rng: np.random.Generator) -> Network:
-    # no terminal squashing: WGAN critics emit raw scores
-    return Network(name, [
-        Linear(in_dim, hidden, rng),
-        LeakyReLU(0.1),
-        BatchNorm(hidden),
-        Linear(hidden, 1, rng),
-    ])
-
-
-def make_classifier(num_topics: int, hidden: int, num_classes: int,
-                    rng: np.random.Generator) -> Network:
-    return Network("C", [
-        Linear(num_topics, hidden, rng),
-        LeakyReLU(0.1),
-        BatchNorm(hidden),
-        Linear(hidden, num_classes, rng),
-        Softmax(),
-    ])
+def end_weight_shapes(table: list[tuple[str, int, int, bool]],
+                      hidden: int) -> dict[str, tuple[int, int]]:
+    """The weight shapes of the first and the last Linear of every network in
+    table, by network name and state key ("E.0.W", "E.3.W", ...). They fix
+    the shape of every other array."""
+    return {key: shape for name, in_dim, out_dim, _ in table for key, shape in (
+        (f"{name}.0.W", (hidden, in_dim)), (f"{name}.3.W", (out_dim, hidden)))}
 
 
 @dataclass

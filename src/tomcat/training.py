@@ -19,15 +19,7 @@ import numpy as np
 
 from .corpus import CsrRows
 from .fileio import write_atomic
-from .networks import (
-    DirichletPrior,
-    Network,
-    make_classifier,
-    make_critic,
-    make_encoder,
-    make_generator,
-    sample_prior,
-)
+from .networks import DirichletPrior, Network, build_networks, network_table, sample_prior
 from .nn import (
     Adam,
     NonFiniteError,
@@ -189,29 +181,25 @@ def init_state(config: TrainConfig, num_words: int, num_classes: int = 0) -> Tra
     if config.supervised and num_classes < 2:
         raise ConfigError("supervised training needs at least 2 classes")
     rng = np.random.default_rng(config.seed)
-    encoder = make_encoder(num_words, config.hidden, config.num_topics, rng)
-    generator = make_generator(config.num_topics, config.hidden, num_words, rng)
-    critic_x = make_critic("D_X", num_words, config.hidden, rng)
-    critic_z = make_critic("D_Z", config.num_topics, config.hidden, rng)
-    classifier = None
+    table = network_table(num_words, config.num_topics, num_classes if config.supervised else 0)
+    nets = build_networks(table, config.hidden, rng)
     adam_cls = None
     classifier_params = None
     if config.supervised:
-        classifier = make_classifier(config.num_topics, config.hidden, num_classes, rng)
         adam_cls = Adam(lr=config.lr_cls, beta1=config.beta1_cls)
-        classifier_params = ParamGroup(classifier.parameters())
+        classifier_params = ParamGroup(nets["C"].parameters())
     return TrainState(
         config=config,
-        encoder=encoder,
-        generator=generator,
-        critic_x=critic_x,
-        critic_z=critic_z,
-        classifier=classifier,
+        encoder=nets["E"],
+        generator=nets["G"],
+        critic_x=nets["D_X"],
+        critic_z=nets["D_Z"],
+        classifier=nets.get("C"),
         prior=DirichletPrior(config.num_topics, config.alpha),
         adam_main=Adam(lr=config.lr_main, beta1=config.beta1_main),
         adam_cls=adam_cls,
-        critic_params=ParamGroup(critic_x.parameters() + critic_z.parameters()),
-        mapper_params=ParamGroup(encoder.parameters() + generator.parameters()),
+        critic_params=ParamGroup(nets["D_X"].parameters() + nets["D_Z"].parameters()),
+        mapper_params=ParamGroup(nets["E"].parameters() + nets["G"].parameters()),
         classifier_params=classifier_params,
         rng=rng,
     )

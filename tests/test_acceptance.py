@@ -21,6 +21,7 @@ import pytest
 
 from conftest import assert_grad_close, numerical_grad
 from test_corpus import documents
+from test_networks import build_one
 from tomcat.checkpoint import load_checkpoint, save_checkpoint
 from tomcat.corpus import CsrRows, RawCorpus, Vocabulary, build_vocabulary, count_documents, tfidf, tfidf_transform
 from tomcat.evaluation import (
@@ -35,13 +36,7 @@ from tomcat.evaluation import (
     topic_recovery_score,
     topic_word_ids,
 )
-from tomcat.networks import (
-    make_classifier,
-    make_encoder,
-    make_generator,
-    sample_prior,
-    topic_word_distributions,
-)
+from tomcat.networks import sample_prior, topic_word_distributions
 from tomcat.nn import BatchNorm, LeakyReLU, Linear, Softmax, cross_entropy, cross_entropy_backward, l1_loss, l1_loss_backward
 from tomcat.training import TrainConfig, _critic_scores, balance, critic_phase, init_state, mapper_phase, train
 
@@ -85,8 +80,8 @@ def supervised_run():
                          supervised=True, lambda3_hat=1.0, seed=0)
     state = train(mat.csr, config, labels=kept_labels, num_classes=5)
     test_rows, valid = tfidf_transform(corpus.counts[test_idx], mat.doc_freq, mat.n_docs)
-    accuracy = classify_accuracy(state.encoder, state.classifier,
-                                 test_rows[valid], labels[test_idx][valid])
+    test_z, _ = state.encoder.forward(test_rows[valid], train=False)
+    accuracy = classify_accuracy(state.classifier, test_z, labels[test_idx][valid])
     topics = topic_word_distributions(state.generator)
     return {
         "supports": supports,
@@ -211,13 +206,13 @@ class TestCriterion2InvariantSuite:
         rng = np.random.default_rng(99)
 
         # simplex closure of every softmax-terminated network
-        for make, dims in ((make_encoder, (11, 6, 4)), (make_generator, (4, 6, 11)),
-                           (make_classifier, (4, 6, 3))):
+        for name in ("E", "G", "C"):
             for trial in range(5):
-                net = make(*dims, np.random.default_rng(trial))
+                net = build_one(name, np.random.default_rng(trial), 6, words=11, topics=4,
+                                classes=3)
                 for p in net.parameters():
                     p.data *= rng.uniform(-25, 25)
-                y, _ = net.forward(rng.normal(scale=8, size=(7, dims[0])), train=True)
+                y, _ = net.forward(rng.normal(scale=8, size=(7, net.widths[0])), train=True)
                 assert np.all(y >= 0)
                 np.testing.assert_allclose(y.sum(axis=1), 1.0, atol=1e-9)
 
@@ -262,16 +257,14 @@ class TestCriterion2InvariantSuite:
             save_checkpoint(path, vocab=vocab, encoder=st.encoder, generator=st.generator,
                             critic_x=st.critic_x, critic_z=st.critic_z,
                             classifier=st.classifier, config=cfg.as_dict(), seed=cfg.seed,
-                            doc_freq=np.ones(15, dtype=np.int64), train_doc_count=200,
-                            hidden=cfg.hidden, num_topics=cfg.num_topics)
+                            doc_freq=np.ones(15, dtype=np.int64), train_doc_count=200)
             loaded = load_checkpoint(path)
             again = tmp_path / f"round_{int(supervised)}_again.ckpt"
             save_checkpoint(again, vocab=loaded.vocab, encoder=loaded.encoder,
                             generator=loaded.generator, critic_x=loaded.critic_x,
                             critic_z=loaded.critic_z, classifier=loaded.classifier,
                             config=loaded.config, seed=loaded.seed, doc_freq=loaded.doc_freq,
-                            train_doc_count=loaded.train_doc_count, hidden=loaded.hidden,
-                            num_topics=loaded.num_topics)
+                            train_doc_count=loaded.train_doc_count)
             assert path.read_bytes() == again.read_bytes()
 
         # determinism: the same seed yields byte-identical checkpoints
@@ -283,8 +276,7 @@ class TestCriterion2InvariantSuite:
             save_checkpoint(path, vocab=vocab, encoder=st.encoder, generator=st.generator,
                             critic_x=st.critic_x, critic_z=st.critic_z, classifier=None,
                             config=cfg.as_dict(), seed=cfg.seed,
-                            doc_freq=np.ones(15, dtype=np.int64), train_doc_count=200,
-                            hidden=cfg.hidden, num_topics=cfg.num_topics)
+                            doc_freq=np.ones(15, dtype=np.int64), train_doc_count=200)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 

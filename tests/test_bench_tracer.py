@@ -40,6 +40,10 @@ def test_install_wraps_and_uninstall_restores(monkeypatch, tmp_path, capsys):
                          "--docs", str(tmp_path / "raw" / "docs.txt")]) == 0
         names = {span[0] for span in tracer.spans}
         assert {"training.train", "training.batch", "corpus.tfidf_transform"} <= names
+        # the per-network metrics of the bench read these spans by network name
+        networks = importlib.import_module("run").TRAIN_NETWORKS
+        assert {f"networks.{net}.{direction}" for net in networks
+                for direction in ("forward", "backward")} <= names
     finally:
         tracer.uninstall()
     for owner, attr, original in patches:

@@ -6,6 +6,7 @@ import pytest
 from tomcat.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from tomcat.cli import main
 from tomcat.corpus import CsrRows, Vocabulary
+from tomcat.networks import build_networks, network_table
 from tomcat.training import TrainConfig, train
 
 
@@ -32,8 +33,6 @@ def save_state(state, vocab, path):
         seed=state.config.seed,
         doc_freq=np.arange(vocab.size) + 1,
         train_doc_count=40,
-        hidden=state.config.hidden,
-        num_topics=state.config.num_topics,
     )
 
 
@@ -73,8 +72,7 @@ class TestRoundTrip:
             second, vocab=loaded.vocab, encoder=loaded.encoder, generator=loaded.generator,
             critic_x=loaded.critic_x, critic_z=loaded.critic_z, classifier=loaded.classifier,
             config=loaded.config, seed=loaded.seed, doc_freq=loaded.doc_freq,
-            train_doc_count=loaded.train_doc_count, hidden=loaded.hidden,
-            num_topics=loaded.num_topics)
+            train_doc_count=loaded.train_doc_count)
         assert first.read_bytes() == second.read_bytes()
 
     def test_inference_identical_after_reload(self, tmp_path):
@@ -221,3 +219,155 @@ class TestCorruptionFuzz:
         assert capsys.readouterr().out == ""
         path.write_bytes(clean)
         assert main(["topics", "--ckpt", str(path), "--top-n", "3"]) == 0
+
+
+def _split_blobs(data: bytes):
+    """A TOMCAT01 file as the bytes before the blob count, a list of
+    (blob name, blob record bytes) in file order, and the bytes after the
+    blobs."""
+    pos = 8 + 1 + 16
+    (count,) = struct.unpack_from("<I", data, pos)
+    pos += 4
+    for _ in range(count):
+        (n,) = struct.unpack_from("<H", data, pos)
+        pos += 2 + n
+    head = data[:pos]
+    (count,) = struct.unpack_from("<I", data, pos)
+    pos += 4
+    records = []
+    for _ in range(count):
+        start = pos
+        (n,) = struct.unpack_from("<H", data, pos)
+        name = data[pos + 2:pos + 2 + n].decode("utf-8")
+        pos += 2 + n
+        (rank,) = struct.unpack_from("<B", data, pos)
+        dims = struct.unpack_from(f"<{rank}I", data, pos + 1)
+        pos += 1 + 4 * rank + 8 * int(np.prod(dims))
+        records.append((name, data[start:pos]))
+    return head, records, data[pos:]
+
+
+def _join_blobs(head: bytes, records, tail: bytes) -> bytes:
+    return head + struct.pack("<I", len(records)) + b"".join(r for _, r in records) + tail
+
+
+def _record(name: str, arr: np.ndarray):
+    raw = name.encode("utf-8")
+    return name, (struct.pack("<H", len(raw)) + raw + struct.pack("<B", arr.ndim)
+                  + struct.pack(f"<{arr.ndim}I", *arr.shape) + arr.astype("<f8").tobytes())
+
+
+class TestBlobNames:
+    """The blob names of a checkpoint are exactly the arrays of its networks."""
+
+    def saved(self, tmp_path, supervised=False):
+        path = tmp_path / "model.ckpt"
+        save_state(trained_state(15, supervised=supervised),
+                   Vocabulary([f"t{i}" for i in range(9)]), path)
+        return path
+
+    def assert_corrupt(self, path, data, capsys, message):
+        path.write_bytes(data)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+        assert main(["topics", "--ckpt", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("supervised", [False, True])
+    def test_blobs_are_written_in_table_order(self, tmp_path, supervised):
+        path = self.saved(tmp_path, supervised)
+        _, records, _ = _split_blobs(path.read_bytes())
+        names = [name for name, _ in records]
+        table = network_table(9, 3, 2 if supervised else 0)
+        assert list(dict.fromkeys(name.split(".")[0] for name in names)) == [
+            row[0] for row in table]
+        nets = build_networks(table, 5, np.random.default_rng(0))
+        assert names == [f"{net}.{key}" for net in nets for key in nets[net].state()]
+
+    def test_repeated_blob_is_exit_2(self, tmp_path, capsys):
+        # a second E.0.b used to replace the first without a word
+        path = self.saved(tmp_path)
+        head, records, tail = _split_blobs(path.read_bytes())
+        records.append(_record("E.0.b", np.full(5, 0.25)))
+        self.assert_corrupt(path, _join_blobs(head, records, tail), capsys,
+                            "'E.0.b' is repeated")
+
+    def test_blob_of_no_network_is_exit_2(self, tmp_path, capsys):
+        path = self.saved(tmp_path)
+        head, records, tail = _split_blobs(path.read_bytes())
+        records.append(_record("X.junk", np.zeros(3)))
+        self.assert_corrupt(path, _join_blobs(head, records, tail), capsys,
+                            "'X.junk' belongs to no network")
+
+    def test_classifier_blob_in_unsupervised_file_is_exit_2(self, tmp_path, capsys):
+        path = self.saved(tmp_path)
+        head, records, tail = _split_blobs(path.read_bytes())
+        (tmp_path / "sup").mkdir()
+        sup = self.saved(tmp_path / "sup", supervised=True)
+        _, sup_records, _ = _split_blobs(sup.read_bytes())
+        records.extend(r for r in sup_records if r[0].startswith("C."))
+        self.assert_corrupt(path, _join_blobs(head, records, tail), capsys,
+                            "'C.0.W' belongs to no network")
+
+    @pytest.mark.parametrize("name", ["G.2.running_var", "D_X.0.b", "C.2.gamma"])
+    def test_missing_array_is_exit_2(self, tmp_path, capsys, name):
+        path = self.saved(tmp_path, supervised=True)
+        head, records, tail = _split_blobs(path.read_bytes())
+        records = [r for r in records if r[0] != name]
+        self.assert_corrupt(path, _join_blobs(head, records, tail), capsys,
+                            f"'{name}' is missing")
+
+    @pytest.mark.parametrize("name", ["G.0.W", "G.3.W", "D_X.0.W", "D_X.3.W",
+                                      "D_Z.0.W", "D_Z.3.W"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_end_linear_disagreeing_with_dims_is_exit_2(self, tmp_path, capsys, name, axis):
+        path = self.saved(tmp_path)
+        head, records, tail = _split_blobs(path.read_bytes())
+        loaded = load_checkpoint(path)
+        net = {"G": loaded.generator, "D_X": loaded.critic_x, "D_Z": loaded.critic_z}[
+            name.split(".")[0]]
+        shape = list(net.state()[name.split(".", 1)[1]].shape)
+        shape[axis] += 1
+        records = [_record(name, np.zeros(shape)) if n == name else (n, r) for n, r in records]
+        self.assert_corrupt(path, _join_blobs(head, records, tail), capsys,
+                            f"blob {name!r} has shape")
+
+    def test_missing_end_linear_is_exit_2(self, tmp_path, capsys):
+        path = self.saved(tmp_path)
+        head, records, tail = _split_blobs(path.read_bytes())
+        records = [r for r in records if r[0] != "D_Z.3.W"]
+        self.assert_corrupt(path, _join_blobs(head, records, tail), capsys,
+                            "'D_Z.3.W' is missing")
+
+
+    @pytest.mark.parametrize("supervised, num_classes", [(False, 7), (False, 1), (True, 0),
+                                                          (True, 1)])
+    def test_class_count_without_its_classifier_is_exit_2(self, tmp_path, capsys, supervised,
+                                                          num_classes):
+        # an L that no classifier has is a dim the networks disagree with
+        path = self.saved(tmp_path, supervised)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<I", data, 8 + 1 + 12, num_classes)
+        self.assert_corrupt(path, bytes(data), capsys, f"L={num_classes} out of range")
+
+
+class TestSaveReadsDims:
+    @pytest.mark.parametrize("supervised", [False, True])
+    def test_header_dims_come_from_the_networks(self, tmp_path, supervised):
+        path = tmp_path / "model.ckpt"
+        save_state(trained_state(16, supervised=supervised, num_topics=4),
+                   Vocabulary([f"t{i}" for i in range(9)]), path)
+        assert struct.unpack_from("<4I", path.read_bytes(), 9) == (
+            4, 9, 5, 2 if supervised else 0)
+
+    def test_networks_of_other_widths_are_not_saved(self, tmp_path):
+        # a generator of another hidden width than the encoder's would make
+        # a file that no load accepts
+        state = trained_state(17)
+        state.generator = build_networks(network_table(9, 3), 6, np.random.default_rng(0))["G"]
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match="'G.0.W' has shape"):
+            save_state(state, Vocabulary([f"t{i}" for i in range(9)]), path)
+        assert not path.exists()

@@ -22,7 +22,8 @@ from tomcat.evaluation import (
     topic_word_ids,
 )
 from test_corpus import documents, oracle_count_matrix
-from tomcat.networks import DirichletPrior, make_classifier, make_encoder, make_generator, sample_prior
+from test_networks import build_one
+from tomcat.networks import DirichletPrior, sample_prior
 
 EPS = 1e-12
 
@@ -250,7 +251,7 @@ class TestTopicNpmi:
 class TestModelCoherence:
     def test_identical_topics_mean_equals_each(self):
         rng = np.random.default_rng(3)
-        gen = make_generator(4, 6, 12, rng)
+        gen = build_one("G", rng, 6, words=12, topics=4)
         final = gen.layers[3]
         final.W.data[:] = 0.0
         final.b.data[:] = 0.0  # softmax of zeros: every topic is uniform
@@ -265,7 +266,7 @@ class TestModelCoherence:
 
     def test_report_format(self):
         rng = np.random.default_rng(4)
-        gen = make_generator(2, 5, 8, rng)
+        gen = build_one("G", rng, 5, words=8, topics=2)
         vocab = Vocabulary([f"w{i}" for i in range(8)])
         stats = build_cooc(documents([[f"w{i}" for i in range(8)]], vocab), window_size=8,
                            word_sets=topic_word_ids(gen, 3))
@@ -280,41 +281,45 @@ class TestModelCoherence:
 class TestClassifyAccuracy:
     def test_all_correct(self):
         rng = np.random.default_rng(5)
-        enc = make_encoder(10, 6, 3, rng)
-        cls = make_classifier(3, 6, 4, rng)
+        enc = build_one("E", rng, 6, words=10, topics=3)
+        cls = build_one("C", rng, 6, topics=3, classes=4)
         rows = np.random.default_rng(6).uniform(size=(20, 10))
         rows /= rows.sum(axis=1, keepdims=True)
         z, _ = enc.forward(rows, train=False)
         probs, _ = cls.forward(z, train=False)
         labels = probs.argmax(axis=1)
-        assert classify_accuracy(enc, cls, rows, labels) == 1.0
+        assert classify_accuracy(cls, z, labels) == 1.0
 
     def test_uniform_classifier_ties_to_class_zero(self):
         rng = np.random.default_rng(7)
-        enc = make_encoder(10, 6, 3, rng)
-        cls = make_classifier(3, 6, 4, rng)
+        enc = build_one("E", rng, 6, words=10, topics=3)
+        cls = build_one("C", rng, 6, topics=3, classes=4)
         cls.layers[3].W.data[:] = 0.0
         cls.layers[3].b.data[:] = 0.0
         rows = np.random.default_rng(8).uniform(size=(10, 10))
         labels = np.array([0, 0, 0, 1, 1, 2, 3, 3, 2, 1])
-        assert classify_accuracy(enc, cls, rows, labels) == 0.3
+        z, _ = enc.forward(rows, train=False)
+        assert classify_accuracy(cls, z, labels) == 0.3
 
     def test_row_order_invariance(self):
         rng = np.random.default_rng(9)
-        enc = make_encoder(10, 6, 3, rng)
-        cls = make_classifier(3, 6, 4, rng)
+        enc = build_one("E", rng, 6, words=10, topics=3)
+        cls = build_one("C", rng, 6, topics=3, classes=4)
         rows = np.random.default_rng(10).uniform(size=(30, 10))
         labels = np.random.default_rng(11).integers(0, 4, size=30)
         perm = np.random.default_rng(12).permutation(30)
-        assert (classify_accuracy(enc, cls, rows, labels)
-                == classify_accuracy(enc, cls, rows[perm], labels[perm]))
+        z, _ = enc.forward(rows, train=False)
+        z_perm, _ = enc.forward(rows[perm], train=False)
+        assert (classify_accuracy(cls, z, labels)
+                == classify_accuracy(cls, z_perm, labels[perm]))
 
     def test_label_mismatch(self):
         rng = np.random.default_rng(13)
-        enc = make_encoder(10, 6, 3, rng)
-        cls = make_classifier(3, 6, 4, rng)
+        enc = build_one("E", rng, 6, words=10, topics=3)
+        cls = build_one("C", rng, 6, topics=3, classes=4)
         with pytest.raises(EvaluationError):
-            classify_accuracy(enc, cls, np.zeros((4, 10)), np.zeros(5, dtype=int))
+            classify_accuracy(cls, enc.forward(np.zeros((4, 10)), train=False)[0],
+                              np.zeros(5, dtype=int))
 
 
 class TestMakeSynthetic:

@@ -5,46 +5,140 @@ from tomcat.corpus import Vocabulary
 from tomcat.networks import (
     DirichletPrior,
     Network,
-    make_classifier,
-    make_critic,
-    make_encoder,
-    make_generator,
+    build_networks,
+    network_table,
     sample_prior,
     top_words,
     topic_word_distributions,
 )
+from tomcat.nn import BatchNorm, LeakyReLU, Linear, Softmax, Tensor
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def build_one(name, rng, hidden, words=1, topics=1, classes=0):
+    """The network of that name in the table, built alone from rng."""
+    table = [row for row in network_table(words, topics, classes) if row[0] == name]
+    return build_networks(table, hidden, rng)[name]
+
+
+# The per-network factories that network_table and build_networks replaced,
+# kept as their oracle.
+def make_encoder(num_words, hidden, num_topics, rng):
+    return Network("E", [
+        Linear(num_words, hidden, rng),
+        LeakyReLU(0.1),
+        BatchNorm(hidden),
+        Linear(hidden, num_topics, rng),
+        Softmax(),
+    ])
+
+
+def make_generator(num_topics, hidden, num_words, rng):
+    return Network("G", [
+        Linear(num_topics, hidden, rng),
+        LeakyReLU(0.1),
+        BatchNorm(hidden),
+        Linear(hidden, num_words, rng),
+        Softmax(),
+    ])
+
+
+def make_critic(name, in_dim, hidden, rng):
+    return Network(name, [
+        Linear(in_dim, hidden, rng),
+        LeakyReLU(0.1),
+        BatchNorm(hidden),
+        Linear(hidden, 1, rng),
+    ])
+
+
+def make_classifier(num_topics, hidden, num_classes, rng):
+    return Network("C", [
+        Linear(num_topics, hidden, rng),
+        LeakyReLU(0.1),
+        BatchNorm(hidden),
+        Linear(hidden, num_classes, rng),
+        Softmax(),
+    ])
+
+
+def layer_fields(layer):
+    """Every attribute of a layer, arrays and tensors as bytes."""
+    out = {}
+    for key, value in vars(layer).items():
+        if isinstance(value, Tensor):
+            value = value.data
+        out[key] = (value.dtype, value.shape, value.tobytes()) if isinstance(
+            value, np.ndarray) else value
+    return out
+
+
+class TestNetworkTable:
+    @pytest.mark.parametrize("num_classes", [0, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_builder_matches_factories(self, num_classes, seed):
+        v, h, k = 11, 6, 4
+        ours, theirs = rng(seed), rng(seed)
+        built = build_networks(network_table(v, k, num_classes), h, ours)
+        oracle = [make_encoder(v, h, k, theirs), make_generator(k, h, v, theirs),
+                  make_critic("D_X", v, h, theirs), make_critic("D_Z", k, h, theirs)]
+        if num_classes:
+            oracle.append(make_classifier(k, h, num_classes, theirs))
+        assert list(built) == [net.name for net in oracle]
+        for net, want in zip(built.values(), oracle):
+            assert net.name == want.name
+            assert [type(layer) for layer in net.layers] == [type(layer) for layer in want.layers]
+            assert [layer_fields(a) for a in net.layers] == [layer_fields(b) for b in want.layers]
+            assert list(net.state()) == list(want.state())
+            assert net.widths == (want.layers[0].in_dim, h, want.layers[3].out_dim)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_table_rows(self):
+        assert network_table(30, 5) == [("E", 30, 5, True), ("G", 5, 30, True),
+                                        ("D_X", 30, 1, False), ("D_Z", 5, 1, False)]
+        assert network_table(30, 5, 3)[4:] == [("C", 5, 3, True)]
+
+    def test_one_network_draws_as_its_factory(self):
+        for name, factory in (("E", lambda r: make_encoder(9, 5, 3, r)),
+                              ("G", lambda r: make_generator(3, 5, 9, r)),
+                              ("D_X", lambda r: make_critic("D_X", 9, 5, r)),
+                              ("C", lambda r: make_classifier(3, 5, 4, r))):
+            ours, theirs = rng(3), rng(3)
+            net = build_one(name, ours, 5, words=9, topics=3, classes=4)
+            want = factory(theirs)
+            assert [layer_fields(a) for a in net.layers] == [layer_fields(b) for b in want.layers]
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 class TestArchitecture:
     def test_encoder_parameter_count(self):
         v, h, k = 30, 7, 5
-        net = make_encoder(v, h, k, rng())
+        net = build_one("E", rng(), h, words=v, topics=k)
         assert net.num_parameters() == v * h + h + 2 * h + h * k + k
 
     def test_generator_parameter_count(self):
         k, h, v = 4, 9, 21
-        net = make_generator(k, h, v, rng())
+        net = build_one("G", rng(), h, words=v, topics=k)
         assert net.num_parameters() == k * h + h + 2 * h + h * v + v
 
     def test_critic_parameter_count(self):
         s, h = 13, 6
-        net = make_critic("D_X", s, h, rng())
+        net = build_one("D_X", rng(), h, words=s)
         assert net.num_parameters() == s * h + h + 2 * h + h * 1 + 1
 
     def test_classifier_parameter_count(self):
         k, h, l = 5, 8, 3
-        net = make_classifier(k, h, l, rng())
+        net = build_one("C", rng(), h, topics=k, classes=l)
         assert net.num_parameters() == k * h + h + 2 * h + h * l + l
 
     def test_simplex_closure_under_random_weights(self):
         # softmax-terminated stacks stay on the simplex for arbitrary input
         r = rng(1)
         for trial in range(10):
-            net = make_encoder(12, 6, 4, rng(trial))
+            net = build_one("E", rng(trial), 6, words=12, topics=4)
             for p in net.parameters():
                 p.data *= r.uniform(-30, 30)
             x = r.normal(scale=10, size=(8, 12))
@@ -53,7 +147,7 @@ class TestArchitecture:
             np.testing.assert_allclose(y.sum(axis=1), 1.0, atol=1e-9)
 
     def test_encoder_rows_on_simplex(self):
-        net = make_encoder(10, 5, 3, rng(2))
+        net = build_one("E", rng(2), 5, words=10, topics=3)
         x = rng(3).uniform(size=(6, 10))
         y, _ = net.forward(x, train=True)
         np.testing.assert_allclose(y.sum(axis=1), 1.0, atol=1e-9)
@@ -61,7 +155,7 @@ class TestArchitecture:
 
     def test_eval_mode_is_batch_composition_invariant(self):
         r = rng(4)
-        net = make_encoder(10, 5, 3, r)
+        net = build_one("E", r, 5, words=10, topics=3)
         net.forward(r.uniform(size=(32, 10)), train=True)  # populate running stats
         doc = r.uniform(size=10)
         with_a = np.vstack([doc, r.uniform(size=(3, 10))])
@@ -71,7 +165,7 @@ class TestArchitecture:
         np.testing.assert_array_equal(ya[0], yb[0])
 
     def test_critic_scores_unbounded(self):
-        net = make_critic("D_X", 8, 5, rng(5))
+        net = build_one("D_X", rng(5), 5, words=8)
         for p in net.parameters():
             p.data *= 40.0
         scores, _ = net.forward(rng(6).normal(size=(16, 8)), train=True)
@@ -79,8 +173,8 @@ class TestArchitecture:
         assert np.any(scores < 0) or np.any(scores > 1)
 
     def test_state_round_trip(self):
-        net = make_generator(3, 4, 6, rng(7))
-        copy = make_generator(3, 4, 6, rng(8))
+        net = build_one("G", rng(7), 4, words=6, topics=3)
+        copy = build_one("G", rng(8), 4, words=6, topics=3)
         copy.load_state({k: v.copy() for k, v in net.state().items()})
         for k, arr in net.state().items():
             np.testing.assert_array_equal(arr, copy.state()[k])
@@ -117,13 +211,13 @@ class TestDirichletPrior:
 
 class TestTopicExtraction:
     def test_distribution_shape_and_simplex(self):
-        gen = make_generator(4, 6, 11, rng(14))
+        gen = build_one("G", rng(14), 6, words=11, topics=4)
         t = topic_word_distributions(gen)
         assert t.shape == (4, 11)
         np.testing.assert_allclose(t.sum(axis=1), 1.0, atol=1e-9)
 
     def test_eval_mode_probe_is_deterministic(self):
-        gen = make_generator(4, 6, 11, rng(15))
+        gen = build_one("G", rng(15), 6, words=11, topics=4)
         np.testing.assert_array_equal(topic_word_distributions(gen),
                                       topic_word_distributions(gen))
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import assert_grad_close, numerical_grad
+from test_networks import build_one
 from tomcat.corpus import CsrRows
-from tomcat.networks import make_critic, sample_prior
+from tomcat.networks import sample_prior
 from tomcat.nn import BatchNorm, l1_loss
 from tomcat.training import (
     ConfigError,
@@ -57,7 +58,7 @@ class TestAdvLosses:
         assert abs(loss) < 1e-12
 
     def test_identical_batches_cancel(self):
-        critic = make_critic("D_X", 5, 6, np.random.default_rng(4))
+        critic = build_one("D_X", np.random.default_rng(4), 6, words=5)
         x = simplex_rows(8, 5, 5)
         assert abs(adv_loss(critic, x, x.copy())[0]) < 1e-12
 
