@@ -237,8 +237,10 @@ def _encode(ckpt, docs):
 def cmd_infer(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     z = _encode_documents(ckpt, args.docs)
-    for row in z:
-        print("\t".join(_fmt(v) for v in row))
+    line = "\t".join(["%.9g"] * ckpt.num_topics) + "\n"   # _fmt's format
+    for start in range(0, len(z), BLOCK_ROWS):
+        sys.stdout.write("".join([line % tuple(row)
+                                  for row in z[start:start + BLOCK_ROWS].tolist()]))
     return EXIT_OK
 
 

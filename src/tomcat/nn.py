@@ -6,7 +6,8 @@ param_grads=True) returns the input gradient and, unless param_grads is
 False, accumulates parameter gradients in place.
 
 Optimizers work on a ParamGroup: tensors whose data and gradients are views
-into two flat buffers, so an Adam step or a clip is one pass per group.
+into two flat buffers, so an Adam step or a clip is a fixed number of array
+passes per group. Adam makes its passes a block of CHUNK entries at a time.
 """
 
 from __future__ import annotations
@@ -16,6 +17,12 @@ import math
 from typing import Iterable
 
 import numpy as np
+
+# Entries per Adam block: the block's gradient, data, moments and two
+# scratch arrays (6 x 128 KiB) stay in cache across the step's 13 passes.
+# On a 2-vCPU x86-64 machine (numpy 2.4, min of 7) a 202,802-entry step ran
+# 2.2 -> 1.9 ms against one pass over the whole group; 16-32k did as well.
+CHUNK = 2 ** 14
 
 
 class ShapeError(ValueError):
@@ -68,8 +75,8 @@ class ParamGroup:
     Each tensor's data and gradient become views into ``data`` and ``grad``,
     so the optimizer and clipping make a fixed number of array passes per
     group rather than per tensor. The group also holds its Adam state: the
-    moments ``m`` and ``v`` and the step count. A tensor belongs to at most
-    one group.
+    moments ``m`` and ``v`` and the step count, plus two scratch arrays of
+    at most CHUNK entries. A tensor belongs to at most one group.
     """
 
     def __init__(self, tensors: Iterable[Tensor]):
@@ -85,7 +92,7 @@ class ParamGroup:
         size = sum(t.data.size for t in self.tensors)
         self.data = np.empty(size)
         self.grad = np.empty(size)
-        self._scratch = np.empty((2, size))
+        self._scratch = np.empty((2, min(size, CHUNK)))
         offset = 0
         for t in self.tensors:
             end = offset + t.data.size
@@ -127,7 +134,9 @@ class Linear:
     def forward(self, x: np.ndarray, train: bool):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(f"expected (batch, {self.in_dim}) input, got {x.shape}")
-        return x @ self.W.data.T + self.b.data, x
+        y = x @ self.W.data.T
+        y += self.b.data
+        return y, x
 
     def backward(self, cache, grad_out: np.ndarray, param_grads: bool = True,
                  input_rows: slice | None = slice(None)) -> np.ndarray | None:
@@ -149,7 +158,11 @@ class Linear:
 
 
 class LeakyReLU:
-    """Elementwise max(x, slope * x); the derivative at exactly 0 is taken as 1."""
+    """Elementwise max(x, slope * x); the derivative at exactly 0 is taken as 1.
+
+    The cache is the bool mask of x >= 0, the entries passed through with
+    slope 1 (a NaN input takes the slope, as in the formula).
+    """
 
     def __init__(self, slope: float = 0.1):
         if slope < 0:
@@ -157,11 +170,12 @@ class LeakyReLU:
         self.slope = slope
 
     def forward(self, x: np.ndarray, train: bool):
-        return np.where(x >= 0, x, self.slope * x), x
+        keep = x >= 0
+        return np.where(keep, x, self.slope * x), keep
 
     def backward(self, cache, grad_out: np.ndarray, param_grads: bool = True) -> np.ndarray:
-        x = cache
-        return grad_out * np.where(x >= 0, 1.0, self.slope)
+        keep = cache
+        return grad_out * np.where(keep, 1.0, self.slope)
 
     def parameters(self) -> list[Tensor]:
         return []
@@ -193,17 +207,24 @@ class BatchNorm:
         if train:
             if x.shape[0] < 2:
                 raise ShapeError("batch norm needs batch size >= 2 in train mode")
+            # centred once; the mean of its square is x.var's biased variance
             mean = x.mean(axis=0)
-            var = x.var(axis=0)
+            x_hat = x - mean
+            y = np.multiply(x_hat, x_hat)
+            var = y.mean(axis=0)
             self.running_mean += self.momentum * (mean - self.running_mean)
             self.running_var += self.momentum * (var - self.running_var)
             inv_std = 1.0 / np.sqrt(var + self.eps)
-            x_hat = (x - mean) * inv_std
+            x_hat *= inv_std
             cache = (x_hat, inv_std)
+            np.multiply(self.gamma.data, x_hat, out=y)
         else:
-            x_hat = (x - self.running_mean) / np.sqrt(self.running_var + self.eps)
+            y = x - self.running_mean
+            y /= np.sqrt(self.running_var + self.eps)
+            y *= self.gamma.data
             cache = None
-        return self.gamma.data * x_hat + self.beta.data, cache
+        y += self.beta.data
+        return y, cache
 
     def backward(self, cache, grad_out: np.ndarray, param_grads: bool = True) -> np.ndarray:
         if cache is None:
@@ -234,9 +255,9 @@ class Softmax:
     """Row-wise softmax, stabilized by max subtraction."""
 
     def forward(self, x: np.ndarray, train: bool):
-        shifted = x - x.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        y = e / e.sum(axis=1, keepdims=True)
+        y = x - x.max(axis=1, keepdims=True)
+        np.exp(y, out=y)
+        y /= y.sum(axis=1, keepdims=True)
         return y, y
 
     def backward(self, cache, grad_out: np.ndarray, param_grads: bool = True) -> np.ndarray:
@@ -299,35 +320,42 @@ class Adam:
         self.eps = eps
 
     def step(self, params: ParamGroup) -> None:
-        """One in-place update of every tensor in the group.
+        """One in-place update of every tensor in the group, a block of
+        CHUNK entries at a time.
 
-        Every tensor needs a gradient. The floating-point operations and
+        Every tensor needs a gradient, and every gradient entry must be
+        finite; otherwise nothing changes. The floating-point operations and
         their order are those of m = b1*m + (1-b1)*g,
         v = b2*v + (1-b2)*g*g, p -= lr*m_hat / (sqrt(v_hat) + eps), so the
         result is bit-identical to that formula.
         """
         if any(p.grad is None for p in params):
             raise ValueError("Adam.step needs a gradient for every tensor of the group")
-        g, m, v = params.grad, params.m, params.v
-        if not np.isfinite(g).all():
+        g = params.grad
+        blocks = [slice(start, start + CHUNK) for start in range(0, g.size, CHUNK)]
+        if not all(np.isfinite(g[blk]).all() for blk in blocks):
             raise NonFiniteError("non-finite gradient passed to Adam")
         params.steps += 1
         t = params.steps
-        a, b = params._scratch
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=a)
-        m += a
-        v *= self.beta2
-        np.multiply(g, 1.0 - self.beta2, out=a)
-        a *= g
-        v += a
-        np.divide(m, 1.0 - self.beta1 ** t, out=a)
-        a *= self.lr
-        np.divide(v, 1.0 - self.beta2 ** t, out=b)
-        np.sqrt(b, out=b)
-        b += self.eps
-        a /= b
-        params.data -= a
+        c1, c2 = 1.0 - self.beta1, 1.0 - self.beta2
+        d1, d2 = 1.0 - self.beta1 ** t, 1.0 - self.beta2 ** t
+        for blk in blocks:
+            gb, m, v, p = g[blk], params.m[blk], params.v[blk], params.data[blk]
+            a, b = params._scratch[:, : gb.size]
+            m *= self.beta1
+            np.multiply(gb, c1, out=a)
+            m += a
+            v *= self.beta2
+            np.multiply(gb, c2, out=a)
+            a *= gb
+            v += a
+            np.divide(m, d1, out=a)
+            a *= self.lr
+            np.divide(v, d2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p -= a
 
 
 def clip_weights(params: ParamGroup, c: float) -> None:

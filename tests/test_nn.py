@@ -1,10 +1,13 @@
+import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import assert_grad_close, numerical_grad
 from tomcat.nn import (
+    CHUNK,
     Adam,
     BatchNorm,
     LeakyReLU,
@@ -204,6 +207,148 @@ class TestSoftmax:
         assert_grad_close(gx, fd, rtol=1e-6, atol=1e-9)
 
 
+def assert_bits_equal(actual, expected):
+    """Same shape, dtype and bytes: tells -0.0 from 0.0, unlike assert_array_equal."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+def awkward_values(rng, shape, special=()):
+    """Normal draws at scales 1e-3..1e3 with exact zeros, -0.0 and a constant
+    first column; ``special`` values are scattered in as well."""
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    pick = rng.uniform(size=shape)
+    x[pick < 0.2] = 0.0
+    x[(pick >= 0.2) & (pick < 0.3)] = -0.0
+    x[:, 0] = 1.5
+    for i, value in enumerate(special):
+        x[i % shape[0], 1 + i % (shape[1] - 1)] = value
+    return x
+
+
+# oracles: each layer's forward and backward before the in-place rewrite
+def old_linear_forward(layer, x):
+    return x @ layer.W.data.T + layer.b.data
+
+
+def old_leaky_forward(slope, x):
+    return np.where(x >= 0, x, slope * x)
+
+
+def old_leaky_backward(slope, x, grad_out):
+    return grad_out * np.where(x >= 0, 1.0, slope)
+
+
+def old_batchnorm_forward(layer, x, train):
+    if train:
+        mean = x.mean(axis=0)
+        var = x.var(axis=0)
+        layer.running_mean += layer.momentum * (mean - layer.running_mean)
+        layer.running_var += layer.momentum * (var - layer.running_var)
+        inv_std = 1.0 / np.sqrt(var + layer.eps)
+        x_hat = (x - mean) * inv_std
+        cache = (x_hat, inv_std)
+    else:
+        x_hat = (x - layer.running_mean) / np.sqrt(layer.running_var + layer.eps)
+        cache = None
+    return layer.gamma.data * x_hat + layer.beta.data, cache
+
+
+def old_softmax_forward(x):
+    shifted = x - x.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+LAYER_SHAPES = [(2, 5), (7, 3), (64, 37)]
+
+
+class TestLayerRewritesMatchOldFormulas:
+    @pytest.mark.parametrize("shape", LAYER_SHAPES)
+    def test_linear(self, shape):
+        rng = np.random.default_rng(20)
+        new, old = make_linear(shape[1], 4, seed=3), make_linear(shape[1], 4, seed=3)
+        for layer in (new, old):
+            layer.b.data[:] = [0.0, -0.0, 0.25, -3.0]
+        x = awkward_values(rng, shape)
+        y, cache = new.forward(x, train=True)
+        assert_bits_equal(y, old_linear_forward(old, x))
+        assert cache is x
+        upstream = awkward_values(rng, (shape[0], 4))
+        assert_bits_equal(new.backward(cache, upstream), old.backward(x, upstream))
+        assert_bits_equal(new.W.grad, old.W.grad)
+        assert_bits_equal(new.b.grad, old.b.grad)
+
+    @pytest.mark.parametrize("shape", LAYER_SHAPES)
+    @pytest.mark.parametrize("train", [True, False])
+    def test_leaky_relu(self, shape, train):
+        rng = np.random.default_rng(21)
+        layer = LeakyReLU(0.1)
+        x = awkward_values(rng, shape, special=(np.inf, -np.inf, np.nan, 1e-320, -1e-320))
+        y, cache = layer.forward(x, train)
+        assert_bits_equal(y, old_leaky_forward(0.1, x))
+        upstream = awkward_values(rng, shape)
+        assert_bits_equal(layer.backward(cache, upstream), old_leaky_backward(0.1, x, upstream))
+
+    def test_leaky_relu_at_signed_zero(self):
+        layer = LeakyReLU(0.1)
+        x = np.array([[0.0, -0.0, -1.0, 1.0]])
+        y, cache = layer.forward(x, train=True)
+        assert_bits_equal(y, np.array([[0.0, -0.0, -0.1, 1.0]]))
+        assert cache.dtype == np.bool_
+        assert_bits_equal(layer.backward(cache, np.full((1, 4), -2.0)),
+                          np.array([[-2.0, -2.0, -0.2, -2.0]]))
+
+    @pytest.mark.parametrize("shape", LAYER_SHAPES)
+    def test_batchnorm_train_then_eval(self, shape):
+        rng = np.random.default_rng(22)
+        new, old = BatchNorm(shape[1]), BatchNorm(shape[1])
+        gamma, beta = awkward_values(rng, (2, shape[1]))
+        for layer in (new, old):
+            layer.gamma.data[:], layer.beta.data[:] = gamma, beta
+        for _ in range(3):
+            x = awkward_values(rng, shape)
+            y, cache = new.forward(x, train=True)
+            want, old_cache = old_batchnorm_forward(old, x, train=True)
+            assert_bits_equal(y, want)
+            assert_bits_equal(cache[0], old_cache[0])
+            assert_bits_equal(cache[1], old_cache[1])
+            assert_bits_equal(new.running_mean, old.running_mean)
+            assert_bits_equal(new.running_var, old.running_var)
+            upstream = awkward_values(rng, shape)
+            assert_bits_equal(new.backward(cache, upstream), old.backward(old_cache, upstream))
+            assert_bits_equal(new.gamma.grad, old.gamma.grad)
+            assert_bits_equal(new.beta.grad, old.beta.grad)
+        x = awkward_values(rng, shape)
+        y, cache = new.forward(x, train=False)
+        assert cache is None
+        assert_bits_equal(y, old_batchnorm_forward(old, x, train=False)[0])
+
+    @pytest.mark.parametrize("shape", LAYER_SHAPES)
+    def test_softmax(self, shape):
+        rng = np.random.default_rng(23)
+        layer = Softmax()
+        x = awkward_values(rng, shape)
+        x[-1] = -0.0
+        y, cache = layer.forward(x, train=True)
+        want = old_softmax_forward(x)
+        assert_bits_equal(y, want)
+        upstream = awkward_values(rng, shape)
+        assert_bits_equal(layer.backward(cache, upstream), layer.backward(want, upstream))
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_no_forward_writes_its_input(self, train):
+        rng = np.random.default_rng(24)
+        bn = BatchNorm(6)
+        bn.forward(rng.normal(size=(8, 6)), train=True)
+        for layer in (make_linear(6, 6), LeakyReLU(0.1), bn, Softmax()):
+            x = awkward_values(rng, (8, 6))
+            before = x.copy()
+            layer.forward(x, train)
+            assert_bits_equal(x, before)
+
+
 class TestL1Loss:
     def test_identical_inputs(self):
         a = np.random.default_rng(7).normal(size=(4, 3))
@@ -369,6 +514,116 @@ class TestAdam:
         b.add_grad(np.array([1.0, 1.0]))
         np.testing.assert_array_equal(group.grad, [2.0] * 6 + [2.0, 0.0])
         np.testing.assert_array_equal(group.data, [1.0] * 6 + [0.0, 0.0])
+
+
+def one_pass_adam_step(opt, params, scratch):
+    """Adam.step before blocking: every pass runs over the whole group, with
+    group-sized scratch. The oracle of the blocked step."""
+    g, m, v = params.grad, params.m, params.v
+    if not np.isfinite(g).all():
+        raise NonFiniteError("non-finite gradient passed to Adam")
+    params.steps += 1
+    t = params.steps
+    a, b = scratch
+    m *= opt.beta1
+    np.multiply(g, 1.0 - opt.beta1, out=a)
+    m += a
+    v *= opt.beta2
+    np.multiply(g, 1.0 - opt.beta2, out=a)
+    a *= g
+    v += a
+    np.divide(m, 1.0 - opt.beta1 ** t, out=a)
+    a *= opt.lr
+    np.divide(v, 1.0 - opt.beta2 ** t, out=b)
+    np.sqrt(b, out=b)
+    b += opt.eps
+    a /= b
+    params.data -= a
+
+
+def split_group(rng, size):
+    """A ParamGroup of ``size`` entries in up to three tensors, so tensor
+    boundaries fall inside and across blocks."""
+    lengths = [len(part) for part in np.array_split(np.arange(size), 3) if len(part)]
+    return ParamGroup([Tensor(rng.normal(size=n)) for n in lengths])
+
+
+def awkward_grads(rng, group):
+    """Gradients from 1e-6 to 1e2 in magnitude, with exact zeros and -0.0."""
+    grads = []
+    for t in group:
+        g = rng.normal(size=t.shape) * 10.0 ** rng.uniform(-6, 2, size=t.shape)
+        pick = rng.uniform(size=t.shape)
+        g[pick < 0.2] = 0.0
+        g[(pick >= 0.2) & (pick < 0.25)] = -0.0
+        grads.append(g)
+    return grads
+
+
+def assert_same_adam_state(group, want):
+    assert group.steps == want.steps
+    for name in ("data", "m", "v"):
+        assert_bits_equal(getattr(group, name), getattr(want, name))
+
+
+class TestBlockedAdam:
+    @pytest.mark.parametrize("size", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    def test_matches_one_pass_step_bitwise(self, size):
+        group = split_group(np.random.default_rng(size), size)
+        want = copy.deepcopy(group)
+        scratch = np.empty((2, size))
+        opt = Adam(lr=1e-2, beta1=0.5)
+        rng = np.random.default_rng(30)
+        for _ in range(12):
+            grads = awkward_grads(rng, group)
+            set_grads(group, *grads)
+            set_grads(want, *grads)
+            opt.step(group)
+            one_pass_adam_step(opt, want, scratch)
+            assert_same_adam_state(group, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [3 * CHUNK, 3 * CHUNK + 6])
+    def test_non_finite_in_last_block_changes_nothing(self, bad, where):
+        size = 3 * CHUNK + 7
+        group = split_group(np.random.default_rng(31), size)
+        opt = Adam(lr=1e-2, beta1=0.5)
+        rng = np.random.default_rng(32)
+        for _ in range(3):
+            set_grads(group, *awkward_grads(rng, group))
+            opt.step(group)
+        before = copy.deepcopy(group)
+        grads = awkward_grads(rng, group)
+        grads[-1][where - (size - grads[-1].size)] = bad
+        set_grads(group, *grads)
+        with pytest.raises(NonFiniteError):
+            opt.step(group)
+        assert_same_adam_state(group, before)
+
+    def test_step_allocates_no_group_sized_array(self):
+        # a group-sized bool mask alone is one byte per entry, a float64
+        # array eight: the step must stay below both
+        group = split_group(np.random.default_rng(33), 8 * CHUNK)
+        set_grads(group, *awkward_grads(np.random.default_rng(34), group))
+        opt = Adam(lr=1e-2, beta1=0.5)
+        opt.step(group)
+        tracemalloc.start()
+        try:
+            opt.step(group)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            np.isfinite(group.grad).all()
+            _, mask_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mask_peak >= group.data.size   # tracemalloc sees numpy's buffers
+        assert peak < group.data.size   # so also below a quarter of the group's bytes
+
+    def test_scratch_is_at_most_two_blocks(self):
+        for size in (1, CHUNK, 8 * CHUNK + 3):
+            group = split_group(np.random.default_rng(35), size)
+            for g in (group, copy.deepcopy(group)):
+                assert g._scratch.size == 2 * min(size, CHUNK)
 
 
 class TestClipWeights:
