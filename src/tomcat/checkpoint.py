@@ -126,11 +126,14 @@ def save_checkpoint(path: str | Path, *, vocab: Vocabulary, encoder: Network,
 
 
 class _Reader:
+    """Fields read in order from a view of the file's bytes; nothing is
+    copied until a field is decoded."""
+
     def __init__(self, buf: bytes):
-        self.buf = buf
+        self.buf = memoryview(buf)
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise CheckpointError("checkpoint truncated")
         out = self.buf[self.pos:self.pos + n]
@@ -145,7 +148,7 @@ class _Reader:
 
     def text(self, n: int) -> str:
         try:
-            return self.take(n).decode("utf-8")
+            return str(self.take(n), "utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"undecodable text field: {exc}") from exc
 
@@ -183,10 +186,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise CheckpointError(f"blob {name!r} is repeated")
         dims = reader.unpack(f"<{rank}I")
         size = math.prod(dims)
+        # a view of the file's bytes, copied once, into its network
         data = np.frombuffer(reader.take(size * 8), dtype="<f8")
         if not np.isfinite(data).all():   # training never saves a NaN or inf
             raise CheckpointError(f"blob {name!r} holds a non-finite value")
-        arrays[name] = data.reshape(dims).astype(np.float64)
+        arrays[name] = data.reshape(dims)
 
     (config_len,) = reader.unpack("<I")
     try:

@@ -22,10 +22,12 @@ from .checkpoint import CheckpointError, check_vocabulary, load_checkpoint, save
 from .corpus import (
     BLOCK_ROWS,
     CorpusError,
+    DocumentFile,
     RowsError,
     Vocabulary,
     build_vocabulary,
     count_documents,
+    group_documents,
     load_documents,
     load_rows,
     save_rows,
@@ -110,18 +112,31 @@ def _keep_freed_blocks_in_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 64 * 2 ** 20)
 
 
+def _blocks(source: DocumentFile, labels: list[int] | None = None):
+    """The blocks of an open document file, each read by load_documents;
+    each block's labels are appended to labels, when given, as it is read."""
+    while (docs := load_documents(source)) is not None:
+        if labels is not None:
+            labels += docs.labels
+        yield docs
+
+
 def cmd_ingest(args) -> int:
-    docs = load_documents(args.docs, args.labels)
-    vocab = build_vocabulary(docs, min_count=args.min_count, max_vocab=args.max_vocab)
-    labels = docs.labels
+    labels = None if args.labels is None else []
+    with DocumentFile(args.docs, args.labels) as source:
+        blocks = list(_blocks(source, labels))
+    vocab = build_vocabulary(blocks, min_count=args.min_count, max_vocab=args.max_vocab)
+    n_docs = sum(docs.lengths.size for docs in blocks)
     # a label is a class id, and a corpus has no more classes than documents
-    bad = [lab for lab in labels or () if not 0 <= lab < len(docs.lengths)]
+    bad = [lab for lab in labels or () if not 0 <= lab < n_docs]
     if bad:
-        raise CorpusError(f"label {bad[0]} out of range [0, {len(docs.lengths)}), "
+        raise CorpusError(f"label {bad[0]} out of range [0, {n_docs}), "
                           "the number of documents")
     num_classes = (max(labels) + 1) if labels else 0
-    corpus = count_documents(docs, vocab, labels=labels, num_classes=num_classes)
+    corpus = count_documents(blocks, vocab, labels=labels, num_classes=num_classes)
+    del blocks   # the word ids
     mat = tfidf(corpus)
+    del corpus   # the count rows
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -131,21 +146,33 @@ def cmd_ingest(args) -> int:
     save_rows(out / "rows.npz", mat,
               None if labels is None else np.asarray(labels, dtype=np.int64)[mat.kept_docs])
     manifest = {
-        "n_docs": corpus.n_docs,
+        "n_docs": n_docs,
         "vocab_size": vocab.size,
         "n_classes": num_classes,
         "dropped_rows": mat.dropped_docs,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
                                        encoding="utf-8")
-    print(f"n_docs\t{corpus.n_docs}")
+    print(f"n_docs\t{n_docs}")
     print(f"vocab_size\t{vocab.size}")
     print(f"n_classes\t{num_classes}")
     print(f"dropped_rows\t{len(mat.dropped_docs)}")
     return EXIT_OK
 
 
+def _check_output(path: Path, what: str) -> None:
+    """Fail now, not after the whole run, when path cannot be written: its
+    directory is missing or it is a directory itself."""
+    if path.is_dir():
+        raise ConfigError(f"{what} {path} is a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(f"{what} {path}: no directory {path.parent}")
+
+
 def cmd_train(args) -> int:
+    loss_log_path = args.loss_log or (str(args.out) + ".losses.tsv")
+    _check_output(Path(args.out), "checkpoint")
+    _check_output(Path(loss_log_path), "loss log")
     data_dir = Path(args.data)
     manifest_path = data_dir / "manifest.json"
     if not manifest_path.exists():
@@ -173,7 +200,6 @@ def cmd_train(args) -> int:
     for key, value in config.as_dict().items():
         print(f"config\t{key}\t{value}")
 
-    loss_log_path = args.loss_log or (str(args.out) + ".losses.tsv")
     _keep_freed_blocks_in_heap()
     try:
         state = train(mat.csr, config, labels=labels,
@@ -213,25 +239,34 @@ def _encode_documents(ckpt, docs_path):
     """Topic rows for a document file, one per line. Zero-weight documents,
     blank lines among them, are given the uniform sentinel row and reported
     on stderr by line."""
-    return _encode(ckpt, load_documents(docs_path, vocab=ckpt.vocab, keep_blank=True))
-
-
-def _encode(ckpt, docs):
-    """Topic rows for documents read with the checkpoint's vocabulary (see
-    _encode_documents): counted at once, then weighted and encoded a block
-    of documents at a time."""
-    counts = count_documents(docs, ckpt.vocab).csr
-    z = np.full((counts.shape[0], ckpt.num_topics), 1.0 / ckpt.num_topics)
-    for start in range(0, len(z), BLOCK_ROWS):
-        block = np.arange(start, min(start + BLOCK_ROWS, len(z)))
-        rows, valid = tfidf_transform(counts.take(block), ckpt.doc_freq, ckpt.train_doc_count)
-        if valid.any():
-            z[block[valid]], _ = ckpt.encoder.forward(rows if valid.all() else rows[valid],
-                                                      train=False)
-        for i in block[~valid]:
-            print(f"warning: document {i} has no usable tokens; emitting uniform row",
-                  file=sys.stderr)
+    with DocumentFile(docs_path, vocab=ckpt.vocab, keep_blank=True) as source:
+        z, unusable = _encode(ckpt, _blocks(source))
+    _warn_unusable(unusable)
     return z
+
+
+def _encode(ckpt, blocks):
+    """Topic rows for the documents of blocks read with the checkpoint's
+    vocabulary, and the positions of those of zero weight, whose row is the
+    uniform sentinel: counted, weighted and encoded BLOCK_ROWS documents at a
+    time, so only the topic rows outlive a group."""
+    rows, unusable, done = [np.zeros((0, ckpt.num_topics))], [], 0
+    for group in group_documents(blocks):
+        x, valid = tfidf_transform(count_documents([group], ckpt.vocab).csr.toarray(),
+                                   ckpt.doc_freq, ckpt.train_doc_count)
+        z = np.full((len(x), ckpt.num_topics), 1.0 / ckpt.num_topics)
+        if valid.any():
+            z[valid], _ = ckpt.encoder.forward(x if valid.all() else x[valid], train=False)
+        unusable += (done + np.flatnonzero(~valid)).tolist()
+        done += len(x)
+        rows.append(z)
+    return np.concatenate(rows), unusable
+
+
+def _warn_unusable(unusable: list[int]) -> None:
+    for i in unusable:
+        print(f"warning: document {i} has no usable tokens; emitting uniform row",
+              file=sys.stderr)
 
 
 def cmd_infer(args) -> int:
@@ -248,15 +283,16 @@ def cmd_classify(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     if ckpt.classifier is None:
         raise ConfigError("checkpoint was trained unsupervised; cannot classify")
-    docs = load_documents(args.docs, args.labels, vocab=ckpt.vocab)
-    labels = docs.labels
+    labels: list[int] = []
+    with DocumentFile(args.docs, args.labels, vocab=ckpt.vocab) as source:
+        z, unusable = _encode(ckpt, _blocks(source, labels))
     if not labels:
         raise ConfigError(f"{args.docs} holds no document (every line is blank)")
     bad = [lab for lab in labels if not 0 <= lab < ckpt.num_classes]
     if bad:
         raise ConfigError(f"label {bad[0]} out of range [0, {ckpt.num_classes}) "
                           "of the checkpoint's classifier")
-    z = _encode(ckpt, docs)
+    _warn_unusable(unusable)
     print(f"accuracy\t{_fmt(classify_accuracy(ckpt.classifier, z, labels))}")
     return EXIT_OK
 
@@ -276,8 +312,8 @@ def cmd_eval_coherence(args) -> int:
                               "is not available; pass --reference")
         reference = candidate
     word_sets = topic_word_ids(ckpt.generator, args.top_n)
-    docs = load_documents(reference, vocab=ckpt.vocab)
-    stats = build_cooc(docs, window_size=args.window, word_sets=word_sets)
+    with DocumentFile(reference, vocab=ckpt.vocab) as source:
+        stats = build_cooc(_blocks(source), window_size=args.window, word_sets=word_sets)
     reports, mean = model_coherence(ckpt.generator, ckpt.vocab, stats, n=args.top_n)
     sys.stdout.write(format_coherence_report(reports, mean))
     return EXIT_OK
@@ -399,6 +435,9 @@ def main(argv=None) -> int:
     except (NonFiniteLossError, NonFiniteError) as exc:
         _err(str(exc))
         return EXIT_NUMERIC
+    except MemoryError as exc:   # e.g. a size flag too large to allocate
+        _err(str(exc) or "out of memory")
+        return EXIT_INPUT
     except (CorpusError, ConfigError, EvaluationError, SamplingError,
             ValueError, OSError) as exc:
         _err(str(exc))

@@ -15,6 +15,7 @@ import tokenize
 import zipfile
 import zlib
 from collections import defaultdict
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
@@ -185,108 +186,203 @@ class TfidfMatrix:
 
 @dataclass
 class Documents:
-    """A document file as word ids: document i is the next ``lengths[i]``
-    ids. An id indexes ``tokens``; -1 marks a token outside them."""
+    """A block of a document file as word ids: document i is the next
+    ``lengths[i]`` ids. An id indexes ``tokens``; -1 marks a token outside
+    them. ``labels``, when the file has labels, are the documents'."""
 
     tokens: list[str]
-    ids: np.ndarray        # int64
+    ids: np.ndarray        # int32
     lengths: np.ndarray    # int64
     labels: list[int] | None
+
+    def split(self, n: int) -> tuple["Documents", "Documents"]:
+        """The first n documents and the rest, as views of this block."""
+        cut = int(self.lengths[:n].sum())
+        labels = (None, None) if self.labels is None else (self.labels[:n], self.labels[n:])
+        return (Documents(self.tokens, self.ids[:cut], self.lengths[:n], labels[0]),
+                Documents(self.tokens, self.ids[cut:], self.lengths[n:], labels[1]))
+
+    @classmethod
+    def join(cls, parts: list["Documents"]) -> "Documents":
+        """The documents of the parts, in order, as one block; the parts come
+        from one file, so the last one's tokens cover every id."""
+        labels = None if parts[0].labels is None else [lab for p in parts for lab in p.labels]
+        return cls(parts[-1].tokens, np.concatenate([p.ids for p in parts]),
+                   np.concatenate([p.lengths for p in parts]), labels)
 
 
 READ_CHARS = 1 << 16   # load_documents reads blocks of about this many characters
 
 
-def _id_table(vocab: Vocabulary | None) -> defaultdict:
-    """token -> id: vocab's, -1 for any other token; with no vocabulary,
-    each new token takes the next id, so ids follow first appearance."""
-    table = defaultdict(repeat(-1).__next__, vocab.index if vocab is not None else ())
-    if vocab is None:
-        table.default_factory = table.__len__
-    return table
+class _FirstSeen(dict):
+    """token -> id, each new token taking the next id; ``tokens`` lists
+    them by id."""
+
+    def __init__(self):
+        super().__init__()
+        self.tokens: list[str] = []
+
+    def __missing__(self, token: str) -> int:
+        self[token] = wid = len(self.tokens)
+        self.tokens.append(token)
+        return wid
 
 
-def _token_ids(table: defaultdict, tokens, count: int) -> np.ndarray:
-    """The int64 id of each of count tokens: the one place a token becomes an id."""
-    return np.fromiter(map(table.__getitem__, tokens), dtype=np.int64, count=count)
+def _id_table(vocab: Vocabulary) -> defaultdict:
+    """token -> vocab's id, -1 for any other token."""
+    return defaultdict(repeat(-1).__next__, vocab.index)
 
 
-def load_documents(path: str | Path, label_path: str | Path | None = None,
-                   vocab: Vocabulary | None = None, keep_blank: bool = False) -> Documents:
-    """Read one whitespace-tokenized document per line, lowercased, as the
-    ids of vocab's tokens, or, with no vocabulary, of the file's distinct
-    tokens in order of first appearance.
+def _token_ids(table: dict, tokens, count: int) -> np.ndarray:
+    """The int32 id of each of count tokens: the one place a token becomes an id."""
+    return np.fromiter(map(table.__getitem__, tokens), dtype=np.int32, count=count)
 
-    Lines are those of ``str.splitlines``. Blank lines are dropped together
-    with their labels, unless keep_blank, when each is a document of no
-    tokens. The label file, when given, must have exactly one integer per
-    document line.
+
+def _label_mismatch(labels: list[int], lines: int) -> CorpusError:
+    return CorpusError(f"label/document count mismatch: {len(labels)} labels for {lines} lines")
+
+
+class DocumentFile:
+    """A file of one whitespace-tokenized document per line, open to be read
+    by load_documents a block of whole lines at a time.
+
+    Lines are those of ``str.splitlines``, lowercased. Every block's ids come
+    from one table: vocab's, or, with no vocabulary, the file's distinct
+    tokens in order of first appearance (``tokens``, which grows as blocks
+    are read). Blank lines are dropped together with their labels, unless
+    keep_blank, when each is a document of no tokens. The label file, read
+    whole on opening, must have exactly one integer per document line.
     """
-    table = _id_table(vocab)
-    lengths, ids = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-    with open(path, encoding="utf-8") as fh:
+
+    def __init__(self, path: str | Path, label_path: str | Path | None = None,
+                 vocab: Vocabulary | None = None, keep_blank: bool = False):
+        self.labels: list[int] | None = None
+        if label_path is not None:
+            raw = Path(label_path).read_text(encoding="utf-8").splitlines()
+            try:
+                self.labels = [int(s.strip()) for s in raw]
+            except ValueError as exc:
+                raise CorpusError(f"label file {label_path} contains a non-integer line") from exc
+        self.keep_blank = keep_blank
+        if vocab is None:
+            self.table: dict = _FirstSeen()
+            self.tokens = self.table.tokens
+        else:
+            self.table = _id_table(vocab)
+            self.tokens = vocab.tokens
+        self.lines = 0   # lines read so far
+        self.file = open(path, encoding="utf-8")
+
+    def close(self) -> None:
+        self.file.close()
+
+    def __enter__(self) -> "DocumentFile":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def next_lines(self) -> list[str] | None:
+        """The next block of about READ_CHARS characters of whole lines,
+        lowercased; None at the end of the file."""
         # each block ends at a line end, so its lines are the file's lines
-        while block := fh.readlines(READ_CHARS):
-            lines = [line.split() for line in "".join(block).lower().splitlines()]
-            lengths.append(np.fromiter(map(len, lines), np.int64, len(lines)))
-            ids.append(_token_ids(table, chain.from_iterable(lines), int(lengths[-1].sum())))
-    lengths = np.concatenate(lengths)
-    labels: list[int] | None = None
-    if label_path is not None:
-        raw = Path(label_path).read_text(encoding="utf-8").splitlines()
-        if len(raw) != lengths.size:
-            raise CorpusError(
-                f"label/document count mismatch: {len(raw)} labels for {lengths.size} lines")
-        try:
-            labels = [int(s.strip()) for s in raw]
-        except ValueError as exc:
-            raise CorpusError(f"label file {label_path} contains a non-integer line") from exc
-    if not keep_blank:
+        block = self.file.readlines(READ_CHARS)
+        return "".join(block).lower().splitlines() if block else None
+
+
+def load_documents(source: DocumentFile) -> Documents | None:
+    """The next block of source's documents, None at the end of the file.
+
+    Raises CorpusError once the file's line count is known to differ from
+    its label count.
+    """
+    lines = source.next_lines()
+    if lines is None:
+        if source.labels is not None and len(source.labels) != source.lines:
+            raise _label_mismatch(source.labels, source.lines)
+        return None
+    start = source.lines
+    source.lines += len(lines)
+    labels = None
+    if source.labels is not None:
+        if source.lines > len(source.labels):
+            while (rest := source.next_lines()) is not None:   # count every line
+                source.lines += len(rest)
+            raise _label_mismatch(source.labels, source.lines)
+        labels = source.labels[start:source.lines]
+    lines = [line.split() for line in lines]
+    lengths = np.fromiter(map(len, lines), np.int64, len(lines))
+    ids = _token_ids(source.table, chain.from_iterable(lines), int(lengths.sum()))
+    if not source.keep_blank:
         kept = np.flatnonzero(lengths)
         lengths = lengths[kept]
         if labels is not None:
             labels = [labels[i] for i in kept]
-    return Documents(vocab.tokens if vocab is not None else list(table), np.concatenate(ids),
-                     lengths, labels)
+    return Documents(source.tokens, ids, lengths, labels)
 
 
-def build_vocabulary(docs: Documents, min_count: int = 1,
+def group_documents(blocks: Iterable[Documents]) -> Iterator[Documents]:
+    """The documents of the blocks, in order, BLOCK_ROWS at a time (the last
+    group may hold fewer)."""
+    parts, size = [], 0
+    for docs in blocks:
+        while docs.lengths.size:
+            head, docs = docs.split(BLOCK_ROWS - size)
+            parts.append(head)
+            size += head.lengths.size
+            if size == BLOCK_ROWS:
+                yield Documents.join(parts)
+                parts, size = [], 0
+    if size:
+        yield Documents.join(parts)
+
+
+def build_vocabulary(blocks: list[Documents], min_count: int = 1,
                      max_vocab: int | None = None) -> Vocabulary:
     """Tokens with corpus frequency >= min_count, most frequent first, from
-    documents read without a vocabulary.
+    the blocks of a file read without a vocabulary.
 
     Ties are broken by ascending token so the ordering is deterministic;
     the list is truncated to the max_vocab most frequent entries.
     """
     if max_vocab is not None and max_vocab < 1:
         raise CorpusError(f"max_vocab must be >= 1, not {max_vocab}")
-    if not docs.lengths.size:
+    if not any(docs.lengths.size for docs in blocks):
         raise CorpusError("no documents given")
-    counts = np.bincount(docs.ids, minlength=len(docs.tokens)).tolist()
+    tokens = blocks[-1].tokens   # every block's, read to the end
+    totals = np.zeros(len(tokens), dtype=np.int64)
+    for docs in blocks:
+        totals += np.bincount(docs.ids, minlength=len(tokens))
+    counts = totals.tolist()
     survivors = [i for i, c in enumerate(counts) if c >= min_count]
     if not survivors:
         raise CorpusError("no token survives the frequency filters (empty vocabulary)")
-    survivors.sort(key=lambda i: (-counts[i], docs.tokens[i]))
-    return Vocabulary([docs.tokens[i] for i in survivors[:max_vocab]])
+    survivors.sort(key=lambda i: (-counts[i], tokens[i]))
+    return Vocabulary([tokens[i] for i in survivors[:max_vocab]])
 
 
-def count_documents(docs: Documents, vocab: Vocabulary,
+def count_documents(blocks: Iterable[Documents], vocab: Vocabulary,
                     labels: list[int] | None = None,
                     num_classes: int = 0) -> RawCorpus:
-    """Count rows of the documents over vocab's words; tokens outside the
-    vocabulary are dropped."""
-    ids = docs.ids
-    if docs.tokens is not vocab.tokens:
-        # vocab's id of each of the documents' tokens; the last entry keeps -1 at -1
-        ids = np.append(_token_ids(_id_table(vocab), docs.tokens, len(docs.tokens)), -1)[ids]
-    n_docs = docs.lengths.size
-    # the flat index doc * V + id of each in-vocabulary token's cell
-    cells = (np.repeat(np.arange(n_docs) * vocab.size, docs.lengths) + ids)[ids >= 0]
-    cells, counts = np.unique(cells, return_counts=True)
-    rows, cols = np.divmod(cells, vocab.size)
-    return RawCorpus(CsrRows(_offsets(np.bincount(rows, minlength=n_docs)), cols,
-                             counts.astype(np.float64), vocab.size),
-                     labels=labels, num_classes=num_classes)
+    """Count rows of the documents of the blocks, in order, over vocab's
+    words; tokens outside the vocabulary are dropped."""
+    rows, lookup = [], None
+    for docs in blocks:
+        ids = docs.ids
+        if docs.tokens is not vocab.tokens:
+            if lookup is None or lookup.size != len(docs.tokens) + 1:
+                # vocab's id of each of the documents' tokens; the last entry keeps -1 at -1
+                lookup = np.append(_token_ids(_id_table(vocab), docs.tokens, len(docs.tokens)),
+                                   np.int32(-1))
+            ids = lookup[ids]
+        n_docs = docs.lengths.size
+        # the flat index doc * V + id of each in-vocabulary token's cell
+        cells = (np.repeat(np.arange(n_docs) * vocab.size, docs.lengths) + ids)[ids >= 0]
+        cells, counts = np.unique(cells, return_counts=True)
+        doc, cols = np.divmod(cells, vocab.size)
+        rows.append(CsrRows(_offsets(np.bincount(doc, minlength=n_docs)), cols,
+                            counts.astype(np.float64), vocab.size))
+    return RawCorpus(CsrRows.stack(rows, vocab.size), labels=labels, num_classes=num_classes)
 
 
 def idf_weights(doc_freq: np.ndarray, n_docs: int) -> np.ndarray:

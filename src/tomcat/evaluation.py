@@ -4,6 +4,7 @@ synthetic corpus generator with known topic supports for end-to-end checks."""
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -35,7 +36,7 @@ class TopicReport:
     npmi: float
 
 
-def build_cooc(reference_docs: Documents, window_size: int,
+def build_cooc(reference_docs: Iterable[Documents], window_size: int,
                word_sets: list[list[int]]) -> CoocStats:
     """Boolean co-occurrence counts of the words being scored, over every
     position of a width-window sliding window (stride 1).
@@ -45,62 +46,79 @@ def build_cooc(reference_docs: Documents, window_size: int,
     Counts every word that appears in any of word_sets and every unordered
     pair of distinct words inside one set, each at most once per window, and
     stores a count, zero included, for exactly those words and pairs. Word
-    ids index reference_docs.tokens. Every other token, in the vocabulary or
-    not, occupies its window slot but is never counted.
+    ids index the tokens of the blocks of reference_docs, which are read
+    once, a block at a time. Every other token, in the vocabulary or not,
+    occupies its window slot but is never counted.
     """
     if window_size < 2:
         raise EvaluationError("window_size must be >= 2")
-    lengths = reference_docs.lengths
-    if not lengths.size:
-        raise EvaluationError("empty reference corpus")
     scored = sorted({int(w) for words in word_sets for w in words})
-    num_words = len(reference_docs.tokens)
-    if scored and (scored[0] < 0 or scored[-1] >= num_words):
-        raise EvaluationError(f"a scored word id lies outside [0, {num_words})")
-    # set-local id of each word, -1 if unscored; the last entry keeps -1 at -1
-    local = np.full(num_words + 1, -1, dtype=np.int32)
-    local[scored] = np.arange(len(scored))
-    # set-local id of every token of the concatenated documents
-    tokens = local[reference_docs.ids]
-    windows = np.maximum(1, lengths - window_size + 1)
-    first_window = np.cumsum(windows) - windows
-    first_token = np.cumsum(lengths) - lengths
-    n_windows = int(windows.sum())
+    local = None
+    # for each occurrence of a scored word: its set-local id and the first
+    # and last window that hold it
+    hit_words, hit_firsts, hit_lasts = [], [], []
+    n_docs = n_windows = 0
+    for docs in reference_docs:
+        if local is None:
+            num_words = len(docs.tokens)
+            if scored and (scored[0] < 0 or scored[-1] >= num_words):
+                raise EvaluationError(f"a scored word id lies outside [0, {num_words})")
+            # set-local id of each word, -1 if unscored; the last entry keeps -1 at -1
+            local = np.full(num_words + 1, -1, dtype=np.int32)
+            local[scored] = np.arange(len(scored))
+        lengths = docs.lengths
+        tokens = local[docs.ids]
+        windows = np.maximum(1, lengths - window_size + 1)
+        first_window = n_windows + np.cumsum(windows) - windows
+        first_token = np.cumsum(lengths) - lengths
+        hits = np.flatnonzero(tokens >= 0)
+        doc = np.searchsorted(first_token, hits, side="right") - 1
+        pos = hits - first_token[doc]
+        hit_words.append(tokens[hits])
+        hit_firsts.append(first_window[doc] + np.maximum(0, pos - window_size + 1))
+        hit_lasts.append(first_window[doc] + np.minimum(pos, windows[doc] - 1))
+        n_docs += lengths.size
+        n_windows += int(windows.sum())
+    if not n_docs:
+        raise EvaluationError("empty reference corpus")
 
-    hits = np.flatnonzero(tokens >= 0)
-    word = tokens[hits]
+    # the occurrences grouped by word: word j's are lo/hi[bounds[j]:bounds[j + 1]]
+    word = np.concatenate(hit_words)
     order = np.argsort(word, kind="stable")
-    hits, word = hits[order], word[order]
-    doc = np.searchsorted(first_token, hits, side="right") - 1
-    pos = hits - first_token[doc]
-    # the windows holding the token at pos start at lo .. hi (inclusive)
-    lo = first_window[doc] + np.maximum(0, pos - window_size + 1)
-    hi = first_window[doc] + np.minimum(pos, windows[doc] - 1)
-    bounds = np.searchsorted(word, np.arange(len(scored) + 1))
+    bounds = np.searchsorted(word[order], np.arange(len(scored) + 1))
+    del hit_words, word
+    lo = np.concatenate(hit_firsts)[order]
+    del hit_firsts
+    hi = np.concatenate(hit_lasts)[order]
+    del hit_lasts, order
 
-    # one bitset of windows per scored word, packed into 64-bit words; the
-    # padding bits past the last window stay clear
-    bits = np.empty((len(scored), -(-n_windows // 64)), dtype=np.uint64)
-    covered = np.empty(bits.shape[1] * 64, dtype=bool)
-    for j in range(len(scored)):
-        covered[:] = False
+    # bitsets of windows packed into 64-bit words, built one word set at a
+    # time; the padding bits past the last window stay clear
+    covered = np.empty(-(-n_windows // 64) * 64, dtype=bool)
+
+    def bitset(j: int) -> np.ndarray:
+        """The windows that hold set-local word j."""
         first, last = lo[bounds[j]:bounds[j + 1]], hi[bounds[j]:bounds[j + 1]]
-        for offset in range(window_size):
+        covered[:] = False
+        # the windows from first to last, one offset at a time
+        for offset in range(int((last - first).max()) + 1 if first.size else 0):
             start = first + offset
             covered[start[start <= last]] = True
-        bits[j] = np.packbits(covered).view(np.uint64)
+        return np.packbits(covered).view(np.uint64)
 
-    counts = np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
-    word_counts = {w: int(c) for w, c in zip(scored, counts)}
+    word_counts: dict[int, int] = {}
     pair_counts: dict[tuple[int, int], int] = {}
     for words in word_sets:
-        pairs = list(combinations(sorted({int(local[w]) for w in words}), 2))
-        if not pairs:
-            continue
-        a, b = np.array(pairs).T
-        both = np.bitwise_count(bits[a] & bits[b]).sum(axis=1, dtype=np.int64)
-        for (i, j), c in zip(pairs, both):
-            pair_counts[(scored[i], scored[j])] = int(c)
+        ids = sorted({int(local[w]) for w in words})
+        bits = np.empty((len(ids), covered.size // 64), dtype=np.uint64)
+        for k, j in enumerate(ids):
+            bits[k] = bitset(j)
+        for j, c in zip(ids, np.bitwise_count(bits).sum(axis=1, dtype=np.int64)):
+            word_counts[scored[j]] = int(c)
+        for i in range(len(ids) - 1):
+            both = np.bitwise_count(bits[i] & bits[i + 1:]).sum(axis=1, dtype=np.int64)
+            for j, c in zip(ids[i + 1:], both):
+                pair_counts[(scored[ids[i]], scored[j])] = int(c)
     return CoocStats(window_size=window_size, virtual_doc_count=n_windows,
                      word_doc_counts=word_counts, pair_doc_counts=pair_counts)
 

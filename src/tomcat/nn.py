@@ -37,15 +37,17 @@ class Tensor:
     """Parameter array (row-major float64) with a gradient accumulator.
 
     ``grad`` is None until the first add_grad after zero_grad; that first
-    write copies into the gradient buffer, later ones add to it. A ParamGroup
-    replaces ``data`` and the gradient buffer with views of its flat arrays.
+    write copies into the gradient buffer, later ones add to it. The buffer
+    is allocated by the first add_grad, so a network that is only run holds
+    none. A ParamGroup replaces ``data`` and the gradient buffer with views
+    of its flat arrays.
     """
 
     __slots__ = ("data", "_grad", "_has_grad")
 
     def __init__(self, data):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
-        self._grad = np.empty_like(self.data)
+        self._grad = None
         self._has_grad = False
 
     @property
@@ -62,6 +64,8 @@ class Tensor:
         if self._has_grad:
             self._grad += g
         else:
+            if self._grad is None:
+                self._grad = np.empty_like(self.data)
             np.copyto(self._grad, g)
             self._has_grad = True
 
@@ -99,7 +103,8 @@ class ParamGroup:
             data = self.data[offset:end].reshape(t.data.shape)
             grad = self.grad[offset:end].reshape(t.data.shape)
             data[...] = t.data
-            grad[...] = t._grad
+            if t._has_grad:
+                grad[...] = t._grad
             t.data, t._grad = data, grad
             offset = end
 

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -371,3 +372,31 @@ class TestSaveReadsDims:
         with pytest.raises(ValueError, match="'G.0.W' has shape"):
             save_state(state, Vocabulary([f"t{i}" for i in range(9)]), path)
         assert not path.exists()
+
+
+class TestLoadMemory:
+    def test_peak_allocation_below_two_and_a_half_file_sizes(self, tmp_path):
+        # the blobs are read as views of the file's bytes and copied once,
+        # into networks that allocate no gradient buffer: the file and the
+        # weights, not four copies of each weight
+        vocab = Vocabulary([f"t{i}" for i in range(2000)])
+        nets = build_networks(network_table(vocab.size, 20, 4), 100, np.random.default_rng(0))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, vocab=vocab, encoder=nets["E"], generator=nets["G"],
+                        critic_x=nets["D_X"], critic_z=nets["D_Z"], classifier=nets["C"],
+                        config={}, seed=0, doc_freq=np.ones(vocab.size, dtype=np.int64),
+                        train_doc_count=1)
+        size = path.stat().st_size
+        assert size > 4_000_000
+        tracemalloc.start()
+        try:
+            ckpt = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * size, peak / size
+        for name, net in nets.items():
+            loaded = {"E": ckpt.encoder, "G": ckpt.generator, "D_X": ckpt.critic_x,
+                      "D_Z": ckpt.critic_z, "C": ckpt.classifier}[name]
+            for key, arr in net.state().items():
+                assert loaded.state()[key].tobytes() == arr.tobytes(), (name, key)

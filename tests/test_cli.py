@@ -1,8 +1,11 @@
+import contextlib
 import errno
 import io
 import json
 import os
 import shutil
+import time
+import tracemalloc
 import zipfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,6 +20,8 @@ from test_corpus import (
     oracle_load_documents,
     oracle_tfidf,
 )
+import tomcat.corpus as corpus_module
+import whole_file
 from test_evaluation import oracle_cooc
 from tomcat import cli
 from tomcat.checkpoint import load_checkpoint
@@ -197,6 +202,40 @@ class TestTrain:
         assert code == 2
         assert "manifest.json" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("where", ["missing directory", "a directory",
+                                       "loss log in a missing directory"])
+    def test_unwritable_output_rejected_before_reading(self, workdir, tmp_path, capsys,
+                                                       monkeypatch, where):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("tomcat.cli.train", must_not_run)
+        monkeypatch.setattr("tomcat.cli.load_rows", must_not_run)
+        out = {"missing directory": ["--out", str(tmp_path / "absent" / "m.ckpt")],
+               "a directory": ["--out", str(tmp_path)],
+               "loss log in a missing directory": [
+                   "--out", str(tmp_path / "m.ckpt"),
+                   "--loss-log", str(tmp_path / "absent" / "m.tsv")]}[where]
+        code = main(["train", "--data", str(workdir / "data"), "--topics", "2",
+                     "--batch", "16", "--iters", "1"] + out)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--hidden", "--topics"])
+    def test_size_too_large_to_allocate_is_exit_1(self, workdir, tmp_path, capsys, flag):
+        sizes = {"--topics": "2", "--hidden": "4", flag: str(10 ** 12)}
+        code = main(["train", "--data", str(workdir / "data"), "--topics", sizes["--topics"],
+                     "--hidden", sizes["--hidden"], "--batch", "16", "--iters", "1",
+                     "--out", str(tmp_path / "m.ckpt")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_missing_manifest_is_exit_1(self, workdir, tmp_path, capsys):
         data = tmp_path / "data"
@@ -579,6 +618,22 @@ class TestEvalCoherence:
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1]
 
+    def test_window_wider_than_every_document(self, workdir, tmp_path, capsys):
+        # every document is one window, however wide the window; the window
+        # loop runs over the widest document, not over the window
+        lines = (workdir / "raw" / "docs.txt").read_text().splitlines()[:60]
+        reference = tmp_path / "docs.txt"
+        reference.write_text("\n".join(lines) + "\n")
+        longest = max(len(line.split()) for line in lines)
+        reports = []
+        for window in (longest, 10 ** 8):
+            start = time.perf_counter()
+            assert main(["eval-coherence", "--ckpt", str(workdir / "model.ckpt"),
+                         "--reference", str(reference), "--window", str(window)]) == 0
+            reports.append((capsys.readouterr().out, time.perf_counter() - start))
+        assert reports[0][0] == reports[1][0]
+        assert reports[1][1] < 2.0
+
     @pytest.mark.parametrize("flag", ["--top-n", "--window"])
     def test_below_two_rejected_before_reading_reference(self, workdir, capsys,
                                                          monkeypatch, flag):
@@ -592,6 +647,151 @@ class TestEvalCoherence:
         assert code == 1
         assert flag in captured.err
         assert captured.out == ""
+
+
+def edge_lines(lines, n):
+    """n document lines, with labels, cycling through six kinds so that a
+    blank line, a document of unknown tokens only and one with unknown tokens
+    among known ones lie on both sides of every block edge, whatever the
+    block size: blank lines of no text and of whitespace, the two
+    unknown-token kinds, then known documents."""
+    docs = []
+    for i in range(n):
+        kind, line = i % 6, lines[i % len(lines)]
+        docs.append(["" if i % 12 else " \t", f"hapax{i} zzz{i}", f"{line} qqq hapax{i}",
+                     line, line, line][kind])
+    return docs, [i % 3 for i in range(n)]
+
+
+@pytest.fixture(scope="module")
+def edges(workdir, tmp_path_factory):
+    """A corpus of edge_lines beyond one default block of documents."""
+    root = tmp_path_factory.mktemp("edges")
+    docs, labels = edge_lines((workdir / "raw" / "docs.txt").read_text().splitlines(),
+                              BLOCK_ROWS + 44)
+    (root / "docs.txt").write_text("\n".join(docs) + "\n")
+    (root / "labels.txt").write_text("".join(f"{lab}\n" for lab in labels))
+    return root
+
+
+class TestStreamingMatchesWholeFile:
+    """Each text command reads a block of lines at a time and counts and
+    encodes BLOCK_ROWS documents at a time; its output must be the bytes of
+    the whole-file commands it replaced, whatever the block sizes. One
+    character per block makes every line a block."""
+
+    BLOCKS = [(read_chars, block_rows) for block_rows in (BLOCK_ROWS, 7)
+              for read_chars in (1, 7, corpus_module.READ_CHARS)]
+
+    @pytest.fixture(params=BLOCKS, ids=lambda b: f"read_chars={b[0]}-block_rows={b[1]}")
+    def blocks(self, request, monkeypatch):
+        read_chars, block_rows = request.param
+        monkeypatch.setattr(corpus_module, "READ_CHARS", read_chars)
+        monkeypatch.setattr(corpus_module, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
+
+    def test_ingest_files(self, edges, tmp_path, capsys, blocks):
+        want = whole_file.ingest(edges / "docs.txt", edges / "labels.txt", tmp_path / "want",
+                                 min_count=2, max_vocab=12)
+        assert main(["ingest", "--docs", str(edges / "docs.txt"),
+                     "--labels", str(edges / "labels.txt"), "--min-count", "2",
+                     "--max-vocab", "12", "--out", str(tmp_path / "got")]) == 0
+        assert capsys.readouterr().out == want
+        for name in ("vocab.txt", "manifest.json", "rows.npz"):
+            assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+        assert json.loads((tmp_path / "want" / "manifest.json").read_text())["dropped_rows"]
+
+    def test_infer_output(self, workdir, edges, capsys, blocks):
+        ckpt = load_checkpoint(workdir / "model.ckpt")
+        out, err = whole_file.infer(ckpt, edges / "docs.txt")
+        assert main(["infer", "--ckpt", str(workdir / "model.ckpt"),
+                     "--docs", str(edges / "docs.txt")]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (out, err)
+        assert out.count("\n") == BLOCK_ROWS + 44 and err
+
+    def test_classify_accuracy(self, workdir, edges, capsys, blocks):
+        ckpt = load_checkpoint(workdir / "model_sup.ckpt")
+        out, err = whole_file.classify(ckpt, edges / "docs.txt", edges / "labels.txt")
+        assert main(["classify", "--ckpt", str(workdir / "model_sup.ckpt"),
+                     "--docs", str(edges / "docs.txt"),
+                     "--labels", str(edges / "labels.txt")]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (out, err)
+
+    @pytest.mark.parametrize("window", [2, 10, 25])
+    def test_coherence_report(self, workdir, edges, capsys, blocks, window):
+        ckpt = load_checkpoint(workdir / "model.ckpt")
+        want = whole_file.coherence(ckpt, edges / "docs.txt", window)
+        assert main(["eval-coherence", "--ckpt", str(workdir / "model.ckpt"),
+                     "--reference", str(edges / "docs.txt"), "--window", str(window)]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_label_count_mismatch_counts_every_line(self, edges, tmp_path, capsys, blocks):
+        # too few labels are found at the first line past them, too many at
+        # the end of the file; the message counts every line either way
+        lines = (edges / "labels.txt").read_text().splitlines()
+        for labels in (lines[:5], lines + ["0"]):
+            (tmp_path / "labels.txt").write_text("\n".join(labels) + "\n")
+            code = main(["ingest", "--docs", str(edges / "docs.txt"),
+                         "--labels", str(tmp_path / "labels.txt"), "--out", str(tmp_path / "d")])
+            assert code == 1
+            assert (f"{len(labels)} labels for {len(lines)} lines"
+                    in capsys.readouterr().err)
+            assert not (tmp_path / "d").exists()
+
+
+def _traced_peak(argv) -> int:
+    """Peak bytes allocated while main runs argv, its output discarded."""
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), \
+            contextlib.redirect_stderr(sink):
+        assert main(argv) == 0   # one-time allocations happen outside the trace
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+class TestMemoryBoundedByTheBlock:
+    """infer and eval-coherence keep a block of documents, not the file: an
+    eightfold corpus raises their peak allocation by little more than what
+    they keep by design, the K floats of infer per document and the
+    occurrences of the scored words in eval-coherence. The whole-file
+    commands held every token's id, counted the whole file at once and kept
+    a bitset of every window per scored word: here their peaks rose 7.7 MB
+    (infer) and 2.8 MB (eval-coherence) past 1.3 times the 1x peak."""
+
+    ALLOWANCE = 2 ** 18   # bytes
+
+    @pytest.fixture(scope="class")
+    def corpus(self, workdir, tmp_path_factory):
+        """A file of n documents and one of the same n eight times, each of
+        30 words of the vocabulary and 270 other tokens, so the scored words
+        are about a tenth of the tokens, as in a 20NG-shaped corpus."""
+        root = tmp_path_factory.mktemp("scaled")
+        filler = " ".join(f"f{j}" for j in range(270))
+        lines = [f"{line} {filler}"
+                 for line in (workdir / "raw" / "docs.txt").read_text().splitlines()]
+
+        def write(n: int) -> list[Path]:
+            paths = [root / f"{n}x{scale}.txt" for scale in (1, 8)]
+            for path, scale in zip(paths, (1, 8)):
+                path.write_text("\n".join((lines * 2)[:n] * scale) + "\n")
+            return paths
+        return write
+
+    def test_infer_peak(self, workdir, corpus):
+        # the 1x corpus fills a group of BLOCK_ROWS documents
+        peaks = [_traced_peak(["infer", "--ckpt", str(workdir / "model.ckpt"),
+                               "--docs", str(path)]) for path in corpus(BLOCK_ROWS)]
+        assert peaks[1] <= 1.3 * peaks[0] + self.ALLOWANCE, peaks
+
+    def test_eval_coherence_peak(self, workdir, corpus):
+        peaks = [_traced_peak(["eval-coherence", "--ckpt", str(workdir / "model.ckpt"),
+                               "--reference", str(path)]) for path in corpus(60)]
+        assert peaks[1] <= 1.3 * peaks[0] + self.ALLOWANCE, peaks
 
 
 class TestAllocatorSetting:

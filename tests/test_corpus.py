@@ -8,6 +8,7 @@ from tomcat.corpus import (
     BLOCK_ROWS,
     CorpusError,
     CsrRows,
+    DocumentFile,
     Documents,
     RawCorpus,
     Vocabulary,
@@ -23,15 +24,29 @@ from tomcat.corpus import (
 
 
 def documents(token_lists, vocab=None):
-    """The Documents record of the given token lists, as load_documents reads
-    them from a file: over vocab's tokens, or, with no vocabulary, over the
-    distinct tokens in order of first appearance."""
+    """The given token lists as one block of Documents, as load_documents
+    reads them from a file: over vocab's tokens, or, with no vocabulary,
+    over the distinct tokens in order of first appearance."""
     tokens = vocab.tokens if vocab is not None else list(
         dict.fromkeys(t for doc in token_lists for t in doc))
     index = {t: i for i, t in enumerate(tokens)}
     ids = [index.get(t, -1) for doc in token_lists for t in doc]
-    return Documents(tokens, np.array(ids, dtype=np.int64),
-                     np.array([len(doc) for doc in token_lists], dtype=np.int64), None)
+    return [Documents(tokens, np.array(ids, dtype=np.int32),
+                      np.array([len(doc) for doc in token_lists], dtype=np.int64), None)]
+
+
+def read_documents(path, label_path=None, vocab=None, keep_blank=False):
+    """Every block of a document file, read by load_documents, joined into
+    one Documents record."""
+    blocks = []
+    with DocumentFile(path, label_path, vocab, keep_blank) as source:
+        while (docs := load_documents(source)) is not None:
+            blocks.append(docs)
+    return Documents(source.tokens, np.concatenate([np.zeros(0, np.int32)]
+                                                   + [docs.ids for docs in blocks]),
+                     np.concatenate([np.zeros(0, np.int64)] + [docs.lengths for docs in blocks]),
+                     None if label_path is None else [lab for docs in blocks
+                                                      for lab in docs.labels])
 
 
 def token_lists(docs):
@@ -168,7 +183,7 @@ class TestLoadDocuments:
     def test_lowercase_and_blank_line_drop(self, tmp_path):
         path = tmp_path / "docs.txt"
         path.write_text("A b\n\nc", encoding="utf-8")
-        docs = load_documents(path)
+        docs = read_documents(path)
         assert token_lists(docs) == [["a", "b"], ["c"]]
         assert docs.tokens == ["a", "b", "c"]
         assert docs.labels is None
@@ -177,15 +192,15 @@ class TestLoadDocuments:
         path = tmp_path / "docs.txt"
         path.write_text("b zzz A\n\nzzz\n", encoding="utf-8")
         vocab = Vocabulary(["a", "b"])
-        docs = load_documents(path, vocab=vocab)
+        docs = read_documents(path, vocab=vocab)
         assert docs.tokens is vocab.tokens
-        assert (docs.ids.dtype, docs.ids.tolist()) == (np.int64, [1, -1, 0, -1])
+        assert (docs.ids.dtype, docs.ids.tolist()) == (np.int32, [1, -1, 0, -1])
         assert (docs.lengths.dtype, docs.lengths.tolist()) == (np.int64, [3, 1])
 
     def test_keep_blank_gives_a_document_per_line(self, tmp_path):
         path = tmp_path / "docs.txt"
         path.write_text("\n a\n \t\nb c\n\n", encoding="utf-8")
-        docs = load_documents(path, keep_blank=True)
+        docs = read_documents(path, keep_blank=True)
         assert docs.lengths.tolist() == [0, 1, 0, 2, 0]
         assert token_lists(docs) == [[], ["a"], [], ["b", "c"], []]
 
@@ -194,7 +209,7 @@ class TestLoadDocuments:
         docs_path.write_text("a b\nc d\n", encoding="utf-8")
         labels_path = tmp_path / "labels.txt"
         labels_path.write_text("0\n1\n", encoding="utf-8")
-        assert load_documents(docs_path, labels_path).labels == [0, 1]
+        assert read_documents(docs_path, labels_path).labels == [0, 1]
 
     def test_label_count_mismatch(self, tmp_path):
         docs_path = tmp_path / "docs.txt"
@@ -202,21 +217,21 @@ class TestLoadDocuments:
         labels_path = tmp_path / "labels.txt"
         labels_path.write_text("0\n", encoding="utf-8")
         with pytest.raises(CorpusError):
-            load_documents(docs_path, labels_path)
+            read_documents(docs_path, labels_path)
 
     def test_blank_doc_drops_its_label(self, tmp_path):
         docs_path = tmp_path / "docs.txt"
         docs_path.write_text("a b\n\nc\n", encoding="utf-8")
         labels_path = tmp_path / "labels.txt"
         labels_path.write_text("0\n1\n2\n", encoding="utf-8")
-        docs = load_documents(docs_path, labels_path)
+        docs = read_documents(docs_path, labels_path)
         assert token_lists(docs) == [["a", "b"], ["c"]]
         assert docs.labels == [0, 2]
-        assert load_documents(docs_path, labels_path, keep_blank=True).labels == [0, 1, 2]
+        assert read_documents(docs_path, labels_path, keep_blank=True).labels == [0, 1, 2]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
-            load_documents(tmp_path / "nope.txt")
+            read_documents(tmp_path / "nope.txt")
 
 
 class TestCountDocuments:
@@ -239,7 +254,7 @@ class TestCountDocuments:
         # numpy reads table[-1] as the table's last entry: a token outside the
         # vocabulary the documents were read with must not become vocab's b
         docs = documents([["qq", "b", "qq"]], Vocabulary(["zzz", "a", "b"]))
-        assert docs.ids.tolist() == [-1, 2, -1]
+        assert docs[0].ids.tolist() == [-1, 2, -1]
         assert count_documents(docs, Vocabulary(["a", "b"])).counts.tolist() == [[0, 1]]
 
     def test_labels_carried(self):
@@ -536,8 +551,8 @@ def assert_reads_like_oracle(tmp_path, seed, rng, text, vocab):
         n_lines = len(path.read_text(encoding="utf-8").splitlines())
         label_path.write_text("".join(f"{i}\n" for i in range(n_lines)), encoding="utf-8")
     want, want_labels = oracle_load_documents(path, label_path)
-    docs = load_documents(path, label_path, vocab=vocab)
-    assert (docs.ids.dtype, docs.lengths.dtype) == (np.int64, np.int64), seed
+    docs = read_documents(path, label_path, vocab=vocab)
+    assert (docs.ids.dtype, docs.lengths.dtype) == (np.int32, np.int64), seed
     assert docs.lengths.tolist() == [len(doc) for doc in want], seed
     assert docs.labels == want_labels, seed
     flat = [tok for doc in want for tok in doc]
@@ -548,7 +563,7 @@ def assert_reads_like_oracle(tmp_path, seed, rng, text, vocab):
         assert docs.tokens is vocab.tokens, seed
         assert docs.ids.tolist() == [vocab.index.get(tok, -1) for tok in flat], seed
     lines = path.read_text(encoding="utf-8").splitlines()
-    every_line = load_documents(path, vocab=vocab, keep_blank=True)
+    every_line = read_documents(path, vocab=vocab, keep_blank=True)
     assert every_line.lengths.tolist() == [len(line.lower().split()) for line in lines], seed
     assert every_line.ids.tobytes() == docs.ids.tobytes(), seed
 
