@@ -252,7 +252,7 @@ def _encode(ckpt, blocks):
     time, so only the topic rows outlive a group."""
     rows, unusable, done = [np.zeros((0, ckpt.num_topics))], [], 0
     for group in group_documents(blocks):
-        x, valid = tfidf_transform(count_documents([group], ckpt.vocab).csr.toarray(),
+        x, valid = tfidf_transform(count_documents([group], ckpt.vocab).csr,
                                    ckpt.doc_freq, ckpt.train_doc_count)
         z = np.full((len(x), ckpt.num_topics), 1.0 / ckpt.num_topics)
         if valid.any():

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import io
 import lzma
+import os
 import tokenize
 import zipfile
 import zlib
-from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import write_atomic
+from .fileio import atomic_path
 
 
 class CorpusError(ValueError):
@@ -99,6 +99,13 @@ class CsrRows:
         return cls(_offsets(np.concatenate([np.zeros(0, np.int64)] + lengths)),
                    np.concatenate([np.zeros(0, np.int64)] + [b.indices for b in blocks]),
                    np.concatenate([np.zeros(0)] + [b.data for b in blocks]), num_cols)
+
+    def slice(self, start: int, stop: int) -> "CsrRows":
+        """Rows start to stop (at most the last row), sharing this matrix's
+        columns and values."""
+        indptr = self.indptr[start:stop + 1]
+        return CsrRows(indptr - indptr[0], self.indices[indptr[0]:indptr[-1]],
+                       self.data[indptr[0]:indptr[-1]], self.num_cols)
 
     def take(self, rows: np.ndarray) -> np.ndarray:
         """The given rows as a new dense (len(rows), num_cols) matrix."""
@@ -228,14 +235,14 @@ class _FirstSeen(dict):
         return wid
 
 
-def _id_table(vocab: Vocabulary) -> defaultdict:
-    """token -> vocab's id, -1 for any other token."""
-    return defaultdict(repeat(-1).__next__, vocab.index)
-
-
 def _token_ids(table: dict, tokens, count: int) -> np.ndarray:
-    """The int32 id of each of count tokens: the one place a token becomes an id."""
-    return np.fromiter(map(table.__getitem__, tokens), dtype=np.int32, count=count)
+    """The int32 id of each of count tokens: the one place a token becomes an
+    id. A _FirstSeen table gives a new token the next id; any other table is
+    a vocabulary's index, which gives -1 to a token outside it and stays as
+    it is."""
+    ids = (map(table.__getitem__, tokens) if isinstance(table, _FirstSeen)
+           else map(table.get, tokens, repeat(-1)))
+    return np.fromiter(ids, dtype=np.int32, count=count)
 
 
 def _label_mismatch(labels: list[int], lines: int) -> CorpusError:
@@ -268,7 +275,7 @@ class DocumentFile:
             self.table: dict = _FirstSeen()
             self.tokens = self.table.tokens
         else:
-            self.table = _id_table(vocab)
+            self.table = vocab.index
             self.tokens = vocab.tokens
         self.lines = 0   # lines read so far
         self.file = open(path, encoding="utf-8")
@@ -372,7 +379,7 @@ def count_documents(blocks: Iterable[Documents], vocab: Vocabulary,
         if docs.tokens is not vocab.tokens:
             if lookup is None or lookup.size != len(docs.tokens) + 1:
                 # vocab's id of each of the documents' tokens; the last entry keeps -1 at -1
-                lookup = np.append(_token_ids(_id_table(vocab), docs.tokens, len(docs.tokens)),
+                lookup = np.append(_token_ids(vocab.index, docs.tokens, len(docs.tokens)),
                                    np.int32(-1))
             ids = lookup[ids]
         n_docs = docs.lengths.size
@@ -391,24 +398,37 @@ def idf_weights(doc_freq: np.ndarray, n_docs: int) -> np.ndarray:
     return np.maximum(idf, 0.0)
 
 
-def _weigh_rows(counts: np.ndarray, idf: np.ndarray) -> np.ndarray:
-    """Turn a nonnegative count matrix into its smoothed TF-IDF in place and
-    return each row's total weight. Totals are summed over the dense rows:
-    summing the nonzeros alone would group the pairwise sums differently."""
-    token_totals = counts.sum(axis=1, keepdims=True)
-    token_totals[token_totals == 0] = 1.0   # an all-zero row stays zero
-    counts /= token_totals
-    counts *= idf
-    return counts.sum(axis=1)
+def _weigh(counts: CsrRows, idf: np.ndarray, dense: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The smoothed TF-IDF of count rows, on their stored entries: the row of
+    each entry, its value count / row total * idf, and each row's total weight.
+
+    The values take the dense formula's operations in its order, and the row
+    totals, sums of integer counts, are exact. The weights are summed over
+    dense rows, since summing the values alone would group numpy's pairwise
+    sums differently: dense, a contiguous zero (rows, num_cols) matrix, holds
+    the values for the sum and is left zero.
+    """
+    row = np.repeat(np.arange(counts.shape[0]), np.diff(counts.indptr))
+    totals = np.bincount(row, weights=counts.data, minlength=counts.shape[0])
+    values = counts.data / totals[row]
+    values *= idf[counts.indices]
+    cells = row * counts.num_cols + counts.indices
+    flat = dense.reshape(-1)   # a view: dense is contiguous
+    flat[cells] = values
+    weight = dense.sum(axis=1)
+    flat[cells] = 0.0
+    return row, values, weight
 
 
 def tfidf(corpus: RawCorpus) -> TfidfMatrix:
-    """Normalized TF-IDF rows; documents with zero total weight are dropped.
+    """Normalized TF-IDF rows; documents with zero total weight are dropped,
+    and so are zero entries (words in every document, whose idf is zero).
 
-    The rows are weighted a block of documents at a time, each block
-    densified for its row sums, so no dense matrix of the whole corpus is
-    built. idf is computed on this corpus; reuse it on held-out documents
-    via tfidf_transform with the returned doc_freq / n_docs.
+    The rows are weighed a block of documents at a time into arrays sized
+    for every stored count, so no dense matrix of the whole corpus is built.
+    idf is computed on this corpus; reuse it on held-out documents via
+    tfidf_transform with the returned doc_freq / n_docs.
     """
     if corpus.n_docs < 2:
         raise CorpusError("tfidf needs at least 2 documents")
@@ -416,37 +436,48 @@ def tfidf(corpus: RawCorpus) -> TfidfMatrix:
     # every stored count is positive: one entry per (document, word) pair
     doc_freq = np.bincount(counts.indices, minlength=corpus.num_words)
     idf = idf_weights(doc_freq, corpus.n_docs)
-    blocks, weights = [], []
+    dense = np.zeros((min(BLOCK_ROWS, corpus.n_docs), corpus.num_words))
+    weight = np.empty(corpus.n_docs)
+    lengths = np.empty(corpus.n_docs, dtype=np.int64)   # entries kept in each row
+    indices = np.empty(counts.indptr[-1], dtype=np.int64)
+    data = np.empty(counts.indptr[-1])
+    nnz = 0
     for start in range(0, corpus.n_docs, BLOCK_ROWS):
-        block = counts.take(np.arange(start, min(start + BLOCK_ROWS, corpus.n_docs)))
-        weight = _weigh_rows(block, idf)
-        kept = weight > 0
-        rows = block if kept.all() else block[kept]
-        rows /= weight[kept, None]
-        blocks.append(CsrRows.from_dense(rows))
-        weights.append(weight)
-    weight = np.concatenate(weights)
+        block = counts.slice(start, start + BLOCK_ROWS)
+        n_rows = block.shape[0]
+        row, values, block_weight = _weigh(block, idf, dense[:n_rows])
+        # a dropped row's values are all zero: dividing them by 1 keeps them zero
+        values /= np.where(block_weight > 0, block_weight, 1.0)[row]
+        stored = np.flatnonzero(values != 0)
+        indices[nnz:nnz + stored.size] = block.indices[stored]
+        data[nnz:nnz + stored.size] = values[stored]
+        nnz += stored.size
+        # the entries kept in each row: stored lists positions in row order
+        lengths[start:start + n_rows] = np.diff(np.searchsorted(stored, block.indptr))
+        weight[start:start + n_rows] = block_weight
     kept = np.flatnonzero(weight > 0)
     if kept.size == 0:
         raise CorpusError("every document lost all TF-IDF weight (all rows dropped)")
-    return TfidfMatrix(csr=CsrRows.stack(blocks, corpus.num_words), kept_docs=kept.tolist(),
+    csr = CsrRows(_offsets(lengths[kept]), indices[:nnz], data[:nnz], corpus.num_words)
+    return TfidfMatrix(csr=csr, kept_docs=kept.tolist(),
                        dropped_docs=np.flatnonzero(weight <= 0).tolist(),
                        doc_freq=doc_freq, n_docs=corpus.n_docs)
 
 
-def tfidf_transform(counts: np.ndarray, doc_freq: np.ndarray, n_docs: int
+def tfidf_transform(counts: CsrRows, doc_freq: np.ndarray, n_docs: int
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """TF-IDF rows of an unseen documents' count matrix, using training-split
+    """Dense TF-IDF rows of unseen documents' count rows, using training-split
     idf statistics.
 
     Returns (rows, valid): documents whose weight sums to zero keep an
     all-zero row and are marked invalid rather than dropped, so callers
     can report them positionally.
     """
-    rows = np.array(counts, dtype=np.float64)
-    weight = _weigh_rows(rows, idf_weights(doc_freq, n_docs))
+    rows = np.zeros(counts.shape)   # also the kernel's row-sum buffer
+    row, values, weight = _weigh(counts, idf_weights(doc_freq, n_docs), rows)
     valid = weight > 0
-    np.divide(rows, weight[:, None], out=rows, where=valid[:, None])
+    # an invalid row's values are all zero: dividing them by 1 keeps them zero
+    rows[row, counts.indices] = values / np.where(valid, weight, 1.0)[row]
     return rows, valid
 
 
@@ -469,9 +500,12 @@ def save_rows(path: str | Path, mat: TfidfMatrix, labels: np.ndarray | None) -> 
               "kept_docs": np.asarray(mat.kept_docs, dtype=np.int64)}
     if labels is not None:
         arrays["labels"] = np.asarray(labels, dtype=np.int64)
-    buf = io.BytesIO()
-    np.savez(buf, **arrays)
-    write_atomic(path, buf.getbuffer())
+    # streamed to the file: an archive built in memory first would add its
+    # size to the peak of ingest
+    with atomic_path(path) as tmp, open(tmp, "xb") as fh:
+        np.savez(fh, **arrays)
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def load_rows(path: str | Path, num_words: int, n_docs: int,

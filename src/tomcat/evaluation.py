@@ -222,11 +222,12 @@ def make_synthetic(spec: SyntheticSpec) -> tuple[RawCorpus, list[list[int]]]:
     the ground-truth word-id support of every topic.
     """
     rng = np.random.default_rng(spec.seed)
+    # the arrays first: a size too large to allocate fails here, at once
+    counts = np.empty((spec.num_docs, spec.vocab_size))
+    thetas = sample_prior(DirichletPrior(spec.num_topics, spec.doc_topic_alpha),
+                          spec.num_docs, rng)
     supports = [list(range(k * spec.words_per_topic, (k + 1) * spec.words_per_topic))
                 for k in range(spec.num_topics)]
-    prior = DirichletPrior(spec.num_topics, spec.doc_topic_alpha)
-    thetas = sample_prior(prior, spec.num_docs, rng)
-    counts = np.empty((spec.num_docs, spec.vocab_size))
     for row, theta in zip(counts, thetas):
         topics = rng.choice(spec.num_topics, size=spec.doc_length, p=theta)
         offsets = rng.integers(0, spec.words_per_topic, size=spec.doc_length)

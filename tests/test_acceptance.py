@@ -79,7 +79,8 @@ def supervised_run():
     config = TrainConfig(num_topics=5, batch_size=64, iterations=2000,
                          supervised=True, lambda3_hat=1.0, seed=0)
     state = train(mat.csr, config, labels=kept_labels, num_classes=5)
-    test_rows, valid = tfidf_transform(corpus.counts[test_idx], mat.doc_freq, mat.n_docs)
+    test_rows, valid = tfidf_transform(CsrRows.from_dense(corpus.counts[test_idx]),
+                                       mat.doc_freq, mat.n_docs)
     test_z, _ = state.encoder.forward(test_rows[valid], train=False)
     accuracy = classify_accuracy(state.classifier, test_z, labels[test_idx][valid])
     topics = topic_word_distributions(state.generator)

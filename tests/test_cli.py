@@ -3,7 +3,10 @@ import errno
 import io
 import json
 import os
+import resource
 import shutil
+import subprocess
+import sys
 import time
 import tracemalloc
 import zipfile
@@ -26,7 +29,7 @@ from test_evaluation import oracle_cooc
 from tomcat import cli
 from tomcat.checkpoint import load_checkpoint
 from tomcat.cli import main
-from tomcat.corpus import BLOCK_ROWS, RowsError, Vocabulary, load_rows, tfidf_transform
+from tomcat.corpus import BLOCK_ROWS, CsrRows, RowsError, Vocabulary, load_rows, tfidf_transform
 from tomcat.evaluation import format_coherence_report, model_coherence
 
 
@@ -501,7 +504,8 @@ class TestInfer:
         ckpt = load_checkpoint(workdir / "model.ckpt")
         tokens = [line.lower().split() for line in docs]
         counts = oracle_count_matrix(oracle_count_documents(tokens, ckpt.vocab), ckpt.vocab.size)
-        rows, valid = tfidf_transform(counts, ckpt.doc_freq, ckpt.train_doc_count)
+        rows, valid = tfidf_transform(CsrRows.from_dense(counts), ckpt.doc_freq,
+                                      ckpt.train_doc_count)
         z = np.full((len(docs), ckpt.num_topics), 1.0 / ckpt.num_topics)
         z[valid], _ = ckpt.encoder.forward(rows[valid], train=False)
         assert np.flatnonzero(~valid).tolist() == blank
@@ -525,7 +529,8 @@ class TestInfer:
         ckpt = load_checkpoint(workdir / "model.ckpt")
         tokens, _ = oracle_load_documents(path)
         counts = oracle_count_matrix(oracle_count_documents(tokens, ckpt.vocab), ckpt.vocab.size)
-        rows, valid = tfidf_transform(counts, ckpt.doc_freq, ckpt.train_doc_count)
+        rows, valid = tfidf_transform(CsrRows.from_dense(counts), ckpt.doc_freq,
+                                      ckpt.train_doc_count)
         z = np.full((len(tokens), ckpt.num_topics), 1.0 / ckpt.num_topics)
         z[valid], _ = ckpt.encoder.forward(rows[valid], train=False)
         assert captured.out == "".join("\t".join(f"{v:.9g}" for v in row) + "\n" for row in z)
@@ -892,6 +897,27 @@ class TestErrorPaths:
 
     def test_help_is_exit_0(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_synth_size_too_large_to_allocate_is_exit_1(self, tmp_path):
+        # in a child process whose address space is capped, so that a
+        # regression fails the test instead of taking the machine's memory
+        cap = 512 * 2 ** 20
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                               os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "tomcat", "synth", "--k", str(10 ** 12),
+             "--words-per-topic", "2", "--docs", "10", "--doc-len", "5",
+             "--out", str(tmp_path / "s")],
+            env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert done.returncode == 1
+        assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr
+        # numpy's message names the count matrix: the failure came from the
+        # first allocation, not from Python lists filling the capped memory
+        assert "(10, 2000000000000)" in done.stderr
+        assert done.stdout == ""
 
     def test_synth_round_trip(self, tmp_path, capsys):
         assert main(["synth", "--k", "2", "--words-per-topic", "3", "--docs", "40",

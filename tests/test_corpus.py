@@ -166,14 +166,14 @@ class TestTfidf:
     def test_transform_uses_training_idf(self):
         corpus = RawCorpus(counts=[[2, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
         mat = tfidf(corpus)
-        rows, valid = tfidf_transform(corpus.counts, mat.doc_freq, mat.n_docs)
+        rows, valid = tfidf_transform(corpus.csr, mat.doc_freq, mat.n_docs)
         assert valid.all()
         np.testing.assert_allclose(rows, mat.rows, atol=1e-12)
 
     def test_transform_flags_zero_weight_docs(self):
         corpus = RawCorpus(counts=[[2, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
         mat = tfidf(corpus)
-        rows, valid = tfidf_transform(np.array([[0.0, 0, 0, 0], [1, 0, 0, 0]]),
+        rows, valid = tfidf_transform(CsrRows.from_dense(np.array([[0.0, 0, 0, 0], [1, 0, 0, 0]])),
                                       mat.doc_freq, mat.n_docs)
         assert valid.tolist() == [False, True]
         np.testing.assert_allclose(rows[0], 0.0)
@@ -196,6 +196,17 @@ class TestLoadDocuments:
         assert docs.tokens is vocab.tokens
         assert (docs.ids.dtype, docs.ids.tolist()) == (np.int32, [1, -1, 0, -1])
         assert (docs.lengths.dtype, docs.lengths.tolist()) == (np.int64, [3, 1])
+
+    def test_unknown_tokens_leave_the_vocabulary_table_as_it_is(self, tmp_path):
+        # every block looks its tokens up in vocab's table without adding to it
+        path = tmp_path / "docs.txt"
+        path.write_text("".join(f"unk{i} a unk{i + 1}\n" for i in range(0, 5000, 2)),
+                        encoding="utf-8")
+        vocab = Vocabulary(["a", "b"])
+        with DocumentFile(path, vocab=vocab) as source:
+            ids = [docs.ids for docs in iter(lambda: load_documents(source), None)]
+        assert len(source.table) == vocab.size
+        assert np.concatenate(ids).tolist() == [-1, 0, -1] * 2500
 
     def test_keep_blank_gives_a_document_per_line(self, tmp_path):
         path = tmp_path / "docs.txt"
@@ -315,6 +326,21 @@ class TestRowsArchive:
                     else loaded_labels.tolist() == labels.tolist())
         assert [p.name for p in tmp_path.iterdir()] == ["rows.npz"]
 
+    def test_failed_save_keeps_the_previous_archive(self, tmp_path, monkeypatch):
+        mat = tfidf(RawCorpus(counts=[[2, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]))
+        save_rows(tmp_path / "rows.npz", mat, None)
+        before = (tmp_path / "rows.npz").read_bytes()
+
+        def write_part_then_fail(file, **arrays):
+            file.write(b"PK\x03\x04 part of an archive")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(np, "savez", write_part_then_fail)
+        with pytest.raises(OSError):
+            save_rows(tmp_path / "rows.npz", mat, None)
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.npz"]
+        assert (tmp_path / "rows.npz").read_bytes() == before
+
 
 # The pipeline the count matrix replaced: one dict of word-id counts per
 # document, densified item by item. The property test requires the same
@@ -431,7 +457,7 @@ def assert_matches_oracle(vocab, docs, held_out, case):
     assert corpus.counts.tobytes() == before.tobytes(), case
 
     new_rows, new_valid = tfidf_transform(count_documents(documents(held_out, vocab),
-                                                          vocab).counts,
+                                                          vocab).csr,
                                           mat.doc_freq, mat.n_docs)
     old_rows, old_valid = oracle_tfidf_transform(
         oracle_count_documents(held_out, vocab), vocab.size, doc_freq, len(docs))
@@ -472,6 +498,35 @@ class TestCountMatrixMatchesOracle:
         expected = [i for i in range(BLOCK_ROWS - 3, BLOCK_ROWS + 2) if i < n_docs]
         assert mat.dropped_docs == expected
         assert mat.n_docs == n_docs
+
+    def test_no_stale_weight_across_blocks(self, monkeypatch):
+        # row i of each block of 7 holds a word that row i of the next block
+        # lacks, so a value left in the row-sum buffer would change a weight
+        monkeypatch.setattr(corpus_module, "BLOCK_ROWS", 7)
+        words = [f"w{i}" for i in range(9)]
+        docs = [[f"w{i % 7}", "w7"] if (i // 7) % 2 == 0 else ["w8", "w7", "w8"]
+                for i in range(30)]
+        assert_matches_oracle(Vocabulary(words), docs, docs[::-1], "stale")
+
+    def test_transform_over_several_blocks(self, monkeypatch):
+        monkeypatch.setattr(corpus_module, "BLOCK_ROWS", 7)
+        rng = np.random.default_rng(7)
+        words = [f"w{i}" for i in range(30)]
+        docs = random_token_docs(rng, words, 40)
+        held_out = random_token_docs(rng, words, 7 * 5 + 3)
+        assert_matches_oracle(Vocabulary(words), docs, held_out, "transform blocks")
+
+    def test_zero_idf_entries_and_dropped_rows(self, monkeypatch):
+        # w0 is in every document, so its idf is zero: its entries are not
+        # stored, and documents of w0 and unknown tokens alone are dropped
+        monkeypatch.setattr(corpus_module, "BLOCK_ROWS", 7)
+        words = ["w0", "w1", "w2", "w3"]
+        docs = [["w0", words[1 + i % 3]] * (1 + i % 2) for i in range(16)]
+        docs[3] = ["w0", "w0"]
+        docs[9] = ["w0", "oov"]
+        mat = assert_matches_oracle(Vocabulary(words), docs, docs + [["oov"]], "zero idf")
+        assert mat.dropped_docs == [3, 9]
+        assert 0 not in mat.csr.indices.tolist()
 
     def test_corpora_cover_the_edge_cases(self):
         # the property test above is only as good as the corpora it sees

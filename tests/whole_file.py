@@ -1,7 +1,8 @@
 """The commands as they were before they read a block of documents at a time:
-each file read whole into int64 word ids, counted at once, and every scored
-word's bitset of windows built at once. The streaming commands must give the
-same bytes, so these serve their tests as the oracle."""
+each file read whole into int64 word ids, counted at once, weighed as one
+dense matrix, and every scored word's bitset of windows built at once. The
+streaming commands must give the same bytes, so these serve their tests as
+the oracle."""
 
 from __future__ import annotations
 
@@ -17,11 +18,11 @@ from tomcat.corpus import (
     CorpusError,
     CsrRows,
     RawCorpus,
+    TfidfMatrix,
     Vocabulary,
     _offsets,
+    idf_weights,
     save_rows,
-    tfidf,
-    tfidf_transform,
 )
 from tomcat.evaluation import (
     CoocStats,
@@ -98,6 +99,34 @@ def count_documents(docs, vocab, labels=None, num_classes=0) -> RawCorpus:
     return RawCorpus(CsrRows(_offsets(np.bincount(rows, minlength=n_docs)), cols,
                              counts.astype(np.float64), vocab.size),
                      labels=labels, num_classes=num_classes)
+
+
+def _weigh_rows(counts, idf):
+    """Turn a dense count matrix into its smoothed TF-IDF in place and return
+    each row's total weight."""
+    token_totals = counts.sum(axis=1, keepdims=True)
+    token_totals[token_totals == 0] = 1.0
+    counts /= token_totals
+    counts *= idf
+    return counts.sum(axis=1)
+
+
+def tfidf(corpus) -> TfidfMatrix:
+    doc_freq = np.bincount(corpus.csr.indices, minlength=corpus.num_words)
+    rows = corpus.counts
+    weight = _weigh_rows(rows, idf_weights(doc_freq, corpus.n_docs))
+    kept = np.flatnonzero(weight > 0)
+    return TfidfMatrix(csr=CsrRows.from_dense(rows[kept] / weight[kept, None]),
+                       kept_docs=kept.tolist(), dropped_docs=np.flatnonzero(weight <= 0).tolist(),
+                       doc_freq=doc_freq, n_docs=corpus.n_docs)
+
+
+def tfidf_transform(counts, doc_freq, n_docs):
+    rows = np.array(counts, dtype=np.float64)
+    weight = _weigh_rows(rows, idf_weights(doc_freq, n_docs))
+    valid = weight > 0
+    np.divide(rows, weight[:, None], out=rows, where=valid[:, None])
+    return rows, valid
 
 
 def build_cooc(docs, window_size, word_sets) -> CoocStats:
