@@ -12,7 +12,6 @@ from .corpus import (
     CorpusError,
     CsrRows,
     Documents,
-    RawCorpus,
     TfidfMatrix,
     Vocabulary,
     build_vocabulary,

@@ -45,6 +45,7 @@ from .evaluation import (
     synthetic_vocabulary,
     topic_word_ids,
 )
+from .fileio import write_atomic
 from .networks import SamplingError, top_word_ids, topic_word_distributions
 from .nn import NonFiniteError
 from .training import ConfigError, NonFiniteLossError, TrainConfig, train, write_loss_log
@@ -63,26 +64,40 @@ def _err(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-class ManifestError(ValueError):
-    """A data directory's manifest.json is not one that ingest writes."""
+class DataDirError(ValueError):
+    """A data directory's manifest.json or vocab.txt is not one that ingest
+    writes."""
 
 
 def _read_manifest(path: Path) -> dict:
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ManifestError(f"{path} is not valid JSON: {exc}") from exc
+        raise DataDirError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
-        raise ManifestError(f"{path} does not hold a JSON object")
-    for key in ("n_docs", "n_classes"):
+        raise DataDirError(f"{path} does not hold a JSON object")
+    for key in ("n_docs", "vocab_size", "n_classes"):
         value = manifest.get(key)
         if type(value) is not int or value < 0:
-            raise ManifestError(f"{path}: {key} must be a nonnegative integer, "
-                                f"not {value!r}")
+            raise DataDirError(f"{path}: {key} must be a nonnegative integer, "
+                               f"not {value!r}")
     if manifest["n_classes"] > manifest["n_docs"]:
-        raise ManifestError(f"{path}: n_classes {manifest['n_classes']} exceeds "
-                            f"n_docs {manifest['n_docs']}")
+        raise DataDirError(f"{path}: n_classes {manifest['n_classes']} exceeds "
+                           f"n_docs {manifest['n_docs']}")
     return manifest
+
+
+def _read_vocabulary(path: Path, size: int) -> Vocabulary:
+    """The vocabulary of a data directory, whose manifest gives it size
+    tokens; a missing file raises OSError."""
+    try:
+        vocab = Vocabulary.load(path)
+    except ValueError as exc:   # undecodable text (UnicodeDecodeError) among them
+        raise DataDirError(f"{path} is not a vocabulary ingest writes: {exc}") from exc
+    if vocab.size != size:
+        raise DataDirError(f"{path} holds {vocab.size} tokens, not the manifest's "
+                           f"vocab_size {size}")
+    return vocab
 
 
 # glibc's mallopt parameters (malloc.h)
@@ -133,13 +148,16 @@ def cmd_ingest(args) -> int:
         raise CorpusError(f"label {bad[0]} out of range [0, {n_docs}), "
                           "the number of documents")
     num_classes = (max(labels) + 1) if labels else 0
-    corpus = count_documents(blocks, vocab, labels=labels, num_classes=num_classes)
+    counts = count_documents(blocks, vocab)
     del blocks   # the word ids
-    mat = tfidf(corpus)
-    del corpus   # the count rows
+    mat = tfidf(counts)
+    del counts
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # a directory without a manifest is refused by train, so a run that
+    # fails below never leaves the old manifest over the new files
+    (out / "manifest.json").unlink(missing_ok=True)
     vocab.save(out / "vocab.txt")
     if Path(args.docs).resolve() != (out / "docs.txt").resolve():
         shutil.copyfile(args.docs, out / "docs.txt")
@@ -151,8 +169,7 @@ def cmd_ingest(args) -> int:
         "n_classes": num_classes,
         "dropped_rows": mat.dropped_docs,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
-                                       encoding="utf-8")
+    write_atomic(out / "manifest.json", (json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
     print(f"n_docs\t{n_docs}")
     print(f"vocab_size\t{vocab.size}")
     print(f"n_classes\t{num_classes}")
@@ -178,7 +195,7 @@ def cmd_train(args) -> int:
     if not manifest_path.exists():
         raise CorpusError(f"{manifest_path} not found; run 'ingest' first")
     manifest = _read_manifest(manifest_path)
-    vocab = Vocabulary.load(data_dir / "vocab.txt")
+    vocab = _read_vocabulary(data_dir / "vocab.txt", manifest["vocab_size"])
     check_vocabulary(vocab)   # fail now, not when saving after the whole run
     rows_path = data_dir / "rows.npz"
     if not rows_path.exists():
@@ -252,7 +269,7 @@ def _encode(ckpt, blocks):
     time, so only the topic rows outlive a group."""
     rows, unusable, done = [np.zeros((0, ckpt.num_topics))], [], 0
     for group in group_documents(blocks):
-        x, valid = tfidf_transform(count_documents([group], ckpt.vocab).csr,
+        x, valid = tfidf_transform(count_documents([group], ckpt.vocab)[0],
                                    ckpt.doc_freq, ckpt.train_doc_count)
         z = np.full((len(x), ckpt.num_topics), 1.0 / ckpt.num_topics)
         if valid.any():
@@ -323,22 +340,24 @@ def cmd_synth(args) -> int:
     spec = SyntheticSpec(num_topics=args.k, words_per_topic=args.words_per_topic,
                          num_docs=args.docs, doc_length=args.doc_len,
                          doc_topic_alpha=args.alpha, seed=args.seed)
-    corpus, supports = make_synthetic(spec)
+    counts, labels, supports = make_synthetic(spec)
     vocab = synthetic_vocabulary(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tokens = np.array(vocab.tokens)
     with (out / "docs.txt").open("w", encoding="utf-8") as fh:
-        for row in corpus.counts:
-            fh.write(" ".join(np.repeat(tokens, row.astype(np.int64))) + "\n")
+        # a row's stored entries are in column order, as the words are written
+        for start, stop in zip(counts.indptr[:-1].tolist(), counts.indptr[1:].tolist()):
+            fh.write(" ".join(np.repeat(tokens[counts.indices[start:stop]],
+                                        counts.data[start:stop].astype(np.int64))) + "\n")
     (out / "labels.txt").write_text(
-        "\n".join(str(lab) for lab in corpus.labels) + "\n", encoding="utf-8")
+        "\n".join(str(lab) for lab in labels) + "\n", encoding="utf-8")
     (out / "supports.txt").write_text(
         "\n".join(" ".join(vocab.tokens[w] for w in sup) for sup in supports) + "\n",
         encoding="utf-8")
-    print(f"n_docs\t{corpus.n_docs}")
+    print(f"n_docs\t{counts.shape[0]}")
     print(f"vocab_size\t{vocab.size}")
-    print(f"n_classes\t{corpus.num_classes}")
+    print(f"n_classes\t{spec.num_topics}")
     return EXIT_OK
 
 
@@ -429,7 +448,7 @@ def main(argv=None) -> int:
         # interpreter's shutdown flush from erroring too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (CheckpointError, ManifestError, RowsError) as exc:
+    except (CheckpointError, DataDirError, RowsError) as exc:
         _err(str(exc))
         return EXIT_CORRUPT
     except (NonFiniteLossError, NonFiniteError) as exc:

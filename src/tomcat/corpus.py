@@ -1,7 +1,7 @@
 """Corpus ingestion: vocabulary construction and normalized TF-IDF rows.
 
-A corpus is a (documents, vocabulary) count matrix, held as CSR rows and
-weighted a block of documents at a time. The smoothed TF-IDF of
+A corpus is a (documents, vocabulary) count matrix, held as blocks of CSR
+rows and weighted a block of documents at a time. The smoothed TF-IDF of
 entry (i, j) is tf(i, j) * log(N / (1 + df(j))); negative weights (words
 present in every document) are clamped to zero so that every retained row
 normalizes onto the vocabulary simplex.
@@ -92,14 +92,6 @@ class CsrRows:
         return cls(_offsets(np.bincount(rows, minlength=dense.shape[0])), cols,
                    dense.ravel()[flat].astype(np.float64), dense.shape[1])
 
-    @classmethod
-    def stack(cls, blocks: list["CsrRows"], num_cols: int) -> "CsrRows":
-        """The rows of every block, in order (no rows for no blocks)."""
-        lengths = [np.diff(b.indptr) for b in blocks]
-        return cls(_offsets(np.concatenate([np.zeros(0, np.int64)] + lengths)),
-                   np.concatenate([np.zeros(0, np.int64)] + [b.indices for b in blocks]),
-                   np.concatenate([np.zeros(0)] + [b.data for b in blocks]), num_cols)
-
     def slice(self, start: int, stop: int) -> "CsrRows":
         """Rows start to stop (at most the last row), sharing this matrix's
         columns and values."""
@@ -127,46 +119,6 @@ def _offsets(lengths: np.ndarray) -> np.ndarray:
     indptr = np.zeros(lengths.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
     return indptr
-
-
-class RawCorpus:
-    """A (documents, vocabulary) float64 count matrix with optional class
-    labels. The counts are held as CSR rows (``csr``); ``counts`` builds the
-    dense matrix when read."""
-
-    def __init__(self, counts: np.ndarray | CsrRows, labels: list[int] | None = None,
-                 num_classes: int = 0):
-        if not isinstance(counts, CsrRows):
-            dense = np.asarray(counts, dtype=np.float64)
-            if dense.ndim != 2:
-                raise CorpusError("counts must be a (documents, words) matrix")
-            counts = CsrRows.from_dense(dense)
-        # a negative or NaN count is a nonzero, so it is stored and seen here
-        if not ((counts.data > 0) & (counts.data < np.inf)).all():
-            raise CorpusError("word counts must be finite and nonnegative")
-        self.csr = counts
-        self.labels = labels
-        self.num_classes = num_classes
-        if labels is not None:
-            if len(labels) != self.n_docs:
-                raise CorpusError("labels must align one-to-one with documents")
-            labels = np.asarray(labels, dtype=np.int64)
-            bad = labels[(labels < 0) | (labels >= num_classes)]
-            if bad.size:
-                raise CorpusError(f"label {bad[0]} out of range [0, {num_classes})")
-
-    @property
-    def counts(self) -> np.ndarray:
-        """The dense count matrix, built on each read."""
-        return self.csr.toarray()
-
-    @property
-    def n_docs(self) -> int:
-        return self.csr.shape[0]
-
-    @property
-    def num_words(self) -> int:
-        return self.csr.shape[1]
 
 
 @dataclass
@@ -368,11 +320,9 @@ def build_vocabulary(blocks: list[Documents], min_count: int = 1,
     return Vocabulary([tokens[i] for i in survivors[:max_vocab]])
 
 
-def count_documents(blocks: Iterable[Documents], vocab: Vocabulary,
-                    labels: list[int] | None = None,
-                    num_classes: int = 0) -> RawCorpus:
-    """Count rows of the documents of the blocks, in order, over vocab's
-    words; tokens outside the vocabulary are dropped."""
+def count_documents(blocks: Iterable[Documents], vocab: Vocabulary) -> list[CsrRows]:
+    """The count rows of each block's documents over vocab's words, one
+    CsrRows per block, in order; tokens outside the vocabulary are dropped."""
     rows, lookup = [], None
     for docs in blocks:
         ids = docs.ids
@@ -389,7 +339,7 @@ def count_documents(blocks: Iterable[Documents], vocab: Vocabulary,
         doc, cols = np.divmod(cells, vocab.size)
         rows.append(CsrRows(_offsets(np.bincount(doc, minlength=n_docs)), cols,
                             counts.astype(np.float64), vocab.size))
-    return RawCorpus(CsrRows.stack(rows, vocab.size), labels=labels, num_classes=num_classes)
+    return rows
 
 
 def idf_weights(doc_freq: np.ndarray, n_docs: int) -> np.ndarray:
@@ -421,47 +371,59 @@ def _weigh(counts: CsrRows, idf: np.ndarray, dense: np.ndarray
     return row, values, weight
 
 
-def tfidf(corpus: RawCorpus) -> TfidfMatrix:
-    """Normalized TF-IDF rows; documents with zero total weight are dropped,
-    and so are zero entries (words in every document, whose idf is zero).
+def tfidf(counts: list[CsrRows]) -> TfidfMatrix:
+    """Normalized TF-IDF rows of a corpus given as blocks of count rows over
+    one vocabulary (count_documents' output), in document order; documents
+    with zero total weight are dropped, and so are zero entries (words in
+    every document, whose idf is zero).
 
-    The rows are weighed a block of documents at a time into arrays sized
-    for every stored count, so no dense matrix of the whole corpus is built.
-    idf is computed on this corpus; reuse it on held-out documents via
-    tfidf_transform with the returned doc_freq / n_docs.
+    The rows are weighed BLOCK_ROWS documents at a time into arrays sized
+    for every stored count, so neither a dense matrix of the whole corpus
+    nor one array of every count row is built. idf is computed on this
+    corpus; reuse it on held-out documents via tfidf_transform with the
+    returned doc_freq / n_docs.
     """
-    if corpus.n_docs < 2:
+    n_docs = sum(block.shape[0] for block in counts)
+    if n_docs < 2:
         raise CorpusError("tfidf needs at least 2 documents")
-    counts = corpus.csr
+    # a negative or NaN count is a nonzero, so it is stored and seen here
+    if not all(((block.data > 0) & (block.data < np.inf)).all() for block in counts):
+        raise CorpusError("word counts must be finite and positive")
+    num_words = counts[0].num_cols
     # every stored count is positive: one entry per (document, word) pair
-    doc_freq = np.bincount(counts.indices, minlength=corpus.num_words)
-    idf = idf_weights(doc_freq, corpus.n_docs)
-    dense = np.zeros((min(BLOCK_ROWS, corpus.n_docs), corpus.num_words))
-    weight = np.empty(corpus.n_docs)
-    lengths = np.empty(corpus.n_docs, dtype=np.int64)   # entries kept in each row
-    indices = np.empty(counts.indptr[-1], dtype=np.int64)
-    data = np.empty(counts.indptr[-1])
-    nnz = 0
-    for start in range(0, corpus.n_docs, BLOCK_ROWS):
-        block = counts.slice(start, start + BLOCK_ROWS)
-        n_rows = block.shape[0]
-        row, values, block_weight = _weigh(block, idf, dense[:n_rows])
-        # a dropped row's values are all zero: dividing them by 1 keeps them zero
-        values /= np.where(block_weight > 0, block_weight, 1.0)[row]
-        stored = np.flatnonzero(values != 0)
-        indices[nnz:nnz + stored.size] = block.indices[stored]
-        data[nnz:nnz + stored.size] = values[stored]
-        nnz += stored.size
-        # the entries kept in each row: stored lists positions in row order
-        lengths[start:start + n_rows] = np.diff(np.searchsorted(stored, block.indptr))
-        weight[start:start + n_rows] = block_weight
+    doc_freq = np.zeros(num_words, dtype=np.int64)
+    for block in counts:
+        doc_freq += np.bincount(block.indices, minlength=num_words)
+    idf = idf_weights(doc_freq, n_docs)
+    dense = np.zeros((min(BLOCK_ROWS, n_docs), num_words))
+    weight = np.empty(n_docs)
+    lengths = np.empty(n_docs, dtype=np.int64)   # entries kept in each row
+    total = sum(int(block.indptr[-1]) for block in counts)
+    indices = np.empty(total, dtype=np.int64)
+    data = np.empty(total)
+    nnz = done = 0
+    for block in counts:
+        for start in range(0, block.shape[0], BLOCK_ROWS):
+            part = block.slice(start, start + BLOCK_ROWS)
+            n_rows = part.shape[0]
+            row, values, part_weight = _weigh(part, idf, dense[:n_rows])
+            # a dropped row's values are all zero: dividing them by 1 keeps them zero
+            values /= np.where(part_weight > 0, part_weight, 1.0)[row]
+            stored = np.flatnonzero(values != 0)
+            indices[nnz:nnz + stored.size] = part.indices[stored]
+            data[nnz:nnz + stored.size] = values[stored]
+            nnz += stored.size
+            # the entries kept in each row: stored lists positions in row order
+            lengths[done:done + n_rows] = np.diff(np.searchsorted(stored, part.indptr))
+            weight[done:done + n_rows] = part_weight
+            done += n_rows
     kept = np.flatnonzero(weight > 0)
     if kept.size == 0:
         raise CorpusError("every document lost all TF-IDF weight (all rows dropped)")
-    csr = CsrRows(_offsets(lengths[kept]), indices[:nnz], data[:nnz], corpus.num_words)
+    csr = CsrRows(_offsets(lengths[kept]), indices[:nnz], data[:nnz], num_words)
     return TfidfMatrix(csr=csr, kept_docs=kept.tolist(),
                        dropped_docs=np.flatnonzero(weight <= 0).tolist(),
-                       doc_freq=doc_freq, n_docs=corpus.n_docs)
+                       doc_freq=doc_freq, n_docs=n_docs)
 
 
 def tfidf_transform(counts: CsrRows, doc_freq: np.ndarray, n_docs: int

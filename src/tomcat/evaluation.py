@@ -10,7 +10,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .corpus import Documents, RawCorpus, Vocabulary
+from .corpus import BLOCK_ROWS, CsrRows, Documents, Vocabulary
 from .networks import DirichletPrior, Network, sample_prior, top_word_ids, topic_word_distributions
 
 
@@ -188,8 +188,14 @@ def classify_accuracy(classifier: Network, topic_rows: np.ndarray, labels: np.nd
     labels = np.asarray(labels)
     if topic_rows.shape[0] != labels.shape[0]:
         raise EvaluationError("labels must align with rows")
-    probs, _ = classifier.forward(topic_rows, train=False)
-    return float((probs.argmax(axis=1) == labels).mean())
+    if labels.size == 0:
+        raise EvaluationError("no rows to classify")
+    correct = 0
+    # scored a block at a time, so the classifier's activations stay block-sized
+    for start in range(0, len(labels), BLOCK_ROWS):
+        probs, _ = classifier.forward(topic_rows[start:start + BLOCK_ROWS], train=False)
+        correct += int((probs.argmax(axis=1) == labels[start:start + BLOCK_ROWS]).sum())
+    return correct / len(labels)
 
 
 @dataclass
@@ -214,12 +220,12 @@ class SyntheticSpec:
         return self.num_topics * self.words_per_topic
 
 
-def make_synthetic(spec: SyntheticSpec) -> tuple[RawCorpus, list[list[int]]]:
+def make_synthetic(spec: SyntheticSpec) -> tuple[CsrRows, list[int], list[list[int]]]:
     """Generate documents by drawing a topic mixture per document, then a
     topic per token, then a uniform word from that topic's support.
 
-    Labels are the argmax of each document's mixture. Returns the corpus and
-    the ground-truth word-id support of every topic.
+    Returns the documents' count rows, their labels (the argmax of each
+    document's mixture) and the ground-truth word-id support of every topic.
     """
     rng = np.random.default_rng(spec.seed)
     # the arrays first: a size too large to allocate fails here, at once
@@ -233,9 +239,7 @@ def make_synthetic(spec: SyntheticSpec) -> tuple[RawCorpus, list[list[int]]]:
         offsets = rng.integers(0, spec.words_per_topic, size=spec.doc_length)
         row[:] = np.bincount(topics * spec.words_per_topic + offsets,
                              minlength=spec.vocab_size)
-    corpus = RawCorpus(counts, labels=thetas.argmax(axis=1).tolist(),
-                       num_classes=spec.num_topics)
-    return corpus, supports
+    return CsrRows.from_dense(counts), thetas.argmax(axis=1).tolist(), supports
 
 
 def synthetic_vocabulary(spec: SyntheticSpec) -> Vocabulary:

@@ -53,9 +53,6 @@ class Network:
     def parameters(self) -> list[Tensor]:
         return [p for layer in self.layers for p in layer.parameters()]
 
-    def num_parameters(self) -> int:
-        return sum(p.data.size for p in self.parameters())
-
     def state(self) -> dict[str, np.ndarray]:
         """All arrays defining the network, running statistics included."""
         out = {}

@@ -23,7 +23,7 @@ from conftest import assert_grad_close, numerical_grad
 from test_corpus import documents
 from test_networks import build_one
 from tomcat.checkpoint import load_checkpoint, save_checkpoint
-from tomcat.corpus import CsrRows, RawCorpus, Vocabulary, build_vocabulary, count_documents, tfidf, tfidf_transform
+from tomcat.corpus import CsrRows, Vocabulary, build_vocabulary, count_documents, tfidf, tfidf_transform
 from tomcat.evaluation import (
     SyntheticSpec,
     build_cooc,
@@ -52,13 +52,12 @@ SYNTH_SPEC = SyntheticSpec(num_topics=5, words_per_topic=20, num_docs=2000,
 @pytest.fixture(scope="module")
 def synthetic_run():
     """Criterion 3's training run: K=5, batch 64, 2000 iterations."""
-    corpus, supports = make_synthetic(SYNTH_SPEC)
-    mat = tfidf(corpus)
+    counts, _, supports = make_synthetic(SYNTH_SPEC)
+    mat = tfidf([counts])
     config = TrainConfig(num_topics=5, batch_size=64, iterations=2000, seed=0)
     state = train(mat.csr, config)
     topics = topic_word_distributions(state.generator)
     return {
-        "corpus": corpus,
         "supports": supports,
         "state": state,
         "topics": topics,
@@ -69,17 +68,18 @@ def synthetic_run():
 @pytest.fixture(scope="module")
 def supervised_run():
     """Criterion 4's run: same corpus with labels, 80/20 split, lambda3_hat=1."""
-    corpus, supports = make_synthetic(SYNTH_SPEC)
-    labels = np.array(corpus.labels)
-    split = np.random.default_rng(101).permutation(corpus.n_docs)
-    test_idx = np.sort(split[: corpus.n_docs // 5])
-    train_idx = np.sort(split[corpus.n_docs // 5:])
-    mat = tfidf(RawCorpus(corpus.counts[train_idx]))
+    counts, labels, supports = make_synthetic(SYNTH_SPEC)
+    labels = np.array(labels)
+    n_docs = counts.shape[0]
+    split = np.random.default_rng(101).permutation(n_docs)
+    test_idx = np.sort(split[: n_docs // 5])
+    train_idx = np.sort(split[n_docs // 5:])
+    mat = tfidf([CsrRows.from_dense(counts.take(train_idx))])
     kept_labels = labels[train_idx][mat.kept_docs]
     config = TrainConfig(num_topics=5, batch_size=64, iterations=2000,
                          supervised=True, lambda3_hat=1.0, seed=0)
     state = train(mat.csr, config, labels=kept_labels, num_classes=5)
-    test_rows, valid = tfidf_transform(CsrRows.from_dense(corpus.counts[test_idx]),
+    test_rows, valid = tfidf_transform(CsrRows.from_dense(counts.take(test_idx)),
                                        mat.doc_freq, mat.n_docs)
     test_z, _ = state.encoder.forward(test_rows[valid], train=False)
     accuracy = classify_accuracy(state.classifier, test_z, labels[test_idx][valid])
@@ -226,7 +226,7 @@ class TestCriterion2InvariantSuite:
                 for i in ids:
                     row[i] = rng.integers(1, 7)
             try:
-                mat = tfidf(RawCorpus(counts))
+                mat = tfidf([CsrRows.from_dense(counts)])
             except Exception:
                 continue
             assert np.all(mat.rows >= 0)
@@ -354,8 +354,7 @@ class TestCriterion5RealTextCoherence:
         assert len(docs) >= 5000, f"only {len(docs)} usable documents"
         vocab = build_vocabulary(documents(docs), min_count=2, max_vocab=2000)
         assert vocab.size == 2000
-        corpus = count_documents(documents(docs, vocab), vocab)
-        mat = tfidf(corpus)
+        mat = tfidf(count_documents(documents(docs, vocab), vocab))
 
         config = TrainConfig(num_topics=20, batch_size=64, iterations=1500, seed=42)
         state = train(mat.csr, config)

@@ -194,6 +194,7 @@ class TestTrain:
         b"{", b"\xff\xfe", b"[1, 2]", b'{"n_classes": "3"}', b'{"n_classes": -1}',
         b'{"n_classes": 1.5}', b'{"n_docs": 150}',
         b'{"n_docs": 150, "n_classes": 1000000000000001}',
+        b'{"n_docs": 150, "n_classes": 3, "vocab_size": "12"}',
     ])
     def test_malformed_manifest_is_exit_2(self, workdir, tmp_path, capsys, manifest):
         data = tmp_path / "data"
@@ -322,6 +323,15 @@ ARCHIVE_DAMAGE = {
 }
 
 
+# corruptions of vocab.txt, applied to its lines; the corpus has 12 words
+VOCAB_DAMAGE = {
+    "repeated token": lambda lines: lines[:-1] + lines[:1],
+    "not UTF-8": lambda lines: [b"\xff" + lines[0]] + lines[1:],
+    "one token short": lambda lines: lines[:-1],
+    "one token too many": lambda lines: lines + [b"extra"],
+}
+
+
 class TestDataDirectory:
     def test_rows_archive_equals_dense_tfidf(self, workdir):
         # the CSR arrays of the dense TF-IDF the oracle builds from the corpus
@@ -345,6 +355,47 @@ class TestDataDirectory:
         (data / "docs.txt").unlink()
         monkeypatch.setattr("tomcat.cli.load_documents", lambda *a: pytest.fail("read"))
         assert main(_train_args(data, tmp_path) + ["--supervised"]) == 0
+
+    @pytest.mark.parametrize("damage", sorted(VOCAB_DAMAGE))
+    def test_corrupt_vocabulary_is_exit_2(self, workdir, tmp_path, capsys, damage):
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        lines = (data / "vocab.txt").read_bytes().splitlines()
+        (data / "vocab.txt").write_bytes(b"\n".join(VOCAB_DAMAGE[damage](lines)) + b"\n")
+        code = main(_train_args(data, tmp_path))
+        captured = capsys.readouterr()
+        assert code == 2, captured.err
+        assert "vocab.txt" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_missing_vocabulary_is_exit_1(self, workdir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        (data / "vocab.txt").unlink()
+        assert main(_train_args(data, tmp_path)) == 1
+        assert "vocab.txt" in capsys.readouterr().err
+
+    def test_failed_reingest_leaves_no_directory_to_train_on(self, workdir, tmp_path, capsys,
+                                                             monkeypatch):
+        data = tmp_path / "data"
+        assert main(["ingest", "--docs", str(workdir / "raw" / "docs.txt"),
+                     "--out", str(data)]) == 0
+        # another corpus with as many words, so its vocab.txt matches the old
+        # manifest: only a missing manifest stops train
+        other = tmp_path / "other.txt"
+        other.write_text("".join(f"x{i % 4} y{i // 2 % 4} z{i // 3 % 4}\n" for i in range(40)),
+                         encoding="utf-8")
+
+        def no_space(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "save_rows", no_space)
+        assert main(["ingest", "--docs", str(other), "--out", str(data)]) == 1
+        assert not (data / "manifest.json").exists()
+        assert main(_train_args(data, tmp_path)) == 1
+        assert "run 'ingest' first" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_missing_rows_archive_is_exit_1(self, workdir, tmp_path, capsys):
         data = tmp_path / "data"

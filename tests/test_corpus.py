@@ -1,16 +1,18 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tomcat.corpus as corpus_module
+import whole_file
 from tomcat.corpus import (
     BLOCK_ROWS,
     CorpusError,
     CsrRows,
     DocumentFile,
     Documents,
-    RawCorpus,
+    RowsError,
     Vocabulary,
     build_vocabulary,
     count_documents,
@@ -33,6 +35,11 @@ def documents(token_lists, vocab=None):
     ids = [index.get(t, -1) for doc in token_lists for t in doc]
     return [Documents(tokens, np.array(ids, dtype=np.int32),
                       np.array([len(doc) for doc in token_lists], dtype=np.int64), None)]
+
+
+def count_rows(rows):
+    """A dense count matrix as count_documents' output: one block of CSR rows."""
+    return [CsrRows.from_dense(np.array(rows, dtype=np.float64))]
 
 
 def read_documents(path, label_path=None, vocab=None, keep_blank=False):
@@ -105,8 +112,7 @@ class TestTfidf:
     def test_hand_example_idf_cancels(self):
         # ids: a=0 b=1 c=2 d=3; every word has df=2, so idf=log(4/3) is a
         # common factor and cancels in the row normalization.
-        corpus = RawCorpus(counts=[[2, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
-        mat = tfidf(corpus)
+        mat = tfidf(count_rows([[2, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]]))
         assert mat.dropped_docs == []
         np.testing.assert_allclose(mat.rows[0], [2 / 3, 1 / 3, 0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(mat.rows[1], [0.0, 0.5, 0.5, 0.0], atol=1e-12)
@@ -115,25 +121,24 @@ class TestTfidf:
     def test_word_in_every_doc_drops_pure_row(self):
         # 'a' (id 0) appears in all 3 docs: idf = log(3/4) < 0, clamped to 0.
         # Doc 0 consists only of 'a', so its weight sum is 0 and it is dropped.
-        corpus = RawCorpus(counts=[[1, 0, 0], [2, 1, 0], [1, 0, 1]])
-        mat = tfidf(corpus)
+        mat = tfidf(count_rows([[1, 0, 0], [2, 1, 0], [1, 0, 1]]))
         assert mat.dropped_docs == [0]
         assert mat.kept_docs == [1, 2]
         np.testing.assert_allclose(mat.rows[0], [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_one_hot_row(self):
-        corpus = RawCorpus(counts=[[3, 0, 0], [0, 1, 0], [0, 0, 2]])
-        mat = tfidf(corpus)
+        mat = tfidf(count_rows([[3, 0, 0], [0, 1, 0], [0, 0, 2]]))
         np.testing.assert_allclose(mat.rows[0], [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_all_rows_dropped_error(self):
-        corpus = RawCorpus(counts=[[1, 0], [2, 0]])
         with pytest.raises(CorpusError):
-            tfidf(corpus)
+            tfidf(count_rows([[1, 0], [2, 0]]))
 
     def test_requires_two_documents(self):
         with pytest.raises(CorpusError):
-            tfidf(RawCorpus(counts=[[1, 0]]))
+            tfidf(count_rows([[1, 0]]))
+        with pytest.raises(CorpusError):
+            tfidf([])
 
     def test_row_simplex_property(self):
         rng = np.random.default_rng(7)
@@ -147,7 +152,7 @@ class TestTfidf:
                 for i in ids:
                     row[i] = rng.integers(1, 9)
             try:
-                mat = tfidf(RawCorpus(counts=counts))
+                mat = tfidf(count_rows(counts))
             except CorpusError:
                 continue
             assert np.all(mat.rows >= 0)
@@ -164,19 +169,30 @@ class TestTfidf:
         assert w[-1] == 0.0
 
     def test_transform_uses_training_idf(self):
-        corpus = RawCorpus(counts=[[2, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
-        mat = tfidf(corpus)
-        rows, valid = tfidf_transform(corpus.csr, mat.doc_freq, mat.n_docs)
+        counts = count_rows([[2, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
+        mat = tfidf(counts)
+        rows, valid = tfidf_transform(counts[0], mat.doc_freq, mat.n_docs)
         assert valid.all()
         np.testing.assert_allclose(rows, mat.rows, atol=1e-12)
 
     def test_transform_flags_zero_weight_docs(self):
-        corpus = RawCorpus(counts=[[2, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
-        mat = tfidf(corpus)
+        mat = tfidf(count_rows([[2, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]]))
         rows, valid = tfidf_transform(CsrRows.from_dense(np.array([[0.0, 0, 0, 0], [1, 0, 0, 0]])),
                                       mat.doc_freq, mat.n_docs)
         assert valid.tolist() == [False, True]
         np.testing.assert_allclose(rows[0], 0.0)
+
+    @pytest.mark.parametrize("counts", [
+        CsrRows.from_dense(np.array([[1.0, -1.0], [2.0, 1.0]])),
+        CsrRows.from_dense(np.array([[np.nan, 1.0], [2.0, 1.0]])),
+        CsrRows.from_dense(np.array([[np.inf, 1.0], [2.0, 1.0]])),
+        # a stored zero would count towards its word's document frequency
+        CsrRows(np.array([0, 2, 3]), np.array([0, 1, 1]), np.array([1.0, 0.0, 2.0]), 2),
+    ])
+    def test_malformed_counts_rejected(self, counts):
+        # the block is checked wherever it comes among the blocks
+        with pytest.raises(CorpusError):
+            tfidf(count_rows(np.eye(2)) + [counts])
 
 
 class TestLoadDocuments:
@@ -250,50 +266,54 @@ class TestCountDocuments:
         vocab = Vocabulary(["a", "b"])
         for docs in (documents([["a", "a", "zzz"], ["b"]], vocab),
                      documents([["a", "a", "zzz"], ["b"]])):
-            corpus = count_documents(docs, vocab)
-            assert corpus.counts.tolist() == [[2, 0], [0, 1]]
-            assert corpus.num_words == 2
+            [counts] = count_documents(docs, vocab)
+            assert counts.toarray().tolist() == [[2, 0], [0, 1]]
+            assert counts.num_cols == 2
 
     def test_empty_documents_give_empty_rows(self):
         vocab = Vocabulary(["a", "b"])
-        corpus = count_documents(documents([[], ["zzz"], ["b", "a", "b"], []], vocab), vocab)
-        assert corpus.csr.indptr.tolist() == [0, 0, 0, 2, 2]
-        assert corpus.counts.tolist() == [[0, 0], [0, 0], [1, 2], [0, 0]]
-        assert count_documents(documents([], vocab), vocab).csr.shape == (0, 2)
+        [counts] = count_documents(documents([[], ["zzz"], ["b", "a", "b"], []], vocab), vocab)
+        assert counts.indptr.tolist() == [0, 0, 0, 2, 2]
+        assert counts.toarray().tolist() == [[0, 0], [0, 0], [1, 2], [0, 0]]
+        assert [c.shape for c in count_documents(documents([], vocab), vocab)] == [(0, 2)]
 
     def test_unknown_id_stays_unknown_through_the_lookup_table(self):
         # numpy reads table[-1] as the table's last entry: a token outside the
         # vocabulary the documents were read with must not become vocab's b
         docs = documents([["qq", "b", "qq"]], Vocabulary(["zzz", "a", "b"]))
         assert docs[0].ids.tolist() == [-1, 2, -1]
-        assert count_documents(docs, Vocabulary(["a", "b"])).counts.tolist() == [[0, 1]]
+        assert count_documents(docs, Vocabulary(["a", "b"]))[0].toarray().tolist() == [[0, 1]]
 
-    def test_labels_carried(self):
+    def test_one_block_of_rows_per_block_of_documents(self):
         vocab = Vocabulary(["a", "b"])
-        corpus = count_documents(documents([["a"], ["b"]], vocab), vocab, labels=[1, 0],
-                                 num_classes=2)
-        assert corpus.labels == [1, 0]
-        assert corpus.num_classes == 2
+        blocks = (documents([["a"], ["b", "b"]], vocab) + documents([], vocab)
+                  + documents([["b", "a"]], vocab))
+        counts = count_documents(blocks, vocab)
+        assert [c.toarray().tolist() for c in counts] == [[[1, 0], [0, 2]], [], [[1, 1]]]
 
-
-class TestRawCorpus:
-    def test_shape_gives_sizes(self):
-        corpus = RawCorpus(counts=np.zeros((3, 5)))
-        assert (corpus.n_docs, corpus.num_words) == (3, 5)
-
-    @pytest.mark.parametrize("counts", [[1.0, 2.0], [[1.0, -1.0]], [[np.nan, 1.0]],
-                                        [[np.inf, 1.0]]])
-    def test_malformed_counts_rejected(self, counts):
-        with pytest.raises(CorpusError):
-            RawCorpus(counts=counts)
-
-    @pytest.mark.parametrize("labels", [[0], [0, 2], [-1, 0]])
-    def test_malformed_labels_rejected(self, labels):
-        with pytest.raises(CorpusError):
-            RawCorpus(counts=np.ones((2, 3)), labels=labels, num_classes=2)
+    def test_count_rows_are_held_once(self):
+        # the rows of every block are returned as they are made, not joined
+        # into one more array: the peak stays well under twice their bytes
+        rng = np.random.default_rng(3)
+        vocab = Vocabulary([f"w{i}" for i in range(500)])
+        blocks = [Documents(vocab.tokens, rng.integers(0, 500, size=200 * 50, dtype=np.int32),
+                            np.full(200, 50, dtype=np.int64), None) for _ in range(64)]
+        tracemalloc.start()
+        try:
+            counts = count_documents(blocks, vocab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(c.indptr.nbytes + c.indices.nbytes + c.data.nbytes for c in counts)
+        assert held > 8 * 2 ** 20
+        assert peak < 1.5 * held, (peak, held)
 
 
 class TestCsrRows:
+    def test_shape_gives_sizes(self):
+        csr = CsrRows.from_dense(np.zeros((3, 5)))
+        assert csr.shape == (3, 5)
+        assert csr.indptr.tolist() == [0, 0, 0, 0]
     def test_take_equals_dense_gather(self):
         dense = np.array([[0.0, 2.5, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 3.0], [0.0, 0.5, 0.0]])
         csr = CsrRows.from_dense(dense)
@@ -304,17 +324,10 @@ class TestCsrRows:
             assert csr.take(idx).tobytes() == dense[idx].tobytes()
         assert csr.toarray().tobytes() == dense.tobytes()
 
-    def test_stack_concatenates_rows(self):
-        a, b = np.eye(3)[:2], np.array([[0.0, 0.0, 4.0]])
-        stacked = CsrRows.stack([CsrRows.from_dense(a), CsrRows.from_dense(b)], 3)
-        assert stacked.toarray().tobytes() == np.vstack([a, b]).tobytes()
-        assert CsrRows.stack([], 3).shape == (0, 3)
-
 
 class TestRowsArchive:
     def test_round_trip(self, tmp_path):
-        corpus = RawCorpus(counts=[[2, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 1, 1, 1]])
-        mat = tfidf(corpus)
+        mat = tfidf(count_rows([[2, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 1, 1, 1]]))
         for labels in (None, np.array([1, 0, 2, 1])[mat.kept_docs]):
             save_rows(tmp_path / "rows.npz", mat, labels)
             loaded, loaded_labels = load_rows(tmp_path / "rows.npz", 4, 4, 3)
@@ -327,7 +340,7 @@ class TestRowsArchive:
         assert [p.name for p in tmp_path.iterdir()] == ["rows.npz"]
 
     def test_failed_save_keeps_the_previous_archive(self, tmp_path, monkeypatch):
-        mat = tfidf(RawCorpus(counts=[[2, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]))
+        mat = tfidf(count_rows([[2, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]))
         save_rows(tmp_path / "rows.npz", mat, None)
         before = (tmp_path / "rows.npz").read_bytes()
 
@@ -340,6 +353,15 @@ class TestRowsArchive:
             save_rows(tmp_path / "rows.npz", mat, None)
         assert [p.name for p in tmp_path.iterdir()] == ["rows.npz"]
         assert (tmp_path / "rows.npz").read_bytes() == before
+
+    @pytest.mark.parametrize("labels", [[0], [0, 2], [-1, 0]])
+    def test_malformed_labels_rejected(self, tmp_path, labels):
+        # the kept rows' labels must align with them and lie in [0, num_classes)
+        mat = tfidf(count_rows([[2, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]))
+        assert len(mat.kept_docs) == 2
+        save_rows(tmp_path / "rows.npz", mat, np.array(labels, dtype=np.int64))
+        with pytest.raises(RowsError):
+            load_rows(tmp_path / "rows.npz", 4, 3, 2)
 
 
 # The pipeline the count matrix replaced: one dict of word-id counts per
@@ -437,27 +459,27 @@ def csr_of(dense):
 def assert_matches_oracle(vocab, docs, held_out, case):
     """count_documents, tfidf and tfidf_transform give the oracle's bytes,
     and the CSR rows of tfidf are the nonzeros of the oracle's dense rows."""
-    corpus = count_documents(documents(docs), vocab)
+    counts = count_documents(documents(docs), vocab)
     id_docs = oracle_count_documents(docs, vocab)
-    assert (corpus.counts.tobytes()
+    assert (counts[0].toarray().tobytes()
             == oracle_count_matrix(id_docs, vocab.size).tobytes()), case
 
     rows, kept, dropped, doc_freq = oracle_tfidf(id_docs, vocab.size)
     if not kept:
         with pytest.raises(CorpusError):
-            tfidf(corpus)
+            tfidf(counts)
         return None
-    before = corpus.counts.copy()
-    mat = tfidf(corpus)
+    before = counts[0].toarray()
+    mat = tfidf(counts)
     assert mat.rows.tobytes() == rows.tobytes(), case
     for got, want in zip((mat.csr.indptr, mat.csr.indices, mat.csr.data), csr_of(rows)):
         assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), case
     assert mat.doc_freq.tobytes() == doc_freq.tobytes(), case
     assert (mat.kept_docs, mat.dropped_docs) == (kept, dropped), case
-    assert corpus.counts.tobytes() == before.tobytes(), case
+    assert counts[0].toarray().tobytes() == before.tobytes(), case
 
     new_rows, new_valid = tfidf_transform(count_documents(documents(held_out, vocab),
-                                                          vocab).csr,
+                                                          vocab)[0],
                                           mat.doc_freq, mat.n_docs)
     old_rows, old_valid = oracle_tfidf_transform(
         oracle_count_documents(held_out, vocab), vocab.size, doc_freq, len(docs))
@@ -507,6 +529,33 @@ class TestCountMatrixMatchesOracle:
         docs = [[f"w{i % 7}", "w7"] if (i // 7) % 2 == 0 else ["w8", "w7", "w8"]
                 for i in range(30)]
         assert_matches_oracle(Vocabulary(words), docs, docs[::-1], "stale")
+
+    def test_count_blocks_straddling_the_weighing_blocks(self, monkeypatch):
+        # count blocks of 3, 9, 0 and 1 rows weighed 7 rows at a time: the
+        # weighing restarts at each count block and splits the block of 9
+        monkeypatch.setattr(corpus_module, "BLOCK_ROWS", 7)
+        rng = np.random.default_rng(11)
+        vocab = Vocabulary([f"w{i}" for i in range(10)])
+        # w0 is in every document, so documents of w0 and unknown tokens are dropped
+        docs = [["w0"] + [f"w{i}" for i in rng.integers(1, 10, size=rng.integers(1, 6))]
+                for _ in range(13)]
+        for i in (2, 3, 12):
+            docs[i] = ["w0", "oov"]
+        blocks, start = [], 0
+        for size in (3, 9, 0, 1):
+            blocks += documents(docs[start:start + size], vocab)
+            start += size
+        counts = count_documents(blocks, vocab)
+        assert [c.shape for c in counts] == [(3, 10), (9, 10), (0, 10), (1, 10)]
+        got = tfidf(counts)
+        want = whole_file.tfidf(whole_file.count_documents(documents(docs, vocab)[0], vocab))
+        for name in ("indptr", "indices", "data"):
+            g, w = getattr(got.csr, name), getattr(want.csr, name)
+            assert (g.dtype, g.tobytes()) == (w.dtype, w.tobytes()), name
+        assert (got.doc_freq.dtype, got.doc_freq.tobytes()) == (want.doc_freq.dtype,
+                                                                want.doc_freq.tobytes())
+        assert (got.kept_docs, got.dropped_docs) == (want.kept_docs, want.dropped_docs)
+        assert (got.dropped_docs, got.n_docs) == ([2, 3, 12], 13)
 
     def test_transform_over_several_blocks(self, monkeypatch):
         monkeypatch.setattr(corpus_module, "BLOCK_ROWS", 7)

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from tomcat.corpus import Vocabulary, tfidf
+from tomcat.corpus import BLOCK_ROWS, Vocabulary, tfidf
 from tomcat.evaluation import (
     CoocStats,
     EvaluationError,
@@ -313,6 +313,17 @@ class TestClassifyAccuracy:
         assert (classify_accuracy(cls, z, labels)
                 == classify_accuracy(cls, z_perm, labels[perm]))
 
+    def test_blocks_score_like_one_forward(self):
+        # more rows than BLOCK_ROWS are scored a block at a time
+        rng = np.random.default_rng(14)
+        cls = build_one("C", rng, 6, topics=3, classes=4)
+        z = rng.dirichlet(np.ones(3), size=2 * BLOCK_ROWS + 37)
+        labels = rng.integers(0, 4, size=len(z))
+        probs, _ = cls.forward(z, train=False)
+        want = float((probs.argmax(axis=1) == labels).mean())
+        assert 0 < want < 1
+        assert classify_accuracy(cls, z, labels) == want
+
     def test_label_mismatch(self):
         rng = np.random.default_rng(13)
         enc = build_one("E", rng, 6, words=10, topics=3)
@@ -320,24 +331,25 @@ class TestClassifyAccuracy:
         with pytest.raises(EvaluationError):
             classify_accuracy(cls, enc.forward(np.zeros((4, 10)), train=False)[0],
                               np.zeros(5, dtype=int))
+        with pytest.raises(EvaluationError):
+            classify_accuracy(cls, np.zeros((0, 3)), np.zeros(0, dtype=int))
 
 
 class TestMakeSynthetic:
     def test_single_word_supports(self):
         spec = SyntheticSpec(num_topics=4, words_per_topic=1, num_docs=30,
                              doc_length=20, doc_topic_alpha=0.5, seed=1)
-        corpus, supports = make_synthetic(spec)
+        counts, _, supports = make_synthetic(spec)
         assert supports == [[0], [1], [2], [3]]
-        for row in corpus.counts:
-            assert np.count_nonzero(row) <= 4
+        assert (np.diff(counts.indptr) <= 4).all()
 
     def test_small_alpha_concentrates_on_dominant_support(self):
         spec = SyntheticSpec(num_topics=4, words_per_topic=3, num_docs=300,
                              doc_length=40, doc_topic_alpha=0.01, seed=2)
-        corpus, supports = make_synthetic(spec)
+        counts, labels, supports = make_synthetic(spec)
         in_support = 0
         total = 0
-        for row, label in zip(corpus.counts, corpus.labels):
+        for row, label in zip(counts.toarray(), labels):
             in_support += row[supports[label]].sum()
             total += row.sum()
         assert in_support / total >= 0.95
@@ -345,10 +357,10 @@ class TestMakeSynthetic:
     def test_fixed_seed_reproducible(self):
         spec = SyntheticSpec(num_topics=3, words_per_topic=5, num_docs=50,
                              doc_length=25, doc_topic_alpha=0.1, seed=3)
-        a, _ = make_synthetic(spec)
-        b, _ = make_synthetic(spec)
-        assert np.array_equal(a.counts, b.counts)
-        assert a.labels == b.labels
+        a, a_labels, _ = make_synthetic(spec)
+        b, b_labels, _ = make_synthetic(spec)
+        assert np.array_equal(a.toarray(), b.toarray())
+        assert a_labels == b_labels
 
     @pytest.mark.parametrize("spec", [
         SyntheticSpec(num_topics=3, words_per_topic=5, num_docs=50,
@@ -371,23 +383,23 @@ class TestMakeSynthetic:
                                     return_counts=True)
             docs.append({int(w): int(c) for w, c in zip(ids, counts)})
             labels.append(int(theta.argmax()))
-        corpus, _ = make_synthetic(spec)
-        assert (corpus.counts.tobytes()
+        counts, got_labels, _ = make_synthetic(spec)
+        assert (counts.toarray().tobytes()
                 == oracle_count_matrix(docs, spec.vocab_size).tobytes())
-        assert corpus.labels == labels
+        assert got_labels == labels
 
     def test_labels_are_dominant_topic(self):
         spec = SyntheticSpec(num_topics=3, words_per_topic=5, num_docs=100,
                              doc_length=30, doc_topic_alpha=0.05, seed=4)
-        corpus, supports = make_synthetic(spec)
-        assert corpus.num_classes == 3
-        assert all(0 <= lab < 3 for lab in corpus.labels)
+        counts, labels, _ = make_synthetic(spec)
+        assert len(labels) == counts.shape[0] == 100
+        assert all(0 <= lab < 3 for lab in labels)
 
     def test_feeds_tfidf_pipeline(self):
         spec = SyntheticSpec(num_topics=3, words_per_topic=5, num_docs=60,
                              doc_length=30, doc_topic_alpha=0.1, seed=5)
-        corpus, _ = make_synthetic(spec)
-        mat = tfidf(corpus)
+        counts, _, _ = make_synthetic(spec)
+        mat = tfidf([counts])
         np.testing.assert_allclose(mat.rows.sum(axis=1), 1.0, atol=1e-9)
         vocab = synthetic_vocabulary(spec)
         assert vocab.size == spec.vocab_size
@@ -402,11 +414,11 @@ class TestCoherenceEndToEnd:
 
         spec = SyntheticSpec(num_topics=5, words_per_topic=12, num_docs=800,
                              doc_length=40, doc_topic_alpha=0.05, seed=21)
-        corpus, _ = make_synthetic(spec)
+        counts, _, _ = make_synthetic(spec)
         vocab = synthetic_vocabulary(spec)
         tokens = np.array(vocab.tokens)
-        docs = [np.repeat(tokens, row.astype(np.int64)).tolist() for row in corpus.counts]
-        mat = tfidf(corpus)
+        docs = [np.repeat(tokens, row.astype(np.int64)).tolist() for row in counts.toarray()]
+        mat = tfidf([counts])
         cfg = TrainConfig(num_topics=5, hidden=32, batch_size=32, iterations=400, seed=1)
         state = train(mat.csr, cfg)
         fresh = init_state(cfg, num_words=vocab.size)

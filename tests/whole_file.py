@@ -17,7 +17,6 @@ import numpy as np
 from tomcat.corpus import (
     CorpusError,
     CsrRows,
-    RawCorpus,
     TfidfMatrix,
     Vocabulary,
     _offsets,
@@ -88,7 +87,7 @@ def build_vocabulary(docs, min_count=1, max_vocab=None) -> Vocabulary:
     return Vocabulary([docs.tokens[i] for i in survivors[:max_vocab]])
 
 
-def count_documents(docs, vocab, labels=None, num_classes=0) -> RawCorpus:
+def count_documents(docs, vocab) -> CsrRows:
     ids = docs.ids
     if docs.tokens is not vocab.tokens:
         ids = np.append(_token_ids(_id_table(vocab), docs.tokens, len(docs.tokens)), -1)[ids]
@@ -96,9 +95,8 @@ def count_documents(docs, vocab, labels=None, num_classes=0) -> RawCorpus:
     cells = (np.repeat(np.arange(n_docs) * vocab.size, docs.lengths) + ids)[ids >= 0]
     cells, counts = np.unique(cells, return_counts=True)
     rows, cols = np.divmod(cells, vocab.size)
-    return RawCorpus(CsrRows(_offsets(np.bincount(rows, minlength=n_docs)), cols,
-                             counts.astype(np.float64), vocab.size),
-                     labels=labels, num_classes=num_classes)
+    return CsrRows(_offsets(np.bincount(rows, minlength=n_docs)), cols,
+                   counts.astype(np.float64), vocab.size)
 
 
 def _weigh_rows(counts, idf):
@@ -111,14 +109,14 @@ def _weigh_rows(counts, idf):
     return counts.sum(axis=1)
 
 
-def tfidf(corpus) -> TfidfMatrix:
-    doc_freq = np.bincount(corpus.csr.indices, minlength=corpus.num_words)
-    rows = corpus.counts
-    weight = _weigh_rows(rows, idf_weights(doc_freq, corpus.n_docs))
+def tfidf(counts) -> TfidfMatrix:
+    doc_freq = np.bincount(counts.indices, minlength=counts.num_cols)
+    rows = counts.toarray()
+    weight = _weigh_rows(rows, idf_weights(doc_freq, counts.shape[0]))
     kept = np.flatnonzero(weight > 0)
     return TfidfMatrix(csr=CsrRows.from_dense(rows[kept] / weight[kept, None]),
                        kept_docs=kept.tolist(), dropped_docs=np.flatnonzero(weight <= 0).tolist(),
-                       doc_freq=doc_freq, n_docs=corpus.n_docs)
+                       doc_freq=doc_freq, n_docs=counts.shape[0])
 
 
 def tfidf_transform(counts, doc_freq, n_docs):
@@ -180,22 +178,22 @@ def ingest(docs_path, label_path, out: Path, min_count=1, max_vocab=None) -> str
     vocab = build_vocabulary(docs, min_count=min_count, max_vocab=max_vocab)
     labels = docs.labels
     num_classes = (max(labels) + 1) if labels else 0
-    corpus = count_documents(docs, vocab, labels=labels, num_classes=num_classes)
-    mat = tfidf(corpus)
+    counts = count_documents(docs, vocab)
+    mat = tfidf(counts)
     out.mkdir(parents=True, exist_ok=True)
     vocab.save(out / "vocab.txt")
     save_rows(out / "rows.npz", mat,
               None if labels is None else np.asarray(labels, dtype=np.int64)[mat.kept_docs])
-    manifest = {"n_docs": corpus.n_docs, "vocab_size": vocab.size, "n_classes": num_classes,
+    manifest = {"n_docs": counts.shape[0], "vocab_size": vocab.size, "n_classes": num_classes,
                 "dropped_rows": mat.dropped_docs}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    return (f"n_docs\t{corpus.n_docs}\nvocab_size\t{vocab.size}\nn_classes\t{num_classes}\n"
+    return (f"n_docs\t{counts.shape[0]}\nvocab_size\t{vocab.size}\nn_classes\t{num_classes}\n"
             f"dropped_rows\t{len(mat.dropped_docs)}\n")
 
 
 def encode(ckpt, docs) -> tuple[np.ndarray, str]:
     """Topic rows and the warnings printed for zero-weight documents."""
-    counts = count_documents(docs, ckpt.vocab).csr
+    counts = count_documents(docs, ckpt.vocab)
     z = np.full((counts.shape[0], ckpt.num_topics), 1.0 / ckpt.num_topics)
     warnings = []
     for start in range(0, len(z), BLOCK_ROWS):
