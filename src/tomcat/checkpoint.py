@@ -5,9 +5,10 @@ Layout (all integers little-endian): magic "TOMCAT01", a mode byte
 per parameter or running-statistic array (name, rank, dims, float64 data;
 exactly the arrays of the mode's networks, in network_table order), a JSON
 echo of the training config, the RNG seed, and finally the training-split
-document frequencies needed to TF-IDF-transform unseen documents at
-inference time. Nothing may follow them. Every stored float must be
-finite. Files are written atomically.
+document count (at least 2) and document frequencies (none above that
+count) needed to TF-IDF-transform unseen documents at inference time.
+Nothing may follow them. Every stored float must be finite. Files are
+written atomically.
 """
 
 from __future__ import annotations
@@ -152,6 +153,25 @@ class _Reader:
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"undecodable text field: {exc}") from exc
 
+    def tokens(self, count: int) -> list[str]:
+        """count strings, each after its u16 length prefix, read by walking
+        the prefixes on the file's bytes."""
+        raw, pos, end = self.buf.obj, self.pos, len(self.buf)
+        tokens = []
+        try:
+            for _ in range(count):
+                start = pos + 2
+                pos = start + (raw[pos] | raw[pos + 1] << 8)
+                if pos > end:
+                    raise CheckpointError("checkpoint truncated")
+                tokens.append(raw[start:pos].decode("utf-8"))
+        except IndexError:   # a length prefix cut short by the end
+            raise CheckpointError("checkpoint truncated") from None
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"undecodable text field: {exc}") from exc
+        self.pos = pos
+        return tokens
+
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     reader = _Reader(Path(path).read_bytes())
@@ -165,12 +185,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     (token_count,) = reader.unpack("<I")
     if token_count != num_words:
         raise CheckpointError("vocabulary size disagrees with dims")
-    tokens = []
-    for _ in range(token_count):
-        (n,) = reader.unpack("<H")
-        tokens.append(reader.text(n))
     try:
-        vocab = Vocabulary(tokens)
+        vocab = Vocabulary(reader.tokens(token_count))
     except ValueError as exc:
         raise CheckpointError(f"invalid vocabulary in checkpoint: {exc}") from exc
 
@@ -204,6 +220,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     doc_freq = np.frombuffer(reader.take(num_words * 4), dtype="<u4").astype(np.int64)
     if reader.pos != len(reader.buf):
         raise CheckpointError(f"{len(reader.buf) - reader.pos} unexpected bytes after the end")
+    # tfidf needs 2 documents, and a word is in at most every one of them
+    if train_doc_count < 2:
+        raise CheckpointError(f"training document count {train_doc_count} is below 2")
+    if doc_freq.max() > train_doc_count:
+        raise CheckpointError(f"a document frequency of {doc_freq.max()} exceeds the "
+                              f"training document count {train_doc_count}")
 
     # check the dims against stored blobs before building any network, so a
     # corrupt dim cannot ask for a huge allocation
@@ -215,8 +237,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if problem:
         raise CheckpointError(f"blob shapes inconsistent with dims: {problem}")
 
-    # placeholder weights, overwritten below
-    networks = build_networks(table, hidden, np.random.default_rng(0))
+    # uninitialised weights: load_state fills every array below
+    networks = build_networks(table, hidden, None)
     expected = _blob_arrays(networks.values())
     odd = sorted(arrays.keys() ^ expected.keys())   # blob names must be the networks' arrays
     if odd:

@@ -136,6 +136,14 @@ def _blocks(source: DocumentFile, labels: list[int] | None = None):
         yield docs
 
 
+def _popped(blocks: list):
+    """The blocks in order, each dropped from the list as it is taken, so
+    that only the taker holds a block it has been given."""
+    blocks.reverse()
+    while blocks:
+        yield blocks.pop()
+
+
 def cmd_ingest(args) -> int:
     labels = None if args.labels is None else []
     with DocumentFile(args.docs, args.labels) as source:
@@ -148,8 +156,7 @@ def cmd_ingest(args) -> int:
         raise CorpusError(f"label {bad[0]} out of range [0, {n_docs}), "
                           "the number of documents")
     num_classes = (max(labels) + 1) if labels else 0
-    counts = count_documents(blocks, vocab)
-    del blocks   # the word ids
+    counts = count_documents(_popped(blocks), vocab)
     mat = tfidf(counts)
     del counts
 
@@ -331,7 +338,8 @@ def cmd_eval_coherence(args) -> int:
     word_sets = topic_word_ids(ckpt.generator, args.top_n)
     with DocumentFile(reference, vocab=ckpt.vocab) as source:
         stats = build_cooc(_blocks(source), window_size=args.window, word_sets=word_sets)
-    reports, mean = model_coherence(ckpt.generator, ckpt.vocab, stats, n=args.top_n)
+    reports, mean = model_coherence(ckpt.generator, ckpt.vocab, stats, n=args.top_n,
+                                    word_ids=word_sets)
     sys.stdout.write(format_coherence_report(reports, mean))
     return EXIT_OK
 

@@ -63,8 +63,10 @@ def build_cooc(reference_docs: Iterable[Documents], window_size: int,
             num_words = len(docs.tokens)
             if scored and (scored[0] < 0 or scored[-1] >= num_words):
                 raise EvaluationError(f"a scored word id lies outside [0, {num_words})")
-            # set-local id of each word, -1 if unscored; the last entry keeps -1 at -1
-            local = np.full(num_words + 1, -1, dtype=np.int32)
+            # set-local id of each word, -1 if unscored; the last entry keeps
+            # -1 at -1. The smallest type that holds them: 8- and 16-bit ids
+            # sort by radix, several times faster
+            local = np.full(num_words + 1, -1, dtype=np.min_scalar_type(-len(scored) - 1))
             local[scored] = np.arange(len(scored))
         lengths = docs.lengths
         tokens = local[docs.ids]
@@ -82,45 +84,92 @@ def build_cooc(reference_docs: Iterable[Documents], window_size: int,
     if not n_docs:
         raise EvaluationError("empty reference corpus")
 
-    # the occurrences grouped by word: word j's are lo/hi[bounds[j]:bounds[j + 1]]
+    # the occurrences grouped by word, each word's in corpus order, in which
+    # neither their first nor their last windows ever decrease
     word = np.concatenate(hit_words)
     order = np.argsort(word, kind="stable")
-    bounds = np.searchsorted(word[order], np.arange(len(scored) + 1))
-    del hit_words, word
+    del hit_words
+    word = word[order]
     lo = np.concatenate(hit_firsts)[order]
     del hit_firsts
     hi = np.concatenate(hit_lasts)[order]
     del hit_lasts, order
-
-    # bitsets of windows packed into 64-bit words, built one word set at a
-    # time; the padding bits past the last window stay clear
-    covered = np.empty(-(-n_windows // 64) * 64, dtype=bool)
-
-    def bitset(j: int) -> np.ndarray:
-        """The windows that hold set-local word j."""
-        first, last = lo[bounds[j]:bounds[j + 1]], hi[bounds[j]:bounds[j + 1]]
-        covered[:] = False
-        # the windows from first to last, one offset at a time
-        for offset in range(int((last - first).max()) + 1 if first.size else 0):
-            start = first + offset
-            covered[start[start <= last]] = True
-        return np.packbits(covered).view(np.uint64)
+    # each word's windows as disjoint runs: a run starts at the word's first
+    # occurrence and wherever an occurrence's first window lies past the
+    # window after the previous one's last
+    new = np.ones(word.size, dtype=bool)
+    new[1:] = (word[1:] != word[:-1]) | (lo[1:] > hi[:-1] + 1)
+    heads = np.flatnonzero(new)
+    starts = lo[heads]
+    # a run ends at the occurrence before the next run's head
+    stops = hi[np.append(heads[1:], word.size) - 1] + 1 if heads.size else heads
+    # set-local word j's runs are starts/stops[runs[j]:runs[j + 1]]
+    runs = np.searchsorted(word[heads], np.arange(len(scored) + 1))
+    del word, lo, hi, new, heads
 
     word_counts: dict[int, int] = {}
     pair_counts: dict[tuple[int, int], int] = {}
     for words in word_sets:
-        ids = sorted({int(local[w]) for w in words})
-        bits = np.empty((len(ids), covered.size // 64), dtype=np.uint64)
+        ids = np.array(sorted({int(local[w]) for w in words}), dtype=np.int64)
+        # the runs of the set's words, word by word: run[r] is word col[r]'s
+        first, count = runs[ids], runs[ids + 1] - runs[ids]
+        col = np.repeat(np.arange(ids.size), count)
+        run = np.arange(col.size) - np.repeat(np.cumsum(count) - count, count) + first[col]
+        gram = _segment_gram(starts[run], stops[run], col, ids.size).tolist()
+        ids = ids.tolist()
         for k, j in enumerate(ids):
-            bits[k] = bitset(j)
-        for j, c in zip(ids, np.bitwise_count(bits).sum(axis=1, dtype=np.int64)):
-            word_counts[scored[j]] = int(c)
+            word_counts[scored[j]] = gram[k][k]
         for i in range(len(ids) - 1):
-            both = np.bitwise_count(bits[i] & bits[i + 1:]).sum(axis=1, dtype=np.int64)
-            for j, c in zip(ids[i + 1:], both):
-                pair_counts[(scored[ids[i]], scored[j])] = int(c)
+            for k in range(i + 1, len(ids)):
+                pair_counts[(scored[ids[i]], scored[ids[k]])] = gram[i][k]
     return CoocStats(window_size=window_size, virtual_doc_count=n_windows,
                      word_doc_counts=word_counts, pair_doc_counts=pair_counts)
+
+
+# float64 entries (128 KiB) of the blocks of segments over which
+# _segment_gram sums its Gram matrix
+_GRAM_ENTRIES = 2 ** 14
+
+
+def _segment_gram(starts: np.ndarray, stops: np.ndarray, col: np.ndarray,
+                  m: int) -> np.ndarray:
+    """The int64 (m, m) matrix of how many windows each of m words holds (on
+    the diagonal) and each pair of them holds together, from their runs:
+    run r covers windows starts[r] to stops[r] - 1 and belongs to word
+    col[r]. col does not decrease, and one word's runs are disjoint, in
+    order and never touch.
+
+    The starts and stops cut the windows into segments, each held whole by
+    a word or not at all; every count is an entry of the segment-length-
+    weighted Gram matrix of the int8 0/1 segment-by-word matrix, summed a
+    block of segments at a time.
+    """
+    # one word's starts and stops alternate and increase, so the bounds are
+    # m sorted runs, which a stable (merging) sort takes in one pass each
+    bounds = np.empty(2 * col.size, dtype=np.int64)
+    bounds[0::2], bounds[1::2] = starts, stops
+    order = np.argsort(bounds, kind="stable")
+    cuts = bounds[order]
+    distinct = np.empty(cuts.size, dtype=bool)
+    distinct[:1] = True
+    np.not_equal(cuts[1:], cuts[:-1], out=distinct[1:])
+    # segment t runs from cuts[t] to cuts[t + 1] - 1
+    at = np.empty(cuts.size, dtype=np.int64)
+    at[order] = np.cumsum(distinct) - 1
+    cuts = cuts[distinct]
+    holds = np.zeros((cuts.size, m), dtype=np.int8)
+    flat = holds.reshape(-1)
+    flat[at[0::2] * m + col] = 1
+    flat[at[1::2] * m + col] = -1
+    np.cumsum(holds, axis=0, out=holds)   # 1 where the word holds the segment
+    holds, length = holds[:-1], np.diff(cuts).astype(np.float64)
+    # integer entries below 2**53, which float64 sums exactly
+    gram = np.zeros((m, m))
+    step = max(1, _GRAM_ENTRIES // max(1, m))
+    for first in range(0, length.size, step):
+        block = holds[first:first + step].astype(np.float64)
+        gram += block.T @ (block * length[first:first + step, None])
+    return gram.astype(np.int64)
 
 
 _NPMI_EPS = 1e-12
@@ -158,15 +207,19 @@ def topic_word_ids(generator: Network, n: int) -> list[list[int]]:
 
 
 def model_coherence(generator: Network, vocab: Vocabulary, stats: CoocStats,
-                    n: int = 10) -> tuple[list[TopicReport], float]:
+                    n: int = 10, word_ids: list[list[int]] | None = None
+                    ) -> tuple[list[TopicReport], float]:
     """Per-topic NPMI of the generator's top-n words, plus the mean across topics.
 
     stats must count these words: pass topic_word_ids(generator, n) among
-    the word sets given to build_cooc.
+    the word sets given to build_cooc, and, to rank them only once, as
+    word_ids.
     """
+    rows = topic_word_distributions(generator)
+    if word_ids is None:
+        word_ids = [top_word_ids(row, n) for row in rows]
     reports = []
-    for k, row in enumerate(topic_word_distributions(generator)):
-        ids = top_word_ids(row, n)
+    for k, (row, ids) in enumerate(zip(rows, word_ids)):
         reports.append(TopicReport(topic_id=k, word_distribution=row,
                                    top_words=[vocab.tokens[i] for i in ids],
                                    npmi=topic_npmi(stats, ids)))

@@ -89,10 +89,11 @@ def network_table(num_words: int, num_topics: int,
 
 
 def build_networks(table: list[tuple[str, int, int, bool]], hidden: int,
-                   rng: np.random.Generator) -> dict[str, Network]:
+                   rng: np.random.Generator | None) -> dict[str, Network]:
     """Linear -> LeakyReLU(0.1) -> BatchNorm -> Linear (-> Softmax) of the
     given hidden width for every row of a network_table, by name, drawing
-    the weights from rng in table order."""
+    the weights from rng in table order. With rng None the Linear weights
+    are left uninitialised, for networks whose state is loaded next."""
     networks = {}
     for name, in_dim, out_dim, softmax in table:
         layers = [Linear(in_dim, hidden, rng), LeakyReLU(0.1), BatchNorm(hidden),
@@ -152,10 +153,19 @@ def topic_word_distributions(generator: Network) -> np.ndarray:
 
 
 def top_word_ids(word_distribution: np.ndarray, n: int) -> list[int]:
-    """Ids of the n most probable words, ties broken by ascending word id."""
+    """Ids of the n most probable words, ties broken by ascending word id:
+    np.argsort(-word_distribution, kind="stable")[:n], NaN last.
+
+    Only the ids whose key is at or below the n-th smallest key of
+    -word_distribution are sorted.
+    """
     if not 1 <= n <= word_distribution.shape[0]:
         raise ValueError(f"n must be in [1, {word_distribution.shape[0]}]")
-    return np.argsort(-word_distribution, kind="stable")[:n].tolist()
+    key = -word_distribution
+    kth = np.partition(key, n - 1)[n - 1]
+    # not above the n-th key; NaN sorts last, so a NaN there keeps every id
+    ids = np.flatnonzero(~(key > kth))
+    return ids[np.argsort(key[ids], kind="stable")[:n]].tolist()
 
 
 def top_words(word_distribution: np.ndarray, vocab, n: int) -> list[str]:

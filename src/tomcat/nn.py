@@ -127,13 +127,16 @@ class ParamGroup:
 
 
 class Linear:
-    """y = x @ W.T + b with W of shape (out, in)."""
+    """y = x @ W.T + b with W of shape (out, in). W is drawn uniformly from
+    +-1/sqrt(in) with rng, or left uninitialised when rng is None, for a
+    layer whose state is loaded next."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None):
         bound = 1.0 / math.sqrt(in_dim)
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.W = Tensor(rng.uniform(-bound, bound, size=(out_dim, in_dim)))
+        self.W = Tensor(np.empty((out_dim, in_dim)) if rng is None
+                        else rng.uniform(-bound, bound, size=(out_dim, in_dim)))
         self.b = Tensor(np.zeros(out_dim))
 
     def forward(self, x: np.ndarray, train: bool):

@@ -21,7 +21,7 @@ def trained_state(seed, supervised=False, num_words=9, num_topics=3):
     return train(CsrRows.from_dense(rows), cfg, labels=labels)
 
 
-def save_state(state, vocab, path):
+def save_state(state, vocab, path, doc_freq=None, train_doc_count=40):
     save_checkpoint(
         path,
         vocab=vocab,
@@ -32,8 +32,8 @@ def save_state(state, vocab, path):
         classifier=state.classifier,
         config=state.config.as_dict(),
         seed=state.config.seed,
-        doc_freq=np.arange(vocab.size) + 1,
-        train_doc_count=40,
+        doc_freq=np.arange(vocab.size) + 1 if doc_freq is None else doc_freq,
+        train_doc_count=train_doc_count,
     )
 
 
@@ -88,6 +88,27 @@ class TestRoundTrip:
         after, _ = loaded.encoder.forward(rows, train=False)
         np.testing.assert_array_equal(before, after)
 
+    @pytest.mark.parametrize("supervised", [False, True])
+    def test_load_draws_no_random_number(self, tmp_path, monkeypatch, supervised):
+        # the networks are built uninitialised and filled from the file: no
+        # placeholder weights are drawn only to be overwritten
+        state = trained_state(18, supervised=supervised)
+        path = tmp_path / "model.ckpt"
+        save_state(state, Vocabulary([f"t{i}" for i in range(9)]), path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        loaded = load_checkpoint(path)
+        for name in ("encoder", "generator", "critic_x", "critic_z", "classifier"):
+            want = getattr(state, name)
+            if want is None:
+                assert getattr(loaded, name) is None
+                continue
+            got = getattr(loaded, name).state()
+            assert {key: arr.tobytes() for key, arr in got.items()} == {
+                key: arr.tobytes() for key, arr in want.state().items()}, name
+
     def test_config_echo_preserved(self, tmp_path):
         state = trained_state(8)
         vocab = Vocabulary([f"t{i}" for i in range(9)])
@@ -116,6 +137,16 @@ class TestCorruption:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_file_cut_inside_the_vocabulary(self, tmp_path):
+        # every cut, through a length prefix or a token, is a truncation
+        path = tmp_path / "model.ckpt"
+        save_state(trained_state(9), Vocabulary([f"t{i}" for i in range(9)]), path)
+        blob = path.read_bytes()
+        for cut in range(8 + 1 + 16 + 4, 8 + 1 + 16 + 4 + 9 * 4):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(CheckpointError, match="truncated"):
+                load_checkpoint(path)
+
     def test_tampered_dims(self, tmp_path):
         state = trained_state(10)
         vocab = Vocabulary([f"t{i}" for i in range(9)])
@@ -137,6 +168,35 @@ class TestCorruption:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
         assert main(["topics", "--ckpt", str(path)]) == 2
+
+    def infer_exit(self, tmp_path, capsys, **stats):
+        """infer's exit code and stderr with a checkpoint saved with stats."""
+        path = tmp_path / "model.ckpt"
+        save_state(trained_state(19), Vocabulary([f"t{i}" for i in range(9)]), path, **stats)
+        docs = tmp_path / "docs.txt"
+        docs.write_text("t0 t1 t2\nt3 t4\n")
+        code = main(["infer", "--ckpt", str(path), "--docs", str(docs)])
+        captured = capsys.readouterr()
+        assert (captured.out == "") == (code != 0)
+        return code, captured.err
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewer_than_two_training_documents_is_exit_2(self, tmp_path, capsys, count):
+        # a count of 0 would make infer divide by zero in log and give every
+        # document the uniform row, with exit 0
+        code, err = self.infer_exit(tmp_path, capsys, doc_freq=np.zeros(9, dtype=np.int64),
+                                    train_doc_count=count)
+        assert code == 2
+        assert f"training document count {count} is below 2" in err
+
+    def test_document_frequency_above_the_document_count_is_exit_2(self, tmp_path, capsys):
+        doc_freq = np.arange(9) + 1
+        doc_freq[4] = 41
+        code, err = self.infer_exit(tmp_path, capsys, doc_freq=doc_freq, train_doc_count=40)
+        assert code == 2
+        assert "document frequency of 41 exceeds the training document count 40" in err
+        doc_freq[4] = 40   # every training document holds the word: valid
+        assert self.infer_exit(tmp_path, capsys, doc_freq=doc_freq, train_doc_count=40)[0] == 0
 
 
 def _layout(blob: bytes) -> tuple[list[int], list[tuple[int, int]]]:
@@ -385,7 +445,7 @@ class TestLoadMemory:
         save_checkpoint(path, vocab=vocab, encoder=nets["E"], generator=nets["G"],
                         critic_x=nets["D_X"], critic_z=nets["D_Z"], classifier=nets["C"],
                         config={}, seed=0, doc_freq=np.ones(vocab.size, dtype=np.int64),
-                        train_doc_count=1)
+                        train_doc_count=2)
         size = path.stat().st_size
         assert size > 4_000_000
         tracemalloc.start()

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 import zipfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -91,6 +92,29 @@ class TestIngest:
         assert f"label {label} out of range [0, 2)" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "d").exists()
+
+    def test_counting_releases_each_block(self, workdir, tmp_path, capsys, monkeypatch):
+        # ingest reads every block to rank its vocabulary, then hands each
+        # to count_documents and drops it: when count_documents asks for a
+        # block, only the one it has just counted is still alive
+        monkeypatch.setattr(corpus_module, "READ_CHARS", 64)
+        count_documents, alive, refs = cli.count_documents, [], []
+
+        def watched(blocks, vocab):
+            def taken():
+                for docs in blocks:
+                    refs.append(weakref.ref(docs.ids))
+                    yield docs
+                    del docs
+                    alive.append(sum(ref() is not None for ref in refs))
+            return count_documents(taken(), vocab)
+
+        monkeypatch.setattr(cli, "count_documents", watched)
+        assert main(["ingest", "--docs", str(workdir / "raw" / "docs.txt"),
+                     "--out", str(tmp_path / "d")]) == 0
+        capsys.readouterr()
+        assert len(refs) > 10
+        assert max(alive) == 1, alive
 
     @pytest.mark.parametrize("max_vocab", ["0", "-1"])
     def test_max_vocab_below_one_rejected(self, workdir, capsys, tmp_path, max_vocab):
@@ -689,6 +713,21 @@ class TestEvalCoherence:
             reports.append((capsys.readouterr().out, time.perf_counter() - start))
         assert reports[0][0] == reports[1][0]
         assert reports[1][1] < 2.0
+
+    def test_each_topic_ranked_once(self, workdir, capsys, monkeypatch):
+        # the same ids give build_cooc its word sets and the report its words
+        import tomcat.evaluation as evaluation
+        top_word_ids, ranked = evaluation.top_word_ids, []
+
+        def counted(row, n):
+            ranked.append(n)
+            return top_word_ids(row, n)
+
+        monkeypatch.setattr(evaluation, "top_word_ids", counted)
+        assert main(["eval-coherence", "--ckpt", str(workdir / "model.ckpt"),
+                     "--top-n", "4"]) == 0
+        assert capsys.readouterr().out.count("\n") == 4
+        assert ranked == [4, 4, 4]
 
     @pytest.mark.parametrize("flag", ["--top-n", "--window"])
     def test_below_two_rejected_before_reading_reference(self, workdir, capsys,

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from tomcat.corpus import BLOCK_ROWS, Vocabulary, tfidf
+from tomcat.corpus import BLOCK_ROWS, Documents, Vocabulary, tfidf
 from tomcat.evaluation import (
     CoocStats,
     EvaluationError,
@@ -125,6 +126,30 @@ class TestBuildCooc:
         assert stats.word_doc_counts == {0: 1, 2: 0}
         assert stats.pair_doc_counts == {(0, 2): 0}
 
+    @staticmethod
+    def assert_oracle_counts(docs, vocab, window, word_sets, trial):
+        stats = build_cooc(documents(docs, vocab), window_size=window, word_sets=word_sets)
+        oracle = oracle_cooc(docs, vocab, window)
+        scored = {w for words in word_sets for w in words}
+        pairs = {pair for words in word_sets for pair in combinations(sorted(set(words)), 2)}
+        assert stats.virtual_doc_count == oracle.virtual_doc_count, trial
+        assert stats.word_doc_counts == {
+            w: oracle.word_doc_counts.get(w, 0) for w in scored}, trial
+        assert stats.pair_doc_counts == {
+            p: oracle.pair_doc_counts.get(p, 0) for p in pairs}, trial
+
+    @pytest.mark.parametrize("size", [127, 129, 2 ** 15 + 1])
+    def test_counts_equal_oracle_for_every_id_width(self, size):
+        # set-local word ids take the smallest signed type that holds them
+        # and -1: 8, 16 and 32 bits
+        rng = np.random.default_rng(size)
+        vocab = Vocabulary([f"w{i}" for i in range(size)])
+        docs = [[vocab.tokens[k] for k in rng.integers(0, size, size=rng.integers(0, 80))]
+                for _ in range(8)]
+        docs.append(vocab.tokens[-3:] * 2)   # the last word ids
+        word_sets = [list(range(start, min(start + 8, size))) for start in range(0, size, 8)]
+        self.assert_oracle_counts(docs, vocab, 5, word_sets, size)
+
     def test_restricted_counts_equal_oracle_on_random_corpora(self):
         # out-of-vocabulary tokens, documents shorter than the window (and
         # empty ones), repeated tokens, sets sharing words, scored words that
@@ -140,15 +165,56 @@ class TestBuildCooc:
             window = int(rng.integers(2, 12))
             word_sets = [[int(w) for w in rng.choice(size, size=rng.integers(1, 7))]
                          for _ in range(int(rng.integers(1, 5)))]
-            stats = build_cooc(documents(docs, vocab), window_size=window, word_sets=word_sets)
-            oracle = oracle_cooc(docs, vocab, window)
-            scored = {w for words in word_sets for w in words}
-            pairs = {pair for words in word_sets for pair in combinations(sorted(set(words)), 2)}
-            assert stats.virtual_doc_count == oracle.virtual_doc_count, trial
-            assert stats.word_doc_counts == {
-                w: oracle.word_doc_counts.get(w, 0) for w in scored}, trial
-            assert stats.pair_doc_counts == {
-                p: oracle.pair_doc_counts.get(p, 0) for p in pairs}, trial
+            self.assert_oracle_counts(docs, vocab, window, word_sets, trial)
+        # a word's occurrences window - 1 apart (their windows overlap), window
+        # apart (they touch) and window + 1 apart (a window between them
+        # holds neither), windows at least as long as every document, and a
+        # set holding every word
+        for trial in range(50, 150):
+            size = int(rng.integers(2, 9))
+            vocab = Vocabulary([f"w{i}" for i in range(size)])
+            names = vocab.tokens + ["oov1"]
+            window = int(rng.integers(2, 8))
+            docs = []
+            for _ in range(int(rng.integers(1, 6))):
+                doc = [names[k] for k in rng.integers(0, len(names), size=rng.integers(0, 40))]
+                word = vocab.tokens[int(rng.integers(size))]
+                pos = int(rng.integers(0, window))
+                while pos < len(doc):
+                    doc[pos] = word
+                    pos += window + int(rng.integers(-1, 2))
+                docs.append(doc)
+            if trial % 3 == 0:
+                window = max(2, max(map(len, docs)) + int(rng.integers(0, 3)))
+            word_sets = [[int(w) for w in rng.choice(size, size=rng.integers(1, 5))]
+                         for _ in range(int(rng.integers(0, 3)))] + [list(range(size))]
+            self.assert_oracle_counts(docs, vocab, window, word_sets, trial)
+
+
+class TestBuildCoocMemory:
+    def test_peak_does_not_grow_with_the_window_count(self):
+        # 40 blocks of 10 documents of 10,000 tokens: about 4M windows, and
+        # 20 scored occurrences per block. Counting keeps the occurrences and
+        # one block (1 MB here); a bitset of every window per scored word
+        # peaked at 6 MB
+        vocab = Vocabulary(["a", "b", "filler"])
+
+        def blocks():
+            for _ in range(40):
+                ids = np.full((10, 10_000), 2, dtype=np.int32)
+                ids[:, 1000], ids[:, 1003] = 0, 1
+                yield Documents(vocab.tokens, ids.reshape(-1), np.full(10, 10_000), None)
+
+        tracemalloc.start()
+        try:
+            stats = build_cooc(blocks(), window_size=10, word_sets=[[0, 1]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.virtual_doc_count == 400 * (10_000 - 9)
+        assert stats.word_doc_counts == {0: 4000, 1: 4000}
+        assert stats.pair_doc_counts == {(0, 1): 2800}   # windows 994 to 1000 of each
+        assert peak < 2 ** 21, peak
 
 
 def stats_from_windows(windows, num_words):
@@ -263,6 +329,16 @@ class TestModelCoherence:
         for r in reports:
             assert r.npmi == reports[0].npmi
         assert mean == reports[0].npmi
+
+    def test_given_word_ids_give_the_same_reports(self):
+        gen = build_one("G", np.random.default_rng(5), 5, words=10, topics=3)
+        vocab = Vocabulary([f"w{i}" for i in range(10)])
+        word_ids = topic_word_ids(gen, 4)
+        stats = build_cooc(documents([[f"w{i}" for i in range(10)] * 2], vocab), window_size=4,
+                           word_sets=word_ids)
+        assert format_coherence_report(
+            *model_coherence(gen, vocab, stats, n=4, word_ids=word_ids)
+        ) == format_coherence_report(*model_coherence(gen, vocab, stats, n=4))
 
     def test_report_format(self):
         rng = np.random.default_rng(4)

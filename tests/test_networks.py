@@ -8,6 +8,7 @@ from tomcat.networks import (
     build_networks,
     network_table,
     sample_prior,
+    top_word_ids,
     top_words,
     topic_word_distributions,
 )
@@ -247,3 +248,19 @@ class TestTopicExtraction:
             top_words(row, vocab, 4)
         with pytest.raises(ValueError):
             top_words(row, vocab, 0)
+
+    @pytest.mark.parametrize("levels", [
+        [0.25, 0.5, 0.25, 0.0],                  # heavy ties
+        [0.0, -0.0, 1e-300, 0.5],                # signed zeros tie with each other
+        [np.nan, 0.5, 0.0, -0.0],                # NaN ranks last
+        [np.nan],                                # a NaN row
+        [np.inf, -np.inf, 1.0, 1.0],
+    ])
+    def test_top_word_ids_equal_stable_argsort(self, levels):
+        # the ids found by partial selection are those of a full stable sort
+        draw = rng(len(levels))
+        for size in (1, 2, 5, 64, 300):
+            row = draw.choice(np.array(levels), size=size)
+            want = np.argsort(-row, kind="stable")
+            for n in range(1, size + 1):
+                assert top_word_ids(row, n) == want[:n].tolist(), (row.tolist(), n)
