@@ -48,7 +48,14 @@ from .evaluation import (
 from .fileio import write_atomic
 from .networks import SamplingError, top_word_ids, topic_word_distributions
 from .nn import NonFiniteError
-from .training import ConfigError, NonFiniteLossError, TrainConfig, train, write_loss_log
+from .training import (
+    LOSS_LOG_FIELDS,
+    ConfigError,
+    NonFiniteLossError,
+    TrainConfig,
+    train,
+    write_loss_log,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -243,8 +250,7 @@ def cmd_train(args) -> int:
 
     if state.loss_log:
         last = state.loss_log[-1]
-        for name in ("adv_x", "adv_z", "cyc_forward", "cyc_backward", "cls",
-                     "lambda1", "lambda2", "lambda3", "total"):
+        for name in LOSS_LOG_FIELDS[1:]:
             print(f"final\t{name}\t{_fmt(getattr(last, name))}")
     return EXIT_OK
 
@@ -338,8 +344,7 @@ def cmd_eval_coherence(args) -> int:
     word_sets = topic_word_ids(ckpt.generator, args.top_n)
     with DocumentFile(reference, vocab=ckpt.vocab) as source:
         stats = build_cooc(_blocks(source), window_size=args.window, word_sets=word_sets)
-    reports, mean = model_coherence(ckpt.generator, ckpt.vocab, stats, n=args.top_n,
-                                    word_ids=word_sets)
+    reports, mean = model_coherence(ckpt.vocab, stats, word_sets)
     sys.stdout.write(format_coherence_report(reports, mean))
     return EXIT_OK
 
@@ -387,20 +392,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--topics", type=int, required=True)
     p.add_argument("--supervised", action="store_true")
-    p.add_argument("--hidden", type=int, default=100)
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--iters", type=int, default=5000)
-    p.add_argument("--critic-steps", type=int, default=5)
-    p.add_argument("--clip", type=float, default=0.01)
-    p.add_argument("--lr-main", type=float, default=1e-4)
-    p.add_argument("--beta1-main", type=float, default=0.5)
-    p.add_argument("--lr-cls", type=float, default=1e-3)
-    p.add_argument("--beta1-cls", type=float, default=0.9)
-    p.add_argument("--lambda1", type=float, default=2.0)
-    p.add_argument("--lambda2", type=float, default=0.2)
-    p.add_argument("--lambda3", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--hidden", type=int, default=TrainConfig.hidden)
+    p.add_argument("--alpha", type=float, default=TrainConfig.alpha)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--iters", type=int, default=TrainConfig.iterations)
+    p.add_argument("--critic-steps", type=int, default=TrainConfig.critic_steps)
+    p.add_argument("--clip", type=float, default=TrainConfig.clip_c)
+    p.add_argument("--lr-main", type=float, default=TrainConfig.lr_main)
+    p.add_argument("--beta1-main", type=float, default=TrainConfig.beta1_main)
+    p.add_argument("--lr-cls", type=float, default=TrainConfig.lr_cls)
+    p.add_argument("--beta1-cls", type=float, default=TrainConfig.beta1_cls)
+    p.add_argument("--lambda1", type=float, default=TrainConfig.lambda1_hat)
+    p.add_argument("--lambda2", type=float, default=TrainConfig.lambda2_hat)
+    p.add_argument("--lambda3", type=float, default=TrainConfig.lambda3_hat)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--loss-log", default=None, help="loss log path "
                    "(default: <ckpt>.losses.tsv)")

@@ -31,7 +31,6 @@ class CoocStats:
 @dataclass
 class TopicReport:
     topic_id: int
-    word_distribution: np.ndarray
     top_words: list[str]
     npmi: float
 
@@ -206,23 +205,16 @@ def topic_word_ids(generator: Network, n: int) -> list[list[int]]:
     return [top_word_ids(row, n) for row in topic_word_distributions(generator)]
 
 
-def model_coherence(generator: Network, vocab: Vocabulary, stats: CoocStats,
-                    n: int = 10, word_ids: list[list[int]] | None = None
+def model_coherence(vocab: Vocabulary, stats: CoocStats, word_ids: list[list[int]]
                     ) -> tuple[list[TopicReport], float]:
-    """Per-topic NPMI of the generator's top-n words, plus the mean across topics.
+    """Per-topic NPMI of each topic's words, plus the mean across topics.
 
-    stats must count these words: pass topic_word_ids(generator, n) among
-    the word sets given to build_cooc, and, to rank them only once, as
-    word_ids.
+    word_ids[k] holds topic k's words, as topic_word_ids ranks them; stats
+    must count them: pass word_ids among the word sets given to build_cooc.
     """
-    rows = topic_word_distributions(generator)
-    if word_ids is None:
-        word_ids = [top_word_ids(row, n) for row in rows]
-    reports = []
-    for k, (row, ids) in enumerate(zip(rows, word_ids)):
-        reports.append(TopicReport(topic_id=k, word_distribution=row,
-                                   top_words=[vocab.tokens[i] for i in ids],
-                                   npmi=topic_npmi(stats, ids)))
+    reports = [TopicReport(topic_id=k, top_words=[vocab.tokens[i] for i in ids],
+                           npmi=topic_npmi(stats, ids))
+               for k, ids in enumerate(word_ids)]
     return reports, float(np.mean([r.npmi for r in reports]))
 
 

@@ -1,8 +1,10 @@
 """The five network stacks, the Dirichlet prior, and topic extraction helpers.
 
-Every network has the shape Linear -> LeakyReLU(0.1) -> BatchNorm -> Linear;
-the encoder, generator and classifier end in a softmax, and the critics emit
-one unbounded score per sample. network_table gives each network's widths.
+Every network has the shape Linear -> LeakyReLU -> BatchNorm -> Linear, with
+nn's fixed settings: slope LEAKY_SLOPE, momentum BN_MOMENTUM and variance
+floor BN_EPS. The encoder, generator and classifier end in a softmax, and the
+critics emit one unbounded score per sample. network_table gives each
+network's widths.
 """
 
 from __future__ import annotations
@@ -90,13 +92,13 @@ def network_table(num_words: int, num_topics: int,
 
 def build_networks(table: list[tuple[str, int, int, bool]], hidden: int,
                    rng: np.random.Generator | None) -> dict[str, Network]:
-    """Linear -> LeakyReLU(0.1) -> BatchNorm -> Linear (-> Softmax) of the
+    """Linear -> LeakyReLU -> BatchNorm -> Linear (-> Softmax) of the
     given hidden width for every row of a network_table, by name, drawing
     the weights from rng in table order. With rng None the Linear weights
     are left uninitialised, for networks whose state is loaded next."""
     networks = {}
     for name, in_dim, out_dim, softmax in table:
-        layers = [Linear(in_dim, hidden, rng), LeakyReLU(0.1), BatchNorm(hidden),
+        layers = [Linear(in_dim, hidden, rng), LeakyReLU(), BatchNorm(hidden),
                   Linear(hidden, out_dim, rng)]
         networks[name] = Network(name, layers + [Softmax()] if softmax else layers)
     return networks

@@ -8,6 +8,9 @@ False, accumulates parameter gradients in place.
 Optimizers work on a ParamGroup: tensors whose data and gradients are views
 into two flat buffers, so an Adam step or a clip is a fixed number of array
 passes per group. Adam makes its passes a block of CHUNK entries at a time.
+
+Every network uses the same fixed settings: LEAKY_SLOPE for LeakyReLU,
+BN_MOMENTUM and BN_EPS for BatchNorm, ADAM_BETA2 and ADAM_EPS for Adam.
 """
 
 from __future__ import annotations
@@ -23,6 +26,12 @@ import numpy as np
 # On a 2-vCPU x86-64 machine (numpy 2.4, min of 7) a 202,802-entry step ran
 # 2.2 -> 1.9 ms against one pass over the whole group; 16-32k did as well.
 CHUNK = 2 ** 14
+
+LEAKY_SLOPE = 0.1      # LeakyReLU's slope for negative inputs
+BN_MOMENTUM = 0.1      # weight of each batch in BatchNorm's running statistics
+BN_EPS = 1e-5          # added to BatchNorm's variance before the square root
+ADAM_BETA2 = 0.999     # Adam's second-moment decay
+ADAM_EPS = 1e-8        # added to Adam's bias-corrected root second moment
 
 
 class ShapeError(ValueError):
@@ -166,24 +175,19 @@ class Linear:
 
 
 class LeakyReLU:
-    """Elementwise max(x, slope * x); the derivative at exactly 0 is taken as 1.
+    """Elementwise max(x, LEAKY_SLOPE * x); the derivative at exactly 0 is taken as 1.
 
     The cache is the bool mask of x >= 0, the entries passed through with
-    slope 1 (a NaN input takes the slope, as in the formula).
+    slope 1 (a NaN input takes LEAKY_SLOPE, as in the formula).
     """
-
-    def __init__(self, slope: float = 0.1):
-        if slope < 0:
-            raise ValueError("slope must be nonnegative")
-        self.slope = slope
 
     def forward(self, x: np.ndarray, train: bool):
         keep = x >= 0
-        return np.where(keep, x, self.slope * x), keep
+        return np.where(keep, x, LEAKY_SLOPE * x), keep
 
     def backward(self, cache, grad_out: np.ndarray, param_grads: bool = True) -> np.ndarray:
         keep = cache
-        return grad_out * np.where(keep, 1.0, self.slope)
+        return grad_out * np.where(keep, 1.0, LEAKY_SLOPE)
 
     def parameters(self) -> list[Tensor]:
         return []
@@ -196,14 +200,13 @@ class BatchNorm:
     """Per-feature batch normalization with affine parameters and running statistics.
 
     Train mode normalizes by the biased batch statistics and updates the
-    running statistics with the given momentum; eval mode is a fixed affine
-    map through the running statistics.
+    running statistics with momentum BN_MOMENTUM; eval mode is a fixed
+    affine map through the running statistics. BN_EPS is added to either
+    variance.
     """
 
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, num_features: int):
         self.num_features = num_features
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = Tensor(np.ones(num_features))
         self.beta = Tensor(np.zeros(num_features))
         self.running_mean = np.zeros(num_features)
@@ -220,15 +223,15 @@ class BatchNorm:
             x_hat = x - mean
             y = np.multiply(x_hat, x_hat)
             var = y.mean(axis=0)
-            self.running_mean += self.momentum * (mean - self.running_mean)
-            self.running_var += self.momentum * (var - self.running_var)
-            inv_std = 1.0 / np.sqrt(var + self.eps)
+            self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
+            self.running_var += BN_MOMENTUM * (var - self.running_var)
+            inv_std = 1.0 / np.sqrt(var + BN_EPS)
             x_hat *= inv_std
             cache = (x_hat, inv_std)
             np.multiply(self.gamma.data, x_hat, out=y)
         else:
             y = x - self.running_mean
-            y /= np.sqrt(self.running_var + self.eps)
+            y /= np.sqrt(self.running_var + BN_EPS)
             y *= self.gamma.data
             cache = None
         y += self.beta.data
@@ -318,14 +321,13 @@ class Adam:
 
     Moments and the step count live on the group, so one optimizer can
     update several groups in different phases without the phases distorting
-    each other's bias correction.
+    each other's bias correction. The second-moment decay is ADAM_BETA2 and
+    the denominator's floor ADAM_EPS.
     """
 
-    def __init__(self, lr: float, beta1: float, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float, beta1: float):
         self.lr = lr
         self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
 
     def step(self, params: ParamGroup) -> None:
         """One in-place update of every tensor in the group, a block of
@@ -334,7 +336,8 @@ class Adam:
         Every tensor needs a gradient, and every gradient entry must be
         finite; otherwise nothing changes. The floating-point operations and
         their order are those of m = b1*m + (1-b1)*g,
-        v = b2*v + (1-b2)*g*g, p -= lr*m_hat / (sqrt(v_hat) + eps), so the
+        v = b2*v + (1-b2)*g*g, p -= lr*m_hat / (sqrt(v_hat) + eps) with
+        b2 = ADAM_BETA2 and eps = ADAM_EPS, so the
         result is bit-identical to that formula.
         """
         if any(p.grad is None for p in params):
@@ -345,15 +348,15 @@ class Adam:
             raise NonFiniteError("non-finite gradient passed to Adam")
         params.steps += 1
         t = params.steps
-        c1, c2 = 1.0 - self.beta1, 1.0 - self.beta2
-        d1, d2 = 1.0 - self.beta1 ** t, 1.0 - self.beta2 ** t
+        c1, c2 = 1.0 - self.beta1, 1.0 - ADAM_BETA2
+        d1, d2 = 1.0 - self.beta1 ** t, 1.0 - ADAM_BETA2 ** t
         for blk in blocks:
             gb, m, v, p = g[blk], params.m[blk], params.v[blk], params.data[blk]
             a, b = params._scratch[:, : gb.size]
             m *= self.beta1
             np.multiply(gb, c1, out=a)
             m += a
-            v *= self.beta2
+            v *= ADAM_BETA2
             np.multiply(gb, c2, out=a)
             a *= gb
             v += a
@@ -361,7 +364,7 @@ class Adam:
             a *= self.lr
             np.divide(v, d2, out=b)
             np.sqrt(b, out=b)
-            b += self.eps
+            b += ADAM_EPS
             a /= b
             p -= a
 

@@ -97,10 +97,6 @@ class TrainConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-LOSS_LOG_FIELDS = ("iteration", "adv_x", "adv_z", "cyc_forward", "cyc_backward",
-                   "cls", "lambda1", "lambda2", "lambda3", "total")
-
-
 @dataclass
 class LossRecord:
     iteration: int
@@ -117,6 +113,10 @@ class LossRecord:
     def tsv_line(self) -> str:
         vals = [f"{getattr(self, name):.9g}" for name in LOSS_LOG_FIELDS[1:]]
         return "\t".join([str(self.iteration)] + vals)
+
+
+# the loss log's columns, in LossRecord's field order
+LOSS_LOG_FIELDS = tuple(f.name for f in fields(LossRecord))
 
 
 def write_loss_log(records: list[LossRecord], path: str | Path,
@@ -205,8 +205,8 @@ def init_state(config: TrainConfig, num_words: int, num_classes: int = 0) -> Tra
     )
 
 
-def _critic_scores(critic, real: np.ndarray, fake: np.ndarray, train: bool):
-    """Score real and fake rows in one forward pass.
+def _critic_scores(critic, real: np.ndarray, fake: np.ndarray):
+    """Score real and fake rows in one train-mode forward pass.
 
     The critics end in BatchNorm -> Linear, so each train-mode forward has a
     constant score mean regardless of input; scoring the two batches
@@ -215,31 +215,31 @@ def _critic_scores(critic, real: np.ndarray, fake: np.ndarray, train: bool):
     """
     if real.shape != fake.shape:
         raise ShapeError(f"real/fake shapes differ: {real.shape} vs {fake.shape}")
-    scores, cache = critic.forward(np.vstack([real, fake]), train)
+    scores, cache = critic.forward(np.vstack([real, fake]), train=True)
     return scores[: real.shape[0]], scores[real.shape[0]:], cache
 
 
-def adv_loss(critic, real: np.ndarray, fake: np.ndarray, train: bool = True):
+def adv_loss(critic, real: np.ndarray, fake: np.ndarray):
     """(mean critic(real) - mean critic(fake), critic cache).
 
     The critic ascends this; the mappings descend it through the fake term.
     Used in word space (D_X: documents vs G(z)) and in topic space (D_Z:
     prior draws vs E(x)).
     """
-    real_scores, fake_scores, cache = _critic_scores(critic, real, fake, train)
+    real_scores, fake_scores, cache = _critic_scores(critic, real, fake)
     return float(real_scores.mean() - fake_scores.mean()), cache
 
 
-def cycle_losses(generator, encoder, x: np.ndarray, z: np.ndarray, train: bool = True):
-    """(mean |G(E(x)) - x|_1, mean |E(G(z)) - z|_1, passes).
+def cycle_losses(generator, encoder, x: np.ndarray, z: np.ndarray):
+    """(mean |G(E(x)) - x|_1, mean |E(G(z)) - z|_1, passes), in train mode.
 
     passes holds the (output, cache) pairs of E(x), G(z), G(E(x)) and
     E(G(z)), in that order, for the backward pass.
     """
-    e_x = encoder.forward(x, train)
-    g_z = generator.forward(z, train)
-    g_e_x = generator.forward(e_x[0], train)
-    e_g_z = encoder.forward(g_z[0], train)
+    e_x = encoder.forward(x, train=True)
+    g_z = generator.forward(z, train=True)
+    g_e_x = generator.forward(e_x[0], train=True)
+    e_g_z = encoder.forward(g_z[0], train=True)
     return l1_loss(g_e_x[0], x), l1_loss(e_g_z[0], z), (e_x, g_z, g_e_x, e_g_z)
 
 

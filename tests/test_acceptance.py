@@ -118,7 +118,7 @@ class TestCriterion1GradientCorrectness:
                 assert_grad_close(layer.W.grad, numerical_grad(value, layer.W.data))
                 assert_grad_close(layer.b.grad, numerical_grad(value, layer.b.data))
             elif kind == "leaky":
-                layer = LeakyReLU(0.1)
+                layer = LeakyReLU()
                 up = rng.normal(size=x.shape)
                 _, cache = layer.forward(x, train=True)
                 gx = layer.backward(cache, up)
@@ -185,8 +185,8 @@ class TestCriterion1GradientCorrectness:
             x_fake, _ = state.generator.forward(z, train=True)
             x_rec, _ = state.generator.forward(z_fake, train=True)
             z_rec, _ = state.encoder.forward(x_fake, train=True)
-            _, fake_x, _ = _critic_scores(state.critic_x, x, x_fake, train=True)
-            _, fake_z, _ = _critic_scores(state.critic_z, z, z_fake, train=True)
+            _, fake_x, _ = _critic_scores(state.critic_x, x, x_fake)
+            _, fake_z, _ = _critic_scores(state.critic_z, z, z_fake)
             value = (-float(fake_x.mean()) - float(fake_z.mean())
                      + lam1 * l1_loss(x_rec, x) + lam2 * l1_loss(z_rec, z))
             for l, (m, v) in zip(bns, saved):
@@ -361,11 +361,12 @@ class TestCriterion5RealTextCoherence:
         fresh = init_state(config, num_words=vocab.size)
         rng = np.random.default_rng(7)
         random_sets = [list(rng.choice(vocab.size, size=10, replace=False)) for _ in range(20)]
+        trained_ids = topic_word_ids(state.generator, 10)
+        untrained_ids = topic_word_ids(fresh.generator, 10)
         stats = build_cooc(documents(docs, vocab), window_size=10,
-                           word_sets=(topic_word_ids(state.generator, 10)
-                                      + topic_word_ids(fresh.generator, 10) + random_sets))
-        _, trained_mean = model_coherence(state.generator, vocab, stats, n=10)
-        _, untrained_mean = model_coherence(fresh.generator, vocab, stats, n=10)
+                           word_sets=trained_ids + untrained_ids + random_sets)
+        _, trained_mean = model_coherence(vocab, stats, trained_ids)
+        _, untrained_mean = model_coherence(vocab, stats, untrained_ids)
         random_mean = float(np.mean([topic_npmi(stats, words) for words in random_sets]))
 
         elapsed = time.monotonic() - started

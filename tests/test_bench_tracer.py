@@ -1,7 +1,9 @@
 """The benchmark's span tracer (perfbench/tracer.py) wraps functions and
-methods of the package by name. A rename in the package must fail here, not
-only in a traced benchmark run."""
+methods of the package by name, and its scripts import names from the
+package. A rename in the package must fail here, not only in a benchmark
+run."""
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -79,3 +81,25 @@ def test_probe_captures_train_and_infer(monkeypatch, tmp_path, capsys):
     finally:
         cli.train, cli._encode_documents = originals
     assert cli.train is originals[0] and cli._encode_documents is originals[1]
+
+
+def test_perfbench_imports_from_the_package_resolve():
+    # worker.py imports some names inside methods that only a benchmark run calls
+    imported = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tomcat":
+                imported += [(path.name, node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                imported += [(path.name, alias.name, None) for alias in node.names
+                             if alias.name.split(".")[0] == "tomcat"]
+    assert any(name == "load_checkpoint" for _, _, name in imported)
+    unresolved = []
+    for script, module_name, name in imported:
+        module = importlib.import_module(module_name)
+        if name is not None and not hasattr(module, name):
+            try:
+                importlib.import_module(f"{module_name}.{name}")
+            except ModuleNotFoundError:
+                unresolved.append(f"{script}: from {module_name} import {name}")
+    assert not unresolved, unresolved

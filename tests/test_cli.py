@@ -31,7 +31,8 @@ from tomcat import cli
 from tomcat.checkpoint import load_checkpoint
 from tomcat.cli import main
 from tomcat.corpus import BLOCK_ROWS, CsrRows, RowsError, Vocabulary, load_rows, tfidf_transform
-from tomcat.evaluation import format_coherence_report, model_coherence
+from tomcat.evaluation import format_coherence_report, model_coherence, topic_word_ids
+from tomcat.training import ConfigError, TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +148,23 @@ class TestTrain:
         assert "config\tcritic_steps\t5" in out
         assert "config\thidden\t100" in out
         assert "final\ttotal\t" in out
+
+    def test_required_flags_only_echo_the_library_defaults(self, workdir, tmp_path, capsys,
+                                                          monkeypatch):
+        given = []
+
+        def stop(rows, config, **kwargs):   # the default 5000 iterations are not run
+            given.append(config)
+            raise ConfigError("stopped before training")
+
+        monkeypatch.setattr("tomcat.cli.train", stop)
+        code = main(["train", "--data", str(workdir / "data"), "--topics", "3",
+                     "--out", str(tmp_path / "m.ckpt")])
+        assert code == 1
+        defaults = TrainConfig(num_topics=3)
+        assert given == [defaults]
+        assert capsys.readouterr().out.splitlines() == [
+            f"config\t{key}\t{value}" for key, value in defaults.as_dict().items()]
 
     def test_loss_log_written(self, workdir):
         log = Path(str(workdir / "model.ckpt") + ".losses.tsv")
@@ -683,7 +701,7 @@ class TestEvalCoherence:
             docs, _ = oracle_load_documents(reference)
             stats = oracle_cooc(docs, ckpt.vocab, window)
             expected = format_coherence_report(
-                *model_coherence(ckpt.generator, ckpt.vocab, stats, n=top_n))
+                *model_coherence(ckpt.vocab, stats, topic_word_ids(ckpt.generator, top_n)))
             assert capsys.readouterr().out == expected
 
     def test_blank_lines_do_not_count(self, workdir, tmp_path, capsys):
@@ -728,6 +746,22 @@ class TestEvalCoherence:
                      "--top-n", "4"]) == 0
         assert capsys.readouterr().out.count("\n") == 4
         assert ranked == [4, 4, 4]
+
+    def test_generator_probed_once(self, workdir, capsys, monkeypatch):
+        import tomcat.evaluation as evaluation
+        import tomcat.networks as networks
+        probe, probes = networks.topic_word_distributions, []
+
+        def counted(generator):
+            probes.append(None)
+            return probe(generator)
+
+        for module in (networks, evaluation, cli):
+            monkeypatch.setattr(module, "topic_word_distributions", counted)
+        assert main(["eval-coherence", "--ckpt", str(workdir / "model.ckpt"),
+                     "--top-n", "4"]) == 0
+        assert capsys.readouterr().out.count("\n") == 4
+        assert len(probes) == 1
 
     @pytest.mark.parametrize("flag", ["--top-n", "--window"])
     def test_below_two_rejected_before_reading_reference(self, workdir, capsys,

@@ -323,30 +323,22 @@ class TestModelCoherence:
         final.b.data[:] = 0.0  # softmax of zeros: every topic is uniform
         vocab = Vocabulary([f"w{i}" for i in range(12)])
         docs = [[f"w{i}" for i in range(12)]] * 3
-        stats = build_cooc(documents(docs, vocab), window_size=5, word_sets=topic_word_ids(gen, 4))
-        reports, mean = model_coherence(gen, vocab, stats, n=4)
+        word_ids = topic_word_ids(gen, 4)
+        stats = build_cooc(documents(docs, vocab), window_size=5, word_sets=word_ids)
+        reports, mean = model_coherence(vocab, stats, word_ids)
         assert len(reports) == 4
         for r in reports:
             assert r.npmi == reports[0].npmi
         assert mean == reports[0].npmi
 
-    def test_given_word_ids_give_the_same_reports(self):
-        gen = build_one("G", np.random.default_rng(5), 5, words=10, topics=3)
-        vocab = Vocabulary([f"w{i}" for i in range(10)])
-        word_ids = topic_word_ids(gen, 4)
-        stats = build_cooc(documents([[f"w{i}" for i in range(10)] * 2], vocab), window_size=4,
-                           word_sets=word_ids)
-        assert format_coherence_report(
-            *model_coherence(gen, vocab, stats, n=4, word_ids=word_ids)
-        ) == format_coherence_report(*model_coherence(gen, vocab, stats, n=4))
-
     def test_report_format(self):
         rng = np.random.default_rng(4)
         gen = build_one("G", rng, 5, words=8, topics=2)
         vocab = Vocabulary([f"w{i}" for i in range(8)])
+        word_ids = topic_word_ids(gen, 3)
         stats = build_cooc(documents([[f"w{i}" for i in range(8)]], vocab), window_size=8,
-                           word_sets=topic_word_ids(gen, 3))
-        reports, mean = model_coherence(gen, vocab, stats, n=3)
+                           word_sets=word_ids)
+        reports, mean = model_coherence(vocab, stats, word_ids)
         text = format_coherence_report(reports, mean)
         lines = text.strip().split("\n")
         assert len(lines) == 3
@@ -500,11 +492,12 @@ class TestCoherenceEndToEnd:
         fresh = init_state(cfg, num_words=vocab.size)
         rng = np.random.default_rng(3)
         random_sets = [list(rng.choice(vocab.size, size=6, replace=False)) for _ in range(5)]
+        trained_ids = topic_word_ids(state.generator, 6)
+        untrained_ids = topic_word_ids(fresh.generator, 6)
         stats = build_cooc(documents(docs, vocab), window_size=10,
-                           word_sets=(topic_word_ids(state.generator, 6)
-                                      + topic_word_ids(fresh.generator, 6) + random_sets))
-        _, trained = model_coherence(state.generator, vocab, stats, n=6)
-        _, untrained = model_coherence(fresh.generator, vocab, stats, n=6)
+                           word_sets=trained_ids + untrained_ids + random_sets)
+        _, trained = model_coherence(vocab, stats, trained_ids)
+        _, untrained = model_coherence(vocab, stats, untrained_ids)
         random_mean = float(np.mean([topic_npmi(stats, words) for words in random_sets]))
         assert trained >= untrained + 0.05
         assert trained >= random_mean + 0.05

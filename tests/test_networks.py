@@ -30,7 +30,7 @@ def build_one(name, rng, hidden, words=1, topics=1, classes=0):
 def make_encoder(num_words, hidden, num_topics, rng):
     return Network("E", [
         Linear(num_words, hidden, rng),
-        LeakyReLU(0.1),
+        LeakyReLU(),
         BatchNorm(hidden),
         Linear(hidden, num_topics, rng),
         Softmax(),
@@ -40,7 +40,7 @@ def make_encoder(num_words, hidden, num_topics, rng):
 def make_generator(num_topics, hidden, num_words, rng):
     return Network("G", [
         Linear(num_topics, hidden, rng),
-        LeakyReLU(0.1),
+        LeakyReLU(),
         BatchNorm(hidden),
         Linear(hidden, num_words, rng),
         Softmax(),
@@ -50,7 +50,7 @@ def make_generator(num_topics, hidden, num_words, rng):
 def make_critic(name, in_dim, hidden, rng):
     return Network(name, [
         Linear(in_dim, hidden, rng),
-        LeakyReLU(0.1),
+        LeakyReLU(),
         BatchNorm(hidden),
         Linear(hidden, 1, rng),
     ])
@@ -59,7 +59,7 @@ def make_critic(name, in_dim, hidden, rng):
 def make_classifier(num_topics, hidden, num_classes, rng):
     return Network("C", [
         Linear(num_topics, hidden, rng),
-        LeakyReLU(0.1),
+        LeakyReLU(),
         BatchNorm(hidden),
         Linear(hidden, num_classes, rng),
         Softmax(),

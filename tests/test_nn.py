@@ -7,7 +7,12 @@ import pytest
 
 from conftest import assert_grad_close, numerical_grad
 from tomcat.nn import (
+    ADAM_BETA2,
+    ADAM_EPS,
+    BN_EPS,
+    BN_MOMENTUM,
     CHUNK,
+    LEAKY_SLOPE,
     Adam,
     BatchNorm,
     LeakyReLU,
@@ -87,17 +92,17 @@ class TestLinear:
 
 class TestLeakyReLU:
     def test_negative_scaled(self):
-        layer = LeakyReLU(0.1)
+        layer = LeakyReLU()
         y, _ = layer.forward(np.array([[-1.0]]), train=True)
         np.testing.assert_allclose(y, [[-0.1]])
 
     def test_positive_passthrough(self):
-        layer = LeakyReLU(0.1)
+        layer = LeakyReLU()
         y, _ = layer.forward(np.array([[2.0]]), train=True)
         np.testing.assert_allclose(y, [[2.0]])
 
     def test_backward_negative_side(self):
-        layer = LeakyReLU(0.1)
+        layer = LeakyReLU()
         x = np.array([[-3.0]])
         _, cache = layer.forward(x, train=True)
         gx = layer.backward(cache, np.array([[1.0]]))
@@ -106,14 +111,10 @@ class TestLeakyReLU:
         np.testing.assert_allclose(gx, [[0.1]])
 
     def test_derivative_at_zero_is_one(self):
-        layer = LeakyReLU(0.1)
+        layer = LeakyReLU()
         _, cache = layer.forward(np.array([[0.0]]), train=True)
         gx = layer.backward(cache, np.array([[1.0]]))
         np.testing.assert_array_equal(gx, [[1.0]])
-
-    def test_negative_slope_rejected(self):
-        with pytest.raises(ValueError):
-            LeakyReLU(-0.5)
 
 
 class TestBatchNorm:
@@ -133,7 +134,7 @@ class TestBatchNorm:
         assert np.all(np.abs(y.var(axis=0) - 1.0) < 0.05)
 
     def test_running_stats_momentum_update(self):
-        layer = BatchNorm(2, momentum=0.1)
+        layer = BatchNorm(2)
         x = np.array([[1.0, 4.0], [3.0, 8.0]])
         layer.forward(x, train=True)
         np.testing.assert_allclose(layer.running_mean, 0.9 * 0.0 + 0.1 * np.array([2.0, 6.0]))
@@ -232,25 +233,25 @@ def old_linear_forward(layer, x):
     return x @ layer.W.data.T + layer.b.data
 
 
-def old_leaky_forward(slope, x):
-    return np.where(x >= 0, x, slope * x)
+def old_leaky_forward(x):
+    return np.where(x >= 0, x, LEAKY_SLOPE * x)
 
 
-def old_leaky_backward(slope, x, grad_out):
-    return grad_out * np.where(x >= 0, 1.0, slope)
+def old_leaky_backward(x, grad_out):
+    return grad_out * np.where(x >= 0, 1.0, LEAKY_SLOPE)
 
 
 def old_batchnorm_forward(layer, x, train):
     if train:
         mean = x.mean(axis=0)
         var = x.var(axis=0)
-        layer.running_mean += layer.momentum * (mean - layer.running_mean)
-        layer.running_var += layer.momentum * (var - layer.running_var)
-        inv_std = 1.0 / np.sqrt(var + layer.eps)
+        layer.running_mean += BN_MOMENTUM * (mean - layer.running_mean)
+        layer.running_var += BN_MOMENTUM * (var - layer.running_var)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         x_hat = (x - mean) * inv_std
         cache = (x_hat, inv_std)
     else:
-        x_hat = (x - layer.running_mean) / np.sqrt(layer.running_var + layer.eps)
+        x_hat = (x - layer.running_mean) / np.sqrt(layer.running_var + BN_EPS)
         cache = None
     return layer.gamma.data * x_hat + layer.beta.data, cache
 
@@ -284,15 +285,15 @@ class TestLayerRewritesMatchOldFormulas:
     @pytest.mark.parametrize("train", [True, False])
     def test_leaky_relu(self, shape, train):
         rng = np.random.default_rng(21)
-        layer = LeakyReLU(0.1)
+        layer = LeakyReLU()
         x = awkward_values(rng, shape, special=(np.inf, -np.inf, np.nan, 1e-320, -1e-320))
         y, cache = layer.forward(x, train)
-        assert_bits_equal(y, old_leaky_forward(0.1, x))
+        assert_bits_equal(y, old_leaky_forward(x))
         upstream = awkward_values(rng, shape)
-        assert_bits_equal(layer.backward(cache, upstream), old_leaky_backward(0.1, x, upstream))
+        assert_bits_equal(layer.backward(cache, upstream), old_leaky_backward(x, upstream))
 
     def test_leaky_relu_at_signed_zero(self):
-        layer = LeakyReLU(0.1)
+        layer = LeakyReLU()
         x = np.array([[0.0, -0.0, -1.0, 1.0]])
         y, cache = layer.forward(x, train=True)
         assert_bits_equal(y, np.array([[0.0, -0.0, -0.1, 1.0]]))
@@ -342,7 +343,7 @@ class TestLayerRewritesMatchOldFormulas:
         rng = np.random.default_rng(24)
         bn = BatchNorm(6)
         bn.forward(rng.normal(size=(8, 6)), train=True)
-        for layer in (make_linear(6, 6), LeakyReLU(0.1), bn, Softmax()):
+        for layer in (make_linear(6, 6), LeakyReLU(), bn, Softmax()):
             x = awkward_values(rng, (8, 6))
             before = x.copy()
             layer.forward(x, train)
@@ -528,15 +529,15 @@ def one_pass_adam_step(opt, params, scratch):
     m *= opt.beta1
     np.multiply(g, 1.0 - opt.beta1, out=a)
     m += a
-    v *= opt.beta2
-    np.multiply(g, 1.0 - opt.beta2, out=a)
+    v *= ADAM_BETA2
+    np.multiply(g, 1.0 - ADAM_BETA2, out=a)
     a *= g
     v += a
     np.divide(m, 1.0 - opt.beta1 ** t, out=a)
     a *= opt.lr
-    np.divide(v, 1.0 - opt.beta2 ** t, out=b)
+    np.divide(v, 1.0 - ADAM_BETA2 ** t, out=b)
     np.sqrt(b, out=b)
-    b += opt.eps
+    b += ADAM_EPS
     a /= b
     params.data -= a
 

@@ -246,8 +246,8 @@ class TestMapperPhase:
             x_fake, _ = state.generator.forward(z, train=True)
             x_rec, _ = state.generator.forward(z_fake, train=True)
             z_rec, _ = state.encoder.forward(x_fake, train=True)
-            _, fake_x, _ = _critic_scores(state.critic_x, x, x_fake, train=True)
-            _, fake_z, _ = _critic_scores(state.critic_z, z, z_fake, train=True)
+            _, fake_x, _ = _critic_scores(state.critic_x, x, x_fake)
+            _, fake_z, _ = _critic_scores(state.critic_z, z, z_fake)
             value = (-float(fake_x.mean()) - float(fake_z.mean())
                      + lam1 * l1_loss(x_rec, x) + lam2 * l1_loss(z_rec, z))
             for l, (m, v) in zip(bns, saved):

@@ -222,6 +222,6 @@ def classify(ckpt, docs_path, label_path) -> tuple[str, str]:
 
 def coherence(ckpt, reference, window, top_n=10) -> str:
     """The eval-coherence report."""
-    stats = build_cooc(load_documents(reference, vocab=ckpt.vocab), window,
-                       topic_word_ids(ckpt.generator, top_n))
-    return format_coherence_report(*model_coherence(ckpt.generator, ckpt.vocab, stats, n=top_n))
+    word_ids = topic_word_ids(ckpt.generator, top_n)
+    stats = build_cooc(load_documents(reference, vocab=ckpt.vocab), window, word_ids)
+    return format_coherence_report(*model_coherence(ckpt.vocab, stats, word_ids))
