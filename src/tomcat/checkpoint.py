@@ -3,8 +3,10 @@
 Layout (all integers little-endian): magic "TOMCAT01", a mode byte
 (0 unsupervised / 1 supervised), the dims K/V/H/L, the vocabulary, one blob
 per parameter or running-statistic array (name, rank, dims, float64 data;
-exactly the arrays of the mode's networks, in network_table order), a JSON
-echo of the training config, the RNG seed, and finally the training-split
+exactly the arrays of the mode's networks, in network_table order, each of
+the shape networks.state_shapes gives for the dims, checked in one pass
+before any network is built), a JSON echo of the training config (its
+data_dir, if any, a string), the RNG seed, and finally the training-split
 document count (at least 2) and document frequencies (none above that
 count) needed to TF-IDF-transform unseen documents at inference time.
 Nothing may follow them. Every stored float must be finite. Files are
@@ -23,7 +25,7 @@ import numpy as np
 
 from .corpus import Vocabulary
 from .fileio import write_atomic
-from .networks import Network, build_networks, end_weight_shapes, network_table
+from .networks import Network, build_networks, network_table, state_shapes
 
 MAGIC = b"TOMCAT01"
 MAX_TOKEN_BYTES = 0xFFFF  # token lengths are stored as u16
@@ -37,8 +39,6 @@ class CheckpointError(Exception):
 class Checkpoint:
     supervised: bool
     num_topics: int
-    num_words: int
-    hidden: int
     num_classes: int
     vocab: Vocabulary
     encoder: Network
@@ -68,14 +68,18 @@ def _blob_arrays(networks) -> dict[str, np.ndarray]:
     return {f"{net.name}.{key}": arr for net in networks for key, arr in net.state().items()}
 
 
-def _dims_problem(arrays: dict[str, np.ndarray], table, hidden: int) -> str | None:
-    """What keeps the first and last Linear weights of the table's networks
-    from matching the dims, or None."""
-    for name, shape in end_weight_shapes(table, hidden).items():
+def _layout_problem(arrays: dict[str, np.ndarray], table, hidden: int) -> str | None:
+    """The first way in which arrays, by blob name, are not exactly the arrays
+    that build_networks(table, hidden, ...) makes, or None."""
+    shapes = state_shapes(table, hidden)
+    for name, shape in shapes.items():
         if name not in arrays:
             return f"blob {name!r} is missing"
         if arrays[name].shape != shape:
             return f"blob {name!r} has shape {arrays[name].shape}, the dims give {shape}"
+    for name in arrays:
+        if name not in shapes:
+            return f"blob {name!r} belongs to no network of this checkpoint"
     return None
 
 
@@ -93,7 +97,7 @@ def save_checkpoint(path: str | Path, *, vocab: Vocabulary, encoder: Network,
     given = {net.name: net for net in (encoder, generator, critic_x, critic_z, classifier)
              if net is not None}
     blobs = _blob_arrays(given[name] for name, *_ in table)
-    problem = _dims_problem(blobs, table, hidden)
+    problem = _layout_problem(blobs, table, hidden)
     if problem:
         raise ValueError(f"the networks disagree with their dims: {problem}")
 
@@ -215,6 +219,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError("invalid config echo") from exc
     if not isinstance(config, dict):
         raise CheckpointError("config echo is not an object")
+    if not isinstance(config.get("data_dir", ""), str):   # train echoes a path string
+        raise CheckpointError("config echo's data_dir is not a string")
     (seed,) = reader.unpack("<q")
     (train_doc_count,) = reader.unpack("<I")
     doc_freq = np.frombuffer(reader.take(num_words * 4), dtype="<u4").astype(np.int64)
@@ -227,31 +233,22 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError(f"a document frequency of {doc_freq.max()} exceeds the "
                               f"training document count {train_doc_count}")
 
-    # check the dims against stored blobs before building any network, so a
+    # check the blobs against the dims before building any network, so a
     # corrupt dim cannot ask for a huge allocation
     if min(num_topics, hidden) < 1 or (num_classes < 2 if mode else num_classes != 0):
         raise CheckpointError(f"dims K={num_topics} H={hidden} L={num_classes} out of range "
                               f"for a {'supervised' if mode else 'unsupervised'} checkpoint")
-    table = network_table(num_words, num_topics, num_classes if mode else 0)
-    problem = _dims_problem(arrays, table, hidden)
+    table = network_table(num_words, num_topics, num_classes)
+    problem = _layout_problem(arrays, table, hidden)
     if problem:
-        raise CheckpointError(f"blob shapes inconsistent with dims: {problem}")
-
-    # uninitialised weights: load_state fills every array below
+        raise CheckpointError(f"blobs disagree with the dims: {problem}")
+    # uninitialised weights, every array filled below
     networks = build_networks(table, hidden, None)
-    expected = _blob_arrays(networks.values())
-    odd = sorted(arrays.keys() ^ expected.keys())   # blob names must be the networks' arrays
-    if odd:
-        raise CheckpointError(f"blob {odd[0]!r} " + ("is missing" if odd[0] in expected else
-                                                     "belongs to no network of this checkpoint"))
-    for net in networks.values():
-        try:
-            net.load_state({key: arrays[f"{net.name}.{key}"] for key in net.state()})
-        except ValueError as exc:
-            raise CheckpointError(f"blob shapes inconsistent with dims: {exc}") from exc
+    for name, arr in _blob_arrays(networks.values()).items():
+        np.copyto(arr, arrays[name])
 
-    return Checkpoint(supervised=bool(mode), num_topics=num_topics, num_words=num_words,
-                      hidden=hidden, num_classes=num_classes, vocab=vocab,
+    return Checkpoint(supervised=bool(mode), num_topics=num_topics,
+                      num_classes=num_classes, vocab=vocab,
                       encoder=networks["E"], generator=networks["G"],
                       critic_x=networks["D_X"], critic_z=networks["D_Z"],
                       classifier=networks.get("C"), config=config,

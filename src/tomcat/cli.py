@@ -204,6 +204,8 @@ def cmd_train(args) -> int:
     loss_log_path = args.loss_log or (str(args.out) + ".losses.tsv")
     _check_output(Path(args.out), "checkpoint")
     _check_output(Path(loss_log_path), "loss log")
+    if Path(loss_log_path).resolve() == Path(args.out).resolve():
+        raise ConfigError(f"the loss log {loss_log_path} would overwrite the checkpoint")
     data_dir = Path(args.data)
     manifest_path = data_dir / "manifest.json"
     if not manifest_path.exists():

@@ -63,17 +63,6 @@ class Network:
                 out[f"{i}.{key}"] = arr
         return out
 
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        state = self.state()
-        if set(arrays) != set(state):
-            raise ValueError(f"network {self.name}: state keys do not match")
-        for key, arr in arrays.items():
-            if arr.shape != state[key].shape:
-                raise ValueError(
-                    f"network {self.name}: shape {arr.shape} for {key}, "
-                    f"expected {state[key].shape}")
-            np.copyto(state[key], arr)
-
 
 def network_table(num_words: int, num_topics: int,
                   num_classes: int = 0) -> list[tuple[str, int, int, bool]]:
@@ -104,13 +93,15 @@ def build_networks(table: list[tuple[str, int, int, bool]], hidden: int,
     return networks
 
 
-def end_weight_shapes(table: list[tuple[str, int, int, bool]],
-                      hidden: int) -> dict[str, tuple[int, int]]:
-    """The weight shapes of the first and the last Linear of every network in
-    table, by network name and state key ("E.0.W", "E.3.W", ...). They fix
-    the shape of every other array."""
-    return {key: shape for name, in_dim, out_dim, _ in table for key, shape in (
-        (f"{name}.0.W", (hidden, in_dim)), (f"{name}.3.W", (out_dim, hidden)))}
+def state_shapes(table: list[tuple[str, int, int, bool]],
+                 hidden: int) -> dict[str, tuple[int, ...]]:
+    """The shape of every array that build_networks(table, hidden, ...) makes,
+    by network name and state key ("E.0.W", "G.2.running_var", ...), in
+    table order. Allocates no array."""
+    return {f"{name}.{key}": shape for name, in_dim, out_dim, _ in table for key, shape in (
+        ("0.W", (hidden, in_dim)), ("0.b", (hidden,)), ("2.gamma", (hidden,)),
+        ("2.beta", (hidden,)), ("2.running_mean", (hidden,)), ("2.running_var", (hidden,)),
+        ("3.W", (out_dim, hidden)), ("3.b", (out_dim,)))}
 
 
 @dataclass

@@ -92,6 +92,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be positive")
         if not (0 <= self.beta1_main < 1 and 0 <= self.beta1_cls < 1):
             raise ConfigError("beta1 values must lie in [0, 1)")
+        if not 0 <= self.seed < 2**63:   # a checkpoint stores it as a signed 64-bit int
+            raise ConfigError(f"seed must lie in [0, 2**63), not {self.seed}")
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -177,7 +179,7 @@ class TrainState:
 
 
 def init_state(config: TrainConfig, num_words: int, num_classes: int = 0) -> TrainState:
-    config.validate()
+    """Networks, optimizers and rng for a config that has passed validate."""
     if config.supervised and num_classes < 2:
         raise ConfigError("supervised training needs at least 2 classes")
     rng = np.random.default_rng(config.seed)

@@ -7,7 +7,7 @@ import pytest
 from tomcat.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from tomcat.cli import main
 from tomcat.corpus import CsrRows, Vocabulary
-from tomcat.networks import build_networks, network_table
+from tomcat.networks import build_networks, network_table, state_shapes
 from tomcat.training import TrainConfig, train
 
 
@@ -21,7 +21,7 @@ def trained_state(seed, supervised=False, num_words=9, num_topics=3):
     return train(CsrRows.from_dense(rows), cfg, labels=labels)
 
 
-def save_state(state, vocab, path, doc_freq=None, train_doc_count=40):
+def save_state(state, vocab, path, doc_freq=None, train_doc_count=40, config=None):
     save_checkpoint(
         path,
         vocab=vocab,
@@ -30,7 +30,7 @@ def save_state(state, vocab, path, doc_freq=None, train_doc_count=40):
         critic_x=state.critic_x,
         critic_z=state.critic_z,
         classifier=state.classifier,
-        config=state.config.as_dict(),
+        config=state.config.as_dict() if config is None else config,
         seed=state.config.seed,
         doc_freq=np.arange(vocab.size) + 1 if doc_freq is None else doc_freq,
         train_doc_count=train_doc_count,
@@ -168,6 +168,20 @@ class TestCorruption:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
         assert main(["topics", "--ckpt", str(path)]) == 2
+
+    @pytest.mark.parametrize("data_dir", [5, True, ["a"], {"x": 1}, None])
+    def test_data_dir_that_is_not_a_string_is_exit_2(self, tmp_path, capsys, data_dir):
+        # eval-coherence without --reference makes a Path of it
+        state = trained_state(20)
+        path = tmp_path / "model.ckpt"
+        save_state(state, Vocabulary([f"t{i}" for i in range(9)]), path,
+                   config=state.config.as_dict() | {"data_dir": data_dir})
+        with pytest.raises(CheckpointError, match="data_dir is not a string"):
+            load_checkpoint(path)
+        assert main(["eval-coherence", "--ckpt", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: config echo's data_dir is not a string\n"
 
     def infer_exit(self, tmp_path, capsys, **stats):
         """infer's exit code and stderr with a checkpoint saved with stats."""
@@ -392,6 +406,16 @@ class TestBlobNames:
         shape = list(net.state()[name.split(".", 1)[1]].shape)
         shape[axis] += 1
         records = [_record(name, np.zeros(shape)) if n == name else (n, r) for n, r in records]
+        self.assert_corrupt(path, _join_blobs(head, records, tail), capsys,
+                            f"blob {name!r} has shape")
+
+    @pytest.mark.parametrize("name", ["E.2.gamma", "G.2.running_var", "D_Z.0.b", "C.3.b"])
+    def test_middle_array_of_wrong_length_is_exit_2(self, tmp_path, capsys, name):
+        path = self.saved(tmp_path, supervised=True)
+        head, records, tail = _split_blobs(path.read_bytes())
+        (length,) = state_shapes(network_table(9, 3, 2), 5)[name]
+        records = [_record(name, np.zeros(length + 1)) if n == name else (n, r)
+                   for n, r in records]
         self.assert_corrupt(path, _join_blobs(head, records, tail), capsys,
                             f"blob {name!r} has shape")
 

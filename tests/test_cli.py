@@ -232,6 +232,18 @@ class TestTrain:
         assert "beta1" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 63)])
+    def test_seed_out_of_range_rejected(self, workdir, tmp_path, capsys, seed):
+        # a checkpoint stores the seed as a signed 64-bit integer
+        code = main(["train", "--data", str(workdir / "data"), "--topics", "2",
+                     "--batch", "16", "--iters", "1", "--seed", seed,
+                     "--out", str(tmp_path / "m.ckpt")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: seed must lie in [0, 2**63), not {seed}\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("manifest", [
         b"{", b"\xff\xfe", b"[1, 2]", b'{"n_classes": "3"}', b'{"n_classes": -1}',
         b'{"n_classes": 1.5}', b'{"n_docs": 150}',
@@ -250,7 +262,8 @@ class TestTrain:
         assert captured.out == ""
 
     @pytest.mark.parametrize("where", ["missing directory", "a directory",
-                                       "loss log in a missing directory"])
+                                       "loss log in a missing directory",
+                                       "loss log is the checkpoint"])
     def test_unwritable_output_rejected_before_reading(self, workdir, tmp_path, capsys,
                                                        monkeypatch, where):
         def must_not_run(*args, **kwargs):
@@ -262,7 +275,10 @@ class TestTrain:
                "a directory": ["--out", str(tmp_path)],
                "loss log in a missing directory": [
                    "--out", str(tmp_path / "m.ckpt"),
-                   "--loss-log", str(tmp_path / "absent" / "m.tsv")]}[where]
+                   "--loss-log", str(tmp_path / "absent" / "m.tsv")],
+               "loss log is the checkpoint": [
+                   "--out", str(tmp_path / "m.ckpt"), "--loss-log", str(tmp_path / "m.ckpt")]
+               }[where]
         code = main(["train", "--data", str(workdir / "data"), "--topics", "2",
                      "--batch", "16", "--iters", "1"] + out)
         captured = capsys.readouterr()

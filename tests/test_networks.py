@@ -8,6 +8,7 @@ from tomcat.networks import (
     build_networks,
     network_table,
     sample_prior,
+    state_shapes,
     top_word_ids,
     top_words,
     topic_word_distributions,
@@ -177,12 +178,13 @@ class TestArchitecture:
         assert scores.shape == (16, 1)
         assert np.any(scores < 0) or np.any(scores > 1)
 
-    def test_state_round_trip(self):
-        net = build_one("G", rng(7), 4, words=6, topics=3)
-        copy = build_one("G", rng(8), 4, words=6, topics=3)
-        copy.load_state({k: v.copy() for k, v in net.state().items()})
-        for k, arr in net.state().items():
-            np.testing.assert_array_equal(arr, copy.state()[k])
+    @pytest.mark.parametrize("num_classes", [0, 3])
+    def test_state_shapes_are_the_built_arrays(self, num_classes):
+        table = network_table(7, 4, num_classes)
+        nets = build_networks(table, 5, rng(7))
+        built = [(f"{name}.{key}", arr.shape) for name, net in nets.items()
+                 for key, arr in net.state().items()]
+        assert list(state_shapes(table, 5).items()) == built
 
 
 class TestDirichletPrior:

@@ -322,6 +322,14 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train(rows, small_config(supervised=True))
 
+    def test_config_validated_once(self, monkeypatch):
+        calls = []
+        validate = TrainConfig.validate
+        monkeypatch.setattr(TrainConfig, "validate",
+                            lambda self: calls.append(1) or validate(self))
+        train(CsrRows.from_dense(simplex_rows(80, 10, 36)), small_config(iterations=1))
+        assert len(calls) == 1
+
     def test_corpus_smaller_than_batch_rejected(self):
         rows = CsrRows.from_dense(simplex_rows(8, 10, 34))
         with pytest.raises(ConfigError):
