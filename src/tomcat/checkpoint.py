@@ -37,7 +37,6 @@ class CheckpointError(Exception):
 
 @dataclass
 class Checkpoint:
-    supervised: bool
     num_topics: int
     num_classes: int
     vocab: Vocabulary
@@ -247,8 +246,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     for name, arr in _blob_arrays(networks.values()).items():
         np.copyto(arr, arrays[name])
 
-    return Checkpoint(supervised=bool(mode), num_topics=num_topics,
-                      num_classes=num_classes, vocab=vocab,
+    return Checkpoint(num_topics=num_topics, num_classes=num_classes, vocab=vocab,
                       encoder=networks["E"], generator=networks["G"],
                       critic_x=networks["D_X"], critic_z=networks["D_Z"],
                       classifier=networks.get("C"), config=config,

@@ -201,6 +201,13 @@ def _check_output(path: Path, what: str) -> None:
 
 
 def cmd_train(args) -> int:
+    config = TrainConfig(
+        num_topics=args.topics, hidden=args.hidden, alpha=args.alpha,
+        batch_size=args.batch, iterations=args.iters, critic_steps=args.critic_steps,
+        clip_c=args.clip, lr_main=args.lr_main, beta1_main=args.beta1_main,
+        lr_cls=args.lr_cls, beta1_cls=args.beta1_cls, lambda1_hat=args.lambda1,
+        lambda2_hat=args.lambda2, lambda3_hat=args.lambda3,
+        supervised=args.supervised, seed=args.seed)
     loss_log_path = args.loss_log or (str(args.out) + ".losses.tsv")
     _check_output(Path(args.out), "checkpoint")
     _check_output(Path(loss_log_path), "loss log")
@@ -222,14 +229,6 @@ def cmd_train(args) -> int:
     if args.supervised and labels is None:
         raise ConfigError(f"data directory {data_dir} has no labels")
 
-    config = TrainConfig(
-        num_topics=args.topics, hidden=args.hidden, alpha=args.alpha,
-        batch_size=args.batch, iterations=args.iters, critic_steps=args.critic_steps,
-        clip_c=args.clip, lr_main=args.lr_main, beta1_main=args.beta1_main,
-        lr_cls=args.lr_cls, beta1_cls=args.beta1_cls, lambda1_hat=args.lambda1,
-        lambda2_hat=args.lambda2, lambda3_hat=args.lambda3,
-        supervised=args.supervised, seed=args.seed)
-    config.validate()
     for key, value in config.as_dict().items():
         print(f"config\t{key}\t{value}")
 

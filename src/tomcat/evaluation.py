@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 
 from .corpus import BLOCK_ROWS, CsrRows, Documents, Vocabulary
-from .networks import DirichletPrior, Network, sample_prior, top_word_ids, topic_word_distributions
+from .networks import Network, sample_prior, top_word_ids, topic_word_distributions
 
 
 class EvaluationError(ValueError):
@@ -257,8 +257,11 @@ class SyntheticSpec:
     def __post_init__(self):
         if min(self.num_topics, self.words_per_topic, self.num_docs, self.doc_length) < 1:
             raise EvaluationError("synthetic corpus dimensions must be positive")
-        if self.doc_topic_alpha <= 0:
-            raise EvaluationError("doc_topic_alpha must be positive")
+        if not 0 < self.doc_topic_alpha < math.inf:
+            raise EvaluationError(f"doc_topic_alpha must be finite and positive, "
+                                  f"not {self.doc_topic_alpha}")
+        if self.seed < 0:
+            raise EvaluationError(f"seed must be >= 0, not {self.seed}")
 
     @property
     def vocab_size(self) -> int:
@@ -275,8 +278,7 @@ def make_synthetic(spec: SyntheticSpec) -> tuple[CsrRows, list[int], list[list[i
     rng = np.random.default_rng(spec.seed)
     # the arrays first: a size too large to allocate fails here, at once
     counts = np.empty((spec.num_docs, spec.vocab_size))
-    thetas = sample_prior(DirichletPrior(spec.num_topics, spec.doc_topic_alpha),
-                          spec.num_docs, rng)
+    thetas = sample_prior(spec.num_topics, spec.doc_topic_alpha, spec.num_docs, rng)
     supports = [list(range(k * spec.words_per_topic, (k + 1) * spec.words_per_topic))
                 for k in range(spec.num_topics)]
     for row, theta in zip(counts, thetas):

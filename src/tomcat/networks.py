@@ -1,4 +1,4 @@
-"""The five network stacks, the Dirichlet prior, and topic extraction helpers.
+"""The five network stacks, the Dirichlet prior sampler and topic helpers.
 
 Every network has the shape Linear -> LeakyReLU -> BatchNorm -> Linear, with
 nn's fixed settings: slope LEAKY_SLOPE, momentum BN_MOMENTUM and variance
@@ -8,8 +8,6 @@ network's widths.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,35 +102,24 @@ def state_shapes(table: list[tuple[str, int, int, bool]],
         ("3.W", (out_dim, hidden)), ("3.b", (out_dim,)))}
 
 
-@dataclass
-class DirichletPrior:
-    """Symmetric Dirichlet over the topic simplex (every concentration equals alpha)."""
-
-    num_topics: int
-    alpha: float
-
-    def __post_init__(self):
-        if self.num_topics < 1:
-            raise ValueError("need at least one topic")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-
-
-def sample_prior(prior: DirichletPrior, batch: int, rng: np.random.Generator) -> np.ndarray:
-    """Dirichlet rows via normalized Gamma(alpha, 1) draws.
+def sample_prior(num_topics: int, alpha: float, batch: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """batch rows of the symmetric Dirichlet(alpha) over num_topics topics,
+    via normalized Gamma(alpha, 1) draws. The callers' configs have checked
+    that num_topics >= 1 and alpha > 0.
 
     Rows whose Gamma draws all underflow to zero are resampled; after 100
     failed rounds a SamplingError is raised.
     """
     if batch < 1:
         raise ValueError("batch must be >= 1")
-    draws = rng.gamma(prior.alpha, 1.0, size=(batch, prior.num_topics))
+    draws = rng.gamma(alpha, 1.0, size=(batch, num_topics))
     for _ in range(100):
         sums = draws.sum(axis=1)
         bad = sums <= 0.0
         if not bad.any():
             return draws / sums[:, None]
-        draws[bad] = rng.gamma(prior.alpha, 1.0, size=(int(bad.sum()), prior.num_topics))
+        draws[bad] = rng.gamma(alpha, 1.0, size=(int(bad.sum()), num_topics))
     raise SamplingError("prior draws kept underflowing to zero after 100 retries")
 
 

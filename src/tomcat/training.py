@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import CsrRows
 from .fileio import write_atomic
-from .networks import DirichletPrior, Network, build_networks, network_table, sample_prior
+from .networks import Network, build_networks, network_table, sample_prior
 from .nn import (
     Adam,
     NonFiniteError,
@@ -53,6 +53,9 @@ class NonFiniteLossError(NonFiniteError):
 
 @dataclass
 class TrainConfig:
+    """Hyperparameters of a run, checked when made: a bad value raises
+    ConfigError, so a TrainConfig that exists is valid."""
+
     num_topics: int
     hidden: int = 100
     alpha: float = 0.1
@@ -70,7 +73,7 @@ class TrainConfig:
     supervised: bool = False
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -167,7 +170,6 @@ class TrainState:
     critic_x: Network
     critic_z: Network
     classifier: Network | None
-    prior: DirichletPrior
     adam_main: Adam
     adam_cls: Adam | None
     critic_params: ParamGroup
@@ -179,7 +181,7 @@ class TrainState:
 
 
 def init_state(config: TrainConfig, num_words: int, num_classes: int = 0) -> TrainState:
-    """Networks, optimizers and rng for a config that has passed validate."""
+    """Networks, optimizers and rng for a config."""
     if config.supervised and num_classes < 2:
         raise ConfigError("supervised training needs at least 2 classes")
     rng = np.random.default_rng(config.seed)
@@ -197,7 +199,6 @@ def init_state(config: TrainConfig, num_words: int, num_classes: int = 0) -> Tra
         critic_x=nets["D_X"],
         critic_z=nets["D_Z"],
         classifier=nets.get("C"),
-        prior=DirichletPrior(config.num_topics, config.alpha),
         adam_main=Adam(lr=config.lr_main, beta1=config.beta1_main),
         adam_cls=adam_cls,
         critic_params=ParamGroup(nets["D_X"].parameters() + nets["D_Z"].parameters()),
@@ -277,7 +278,7 @@ def critic_phase(state: TrainState, x_batches: list[np.ndarray],
     for step, x in enumerate(x_batches):
         batch = x.shape[0]
         z = (prior_batches[step] if prior_batches is not None
-             else sample_prior(state.prior, batch, state.rng))
+             else sample_prior(cfg.num_topics, cfg.alpha, batch, state.rng))
         x_fake, _ = state.generator.forward(z, train=True)
         z_fake, _ = state.encoder.forward(x, train=True)
 
@@ -312,7 +313,8 @@ def mapper_phase(state: TrainState, x: np.ndarray,
     batch = x.shape[0]
     if cfg.supervised and labels is None:
         raise ConfigError("supervised mapper step needs labels")
-    z = prior_batch if prior_batch is not None else sample_prior(state.prior, batch, state.rng)
+    z = (prior_batch if prior_batch is not None
+         else sample_prior(cfg.num_topics, cfg.alpha, batch, state.rng))
 
     state.mapper_params.zero_grad()
     state.critic_params.zero_grad()
@@ -383,11 +385,12 @@ def train(rows: CsrRows, config: TrainConfig,
     """Alternate critic and mapper phases over shuffled document epochs.
 
     rows are the (documents, words) matrix's CSR rows; each batch is
-    densified from them. Deterministic for a fixed config
-    seed: initialization, batch order, and prior draws all come from one
-    seeded generator.
+    densified from them. In supervised mode every label must lie in
+    [0, num_classes), num_classes defaulting to the largest label plus one;
+    this is checked before any network is built. Deterministic for a fixed
+    config seed: initialization, batch order, and prior draws all come from
+    one seeded generator.
     """
-    config.validate()
     if rows.shape[0] < config.batch_size:
         raise ConfigError(
             f"corpus has {rows.shape[0]} rows, fewer than batch_size={config.batch_size}")
@@ -399,6 +402,9 @@ def train(rows: CsrRows, config: TrainConfig,
             raise ConfigError("labels must align with rows")
         if num_classes is None:
             num_classes = int(labels.max()) + 1
+        bad = labels[(labels < 0) | (labels >= num_classes)]
+        if bad.size:
+            raise ConfigError(f"label {bad[0]} out of range [0, {num_classes})")
     state = init_state(config, num_words=rows.shape[1],
                        num_classes=num_classes or 0)
     batcher = _EpochBatcher(rows, labels if config.supervised else None,

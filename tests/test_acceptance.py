@@ -168,7 +168,7 @@ class TestCriterion1GradientCorrectness:
         state = init_state(config, num_words=6)
         raw = np.random.default_rng(27).uniform(0.01, 1, size=(5, 6))
         x = raw / raw.sum(axis=1, keepdims=True)
-        z = sample_prior(state.prior, 5, np.random.default_rng(28))
+        z = sample_prior(config.num_topics, config.alpha, 5, np.random.default_rng(28))
 
         reference = copy.deepcopy(state)
         rec = mapper_phase(reference, x, prior_batch=z)

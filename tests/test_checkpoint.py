@@ -47,7 +47,7 @@ class TestRoundTrip:
         save_state(state, vocab, path)
         loaded = load_checkpoint(path)
 
-        assert loaded.supervised == supervised
+        assert (loaded.classifier is not None) == supervised
         assert loaded.vocab.tokens == vocab.tokens
         assert loaded.seed == seed
         assert loaded.train_doc_count == 40

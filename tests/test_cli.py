@@ -244,6 +244,32 @@ class TestTrain:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    BAD_FLAGS = {("--batch", "1"): "batch_size must be >= 2",
+                 ("--seed", "-1"): "seed must lie in [0, 2**63)",
+                 ("--clip", "0"): "clip_c must be positive",
+                 ("--lr-main", "nan"): "lr_main must be finite",
+                 ("--beta1-main", "1"): "beta1 values must lie in [0, 1)",
+                 ("--iters", "-1"): "iterations must be >= 0"}
+
+    @pytest.mark.parametrize("data", ["ingested", "no-manifest"])
+    @pytest.mark.parametrize("flag, value", BAD_FLAGS)
+    def test_bad_flag_rejected_before_reading_the_data(self, workdir, tmp_path, capsys,
+                                                       monkeypatch, data, flag, value):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the data directory was read")
+
+        for name in ("_read_manifest", "_read_vocabulary", "load_rows", "train"):
+            monkeypatch.setattr(f"tomcat.cli.{name}", must_not_run)
+        data_dir = workdir / "data" if data == "ingested" else tmp_path
+        code = main(["train", "--data", str(data_dir), "--topics", "2", "--batch", "16",
+                     "--iters", "1", flag, value, "--out", str(tmp_path / "m.ckpt")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert self.BAD_FLAGS[flag, value] in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("manifest", [
         b"{", b"\xff\xfe", b"[1, 2]", b'{"n_classes": "3"}', b'{"n_classes": -1}',
         b'{"n_classes": 1.5}', b'{"n_docs": 150}',
@@ -1058,6 +1084,35 @@ class TestErrorPaths:
         # first allocation, not from Python lists filling the capped memory
         assert "(10, 2000000000000)" in done.stderr
         assert done.stdout == ""
+
+    @pytest.mark.parametrize("flag, value", [("--alpha", "inf"), ("--alpha", "nan"),
+                                             ("--seed", "-1")])
+    def test_synth_bad_value_rejected(self, tmp_path, capsys, flag, value):
+        code = main(["synth", "--k", "2", "--words-per-topic", "3", "--docs", "10",
+                     "--doc-len", "5", flag, value, "--out", str(tmp_path / "s")])
+        captured = capsys.readouterr()
+        assert code == 1
+        rule = {"--alpha": "doc_topic_alpha must be finite and positive",
+                "--seed": "seed must be >= 0"}[flag]
+        assert captured.err == f"error: {rule}, not {value}\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_synth_non_finite_alpha_prints_one_error_line(self, tmp_path):
+        # in a child process, out of reach of the test run's warning filter,
+        # so that a numpy warning printed before the error line would show
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                               os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "tomcat", "synth", "--k", "2", "--words-per-topic", "3",
+             "--docs", "10", "--doc-len", "5", "--alpha", "inf",
+             "--out", str(tmp_path / "s")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr == "error: doc_topic_alpha must be finite and positive, not inf\n"
+        assert done.stdout == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_synth_round_trip(self, tmp_path, capsys):
         assert main(["synth", "--k", "2", "--words-per-topic", "3", "--docs", "40",

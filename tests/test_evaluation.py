@@ -24,7 +24,7 @@ from tomcat.evaluation import (
 )
 from test_corpus import documents, oracle_count_matrix
 from test_networks import build_one
-from tomcat.networks import DirichletPrior, sample_prior
+from tomcat.networks import sample_prior
 
 EPS = 1e-12
 
@@ -441,8 +441,7 @@ class TestMakeSynthetic:
     def test_counts_match_dict_generator(self, spec):
         # the generator as it was when documents were dicts of word-id counts
         rng = np.random.default_rng(spec.seed)
-        thetas = sample_prior(DirichletPrior(spec.num_topics, spec.doc_topic_alpha),
-                              spec.num_docs, rng)
+        thetas = sample_prior(spec.num_topics, spec.doc_topic_alpha, spec.num_docs, rng)
         docs, labels = [], []
         for theta in thetas:
             topics = rng.choice(spec.num_topics, size=spec.doc_length, p=theta)

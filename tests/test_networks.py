@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from tomcat.corpus import Vocabulary
+from tomcat.evaluation import EvaluationError, SyntheticSpec
 from tomcat.networks import (
-    DirichletPrior,
     Network,
     build_networks,
     network_table,
@@ -14,6 +14,7 @@ from tomcat.networks import (
     topic_word_distributions,
 )
 from tomcat.nn import BatchNorm, LeakyReLU, Linear, Softmax, Tensor
+from tomcat.training import ConfigError, TrainConfig
 
 
 def rng(seed=0):
@@ -189,31 +190,36 @@ class TestArchitecture:
 
 class TestDirichletPrior:
     def test_single_topic_gives_ones(self):
-        z = sample_prior(DirichletPrior(1, 0.3), 50, rng(9))
+        z = sample_prior(1, 0.3, 50, rng(9))
         np.testing.assert_array_equal(z, np.ones((50, 1)))
 
     def test_rows_sum_to_one(self):
-        z = sample_prior(DirichletPrior(7, 0.2), 500, rng(10))
+        z = sample_prior(7, 0.2, 500, rng(10))
         np.testing.assert_allclose(z.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(z >= 0)
 
     def test_monte_carlo_mean(self):
         # symmetric Dirichlet has per-coordinate mean 1/K
-        z = sample_prior(DirichletPrior(5, 0.5), 20000, rng(11))
+        z = sample_prior(5, 0.5, 20000, rng(11))
         np.testing.assert_allclose(z.mean(axis=0), 0.2, atol=0.01)
 
     def test_monte_carlo_variance(self):
         # K=2, alpha=0.5: marginal is Beta(0.5, 0.5) with variance
         # (K-1) / (K^2 (K alpha + 1)) = 1/8
-        z = sample_prior(DirichletPrior(2, 0.5), 50000, rng(12))
+        z = sample_prior(2, 0.5, 50000, rng(12))
         var = z[:, 0].var()
         assert abs(var - 0.125) < 0.0125
 
     def test_invalid_parameters(self):
+        # both makers of a prior reject its concentration when they are made
+        for alpha in (0.0, -0.5):
+            with pytest.raises(ConfigError, match="alpha must be positive"):
+                TrainConfig(num_topics=3, alpha=alpha)
+            with pytest.raises(EvaluationError, match="doc_topic_alpha"):
+                SyntheticSpec(num_topics=3, words_per_topic=2, num_docs=4, doc_length=5,
+                              doc_topic_alpha=alpha, seed=0)
         with pytest.raises(ValueError):
-            DirichletPrior(3, 0.0)
-        with pytest.raises(ValueError):
-            sample_prior(DirichletPrior(3, 0.5), 0, rng(13))
+            sample_prior(3, 0.5, 0, rng(13))
 
 
 class TestTopicExtraction:

@@ -1,4 +1,6 @@
 import copy
+import math
+import re
 
 import numpy as np
 import pytest
@@ -41,9 +43,45 @@ def small_config(**kw):
     return TrainConfig(**base)
 
 
+def prior_rows(cfg, batch, seed):
+    """batch draws from cfg's topic prior, from a generator of their own."""
+    return sample_prior(cfg.num_topics, cfg.alpha, batch, np.random.default_rng(seed))
+
+
 def simplex_rows(n, v, seed):
     raw = np.random.default_rng(seed).uniform(0.01, 1, size=(n, v))
     return raw / raw.sum(axis=1, keepdims=True)
+
+
+BAD_CONFIG_VALUES = [
+    ("num_topics", 0, "num_topics must be >= 1"),
+    ("hidden", 0, "hidden must be >= 1"),
+    ("batch_size", 1, "batch_size must be >= 2"),
+    ("iterations", -1, "iterations must be >= 0"),
+    ("critic_steps", 0, "critic_steps must be >= 1"),
+    ("alpha", 0.0, "alpha must be positive"),
+    ("clip_c", -0.01, "clip_c must be positive"),
+    ("lr_main", 0.0, "lr_main must be positive"),
+    ("lr_cls", 0.0, "lr_cls must be positive"),
+    ("lambda1_hat", 0.0, "lambda1_hat must be positive"),
+    ("lambda2_hat", -1.0, "lambda2_hat must be positive"),
+    ("lambda3_hat", 0.0, "lambda3_hat must be positive"),
+    ("beta1_main", 1.0, "beta1 values must lie in [0, 1)"),
+    ("beta1_cls", -0.1, "beta1 values must lie in [0, 1)"),
+    ("seed", -1, "seed must lie in [0, 2**63), not -1"),
+    ("seed", 2 ** 63, f"seed must lie in [0, 2**63), not {2 ** 63}"),
+    ("lr_main", math.nan, "lr_main must be finite, not nan"),
+    ("alpha", math.inf, "alpha must be finite, not inf"),
+    ("beta1_cls", -math.inf, "beta1_cls must be finite, not -inf"),
+]
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value, message", BAD_CONFIG_VALUES,
+                             ids=[f"{field}={value}" for field, value, _ in BAD_CONFIG_VALUES])
+    def test_bad_value_rejected_at_construction(self, field, value, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            TrainConfig(**{"num_topics": 3, field: value})
 
 
 class TestAdvLosses:
@@ -84,7 +122,7 @@ class TestCycleLosses:
     def test_nonnegative_and_bounded_on_simplex(self):
         state = init_state(small_config(), num_words=9)
         x = simplex_rows(16, 9, 8)
-        z = sample_prior(state.prior, 16, np.random.default_rng(9))
+        z = prior_rows(state.config, 16, 9)
         fwd, bwd, _ = cycle_losses(state.generator, state.encoder, x, z)
         assert fwd >= 0 and bwd >= 0
         # the L1 diameter of the probability simplex is 2
@@ -142,7 +180,7 @@ class TestCriticPhase:
         rows = simplex_rows(400, 12, 15)
         rng = np.random.default_rng(16)
         probe_x = rows[:64]
-        probe_z = sample_prior(state.prior, 64, np.random.default_rng(17))
+        probe_z = prior_rows(state.config, 64, 17)
         probe_xf, _ = state.generator.forward(probe_z, train=True)
         probe_zf, _ = state.encoder.forward(probe_x, train=True)
 
@@ -160,7 +198,7 @@ class TestCriticPhase:
         cfg = small_config(num_topics=3, hidden=4, batch_size=5, critic_steps=1, seed=18)
         state = init_state(cfg, num_words=6)
         x = simplex_rows(5, 6, 19)
-        z = sample_prior(state.prior, 5, np.random.default_rng(20))
+        z = prior_rows(state.config, 5, 20)
         x_fake, _ = state.generator.forward(z, train=True)
 
         reference = copy.deepcopy(state)
@@ -228,7 +266,7 @@ class TestMapperPhase:
                           critic_steps=1, seed=26)
         state = init_state(cfg, num_words=6)
         x = simplex_rows(5, 6, 27)
-        z = sample_prior(state.prior, 5, np.random.default_rng(28))
+        z = prior_rows(state.config, 5, 28)
 
         reference = copy.deepcopy(state)
         rec = mapper_phase(reference, x, prior_batch=z)
@@ -273,10 +311,9 @@ class TestStateCopy:
         clone = copy.deepcopy(state)
         for s in (state, clone):
             critic_phase(s, [rows[i * 16:(i + 1) * 16] for i in range(5)],
-                         prior_batches=[sample_prior(s.prior, 16, np.random.default_rng(i))
-                                        for i in range(5)])
+                         prior_batches=[prior_rows(s.config, 16, i) for i in range(5)])
             mapper_phase(s, rows[80:], labels,
-                         prior_batch=sample_prior(s.prior, 16, np.random.default_rng(9)))
+                         prior_batch=prior_rows(s.config, 16, 9))
         groups = [(state.critic_params, clone.critic_params),
                   (state.mapper_params, clone.mapper_params)]
         if supervised:
@@ -322,13 +359,18 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train(rows, small_config(supervised=True))
 
-    def test_config_validated_once(self, monkeypatch):
-        calls = []
-        validate = TrainConfig.validate
-        monkeypatch.setattr(TrainConfig, "validate",
-                            lambda self: calls.append(1) or validate(self))
-        train(CsrRows.from_dense(simplex_rows(80, 10, 36)), small_config(iterations=1))
-        assert len(calls) == 1
+    @pytest.mark.parametrize("bad, num_classes", [(7, 3), (-1, 3), (-1, None)])
+    def test_label_out_of_range_rejected_before_any_phase(self, monkeypatch, bad,
+                                                          num_classes):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("training started")
+
+        for name in ("init_state", "critic_phase", "mapper_phase"):
+            monkeypatch.setattr(f"tomcat.training.{name}", must_not_run)
+        labels = np.tile([0, 1, 2, bad], 20)   # None infers 3 classes from the 2s
+        with pytest.raises(ConfigError, match=re.escape(f"label {bad} out of range [0, 3)")):
+            train(CsrRows.from_dense(simplex_rows(80, 10, 37)), small_config(supervised=True),
+                  labels=labels, num_classes=num_classes)
 
     def test_corpus_smaller_than_batch_rejected(self):
         rows = CsrRows.from_dense(simplex_rows(8, 10, 34))
