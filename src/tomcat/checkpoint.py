@@ -10,7 +10,7 @@ data_dir, if any, a string), the RNG seed, and finally the training-split
 document count (at least 2) and document frequencies (none above that
 count) needed to TF-IDF-transform unseen documents at inference time.
 Nothing may follow them. Every stored float must be finite. Files are
-written atomically.
+written atomically, each array straight from its own memory.
 """
 
 from __future__ import annotations
@@ -100,33 +100,36 @@ def save_checkpoint(path: str | Path, *, vocab: Vocabulary, encoder: Network,
     if problem:
         raise ValueError(f"the networks disagree with their dims: {problem}")
 
-    parts = [MAGIC, struct.pack("<B", 1 if supervised else 0),
-             struct.pack("<4I", num_topics, vocab.size, hidden, num_classes)]
+    # the file is streamed: small fields are joined into one part up to each
+    # array, which is written from its own memory
+    parts, fields = [], [MAGIC, struct.pack("<B", 1 if supervised else 0),
+                         struct.pack("<4I", num_topics, vocab.size, hidden, num_classes)]
 
-    parts.append(struct.pack("<I", vocab.size))
+    fields.append(struct.pack("<I", vocab.size))
     for token in vocab.tokens:
         raw = token.encode("utf-8")
-        parts.append(struct.pack("<H", len(raw)))
-        parts.append(raw)
+        fields.append(struct.pack("<H", len(raw)))
+        fields.append(raw)
 
-    parts.append(struct.pack("<I", len(blobs)))
+    fields.append(struct.pack("<I", len(blobs)))
     for name, arr in blobs.items():
         raw = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(raw)))
-        parts.append(raw)
-        parts.append(struct.pack("<B", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fields.append(struct.pack("<H", len(raw)))
+        fields.append(raw)
+        fields.append(struct.pack("<B", arr.ndim))
+        fields.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        parts += [b"".join(fields), np.ascontiguousarray(arr, dtype="<f8")]
+        fields = []
 
     config_raw = json.dumps(config, sort_keys=True).encode("utf-8")
-    parts.append(struct.pack("<I", len(config_raw)))
-    parts.append(config_raw)
-    parts.append(struct.pack("<q", seed))
+    fields.append(struct.pack("<I", len(config_raw)))
+    fields.append(config_raw)
+    fields.append(struct.pack("<q", seed))
 
-    parts.append(struct.pack("<I", train_doc_count))
-    parts.append(np.ascontiguousarray(doc_freq, dtype="<u4").tobytes())
+    fields.append(struct.pack("<I", train_doc_count))
+    parts += [b"".join(fields), np.ascontiguousarray(doc_freq, dtype="<u4")]
 
-    write_atomic(path, b"".join(parts))
+    write_atomic(path, *parts)
 
 
 class _Reader:

@@ -9,7 +9,6 @@ configuration error, 2 corrupt artifact, 3 numerical abort.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import os
 import shutil
@@ -105,33 +104,6 @@ def _read_vocabulary(path: Path, size: int) -> Vocabulary:
         raise DataDirError(f"{path} holds {vocab.size} tokens, not the manifest's "
                            f"vocab_size {size}")
     return vocab
-
-
-# glibc's mallopt parameters (malloc.h)
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-def _keep_freed_blocks_in_heap() -> None:
-    """Pin glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB.
-
-    glibc serves each block above the mmap threshold with its own mapping
-    and unmaps it on free, so every such block is page-faulted afresh. The
-    threshold starts at 128 KiB and rises only when a larger mapped block is
-    freed, so without the pin the speed of the training loop, whose
-    temporaries are 1-2 MB, would depend on what the process freed before
-    it. A no-op where the C library has no mallopt.
-    """
-    try:
-        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    except (OSError, TypeError):   # no C library to load by that name
-        return
-    if mallopt is None:
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 * 2 ** 20)
-    mallopt(_M_TRIM_THRESHOLD, 64 * 2 ** 20)
 
 
 def _blocks(source: DocumentFile, labels: list[int] | None = None):
@@ -232,7 +204,6 @@ def cmd_train(args) -> int:
     for key, value in config.as_dict().items():
         print(f"config\t{key}\t{value}")
 
-    _keep_freed_blocks_in_heap()
     try:
         state = train(mat.csr, config, labels=labels,
                       num_classes=num_classes if args.supervised else None)
@@ -240,6 +211,8 @@ def cmd_train(args) -> int:
         write_loss_log(exc.records, loss_log_path, abort=str(exc))
         raise
 
+    # the log first: the record of the run survives a failed save
+    write_loss_log(state.loss_log, loss_log_path)
     config_echo = config.as_dict()
     config_echo["data_dir"] = str(data_dir)
     save_checkpoint(
@@ -247,7 +220,6 @@ def cmd_train(args) -> int:
         critic_x=state.critic_x, critic_z=state.critic_z, classifier=state.classifier,
         config=config_echo, seed=config.seed, doc_freq=mat.doc_freq,
         train_doc_count=mat.n_docs)
-    write_loss_log(state.loss_log, loss_log_path)
 
     if state.loss_log:
         last = state.loss_log[-1]

@@ -9,7 +9,6 @@ normalizes onto the vocabulary simplex.
 
 from __future__ import annotations
 
-import io
 import lzma
 import os
 import tokenize
@@ -99,14 +98,18 @@ class CsrRows:
         return CsrRows(indptr - indptr[0], self.indices[indptr[0]:indptr[-1]],
                        self.data[indptr[0]:indptr[-1]], self.num_cols)
 
-    def take(self, rows: np.ndarray) -> np.ndarray:
-        """The given rows as a new dense (len(rows), num_cols) matrix."""
+    def take(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The given rows as a dense (len(rows), num_cols) matrix, written
+        over out when given, else new."""
         starts = self.indptr[rows]
         lengths = self.indptr[rows + 1] - starts
         # position in indices/data of every stored entry of the chosen rows
         pos = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths,
                                                    lengths)
-        out = np.zeros((len(rows), self.num_cols))
+        if out is None:
+            out = np.zeros((len(rows), self.num_cols))
+        else:
+            out.fill(0.0)
         out[np.repeat(np.arange(len(rows)), lengths), self.indices[pos]] = self.data[pos]
         return out
 
@@ -479,14 +482,15 @@ def load_rows(path: str | Path, num_words: int, n_docs: int,
     Raises RowsError when the archive cannot be decoded or its arrays break
     the layout save_rows writes; an unreadable file raises OSError.
     """
-    raw = Path(path).read_bytes()
-    if not raw.startswith(b"PK\x03\x04"):
-        raise RowsError(f"{path} is not a zip archive")
-    try:
-        with np.load(io.BytesIO(raw), allow_pickle=False) as npz:
-            arrays = {name: npz[name] for name in npz.files}
-    except _DECODE_ERRORS as exc:
-        raise RowsError(f"{path} cannot be decoded: {type(exc).__name__}: {exc}") from exc
+    with open(path, "rb") as fh:   # each array is read from the file once
+        if fh.read(4) != b"PK\x03\x04":
+            raise RowsError(f"{path} is not a zip archive")
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as npz:
+                arrays = {name: npz[name] for name in npz.files}
+        except _DECODE_ERRORS as exc:
+            raise RowsError(f"{path} cannot be decoded: {type(exc).__name__}: {exc}") from exc
     if not set(_ROWS_ARRAYS) <= set(arrays) <= {*_ROWS_ARRAYS, "labels"}:
         raise RowsError(f"{path} holds the arrays {sorted(arrays)}, not "
                         f"{list(_ROWS_ARRAYS)} and optionally labels")
@@ -503,14 +507,19 @@ def load_rows(path: str | Path, num_words: int, n_docs: int,
     n_rows = indptr.size - 1
     check(n_rows >= 0 and indptr[0] == 0 and indptr[-1] == indices.size == data.size,
           "indptr must run from 0 to the number of stored entries")
-    lengths = np.diff(indptr)
-    check((lengths > 0).all(), "indptr must be strictly increasing (no empty row)")
-    check(((indices >= 0) & (indices < num_words)).all(),
+    check((np.diff(indptr) > 0).all(), "indptr must be strictly increasing (no empty row)")
+    # every entry is checked with no temporary as long as the archive: the
+    # ranges by their extremes (a NaN fails both), the order a block at a time
+    check(indices.size == 0 or (indices.min() >= 0 and indices.max() < num_words),
           f"a column index lies outside [0, {num_words})")
-    # columns increase within each row: row * V + column increases throughout
-    cells = np.repeat(np.arange(n_rows) * num_words, lengths) + indices
-    check((np.diff(cells) > 0).all(), "columns must increase within each row")
-    check(((data > 0) & (data < np.inf)).all(), "data must be finite and positive")
+    for start in range(0, n_rows, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n_rows)
+        first = indptr[start]
+        rising = np.diff(indices[first:indptr[stop]]) > 0
+        rising[indptr[start + 1:stop] - first - 1] = True   # a row's first entry
+        check(rising.all(), "columns must increase within each row")
+    check(data.size == 0 or (data.min() > 0 and data.max() < np.inf),
+          "data must be finite and positive")
     doc_freq = arrays["doc_freq"]
     check(doc_freq.size == num_words and ((doc_freq >= 0) & (doc_freq <= n_docs)).all(),
           f"doc_freq must hold {num_words} counts in [0, {n_docs}]")

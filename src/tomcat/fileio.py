@@ -24,15 +24,18 @@ def atomic_path(path: str | Path) -> Iterator[Path]:
         raise
 
 
-def write_atomic(path: str | Path, data: bytes) -> None:
-    """Write data to a temporary file in path's directory, flush it to disk,
-    then rename it over path (see atomic_path)."""
+def write_atomic(path: str | Path, *parts) -> None:
+    """Write the parts, each bytes or any C-contiguous buffer such as a numpy
+    array, one after another to a temporary file in path's directory, flush
+    it to disk, then rename it over path (see atomic_path). No part is
+    copied."""
     with atomic_path(path) as tmp:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(fd, view):]
+            for part in parts:
+                view = memoryview(part).cast("B")
+                while view:
+                    view = view[os.write(fd, view):]
             os.fsync(fd)
         finally:
             os.close(fd)

@@ -4,10 +4,12 @@ Every network has the shape Linear -> LeakyReLU -> BatchNorm -> Linear, with
 nn's fixed settings: slope LEAKY_SLOPE, momentum BN_MOMENTUM and variance
 floor BN_EPS. The encoder, generator and classifier end in a softmax, and the
 critics emit one unbounded score per sample. network_table gives each
-network's widths.
+network's widths, and pass_buffers the arrays a train-mode pass writes.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,22 +20,34 @@ class SamplingError(RuntimeError):
     """Prior sampling repeatedly produced degenerate (zero-sum) draws."""
 
 
+class PassBuffers(NamedTuple):
+    """Keyword arrays for each layer's forward and backward call in one
+    train-mode pass of a network, and the pool of them that other passes of
+    the network may share (see pass_buffers)."""
+
+    forward: list[dict]
+    backward: list[dict]
+    pool: list[np.ndarray]
+
+
 class Network:
-    """Ordered stack of layers with chained forward/backward passes."""
+    """Ordered stack of layers with chained forward/backward passes. A pass
+    given PassBuffers writes into them; one given none allocates."""
 
     def __init__(self, name: str, layers: list):
         self.name = name
         self.layers = layers
 
-    def forward(self, x: np.ndarray, train: bool):
+    def forward(self, x: np.ndarray, train: bool, bufs: PassBuffers | None = None):
         caches = []
-        for layer in self.layers:
-            x, cache = layer.forward(x, train)
+        for layer, out in zip(self.layers, bufs.forward if bufs else [{}] * len(self.layers)):
+            x, cache = layer.forward(x, train, **out)
             caches.append(cache)
         return x, caches
 
     def backward(self, caches: list, grad_out: np.ndarray, param_grads: bool = True,
-                 input_rows: slice | None = slice(None)) -> np.ndarray | None:
+                 input_rows: slice | None = slice(None),
+                 bufs: PassBuffers | None = None) -> np.ndarray | None:
         """Chain the layers' backward passes from the output gradient.
 
         param_grads=False accumulates no parameter gradients, for a network
@@ -41,9 +55,11 @@ class Network:
         the returned input gradient; None returns none, for an input that is
         data. The first layer is a Linear, which takes input_rows.
         """
-        for layer, cache in zip(reversed(self.layers[1:]), reversed(caches[1:])):
-            grad_out = layer.backward(cache, grad_out, param_grads)
-        return self.layers[0].backward(caches[0], grad_out, param_grads, input_rows)
+        outs = bufs.backward if bufs else [{}] * len(self.layers)
+        for layer, cache, out in zip(reversed(self.layers[1:]), reversed(caches[1:]),
+                                     reversed(outs[1:])):
+            grad_out = layer.backward(cache, grad_out, param_grads, **out)
+        return self.layers[0].backward(caches[0], grad_out, param_grads, input_rows, **outs[0])
 
     @property
     def widths(self) -> tuple[int, int, int]:
@@ -89,6 +105,47 @@ def build_networks(table: list[tuple[str, int, int, bool]], hidden: int,
                   Linear(hidden, out_dim, rng)]
         networks[name] = Network(name, layers + [Softmax()] if softmax else layers)
     return networks
+
+
+def pass_buffers(in_dim: int, hidden: int, out_dim: int, softmax: bool, batch: int, *,
+                 out: np.ndarray | None = None, grad: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None,
+                 like: PassBuffers | None = None) -> PassBuffers:
+    """Every batch-shaped array that one train-mode forward and backward pass
+    of batch rows through a network of build_networks' shape writes.
+
+    out takes the network's output (a new array when None) and grad its
+    input gradient (none when None: the input is data). scratch, a flat
+    array of at least either Linear weight's size, takes a weight gradient
+    term that is not the first since zero_grad.
+
+    The arrays that only carry a value from one layer call to the next (a
+    layer output that only the next layer reads, an inner layer's input
+    gradient) form a pool that the forward and the backward pass share, as
+    do the passes made with like, another pass of the same network: no two
+    passes of one network run at the same time.
+    """
+    def new(width: int, dtype=np.float64) -> np.ndarray:
+        return np.empty((batch, width), dtype)
+
+    def weight(rows: int, cols: int) -> np.ndarray | None:
+        return None if scratch is None else scratch[:rows * cols].reshape(rows, cols)
+
+    if like is not None:
+        pool = like.pool
+    else:
+        pool = [new(hidden) for _ in range(4)] + ([new(out_dim)] if softmax else [])
+    if out is None:
+        out = new(out_dim)
+    forward = [{"y": pool[0]}, {"y": pool[1], "keep": new(hidden, np.bool_)},
+               {"y": new(hidden), "x_hat": new(hidden)}, {"y": pool[4] if softmax else out}]
+    backward = [{"gx": grad, "scratch": weight(hidden, in_dim)}, {"gx": pool[0]},
+                {"gx": pool[1], "tmp": pool[2]},
+                {"gx": pool[3], "scratch": weight(out_dim, hidden)}]
+    if softmax:
+        forward.append({"y": out})
+        backward.append({"gx": pool[4]})
+    return PassBuffers(forward, backward, pool)
 
 
 def state_shapes(table: list[tuple[str, int, int, bool]],

@@ -3,7 +3,9 @@
 Forward methods return (output, cache) so the same layer can be applied to
 several batches inside one training step; backward(cache, grad_out,
 param_grads=True) returns the input gradient and, unless param_grads is
-False, accumulates parameter gradients in place.
+False, accumulates parameter gradients in place. Each batch-shaped array a
+call writes (its output, cache or input gradient) can be handed to it by
+keyword; one not handed is allocated. A layer never writes into its input.
 
 Optimizers work on a ParamGroup: tensors whose data and gradients are views
 into two flat buffers, so an Adam step or a clip is a fixed number of array
@@ -68,14 +70,27 @@ class Tensor:
         return self._grad if self._has_grad else None
 
     def add_grad(self, g: np.ndarray) -> None:
-        if g.shape != self.data.shape:
-            raise ShapeError(f"gradient shape {g.shape} != parameter shape {self.data.shape}")
+        self._add_term(g.shape, lambda out: g if out is None else np.copyto(out, g))
+
+    def add_product(self, a: np.ndarray, b: np.ndarray,
+                    scratch: np.ndarray | None = None) -> None:
+        """add_grad(a @ b), with the product written straight into the
+        gradient buffer when it is the first term since zero_grad, and
+        otherwise into scratch (a new array when None) before it is added."""
+        self._add_term((a.shape[0], b.shape[1]), lambda out: np.matmul(a, b, out=out), scratch)
+
+    def _add_term(self, shape: tuple[int, ...], write, scratch: np.ndarray | None = None) -> None:
+        """Add the gradient term that write(out) writes into out: into the
+        gradient buffer when it is the first since zero_grad, else into
+        scratch, whose result (write's return value) is added to it."""
+        if shape != self.data.shape:
+            raise ShapeError(f"gradient shape {shape} != parameter shape {self.data.shape}")
         if self._has_grad:
-            self._grad += g
+            self._grad += write(scratch)
         else:
             if self._grad is None:
                 self._grad = np.empty_like(self.data)
-            np.copyto(self._grad, g)
+            write(self._grad)
             self._has_grad = True
 
     def zero_grad(self) -> None:
@@ -148,24 +163,27 @@ class Linear:
                         else rng.uniform(-bound, bound, size=(out_dim, in_dim)))
         self.b = Tensor(np.zeros(out_dim))
 
-    def forward(self, x: np.ndarray, train: bool):
+    def forward(self, x: np.ndarray, train: bool, y: np.ndarray | None = None):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(f"expected (batch, {self.in_dim}) input, got {x.shape}")
-        y = x @ self.W.data.T
+        y = np.matmul(x, self.W.data.T, out=y)
         y += self.b.data
         return y, x
 
     def backward(self, cache, grad_out: np.ndarray, param_grads: bool = True,
-                 input_rows: slice | None = slice(None)) -> np.ndarray | None:
+                 input_rows: slice | None = slice(None), gx: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None) -> np.ndarray | None:
         """input_rows selects the rows of the input gradient to compute;
-        None computes none, for an input that is data."""
+        None computes none, for an input that is data. scratch, of W's
+        shape, takes W's gradient term when it is not the first since
+        zero_grad (see Tensor.add_product)."""
         x = cache
         if param_grads:
-            self.W.add_grad(grad_out.T @ x)
+            self.W.add_product(grad_out.T, x, scratch)
             self.b.add_grad(grad_out.sum(axis=0))
         if input_rows is None:
             return None
-        return grad_out[input_rows] @ self.W.data
+        return np.matmul(grad_out[input_rows], self.W.data, out=gx)
 
     def parameters(self) -> list[Tensor]:
         return [self.W, self.b]
@@ -181,13 +199,19 @@ class LeakyReLU:
     slope 1 (a NaN input takes LEAKY_SLOPE, as in the formula).
     """
 
-    def forward(self, x: np.ndarray, train: bool):
-        keep = x >= 0
-        return np.where(keep, x, LEAKY_SLOPE * x), keep
+    def forward(self, x: np.ndarray, train: bool, y: np.ndarray | None = None,
+                keep: np.ndarray | None = None):
+        keep = np.greater_equal(x, 0, out=keep)
+        y = np.multiply(x, LEAKY_SLOPE, out=y)
+        np.copyto(y, x, where=keep)
+        return y, keep
 
-    def backward(self, cache, grad_out: np.ndarray, param_grads: bool = True) -> np.ndarray:
+    def backward(self, cache, grad_out: np.ndarray, param_grads: bool = True,
+                 gx: np.ndarray | None = None) -> np.ndarray:
         keep = cache
-        return grad_out * np.where(keep, 1.0, LEAKY_SLOPE)
+        gx = np.multiply(grad_out, LEAKY_SLOPE, out=gx)
+        np.copyto(gx, grad_out, where=keep)
+        return gx
 
     def parameters(self) -> list[Tensor]:
         return []
@@ -212,7 +236,8 @@ class BatchNorm:
         self.running_mean = np.zeros(num_features)
         self.running_var = np.ones(num_features)
 
-    def forward(self, x: np.ndarray, train: bool):
+    def forward(self, x: np.ndarray, train: bool, y: np.ndarray | None = None,
+                x_hat: np.ndarray | None = None):
         if x.ndim != 2 or x.shape[1] != self.num_features:
             raise ShapeError(f"expected (batch, {self.num_features}) input, got {x.shape}")
         if train:
@@ -220,8 +245,8 @@ class BatchNorm:
                 raise ShapeError("batch norm needs batch size >= 2 in train mode")
             # centred once; the mean of its square is x.var's biased variance
             mean = x.mean(axis=0)
-            x_hat = x - mean
-            y = np.multiply(x_hat, x_hat)
+            x_hat = np.subtract(x, mean, out=x_hat)
+            y = np.multiply(x_hat, x_hat, out=y)
             var = y.mean(axis=0)
             self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
             self.running_var += BN_MOMENTUM * (var - self.running_var)
@@ -230,25 +255,35 @@ class BatchNorm:
             cache = (x_hat, inv_std)
             np.multiply(self.gamma.data, x_hat, out=y)
         else:
-            y = x - self.running_mean
+            y = np.subtract(x, self.running_mean, out=y)
             y /= np.sqrt(self.running_var + BN_EPS)
             y *= self.gamma.data
             cache = None
         y += self.beta.data
         return y, cache
 
-    def backward(self, cache, grad_out: np.ndarray, param_grads: bool = True) -> np.ndarray:
+    def backward(self, cache, grad_out: np.ndarray, param_grads: bool = True,
+                 gx: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
+        """gx takes the input gradient and tmp, of the same shape, the
+        terms on the way to it."""
         if cache is None:
             raise ValueError("backward requires a train-mode cache")
         x_hat, inv_std = cache
         batch = grad_out.shape[0]
         if param_grads:
-            self.gamma.add_grad((grad_out * x_hat).sum(axis=0))
+            self.gamma.add_grad(np.multiply(grad_out, x_hat, out=tmp).sum(axis=0))
             self.beta.add_grad(grad_out.sum(axis=0))
-        g_hat = grad_out * self.gamma.data
-        return (inv_std / batch) * (
-            batch * g_hat - g_hat.sum(axis=0) - x_hat * (g_hat * x_hat).sum(axis=0)
-        )
+        # (inv_std / batch) * (batch * g_hat - g_hat.sum(axis=0)
+        #                      - x_hat * (g_hat * x_hat).sum(axis=0)), in that order
+        gx = np.multiply(grad_out, self.gamma.data, out=gx)   # g_hat
+        g_hat_sum = gx.sum(axis=0)
+        tmp = np.multiply(gx, x_hat, out=tmp)
+        np.multiply(x_hat, tmp.sum(axis=0), out=tmp)
+        gx *= batch
+        gx -= g_hat_sum
+        gx -= tmp
+        gx *= inv_std / batch
+        return gx
 
     def parameters(self) -> list[Tensor]:
         return [self.gamma, self.beta]
@@ -265,15 +300,20 @@ class BatchNorm:
 class Softmax:
     """Row-wise softmax, stabilized by max subtraction."""
 
-    def forward(self, x: np.ndarray, train: bool):
-        y = x - x.max(axis=1, keepdims=True)
+    def forward(self, x: np.ndarray, train: bool, y: np.ndarray | None = None):
+        y = np.subtract(x, x.max(axis=1, keepdims=True), out=y)
         np.exp(y, out=y)
         y /= y.sum(axis=1, keepdims=True)
         return y, y
 
-    def backward(self, cache, grad_out: np.ndarray, param_grads: bool = True) -> np.ndarray:
+    def backward(self, cache, grad_out: np.ndarray, param_grads: bool = True,
+                 gx: np.ndarray | None = None) -> np.ndarray:
+        # y * (grad_out - (grad_out * y).sum(axis=1, keepdims=True))
         y = cache
-        return y * (grad_out - (grad_out * y).sum(axis=1, keepdims=True))
+        gx = np.multiply(grad_out, y, out=gx)
+        np.subtract(grad_out, gx.sum(axis=1, keepdims=True), out=gx)
+        gx *= y
+        return gx
 
     def parameters(self) -> list[Tensor]:
         return []
@@ -282,17 +322,24 @@ class Softmax:
         return {}
 
 
-def l1_loss(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean over the batch of the per-sample L1 distance."""
+def l1_loss(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> float:
+    """Mean over the batch of the per-sample L1 distance; out, of a's
+    shape, takes |a - b| on the way."""
     if a.shape != b.shape:
         raise ShapeError(f"l1_loss shapes differ: {a.shape} vs {b.shape}")
-    return float(np.abs(a - b).sum(axis=1).mean())
+    diff = np.subtract(a, b, out=out)
+    return float(np.abs(diff, out=diff).sum(axis=1).mean())
 
-def l1_loss_backward(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Subgradient of l1_loss with respect to a; sign(0) = 0 at ties."""
+def l1_loss_backward(a: np.ndarray, b: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Subgradient of l1_loss with respect to a, written into out when
+    given; sign(0) = 0 at ties."""
     if a.shape != b.shape:
         raise ShapeError(f"l1_loss shapes differ: {a.shape} vs {b.shape}")
-    return np.sign(a - b) / a.shape[0]
+    diff = np.subtract(a, b, out=out)
+    grad = np.sign(diff, out=diff)
+    grad /= a.shape[0]
+    return grad
 
 
 _PROB_FLOOR = 1e-12

@@ -6,7 +6,8 @@ generator and encoder (and the classifier in supervised mode) on the
 combined adversarial, cycle-consistency, and classification objective.
 The cycle and classification weights are rebalanced every mapper step from
 the ratio of adversarial-to-auxiliary gradient norms measured at the output
-of the mapping that feeds each loss.
+of the mapping that feeds each loss. Every batch-shaped array of an
+iteration lives in the run's Workspace, made once by init_state.
 """
 
 from __future__ import annotations
@@ -19,7 +20,14 @@ import numpy as np
 
 from .corpus import CsrRows
 from .fileio import write_atomic
-from .networks import Network, build_networks, network_table, sample_prior
+from .networks import (
+    Network,
+    PassBuffers,
+    build_networks,
+    network_table,
+    pass_buffers,
+    sample_prior,
+)
 from .nn import (
     Adam,
     NonFiniteError,
@@ -51,10 +59,11 @@ class NonFiniteLossError(NonFiniteError):
         self.records: list[LossRecord] = []
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters of a run, checked when made: a bad value raises
-    ConfigError, so a TrainConfig that exists is valid."""
+    ConfigError, so a TrainConfig that exists is valid. It is frozen;
+    dataclasses.replace makes a changed copy, checked in the same way."""
 
     num_topics: int
     hidden: int = 100
@@ -135,9 +144,27 @@ def write_loss_log(records: list[LossRecord], path: str | Path,
     write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
+@dataclass(frozen=True)
+class RowBatch:
+    """The rows idx of a CSR matrix, densified only when a step writes them."""
+
+    rows: CsrRows
+    idx: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.idx.size, self.rows.num_cols
+
+    def densify(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The rows as a dense array, written over out when given."""
+        if out is not None and out.shape != self.shape:
+            raise ShapeError(f"a batch of shape {self.shape}; the workspace holds {out.shape}")
+        return self.rows.take(self.idx, out)
+
+
 class _EpochBatcher:
     """Shuffled epochs over document rows; ragged tails trigger a reshuffle.
-    Each batch is densified from the CSR rows."""
+    Each batch is a RowBatch of the CSR rows."""
 
     def __init__(self, rows: CsrRows, labels: np.ndarray | None,
                  batch_size: int, rng: np.random.Generator):
@@ -155,14 +182,66 @@ class _EpochBatcher:
         idx = self.order[self.pos:self.pos + self.batch_size]
         self.pos += self.batch_size
         labels = self.labels[idx] if self.labels is not None else None
-        return self.rows.take(idx), labels
+        return RowBatch(self.rows, idx), labels
+
+
+class Workspace:
+    """Every batch-shaped array of a training iteration, made once per run,
+    so that no iteration after the first allocates one.
+
+    x_pair and z_pair are the critics' stacked [real; fake] inputs. A step
+    writes its documents and prior draws into the top halves, and the passes
+    E(x) and G(z) write their outputs straight into the bottom halves. Each
+    network pass has its PassBuffers: E(x), G(z), G(E(x)), E(G(z)), both
+    critics over 2 * batch rows and the classifier when there is one; the
+    two passes of E share their pool, as do the two of G, and E(G(z))'s
+    input gradient takes G(E(x))'s output array (at V=2000 this sharing
+    lowers the whole training run's peak RSS by about 2.3 MB). The passes
+    of E and G share one weight-shaped scratch array for the second
+    gradient term of each weight. The workspace holds no state between
+    steps; a deep copy is a new one.
+    """
+
+    def __init__(self, table: list[tuple[str, int, int, bool]], hidden: int, batch: int):
+        self.args = (table, hidden, batch)
+        nets = {name: (in_dim, hidden, out_dim, softmax)
+                for name, in_dim, out_dim, softmax in table}
+        num_words, _, num_topics, _ = nets["E"]
+        self.x_pair = np.empty((2 * batch, num_words))
+        self.z_pair = np.empty((2 * batch, num_topics))
+        self.real_x, self.real_z = self.x_pair[:batch], self.z_pair[:batch]
+        scratch = np.empty(hidden * max(num_words, num_topics))
+        self.e_x = pass_buffers(*nets["E"], batch, out=self.z_pair[batch:], scratch=scratch)
+        self.g_z = pass_buffers(*nets["G"], batch, out=self.x_pair[batch:], scratch=scratch)
+        self.g_e_x = pass_buffers(*nets["G"], batch, grad=np.empty((batch, num_topics)),
+                                  scratch=scratch, like=self.g_z)
+        # E(G(z))'s backward runs after G(E(x))'s, which reads G(E(x)) last
+        self.e_g_z = pass_buffers(*nets["E"], batch, grad=self.g_e_x.forward[-1]["y"],
+                                  scratch=scratch, like=self.e_x)
+        # the critics' input gradients: the fake rows only
+        self.d_x = pass_buffers(*nets["D_X"], 2 * batch, grad=np.empty((batch, num_words)))
+        self.d_z = pass_buffers(*nets["D_Z"], 2 * batch, grad=np.empty((batch, num_topics)))
+        self.c = (pass_buffers(*nets["C"], batch, grad=np.empty((batch, num_topics)))
+                  if "C" in nets else None)
+        # |G(E(x)) - x| and |E(G(z)) - z|, then their l1 gradients
+        self.x_cyc = np.empty((batch, num_words))
+        self.z_cyc = np.empty((batch, num_topics))
+        # the critics ascend real - fake: they descend its negation
+        self.critic_up = np.vstack([np.full((batch, 1), -1.0 / batch),
+                                    np.full((batch, 1), 1.0 / batch)])
+        # the mappers descend the fake halves (-mean fake score) only
+        self.mapper_up = np.vstack([np.zeros((batch, 1)), np.full((batch, 1), -1.0 / batch)])
+
+    def __deepcopy__(self, memo):
+        return Workspace(*self.args)
 
 
 @dataclass
 class TrainState:
     """Networks, optimizers and their parameter groups: both critics, the
     mappings E and G, and the classifier each form one ParamGroup with its
-    own Adam moments and step count."""
+    own Adam moments and step count. The workspace holds the iteration's
+    batch-shaped arrays."""
 
     config: TrainConfig
     encoder: Network
@@ -176,12 +255,13 @@ class TrainState:
     mapper_params: ParamGroup
     classifier_params: ParamGroup | None
     rng: np.random.Generator
+    workspace: Workspace
     iteration: int = 0
     loss_log: list[LossRecord] = field(default_factory=list)
 
 
 def init_state(config: TrainConfig, num_words: int, num_classes: int = 0) -> TrainState:
-    """Networks, optimizers and rng for a config."""
+    """Networks, optimizers, rng and workspace for a config."""
     if config.supervised and num_classes < 2:
         raise ConfigError("supervised training needs at least 2 classes")
     rng = np.random.default_rng(config.seed)
@@ -205,6 +285,7 @@ def init_state(config: TrainConfig, num_words: int, num_classes: int = 0) -> Tra
         mapper_params=ParamGroup(nets["E"].parameters() + nets["G"].parameters()),
         classifier_params=classifier_params,
         rng=rng,
+        workspace=Workspace(table, config.hidden, config.batch_size),
     )
 
 
@@ -233,17 +314,32 @@ def adv_loss(critic, real: np.ndarray, fake: np.ndarray):
     return float(real_scores.mean() - fake_scores.mean()), cache
 
 
-def cycle_losses(generator, encoder, x: np.ndarray, z: np.ndarray):
+def _stacked_adv_loss(critic, pair: np.ndarray, bufs: PassBuffers):
+    """adv_loss of pair's top half (real) against its bottom half (fake),
+    where a phase has written them: one train-mode pass, as _critic_scores
+    makes, writing into bufs."""
+    scores, cache = critic.forward(pair, train=True, bufs=bufs)
+    half = pair.shape[0] // 2
+    return float(scores[:half].mean() - scores[half:].mean()), cache
+
+
+def cycle_losses(generator, encoder, x: np.ndarray, z: np.ndarray,
+                 ws: Workspace | None = None):
     """(mean |G(E(x)) - x|_1, mean |E(G(z)) - z|_1, passes), in train mode.
 
     passes holds the (output, cache) pairs of E(x), G(z), G(E(x)) and
-    E(G(z)), in that order, for the backward pass.
+    E(G(z)), in that order, for the backward pass. Given a workspace, the
+    passes and losses write into it.
     """
-    e_x = encoder.forward(x, train=True)
-    g_z = generator.forward(z, train=True)
-    g_e_x = generator.forward(e_x[0], train=True)
-    e_g_z = encoder.forward(g_z[0], train=True)
-    return l1_loss(g_e_x[0], x), l1_loss(e_g_z[0], z), (e_x, g_z, g_e_x, e_g_z)
+    def buffers(name):
+        return None if ws is None else getattr(ws, name)
+
+    e_x = encoder.forward(x, train=True, bufs=buffers("e_x"))
+    g_z = generator.forward(z, train=True, bufs=buffers("g_z"))
+    g_e_x = generator.forward(e_x[0], train=True, bufs=buffers("g_e_x"))
+    e_g_z = encoder.forward(g_z[0], train=True, bufs=buffers("e_g_z"))
+    return (l1_loss(g_e_x[0], x, out=buffers("x_cyc")),
+            l1_loss(e_g_z[0], z, out=buffers("z_cyc")), (e_x, g_z, g_e_x, e_g_z))
 
 
 _NORM_FLOOR = 1e-12
@@ -264,80 +360,79 @@ def _check_finite(state: TrainState, **terms: float) -> None:
             raise NonFiniteLossError(state.iteration, name)
 
 
-def critic_phase(state: TrainState, x_batches: list[np.ndarray],
+def critic_phase(state: TrainState, x_batches: list[RowBatch],
                  prior_batches: list[np.ndarray] | None = None) -> None:
     """critic_steps WGAN updates of both critics, clipping after each.
 
+    Each batch of batch_size documents is densified when its step runs.
     Generator and encoder produce the fake samples but receive no updates;
     their trainable parameters are untouched.
     """
     cfg = state.config
     if len(x_batches) != cfg.critic_steps:
         raise ConfigError(f"expected {cfg.critic_steps} critic batches, got {len(x_batches)}")
-    critic_params = state.critic_params
+    critic_params, ws = state.critic_params, state.workspace
     for step, x in enumerate(x_batches):
-        batch = x.shape[0]
+        x.densify(ws.real_x)
         z = (prior_batches[step] if prior_batches is not None
-             else sample_prior(cfg.num_topics, cfg.alpha, batch, state.rng))
-        x_fake, _ = state.generator.forward(z, train=True)
-        z_fake, _ = state.encoder.forward(x, train=True)
+             else sample_prior(cfg.num_topics, cfg.alpha, cfg.batch_size, state.rng))
+        ws.real_z[...] = z
+        # the fakes, into the pairs' bottom halves
+        state.generator.forward(z, train=True, bufs=ws.g_z)
+        state.encoder.forward(ws.real_x, train=True, bufs=ws.e_x)
 
         critic_params.zero_grad()
-        # ascend real - fake: descend its negation
-        upstream = np.vstack([np.full((batch, 1), -1.0 / batch),
-                              np.full((batch, 1), 1.0 / batch)])
-
         # the critics' inputs are data here: no input gradient
-        adv_x, cache_x = adv_loss(state.critic_x, x, x_fake)
-        state.critic_x.backward(cache_x, upstream, input_rows=None)
-        adv_z, cache_z = adv_loss(state.critic_z, z, z_fake)
-        state.critic_z.backward(cache_z, upstream, input_rows=None)
+        adv_x, cache_x = _stacked_adv_loss(state.critic_x, ws.x_pair, ws.d_x)
+        state.critic_x.backward(cache_x, ws.critic_up, input_rows=None, bufs=ws.d_x)
+        adv_z, cache_z = _stacked_adv_loss(state.critic_z, ws.z_pair, ws.d_z)
+        state.critic_z.backward(cache_z, ws.critic_up, input_rows=None, bufs=ws.d_z)
 
         _check_finite(state, adv_x=adv_x, adv_z=adv_z)
         state.adam_main.step(critic_params)
         clip_weights(critic_params, cfg.clip_c)
 
 
-def mapper_phase(state: TrainState, x: np.ndarray,
-                 labels: np.ndarray | None = None,
+def mapper_phase(state: TrainState, x: RowBatch, labels: np.ndarray | None = None,
                  prior_batch: np.ndarray | None = None) -> LossRecord:
-    """One update of generator and encoder (plus classifier when supervised).
-
-    Critic parameters are read but never updated, and no gradient is
-    computed for them. Gradient norms for the balancing factors are taken at
-    G's output for the forward cycle pair and at E's output for the backward
-    cycle and classification pairs.
+    """One update of generator and encoder (plus classifier when supervised)
+    on a batch of batch_size documents. Critic parameters are read but never
+    updated, and no gradient is computed for them. Gradient norms for the
+    balancing factors are taken at G's output for the forward cycle pair and
+    at E's output for the backward cycle and classification pairs.
     """
     cfg = state.config
-    enc, gen = state.encoder, state.generator
-    batch = x.shape[0]
+    enc, gen, ws = state.encoder, state.generator, state.workspace
+    batch = cfg.batch_size
     if cfg.supervised and labels is None:
         raise ConfigError("supervised mapper step needs labels")
+    x = x.densify(ws.real_x)
     z = (prior_batch if prior_batch is not None
          else sample_prior(cfg.num_topics, cfg.alpha, batch, state.rng))
+    ws.real_z[...] = z
 
     state.mapper_params.zero_grad()
     state.critic_params.zero_grad()
     if state.classifier_params is not None:
         state.classifier_params.zero_grad()
 
-    cyc_f, cyc_b, passes = cycle_losses(gen, enc, x, z)
-    (z_fake, cache_e1), (x_fake, cache_g1), (x_rec, cache_g2), (z_rec, cache_e2) = passes
-    adv_x, cache_dx = adv_loss(state.critic_x, x, x_fake)
-    adv_z, cache_dz = adv_loss(state.critic_z, z, z_fake)
+    # E(x) and G(z) write the pairs' bottom halves
+    cyc_f, cyc_b, passes = cycle_losses(gen, enc, x, z, ws)
+    (z_fake, cache_e1), (_, cache_g1), (x_rec, cache_g2), (z_rec, cache_e2) = passes
+    adv_x, cache_dx = _stacked_adv_loss(state.critic_x, ws.x_pair, ws.d_x)
+    adv_z, cache_dz = _stacked_adv_loss(state.critic_z, ws.z_pair, ws.d_z)
 
     # gradients of the mapper-relevant adversarial terms (the -mean fake-score
     # halves) at G(z) and E(x); the real halves are data, so only the fake
     # rows of the critics' input gradients are computed
-    up_fake = np.vstack([np.zeros((batch, 1)), np.full((batch, 1), -1.0 / batch)])
     fake_rows = slice(batch, None)
-    g_adv_at_xfake = state.critic_x.backward(cache_dx, up_fake, param_grads=False,
-                                             input_rows=fake_rows)
-    g_adv_at_zfake = state.critic_z.backward(cache_dz, up_fake, param_grads=False,
-                                             input_rows=fake_rows)
+    g_adv_at_xfake = state.critic_x.backward(cache_dx, ws.mapper_up, param_grads=False,
+                                             input_rows=fake_rows, bufs=ws.d_x)
+    g_adv_at_zfake = state.critic_z.backward(cache_dz, ws.mapper_up, param_grads=False,
+                                             input_rows=fake_rows, bufs=ws.d_z)
 
-    g_cyc_at_xrec = l1_loss_backward(x_rec, x)
-    g_cyc_at_zrec = l1_loss_backward(z_rec, z)
+    g_cyc_at_xrec = l1_loss_backward(x_rec, x, out=ws.x_cyc)
+    g_cyc_at_zrec = l1_loss_backward(z_rec, z, out=ws.z_cyc)
 
     lam1 = balance(float(np.linalg.norm(g_adv_at_xfake)),
                    float(np.linalg.norm(g_cyc_at_xrec)), cfg.lambda1_hat)
@@ -348,22 +443,29 @@ def mapper_phase(state: TrainState, x: np.ndarray,
     lam3 = 0.0
     g_cls_at_zfake = None
     if cfg.supervised:
-        probs, cache_c = state.classifier.forward(z_fake, train=True)
+        probs, cache_c = state.classifier.forward(z_fake, train=True, bufs=ws.c)
         cls_value = cross_entropy(probs, labels)
-        g_cls_at_zfake = state.classifier.backward(cache_c, cross_entropy_backward(probs, labels))
+        g_cls_at_zfake = state.classifier.backward(
+            cache_c, cross_entropy_backward(probs, labels), bufs=ws.c)
         lam3 = balance(float(np.linalg.norm(g_adv_at_zfake)),
                        float(np.linalg.norm(g_cls_at_zfake)), cfg.lambda3_hat)
         # classifier gradients were accumulated unscaled; apply the weight now
         state.classifier_params.grad *= lam3
 
-    d_zfake_from_cyc = gen.backward(cache_g2, lam1 * g_cyc_at_xrec)
-    d_xfake_from_cyc = enc.backward(cache_e2, lam2 * g_cyc_at_zrec)
+    # each gradient below is scaled or summed in place where it is read for
+    # the last time: lam1 * g, g_adv + d, and so on, to the bit
+    g_cyc_at_xrec *= lam1
+    d_zfake_from_cyc = gen.backward(cache_g2, g_cyc_at_xrec, bufs=ws.g_e_x)
+    g_cyc_at_zrec *= lam2
+    d_xfake_from_cyc = enc.backward(cache_e2, g_cyc_at_zrec, bufs=ws.e_g_z)
     # z (prior draws) and x (documents) are data: no input gradient
-    gen.backward(cache_g1, g_adv_at_xfake + d_xfake_from_cyc, input_rows=None)
-    d_zfake_total = g_adv_at_zfake + d_zfake_from_cyc
+    d_xfake_from_cyc += g_adv_at_xfake
+    gen.backward(cache_g1, d_xfake_from_cyc, input_rows=None, bufs=ws.g_z)
+    d_zfake_from_cyc += g_adv_at_zfake
     if g_cls_at_zfake is not None:
-        d_zfake_total = d_zfake_total + lam3 * g_cls_at_zfake
-    enc.backward(cache_e1, d_zfake_total, input_rows=None)
+        g_cls_at_zfake *= lam3
+        d_zfake_from_cyc += g_cls_at_zfake
+    enc.backward(cache_e1, d_zfake_from_cyc, input_rows=None, bufs=ws.e_x)
 
     total = adv_x + adv_z + lam1 * cyc_f + lam2 * cyc_b + lam3 * cls_value
     _check_finite(state, adv_x=adv_x, adv_z=adv_z, cyc_forward=cyc_f, cyc_backward=cyc_b,
@@ -385,9 +487,10 @@ def train(rows: CsrRows, config: TrainConfig,
     """Alternate critic and mapper phases over shuffled document epochs.
 
     rows are the (documents, words) matrix's CSR rows; each batch is
-    densified from them. In supervised mode every label must lie in
-    [0, num_classes), num_classes defaulting to the largest label plus one;
-    this is checked before any network is built. Deterministic for a fixed
+    densified from them into the workspace when its step runs. In
+    supervised mode every label must lie in [0, num_classes), num_classes
+    defaulting to the largest label plus one; this is checked before any
+    network is built. Deterministic for a fixed
     config seed: initialization, batch order, and prior draws all come from
     one seeded generator.
     """

@@ -1,5 +1,8 @@
 import numpy as np
 
+from tomcat.corpus import CsrRows
+from tomcat.training import RowBatch
+
 
 def numerical_grad(f, x, h=1e-5):
     """Central finite differences of a scalar function at array x.
@@ -24,3 +27,8 @@ def numerical_grad(f, x, h=1e-5):
 
 def assert_grad_close(analytic, numeric, rtol=1e-4, atol=1e-7):
     np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
+
+
+def row_batch(dense):
+    """Dense document rows as the RowBatch that train() hands its phases."""
+    return RowBatch(CsrRows.from_dense(dense), np.arange(len(dense)))

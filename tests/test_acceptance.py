@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import assert_grad_close, numerical_grad
+from conftest import assert_grad_close, numerical_grad, row_batch
 from test_corpus import documents
 from test_networks import build_one
 from tomcat.checkpoint import load_checkpoint, save_checkpoint
@@ -171,7 +171,7 @@ class TestCriterion1GradientCorrectness:
         z = sample_prior(config.num_topics, config.alpha, 5, np.random.default_rng(28))
 
         reference = copy.deepcopy(state)
-        rec = mapper_phase(reference, x, prior_batch=z)
+        rec = mapper_phase(reference, row_batch(x), prior_batch=z)
         lam1, lam2 = rec.lambda1, rec.lambda2
 
         def objective():
@@ -242,10 +242,10 @@ class TestCriterion2InvariantSuite:
         for it in range(config.iterations):
             state.iteration = it
             idx = order.choice(200, size=(5, 16), replace=True)
-            critic_phase(state, [rows[i] for i in idx])
+            critic_phase(state, [row_batch(rows[i]) for i in idx])
             for p in state.critic_params:
                 assert np.all(np.abs(p.data) <= config.clip_c + 1e-15)
-            mapper_phase(state, rows[order.choice(200, size=16, replace=False)])
+            mapper_phase(state, row_batch(rows[order.choice(200, size=16, replace=False)]))
 
         # checkpoint bitwise round-trip, both modes
         vocab = Vocabulary([f"t{i}" for i in range(15)])

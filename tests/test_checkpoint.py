@@ -458,18 +458,46 @@ class TestSaveReadsDims:
         assert not path.exists()
 
 
+def wide_networks():
+    """Fresh supervised V=2000, K=20, H=100 networks and their vocabulary."""
+    vocab = Vocabulary([f"t{i}" for i in range(2000)])
+    return build_networks(network_table(vocab.size, 20, 4), 100, np.random.default_rng(0)), vocab
+
+
+def save_networks(path, nets, vocab):
+    save_checkpoint(path, vocab=vocab, encoder=nets["E"], generator=nets["G"],
+                    critic_x=nets["D_X"], critic_z=nets["D_Z"], classifier=nets["C"],
+                    config={}, seed=0, doc_freq=np.ones(vocab.size, dtype=np.int64),
+                    train_doc_count=2)
+
+
+class TestSaveMemory:
+    def test_peak_allocation_below_a_quarter_of_the_file_size(self, tmp_path):
+        # each array is written from its own memory: joined, the parts were
+        # the file twice over
+        nets, vocab = wide_networks()
+        path = tmp_path / "model.ckpt"
+        tracemalloc.start()
+        try:
+            save_networks(path, nets, vocab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 4_000_000
+        assert peak < 0.25 * size, peak / size
+        loaded = load_checkpoint(path)
+        assert loaded.generator.state()["3.W"].tobytes() == nets["G"].state()["3.W"].tobytes()
+
+
 class TestLoadMemory:
     def test_peak_allocation_below_two_and_a_half_file_sizes(self, tmp_path):
         # the blobs are read as views of the file's bytes and copied once,
         # into networks that allocate no gradient buffer: the file and the
         # weights, not four copies of each weight
-        vocab = Vocabulary([f"t{i}" for i in range(2000)])
-        nets = build_networks(network_table(vocab.size, 20, 4), 100, np.random.default_rng(0))
+        nets, vocab = wide_networks()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, vocab=vocab, encoder=nets["E"], generator=nets["G"],
-                        critic_x=nets["D_X"], critic_z=nets["D_Z"], classifier=nets["C"],
-                        config={}, seed=0, doc_freq=np.ones(vocab.size, dtype=np.int64),
-                        train_doc_count=2)
+        save_networks(path, nets, vocab)
         size = path.stat().st_size
         assert size > 4_000_000
         tracemalloc.start()

@@ -12,7 +12,6 @@ import tracemalloc
 import weakref
 import zipfile
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from test_corpus import (
 import tomcat.corpus as corpus_module
 import whole_file
 from test_evaluation import oracle_cooc
-from tomcat import cli
+from tomcat import checkpoint, cli
 from tomcat.checkpoint import load_checkpoint
 from tomcat.cli import main
 from tomcat.corpus import BLOCK_ROWS, CsrRows, RowsError, Vocabulary, load_rows, tfidf_transform
@@ -965,24 +964,6 @@ class TestMemoryBoundedByTheBlock:
         assert peaks[1] <= 1.3 * peaks[0] + self.ALLOWANCE, peaks
 
 
-class TestAllocatorSetting:
-    def test_pins_glibc_thresholds(self, monkeypatch):
-        calls = []
-
-        def mallopt(param, value):
-            calls.append((param, value))
-            return 1
-
-        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
-        cli._keep_freed_blocks_in_heap()
-        # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in glibc's malloc.h
-        assert calls == [(-3, 32 * 2 ** 20), (-1, 64 * 2 ** 20)]
-
-    def test_no_op_without_mallopt(self, monkeypatch):
-        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
-        cli._keep_freed_blocks_in_heap()
-
-
 class TestErrorPaths:
     def test_numerical_abort_is_exit_3(self, workdir, tmp_path, capsys, monkeypatch):
         from tomcat.training import NonFiniteLossError
@@ -1026,28 +1007,75 @@ class TestErrorPaths:
         assert lines[-1] == f"# aborted: non-finite value for 'cyc_forward' at iteration {k}"
 
     def test_failed_save_keeps_previous_files(self, workdir, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run"
+        out.mkdir()
         args = ["train", "--data", str(workdir / "data"), "--topics", "2",
-                "--batch", "16", "--iters", "2", "--out", str(tmp_path / "x.ckpt")]
+                "--batch", "16", "--iters", "2", "--out", str(out / "x.ckpt")]
+        assert main(args + ["--seed", "2"]) == 0
+        new_log = (out / "x.ckpt.losses.tsv").read_bytes()
         assert main(args + ["--seed", "1"]) == 0
-        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
         assert sorted(before) == ["x.ckpt", "x.ckpt.losses.tsv"]
-        real_write = os.write
+        assert before["x.ckpt.losses.tsv"] != new_log
+        real_write, real_save = os.write, checkpoint.write_atomic
+        saved_parts, save_writes = [], []
 
         def write_half_then_fail(fd, data):
             real_write(fd, bytes(data[:len(data) // 2]))
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(os, "write", write_half_then_fail)
+        def save(path, *parts):
+            saved_parts.extend(parts)
+            real_save(path, *parts)
+
+        def fail_in_first_array(fd, data):
+            if not saved_parts:   # the loss log, written before the checkpoint
+                return real_write(fd, data)
+            save_writes.append(data)
+            if len(save_writes) == 1:   # the fields up to the first array
+                return real_write(fd, data)
+            write_half_then_fail(fd, data)
+
+        monkeypatch.setattr(checkpoint, "write_atomic", save)
+        monkeypatch.setattr(os, "write", fail_in_first_array)
         assert main(args + ["--seed", "2"]) == 1
         assert "No space left" in capsys.readouterr().err
-        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        # the save failed half-way through an array, streamed from its own memory
+        assert len(saved_parts) > 2 and len(save_writes) == 2
+        assert isinstance(saved_parts[1], np.ndarray)
+        assert save_writes[1].nbytes == saved_parts[1].nbytes
+        # the old checkpoint is whole, no temporary file is left, and the
+        # loss log is the new run's
+        after = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert after == {"x.ckpt": before["x.ckpt"], "x.ckpt.losses.tsv": new_log}
 
         # the loss log is written the same way
         from tomcat.training import write_loss_log
+        monkeypatch.setattr(os, "write", write_half_then_fail)
         with pytest.raises(OSError):
-            write_loss_log([], tmp_path / "x.ckpt.losses.tsv", abort="test")
+            write_loss_log([], out / "x.ckpt.losses.tsv", abort="test")
         monkeypatch.undo()
-        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == after
+
+    def test_failed_save_keeps_the_loss_log(self, workdir, tmp_path, capsys, monkeypatch):
+        args = ["train", "--data", str(workdir / "data"), "--topics", "2",
+                "--batch", "16", "--iters", "3", "--seed", "4"]
+        assert main(args + ["--out", str(tmp_path / "ok.ckpt")]) == 0
+        want = (tmp_path / "ok.ckpt.losses.tsv").read_bytes()
+        capsys.readouterr()
+
+        def no_space(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "save_checkpoint", no_space)
+        assert main(args + ["--out", str(tmp_path / "x.ckpt")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "No space left" in err[0]
+        assert not (tmp_path / "x.ckpt").exists()
+        log = (tmp_path / "x.ckpt.losses.tsv").read_bytes()
+        rows = [line for line in log.decode("utf-8").splitlines() if not line.startswith("#")]
+        assert [int(row.split("\t")[0]) for row in rows] == [0, 1, 2]
+        assert log == want
 
     def test_corrupt_magic_is_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"

@@ -13,6 +13,7 @@ from tomcat.corpus import (
     DocumentFile,
     Documents,
     RowsError,
+    TfidfMatrix,
     Vocabulary,
     build_vocabulary,
     count_documents,
@@ -353,6 +354,29 @@ class TestRowsArchive:
             save_rows(tmp_path / "rows.npz", mat, None)
         assert [p.name for p in tmp_path.iterdir()] == ["rows.npz"]
         assert (tmp_path / "rows.npz").read_bytes() == before
+
+    def test_load_holds_the_arrays_once(self, tmp_path):
+        # read from the file, not from a copy of its bytes, and checked with
+        # no temporary as long as the archive
+        n_rows, num_words, per_row = 4000, 2000, 90
+        rows = CsrRows(np.arange(n_rows + 1, dtype=np.int64) * per_row,
+                       np.tile(np.arange(per_row, dtype=np.int64) * 22, n_rows),
+                       np.random.default_rng(0).uniform(0.1, 1.0, size=n_rows * per_row),
+                       num_words)
+        mat = TfidfMatrix(csr=rows, kept_docs=list(range(n_rows)), dropped_docs=[],
+                          doc_freq=np.ones(num_words, dtype=np.int64), n_docs=n_rows)
+        save_rows(tmp_path / "rows.npz", mat, None)
+        tracemalloc.start()
+        try:
+            loaded, _ = load_rows(tmp_path / "rows.npz", num_words, n_rows, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = loaded.csr.indptr.nbytes + loaded.csr.indices.nbytes + loaded.csr.data.nbytes
+        assert held > 5 * 2 ** 20
+        assert peak < 1.25 * held, peak / held
+        assert loaded.csr.indices.tobytes() == rows.indices.tobytes()
+        assert loaded.csr.data.tobytes() == rows.data.tobytes()
 
     @pytest.mark.parametrize("labels", [[0], [0, 2], [-1, 0]])
     def test_malformed_labels_rejected(self, tmp_path, labels):

@@ -338,6 +338,62 @@ class TestLayerRewritesMatchOldFormulas:
         upstream = awkward_values(rng, shape)
         assert_bits_equal(layer.backward(cache, upstream), layer.backward(want, upstream))
 
+    @pytest.mark.parametrize("shape", LAYER_SHAPES)
+    def test_handed_arrays_give_the_same_bits(self, shape):
+        # every array a call writes handed to it, NaN-filled, as a training
+        # workspace hands them, against the same layer allocating its own
+        rng = np.random.default_rng(25)
+        rows, width = shape
+
+        def handed(cols=width):
+            return np.full((rows, cols), np.nan)
+
+        def same(new, old, handed_array):
+            assert new is handed_array
+            assert_bits_equal(new, old)
+
+        lin, ref = make_linear(width, 4, seed=5), make_linear(width, 4, seed=5)
+        x, upstream = awkward_values(rng, shape), awkward_values(rng, (rows, 4))
+        for _ in range(2):   # the second weight term goes through scratch
+            out, gx, scratch = handed(4), handed(), np.full((4, width), np.nan)
+            y, cache = lin.forward(x, True, y=out)
+            same(y, ref.forward(x, True)[0], out)
+            same(lin.backward(cache, upstream, gx=gx, scratch=scratch),
+                 ref.backward(x, upstream), gx)
+            assert_bits_equal(lin.W.grad, ref.W.grad)
+            assert_bits_equal(lin.b.grad, ref.b.grad)
+        gx = handed()[rows // 2:]
+        same(lin.backward(cache, upstream, param_grads=False, input_rows=slice(rows // 2, None),
+                          gx=gx), upstream[rows // 2:] @ lin.W.data, gx)
+
+        x = awkward_values(rng, shape, special=(np.inf, -np.inf, np.nan, 1e-320, -1e-320))
+        out, keep, gx = handed(), np.zeros(shape, dtype=bool), handed()
+        y, cache = LeakyReLU().forward(x, True, y=out, keep=keep)
+        same(y, old_leaky_forward(x), out)
+        assert cache is keep
+        upstream = awkward_values(rng, shape)
+        same(LeakyReLU().backward(cache, upstream, gx=gx), old_leaky_backward(x, upstream), gx)
+
+        bn, ref = BatchNorm(width), BatchNorm(width)
+        for _ in range(2):
+            x, upstream = awkward_values(rng, shape), awkward_values(rng, shape)
+            out, x_hat, gx, tmp = handed(), handed(), handed(), handed()
+            y, cache = bn.forward(x, True, y=out, x_hat=x_hat)
+            want, ref_cache = ref.forward(x, True)
+            same(y, want, out)
+            same(cache[0], ref_cache[0], x_hat)
+            same(bn.backward(cache, upstream, gx=gx, tmp=tmp),
+                 ref.backward(ref_cache, upstream), gx)
+            assert_bits_equal(bn.gamma.grad, ref.gamma.grad)
+        out = handed()
+        same(bn.forward(x, False, y=out)[0], ref.forward(x, False)[0], out)
+
+        x, upstream = awkward_values(rng, shape), awkward_values(rng, shape)
+        out, gx = handed(), handed()
+        y, cache = Softmax().forward(x, True, y=out)
+        same(y, old_softmax_forward(x), out)
+        same(Softmax().backward(cache, upstream, gx=gx), Softmax().backward(y.copy(), upstream), gx)
+
     @pytest.mark.parametrize("train", [True, False])
     def test_no_forward_writes_its_input(self, train):
         rng = np.random.default_rng(24)

@@ -1,15 +1,17 @@
 import copy
+import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import assert_grad_close, numerical_grad
+from conftest import assert_grad_close, numerical_grad, row_batch
 from test_networks import build_one
 from tomcat.corpus import CsrRows
 from tomcat.networks import sample_prior
-from tomcat.nn import BatchNorm, l1_loss
+from tomcat.nn import BatchNorm, ShapeError, l1_loss
 from tomcat.training import (
     ConfigError,
     NonFiniteLossError,
@@ -32,7 +34,7 @@ class _StubNet:
     def __init__(self, fn):
         self.fn = fn
 
-    def forward(self, x, train):
+    def forward(self, x, train, bufs=None):
         return self.fn(x), None
 
 
@@ -82,6 +84,18 @@ class TestTrainConfig:
     def test_bad_value_rejected_at_construction(self, field, value, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             TrainConfig(**{"num_topics": 3, field: value})
+
+    @pytest.mark.parametrize("field, value, message", BAD_CONFIG_VALUES[:4],
+                             ids=[f"{field}={value}" for field, value, _ in BAD_CONFIG_VALUES[:4]])
+    def test_frozen_and_replace_checks_again(self, field, value, message):
+        cfg = TrainConfig(num_topics=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.alpha = math.nan
+        assert cfg == TrainConfig(num_topics=3)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            dataclasses.replace(cfg, **{field: value})
 
 
 class TestAdvLosses:
@@ -161,7 +175,7 @@ class TestCriticPhase:
         state = init_state(cfg, num_words=12)
         rows = simplex_rows(200, 12, 12)
         mapper_before = [p.data.copy() for p in state.mapper_params]
-        critic_phase(state, [rows[i * 16:(i + 1) * 16] for i in range(5)])
+        critic_phase(state, [row_batch(rows[i * 16:(i + 1) * 16]) for i in range(5)])
         for p in state.critic_params:
             assert np.all(np.abs(p.data) <= cfg.clip_c)
         for before, p in zip(mapper_before, state.mapper_params):
@@ -170,7 +184,7 @@ class TestCriticPhase:
     def test_wrong_batch_count_rejected(self):
         state = init_state(small_config(), num_words=12)
         with pytest.raises(ConfigError):
-            critic_phase(state, [simplex_rows(16, 12, 13)])
+            critic_phase(state, [row_batch(simplex_rows(16, 12, 13))])
 
     def test_critic_improves_on_frozen_mappers(self):
         # smoke oracle: the critics' objective (real - fake) should rise
@@ -191,7 +205,7 @@ class TestCriticPhase:
         start = critic_objective()
         for _ in range(100):
             idx = rng.choice(rows.shape[0], size=(5, 16), replace=True)
-            critic_phase(state, [rows[i] for i in idx])
+            critic_phase(state, [row_batch(rows[i]) for i in idx])
         assert critic_objective() > start
 
     def test_gradients_match_finite_differences(self):
@@ -202,7 +216,7 @@ class TestCriticPhase:
         x_fake, _ = state.generator.forward(z, train=True)
 
         reference = copy.deepcopy(state)
-        critic_phase(reference, [x], prior_batches=[z])
+        critic_phase(reference, [row_batch(x)], prior_batches=[z])
 
         def neg_adv(critic, real, fake):
             bn = [l for l in critic.layers if isinstance(l, BatchNorm)][0]
@@ -220,7 +234,7 @@ class TestMapperPhase:
     def test_critics_untouched(self):
         state = init_state(small_config(), num_words=12)
         critic_before = [p.data.copy() for p in state.critic_params]
-        mapper_phase(state, simplex_rows(16, 12, 21))
+        mapper_phase(state, row_batch(simplex_rows(16, 12, 21)))
         for before, p in zip(critic_before, state.critic_params):
             np.testing.assert_array_equal(before, p.data)
 
@@ -228,10 +242,12 @@ class TestMapperPhase:
         state = init_state(small_config(), num_words=12)
         for p in state.critic_params:
             p.data[:] = 0.0
-        state.config.lambda1_hat = 0.0
-        state.config.lambda2_hat = 0.0
+        # zero weights break TrainConfig's rules, so they are set past its
+        # frozen fields: this test only reads the gradients they give
+        object.__setattr__(state.config, "lambda1_hat", 0.0)
+        object.__setattr__(state.config, "lambda2_hat", 0.0)
         gen_before = [p.data.copy() for p in state.generator.parameters()]
-        mapper_phase(state, simplex_rows(16, 12, 22))
+        mapper_phase(state, row_batch(simplex_rows(16, 12, 22)))
         for p in state.generator.parameters():
             np.testing.assert_array_equal(p.grad, np.zeros_like(p.grad))
         for before, p in zip(gen_before, state.generator.parameters()):
@@ -240,23 +256,28 @@ class TestMapperPhase:
     def test_no_critic_gradients(self):
         state = init_state(small_config(), num_words=12)
         rows = simplex_rows(96, 12, 40)
-        critic_phase(state, [rows[i * 16:(i + 1) * 16] for i in range(5)])
+        critic_phase(state, [row_batch(rows[i * 16:(i + 1) * 16]) for i in range(5)])
         assert all(p.grad is not None for p in state.critic_params)
-        mapper_phase(state, rows[80:])
+        mapper_phase(state, row_batch(rows[80:]))
         assert all(p.grad is None for p in state.critic_params)
         assert all(p.grad is not None for p in state.mapper_params)
+
+    def test_batch_of_another_size_rejected(self):
+        state = init_state(small_config(), num_words=12)
+        with pytest.raises(ShapeError, match="a batch of shape"):
+            mapper_phase(state, row_batch(simplex_rows(8, 12, 23)))
 
     def test_supervised_requires_labels(self):
         cfg = small_config(supervised=True)
         state = init_state(cfg, num_words=12, num_classes=2)
         with pytest.raises(ConfigError):
-            mapper_phase(state, simplex_rows(16, 12, 23))
+            mapper_phase(state, row_batch(simplex_rows(16, 12, 23)))
 
     def test_loss_record_bookkeeping(self):
         cfg = small_config(supervised=True)
         state = init_state(cfg, num_words=12, num_classes=3)
         labels = np.random.default_rng(24).integers(0, 3, size=16)
-        rec = mapper_phase(state, simplex_rows(16, 12, 25), labels)
+        rec = mapper_phase(state, row_batch(simplex_rows(16, 12, 25)), labels)
         recomputed = (rec.adv_x + rec.adv_z + rec.lambda1 * rec.cyc_forward
                       + rec.lambda2 * rec.cyc_backward + rec.lambda3 * rec.cls)
         assert abs(recomputed - rec.total) < 1e-9
@@ -269,7 +290,7 @@ class TestMapperPhase:
         z = prior_rows(state.config, 5, 28)
 
         reference = copy.deepcopy(state)
-        rec = mapper_phase(reference, x, prior_batch=z)
+        rec = mapper_phase(reference, row_batch(x), prior_batch=z)
         lam1, lam2 = rec.lambda1, rec.lambda2
 
         def objective():
@@ -307,12 +328,12 @@ class TestStateCopy:
         rows = simplex_rows(96, 12, 41)
         labels = np.random.default_rng(42).integers(0, 2, size=16)
         state = init_state(cfg, num_words=12, num_classes=2)
-        critic_phase(state, [rows[i * 16:(i + 1) * 16] for i in range(5)])
+        critic_phase(state, [row_batch(rows[i * 16:(i + 1) * 16]) for i in range(5)])
         clone = copy.deepcopy(state)
         for s in (state, clone):
-            critic_phase(s, [rows[i * 16:(i + 1) * 16] for i in range(5)],
+            critic_phase(s, [row_batch(rows[i * 16:(i + 1) * 16]) for i in range(5)],
                          prior_batches=[prior_rows(s.config, 16, i) for i in range(5)])
-            mapper_phase(s, rows[80:], labels,
+            mapper_phase(s, row_batch(rows[80:]), labels,
                          prior_batch=prior_rows(s.config, 16, 9))
         groups = [(state.critic_params, clone.critic_params),
                   (state.mapper_params, clone.mapper_params)]
@@ -383,7 +404,7 @@ class TestTrain:
         bad = simplex_rows(16, 12, 35)
         bad[0, 0] = np.nan
         with pytest.raises(NonFiniteLossError) as err:
-            mapper_phase(state, bad)
+            mapper_phase(state, row_batch(bad))
         assert err.value.iteration == 7
         assert err.value.term in ("adv_x", "adv_z", "cyc_forward", "cyc_backward",
                                   "lambda1", "lambda2", "total")
@@ -398,6 +419,36 @@ class TestTrain:
         assert rec.lambda3 > 0 and np.isfinite(rec.cls)
 
 
+class TestWorkspace:
+    @pytest.mark.parametrize("supervised", [False, True])
+    def test_iteration_after_the_first_allocates_no_batch_shaped_array(self, supervised):
+        # V=2000, K=20, H=100 and batch 64: the ng20 bench's shape
+        rng = np.random.default_rng(50)
+        dense = rng.uniform(size=(200, 2000))
+        dense[dense < 0.95] = 0.0
+        dense /= dense.sum(axis=1, keepdims=True)
+        labels = np.arange(200) % 3
+        cfg = TrainConfig(num_topics=20, batch_size=64, supervised=supervised, seed=51)
+        state = init_state(cfg, num_words=2000, num_classes=3)
+        batcher = _EpochBatcher(CsrRows.from_dense(dense), labels, 64, state.rng)
+
+        def iteration():
+            # as train() runs one: the batches drawn, then the two phases
+            critic_phase(state, [batcher.next()[0] for _ in range(cfg.critic_steps)])
+            x, y = batcher.next()
+            mapper_phase(state, x, y)
+
+        iteration()
+        tracemalloc.start()
+        try:
+            iteration()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(state.loss_log) == 2
+        assert peak < np.empty((64, 2000)).nbytes, peak
+
+
 class TestEpochBatcher:
     def test_csr_batches_equal_the_dense_gather(self):
         # the dense batcher the CSR one replaced, kept as the oracle: the same
@@ -410,12 +461,18 @@ class TestEpochBatcher:
                                 np.random.default_rng(3))
         rng = np.random.default_rng(3)
         order, pos = rng.permutation(70), 0
+        # one buffer for every batch, as a training run's workspace holds:
+        # each write must clear what the batch before left
+        buffer = np.full((16, 30), np.nan)
         for _ in range(5 * 5):   # five epochs of four batches and a ragged tail
             if pos + 16 > 70:
                 order, pos = rng.permutation(70), 0
             idx = order[pos:pos + 16]
             pos += 16
             x, y = batcher.next()
-            assert x.tobytes() == dense[idx].tobytes()
+            assert x.shape == (16, 30)
+            assert x.densify(buffer) is buffer
+            assert buffer.tobytes() == dense[idx].tobytes()
+            assert x.densify().tobytes() == dense[idx].tobytes()
             assert y.tobytes() == labels[idx].tobytes()
         assert (dense == 0).any() and (dense > 0).any()
