@@ -217,7 +217,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     (config_len,) = reader.unpack("<I")
     try:
         config = json.loads(reader.text(config_len))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # RecursionError: deep nesting
         raise CheckpointError("invalid config echo") from exc
     if not isinstance(config, dict):
         raise CheckpointError("config echo is not an object")

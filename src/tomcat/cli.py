@@ -78,7 +78,8 @@ class DataDirError(ValueError):
 def _read_manifest(path: Path) -> dict:
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's recursion limit
         raise DataDirError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise DataDirError(f"{path} does not hold a JSON object")
@@ -207,7 +208,7 @@ def cmd_train(args) -> int:
     try:
         state = train(mat.csr, config, labels=labels,
                       num_classes=num_classes if args.supervised else None)
-    except NonFiniteLossError as exc:
+    except (NonFiniteLossError, SamplingError) as exc:
         write_loss_log(exc.records, loss_log_path, abort=str(exc))
         raise
 

@@ -17,7 +17,11 @@ from .nn import BatchNorm, LeakyReLU, Linear, Softmax, Tensor
 
 
 class SamplingError(RuntimeError):
-    """Prior sampling repeatedly produced degenerate (zero-sum) draws."""
+    """Prior sampling repeatedly produced degenerate (zero-sum) draws.
+
+    Raised in training, it carries as ``records`` the loss records of the
+    iterations completed before it; training.train() sets them.
+    """
 
 
 class PassBuffers(NamedTuple):

@@ -8,6 +8,13 @@ The cycle and classification weights are rebalanced every mapper step from
 the ratio of adversarial-to-auxiliary gradient norms measured at the output
 of the mapping that feeds each loss. Every batch-shaped array of an
 iteration lives in the run's Workspace, made once by init_state.
+
+A phase called on its own runs what train() runs: it draws its prior rows
+from the state's generator, and adv_loss scores each critic over one
+stacked [real; fake] batch. When train() aborts, on a non-finite loss
+(NonFiniteLossError) or on prior draws that keep underflowing
+(networks.SamplingError), the exception's records hold the loss records of
+the iterations completed before it.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from .fileio import write_atomic
 from .networks import (
     Network,
     PassBuffers,
+    SamplingError,
     build_networks,
     network_table,
     pass_buffers,
@@ -155,9 +163,9 @@ class RowBatch:
     def shape(self) -> tuple[int, int]:
         return self.idx.size, self.rows.num_cols
 
-    def densify(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The rows as a dense array, written over out when given."""
-        if out is not None and out.shape != self.shape:
+    def densify(self, out: np.ndarray) -> np.ndarray:
+        """The rows as a dense array, written over out."""
+        if out.shape != self.shape:
             raise ShapeError(f"a batch of shape {self.shape}; the workspace holds {out.shape}")
         return self.rows.take(self.idx, out)
 
@@ -289,57 +297,37 @@ def init_state(config: TrainConfig, num_words: int, num_classes: int = 0) -> Tra
     )
 
 
-def _critic_scores(critic, real: np.ndarray, fake: np.ndarray):
-    """Score real and fake rows in one train-mode forward pass.
-
-    The critics end in BatchNorm -> Linear, so each train-mode forward has a
-    constant score mean regardless of input; scoring the two batches
-    separately would make the real/fake mean difference identically zero.
-    Sharing one batch (and its statistics) keeps the loss informative.
-    """
-    if real.shape != fake.shape:
-        raise ShapeError(f"real/fake shapes differ: {real.shape} vs {fake.shape}")
-    scores, cache = critic.forward(np.vstack([real, fake]), train=True)
-    return scores[: real.shape[0]], scores[real.shape[0]:], cache
-
-
-def adv_loss(critic, real: np.ndarray, fake: np.ndarray):
-    """(mean critic(real) - mean critic(fake), critic cache).
+def adv_loss(critic, pair: np.ndarray, bufs: PassBuffers | None):
+    """(mean critic(real) - mean critic(fake), critic cache), where real is
+    pair's top half and fake its bottom half, scored in one train-mode pass
+    that writes into bufs (a pass given None allocates).
 
     The critic ascends this; the mappings descend it through the fake term.
     Used in word space (D_X: documents vs G(z)) and in topic space (D_Z:
-    prior draws vs E(x)).
+    prior draws vs E(x)). The critics end in BatchNorm -> Linear, so each
+    train-mode forward has a constant score mean regardless of input;
+    scoring the two halves separately would make the real/fake mean
+    difference identically zero. Sharing one batch (and its statistics)
+    keeps the loss informative.
     """
-    real_scores, fake_scores, cache = _critic_scores(critic, real, fake)
-    return float(real_scores.mean() - fake_scores.mean()), cache
-
-
-def _stacked_adv_loss(critic, pair: np.ndarray, bufs: PassBuffers):
-    """adv_loss of pair's top half (real) against its bottom half (fake),
-    where a phase has written them: one train-mode pass, as _critic_scores
-    makes, writing into bufs."""
     scores, cache = critic.forward(pair, train=True, bufs=bufs)
     half = pair.shape[0] // 2
     return float(scores[:half].mean() - scores[half:].mean()), cache
 
 
-def cycle_losses(generator, encoder, x: np.ndarray, z: np.ndarray,
-                 ws: Workspace | None = None):
+def cycle_losses(generator, encoder, x: np.ndarray, z: np.ndarray, ws: Workspace):
     """(mean |G(E(x)) - x|_1, mean |E(G(z)) - z|_1, passes), in train mode.
 
     passes holds the (output, cache) pairs of E(x), G(z), G(E(x)) and
-    E(G(z)), in that order, for the backward pass. Given a workspace, the
-    passes and losses write into it.
+    E(G(z)), in that order, for the backward pass. The passes and losses
+    write into the workspace.
     """
-    def buffers(name):
-        return None if ws is None else getattr(ws, name)
-
-    e_x = encoder.forward(x, train=True, bufs=buffers("e_x"))
-    g_z = generator.forward(z, train=True, bufs=buffers("g_z"))
-    g_e_x = generator.forward(e_x[0], train=True, bufs=buffers("g_e_x"))
-    e_g_z = encoder.forward(g_z[0], train=True, bufs=buffers("e_g_z"))
-    return (l1_loss(g_e_x[0], x, out=buffers("x_cyc")),
-            l1_loss(e_g_z[0], z, out=buffers("z_cyc")), (e_x, g_z, g_e_x, e_g_z))
+    e_x = encoder.forward(x, train=True, bufs=ws.e_x)
+    g_z = generator.forward(z, train=True, bufs=ws.g_z)
+    g_e_x = generator.forward(e_x[0], train=True, bufs=ws.g_e_x)
+    e_g_z = encoder.forward(g_z[0], train=True, bufs=ws.e_g_z)
+    return (l1_loss(g_e_x[0], x, out=ws.x_cyc),
+            l1_loss(e_g_z[0], z, out=ws.z_cyc), (e_x, g_z, g_e_x, e_g_z))
 
 
 _NORM_FLOOR = 1e-12
@@ -360,8 +348,7 @@ def _check_finite(state: TrainState, **terms: float) -> None:
             raise NonFiniteLossError(state.iteration, name)
 
 
-def critic_phase(state: TrainState, x_batches: list[RowBatch],
-                 prior_batches: list[np.ndarray] | None = None) -> None:
+def critic_phase(state: TrainState, x_batches: list[RowBatch]) -> None:
     """critic_steps WGAN updates of both critics, clipping after each.
 
     Each batch of batch_size documents is densified when its step runs.
@@ -372,10 +359,9 @@ def critic_phase(state: TrainState, x_batches: list[RowBatch],
     if len(x_batches) != cfg.critic_steps:
         raise ConfigError(f"expected {cfg.critic_steps} critic batches, got {len(x_batches)}")
     critic_params, ws = state.critic_params, state.workspace
-    for step, x in enumerate(x_batches):
+    for x in x_batches:
         x.densify(ws.real_x)
-        z = (prior_batches[step] if prior_batches is not None
-             else sample_prior(cfg.num_topics, cfg.alpha, cfg.batch_size, state.rng))
+        z = sample_prior(cfg.num_topics, cfg.alpha, cfg.batch_size, state.rng)
         ws.real_z[...] = z
         # the fakes, into the pairs' bottom halves
         state.generator.forward(z, train=True, bufs=ws.g_z)
@@ -383,9 +369,9 @@ def critic_phase(state: TrainState, x_batches: list[RowBatch],
 
         critic_params.zero_grad()
         # the critics' inputs are data here: no input gradient
-        adv_x, cache_x = _stacked_adv_loss(state.critic_x, ws.x_pair, ws.d_x)
+        adv_x, cache_x = adv_loss(state.critic_x, ws.x_pair, ws.d_x)
         state.critic_x.backward(cache_x, ws.critic_up, input_rows=None, bufs=ws.d_x)
-        adv_z, cache_z = _stacked_adv_loss(state.critic_z, ws.z_pair, ws.d_z)
+        adv_z, cache_z = adv_loss(state.critic_z, ws.z_pair, ws.d_z)
         state.critic_z.backward(cache_z, ws.critic_up, input_rows=None, bufs=ws.d_z)
 
         _check_finite(state, adv_x=adv_x, adv_z=adv_z)
@@ -393,13 +379,13 @@ def critic_phase(state: TrainState, x_batches: list[RowBatch],
         clip_weights(critic_params, cfg.clip_c)
 
 
-def mapper_phase(state: TrainState, x: RowBatch, labels: np.ndarray | None = None,
-                 prior_batch: np.ndarray | None = None) -> LossRecord:
+def mapper_phase(state: TrainState, x: RowBatch, labels: np.ndarray | None) -> LossRecord:
     """One update of generator and encoder (plus classifier when supervised)
-    on a batch of batch_size documents. Critic parameters are read but never
-    updated, and no gradient is computed for them. Gradient norms for the
-    balancing factors are taken at G's output for the forward cycle pair and
-    at E's output for the backward cycle and classification pairs.
+    on a batch of batch_size documents, with their class ids as labels (None
+    when unsupervised). Critic parameters are read but never updated, and no
+    gradient is computed for them. Gradient norms for the balancing factors
+    are taken at G's output for the forward cycle pair and at E's output for
+    the backward cycle and classification pairs.
     """
     cfg = state.config
     enc, gen, ws = state.encoder, state.generator, state.workspace
@@ -407,8 +393,7 @@ def mapper_phase(state: TrainState, x: RowBatch, labels: np.ndarray | None = Non
     if cfg.supervised and labels is None:
         raise ConfigError("supervised mapper step needs labels")
     x = x.densify(ws.real_x)
-    z = (prior_batch if prior_batch is not None
-         else sample_prior(cfg.num_topics, cfg.alpha, batch, state.rng))
+    z = sample_prior(cfg.num_topics, cfg.alpha, batch, state.rng)
     ws.real_z[...] = z
 
     state.mapper_params.zero_grad()
@@ -419,8 +404,8 @@ def mapper_phase(state: TrainState, x: RowBatch, labels: np.ndarray | None = Non
     # E(x) and G(z) write the pairs' bottom halves
     cyc_f, cyc_b, passes = cycle_losses(gen, enc, x, z, ws)
     (z_fake, cache_e1), (_, cache_g1), (x_rec, cache_g2), (z_rec, cache_e2) = passes
-    adv_x, cache_dx = _stacked_adv_loss(state.critic_x, ws.x_pair, ws.d_x)
-    adv_z, cache_dz = _stacked_adv_loss(state.critic_z, ws.z_pair, ws.d_z)
+    adv_x, cache_dx = adv_loss(state.critic_x, ws.x_pair, ws.d_x)
+    adv_z, cache_dz = adv_loss(state.critic_z, ws.z_pair, ws.d_z)
 
     # gradients of the mapper-relevant adversarial terms (the -mean fake-score
     # halves) at G(z) and E(x); the real halves are data, so only the fake
@@ -518,7 +503,7 @@ def train(rows: CsrRows, config: TrainConfig,
             critic_phase(state, [batcher.next()[0] for _ in range(config.critic_steps)])
             x, y = batcher.next()
             mapper_phase(state, x, y)
-    except NonFiniteLossError as exc:
+    except (NonFiniteLossError, SamplingError) as exc:
         exc.records = state.loss_log
         raise
     return state

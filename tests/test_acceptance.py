@@ -38,7 +38,7 @@ from tomcat.evaluation import (
 )
 from tomcat.networks import sample_prior, topic_word_distributions
 from tomcat.nn import BatchNorm, LeakyReLU, Linear, Softmax, cross_entropy, cross_entropy_backward, l1_loss, l1_loss_backward
-from tomcat.training import TrainConfig, _critic_scores, balance, critic_phase, init_state, mapper_phase, train
+from tomcat.training import TrainConfig, balance, critic_phase, init_state, mapper_phase, train
 
 
 def report(criterion, ok, detail):
@@ -168,10 +168,11 @@ class TestCriterion1GradientCorrectness:
         state = init_state(config, num_words=6)
         raw = np.random.default_rng(27).uniform(0.01, 1, size=(5, 6))
         x = raw / raw.sum(axis=1, keepdims=True)
-        z = sample_prior(config.num_topics, config.alpha, 5, np.random.default_rng(28))
+        # the draw the phase makes, from a copy of the state's generator
+        z = sample_prior(config.num_topics, config.alpha, 5, copy.deepcopy(state.rng))
 
         reference = copy.deepcopy(state)
-        rec = mapper_phase(reference, row_batch(x), prior_batch=z)
+        rec = mapper_phase(reference, row_batch(x), None)
         lam1, lam2 = rec.lambda1, rec.lambda2
 
         def objective():
@@ -185,8 +186,9 @@ class TestCriterion1GradientCorrectness:
             x_fake, _ = state.generator.forward(z, train=True)
             x_rec, _ = state.generator.forward(z_fake, train=True)
             z_rec, _ = state.encoder.forward(x_fake, train=True)
-            _, fake_x, _ = _critic_scores(state.critic_x, x, x_fake)
-            _, fake_z, _ = _critic_scores(state.critic_z, z, z_fake)
+            # each critic scores real and fake rows in one batch, as adv_loss does
+            fake_x = state.critic_x.forward(np.vstack([x, x_fake]), train=True)[0][len(x):]
+            fake_z = state.critic_z.forward(np.vstack([z, z_fake]), train=True)[0][len(z):]
             value = (-float(fake_x.mean()) - float(fake_z.mean())
                      + lam1 * l1_loss(x_rec, x) + lam2 * l1_loss(z_rec, z))
             for l, (m, v) in zip(bns, saved):
@@ -245,7 +247,7 @@ class TestCriterion2InvariantSuite:
             critic_phase(state, [row_batch(rows[i]) for i in idx])
             for p in state.critic_params:
                 assert np.all(np.abs(p.data) <= config.clip_c + 1e-15)
-            mapper_phase(state, row_batch(rows[order.choice(200, size=16, replace=False)]))
+            mapper_phase(state, row_batch(rows[order.choice(200, size=16, replace=False)]), None)
 
         # checkpoint bitwise round-trip, both modes
         vocab = Vocabulary([f"t{i}" for i in range(15)])

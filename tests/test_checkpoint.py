@@ -1,3 +1,4 @@
+import json
 import struct
 import tracemalloc
 
@@ -168,6 +169,25 @@ class TestCorruption:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
         assert main(["topics", "--ckpt", str(path)]) == 2
+
+    def test_deeply_nested_config_echo_is_exit_2(self, tmp_path, capsys):
+        # nesting deeper than json's recursion limit, spliced over the echo
+        # of a saved file
+        state = trained_state(21)
+        path = tmp_path / "model.ckpt"
+        save_state(state, Vocabulary([f"t{i}" for i in range(9)]), path)
+        blob = path.read_bytes()
+        echo = json.dumps(state.config.as_dict(), sort_keys=True).encode("utf-8")
+        at = blob.index(struct.pack("<I", len(echo)) + echo)
+        nested = b"[" * 200000 + b"]" * 200000
+        path.write_bytes(blob[:at] + struct.pack("<I", len(nested)) + nested
+                         + blob[at + 4 + len(echo):])
+        with pytest.raises(CheckpointError, match="invalid config echo"):
+            load_checkpoint(path)
+        assert main(["topics", "--ckpt", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invalid config echo\n"
 
     @pytest.mark.parametrize("data_dir", [5, True, ["a"], {"x": 1}, None])
     def test_data_dir_that_is_not_a_string_is_exit_2(self, tmp_path, capsys, data_dir):

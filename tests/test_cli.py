@@ -274,6 +274,8 @@ class TestTrain:
         b'{"n_classes": 1.5}', b'{"n_docs": 150}',
         b'{"n_docs": 150, "n_classes": 1000000000000001}',
         b'{"n_docs": 150, "n_classes": 3, "vocab_size": "12"}',
+        # deeper than the JSON decoder's recursion limit
+        pytest.param(b"[" * 200000 + b"]" * 200000, id="nested 200000 deep"),
     ])
     def test_malformed_manifest_is_exit_2(self, workdir, tmp_path, capsys, manifest):
         data = tmp_path / "data"
@@ -283,6 +285,7 @@ class TestTrain:
                      "--iters", "1", "--out", str(tmp_path / "m.ckpt")])
         captured = capsys.readouterr()
         assert code == 2
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
         assert "manifest.json" in captured.err
         assert captured.out == ""
 
@@ -1005,6 +1008,39 @@ class TestErrorPaths:
         assert [int(row.split("\t")[0]) for row in rows] == list(range(k))
         assert lines[0].startswith("#iteration")
         assert lines[-1] == f"# aborted: non-finite value for 'cyc_forward' at iteration {k}"
+
+    @pytest.mark.parametrize("step", [3, 6], ids=["critic step", "mapper step"])
+    def test_sampling_abort_keeps_loss_log(self, workdir, tmp_path, capsys, monkeypatch,
+                                           step):
+        import tomcat.training as training
+        from tomcat.networks import SamplingError
+
+        k = 4
+        real = training.sample_prior
+        calls = []
+        message = "prior draws kept underflowing to zero after 100 retries"
+
+        def underflow_at_iteration_k(*args, **kwargs):
+            # an iteration draws a prior batch in each of its 5 critic steps,
+            # then one in its mapper step
+            calls.append(None)
+            if len(calls) == 6 * k + step:
+                raise SamplingError(message)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "sample_prior", underflow_at_iteration_k)
+        log = tmp_path / "x.losses.tsv"
+        code = main(["train", "--data", str(workdir / "data"), "--topics", "2",
+                     "--batch", "16", "--iters", "10", "--seed", "3",
+                     "--out", str(tmp_path / "x.ckpt"), "--loss-log", str(log)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x.ckpt").exists()
+        lines = log.read_text(encoding="utf-8").splitlines()
+        rows = [line for line in lines if not line.startswith("#")]
+        assert [int(row.split("\t")[0]) for row in rows] == list(range(k))
+        assert lines[0].startswith("#iteration")
+        assert lines[-1] == f"# aborted: {message}"
 
     def test_failed_save_keeps_previous_files(self, workdir, tmp_path, capsys, monkeypatch):
         out = tmp_path / "run"

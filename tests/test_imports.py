@@ -1,5 +1,6 @@
-"""The package needs nothing beyond numpy and the standard library, and
-exports what README's library example imports."""
+"""The package needs nothing beyond numpy and the standard library, exports
+what README's library example imports, and defines nothing that only the
+tests use."""
 
 import ast
 import re
@@ -10,6 +11,7 @@ import tomcat
 
 ALLOWED = {"tomcat", "numpy"} | set(sys.stdlib_module_names)
 README = Path(__file__).resolve().parents[1] / "README.md"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_every_import_is_numpy_or_stdlib():
@@ -38,3 +40,26 @@ def test_readme_library_example_imports_from_the_package():
     assert names
     missing = [name for name in names if not hasattr(tomcat, name)]
     assert not missing, missing
+
+
+def test_every_definition_is_named_by_the_package_or_the_benchmark():
+    # a function, class or method that only the tests name is a second path
+    # that no command runs
+    package = sorted(Path(tomcat.__file__).parent.rglob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in package + sorted(PERFBENCH.rglob("*.py"))}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.asname or node.name.rsplit(".", 1)[-1])
+    unnamed = [f"{path.name}:{node.lineno} {node.name}" for path in package
+               for node in ast.walk(trees[path])
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and not (node.name.startswith("__") and node.name.endswith("__"))
+               and node.name not in named]
+    assert not unnamed, unnamed
