@@ -11,17 +11,23 @@ from __future__ import annotations
 
 import lzma
 import os
+import stat
+import sys
 import tokenize
 import zipfile
 import zlib
+from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from . import tokenizer
 from .fileio import atomic_path
+from .tokenizer import (FirstSeen, next_lines, open_span, token_ids, tokenize_lines,
+                        undecodable)
 
 
 class CorpusError(ValueError):
@@ -174,34 +180,60 @@ class Documents:
 
 
 READ_CHARS = 1 << 16   # load_documents reads blocks of about this many characters
+# A regular file of at least this many bytes is read in byte spans, each
+# about half this long or more: a child process starts in about 20 ms, the
+# time it takes to tokenize about 1 MB.
+SPAN_BYTES = 2 << 20
+# No span is longer but for the end of its last line: it bounds what a
+# span's child buffers, whatever the size of the file.
+MAX_SPAN_BYTES = 4 * SPAN_BYTES
+# The most processes that read one file, the command included: two, on two
+# CPUs, is the only count measured to gain.
+READERS = 2
 
 
-class _FirstSeen(dict):
-    """token -> id, each new token taking the next id; ``tokens`` lists
-    them by id."""
-
-    def __init__(self):
-        super().__init__()
-        self.tokens: list[str] = []
-
-    def __missing__(self, token: str) -> int:
-        self[token] = wid = len(self.tokens)
-        self.tokens.append(token)
-        return wid
-
-
-def _token_ids(table: dict, tokens, count: int) -> np.ndarray:
-    """The int32 id of each of count tokens: the one place a token becomes an
-    id. A _FirstSeen table gives a new token the next id; any other table is
-    a vocabulary's index, which gives -1 to a token outside it and stays as
-    it is."""
-    ids = (map(table.__getitem__, tokens) if isinstance(table, _FirstSeen)
-           else map(table.get, tokens, repeat(-1)))
-    return np.fromiter(ids, dtype=np.int32, count=count)
+def _token_ids(table: dict, tokens: list[str]) -> np.ndarray:
+    """The int32 id of each token in table (tokenizer.token_ids)."""
+    return np.fromiter(token_ids(table, tokens), dtype=np.int32, count=len(tokens))
 
 
 def _label_mismatch(labels: list[int], lines: int) -> CorpusError:
     return CorpusError(f"label/document count mismatch: {len(labels)} labels for {lines} lines")
+
+
+def _readers() -> int:
+    """How many processes read a large file: READERS, or fewer CPUs."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return min(READERS, cpus)
+
+
+def _spans(fd: int, readers: int) -> list[tuple[int, int | None]]:
+    """The (start, end) byte offsets of the spans the open file fd is read
+    in by readers processes: for a regular file of at least SPAN_BYTES,
+    readers spans, fewer while they would be under SPAN_BYTES, or a
+    multiple of readers that keeps each within MAX_SPAN_BYTES; each but the
+    first starts just after a "\n" byte. Else [(0, None)], the whole file
+    read in order."""
+    st = os.fstat(fd)
+    if readers < 2 or not stat.S_ISREG(st.st_mode):
+        return [(0, None)]
+    count = (min(readers, st.st_size // SPAN_BYTES + 1)
+             * -(-st.st_size // (readers * MAX_SPAN_BYTES)))
+    starts = [0]
+    for k in range(1, count):
+        pos = max(st.st_size * k // count, starts[-1])
+        while chunk := os.pread(fd, 1 << 16, pos):
+            cut = chunk.find(b"\n")
+            if cut >= 0:
+                pos += cut + 1
+                break
+            pos += len(chunk)
+        if pos >= st.st_size:   # no line starts after the cut
+            break
+        starts.append(pos)
+    if len(starts) == 1:
+        return [(0, None)]
+    return list(zip(starts, starts[1:] + [st.st_size]))
 
 
 class DocumentFile:
@@ -214,6 +246,17 @@ class DocumentFile:
     are read). Blank lines are dropped together with their labels, unless
     keep_blank, when each is a document of no tokens. The label file, read
     whole on opening, must have exactly one integer per document line.
+
+    A large file is read in byte spans (_spans) by _readers() processes in
+    turn: this process reads span 0, a child process running tokenizer.main
+    reads each of the next _readers() - 1, numbering its tokens itself, then
+    this process reads the next span, and so on. A child's blocks are handed
+    on once this process reaches its span, their ids mapped through the
+    table, and as each child is reaped the child of the span _readers()
+    further on starts. So the lines, ids and tokens are those of one process
+    reading the whole file, no vocabulary is sent to a child, and at most
+    _readers() - 1 children run at once, each buffering one span. close()
+    kills and reaps every running child.
     """
 
     def __init__(self, path: str | Path, label_path: str | Path | None = None,
@@ -225,17 +268,32 @@ class DocumentFile:
                 self.labels = [int(s.strip()) for s in raw]
             except ValueError as exc:
                 raise CorpusError(f"label file {label_path} contains a non-integer line") from exc
+        self.path = path
         self.keep_blank = keep_blank
         if vocab is None:
-            self.table: dict = _FirstSeen()
+            self.table: dict = FirstSeen()
             self.tokens = self.table.tokens
         else:
             self.table = vocab.index
             self.tokens = vocab.tokens
         self.lines = 0   # lines read so far
-        self.file = open(path, encoding="utf-8")
+        self.children: deque = deque()   # (process, start, end) of each running child
+        self.file = open(path, "rb", buffering=0)   # holds the descriptor every span reads
+        try:
+            self.readers = _readers()
+            self.spans = _spans(self.file.fileno(), self.readers)
+            for k in range(1, min(self.readers, len(self.spans))):
+                self._start_child(k)
+        except BaseException:
+            self.close()
+            raise
+        self.blocks = self._read()
 
     def close(self) -> None:
+        for child, _, _ in self.children:
+            child.kill()
+            child.stdout.close()
+            child.wait()
         self.file.close()
 
     def __enter__(self) -> "DocumentFile":
@@ -244,12 +302,77 @@ class DocumentFile:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def next_lines(self) -> list[str] | None:
-        """The next block of about READ_CHARS characters of whole lines,
-        lowercased; None at the end of the file."""
-        # each block ends at a line end, so its lines are the file's lines
-        block = self.file.readlines(READ_CHARS)
-        return "".join(block).lower().splitlines() if block else None
+    def next_block(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The next block of about READ_CHARS characters of whole lines: the
+        number of tokens on each line (int64) and each token's id (int32);
+        None at the end of the file."""
+        return next(self.blocks, None)
+
+    def _start_child(self, k: int) -> None:
+        """Start the child process that reads span k."""
+        # imported here, not with the module: it adds about 0.3 MB to the
+        # peak of every command
+        import subprocess
+
+        fd = self.file.fileno()
+        start, end = self.spans[k]
+        self.children.append((subprocess.Popen(
+            [sys.executable, "-I", "-S", tokenizer.__file__, str(fd), str(start), str(end),
+             str(READ_CHARS)], stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, pass_fds=(fd,)), start, end))
+
+    def _read(self):
+        for k, span in enumerate(self.spans):
+            if k % self.readers == 0:
+                text = open_span(self.file.fileno(), *span)
+                try:
+                    yield from iter(partial(self._read_own, text), None)
+                except UnicodeDecodeError as exc:
+                    raise CorpusError(f"{self.path} {undecodable(exc)}") from exc
+            else:
+                yield from self._read_child(*self.children[0])
+                self.children.popleft()   # reaped by _read_child
+                if k + self.readers < len(self.spans):
+                    self._start_child(k + self.readers)
+
+    def _read_own(self, text) -> tuple[np.ndarray, np.ndarray] | None:
+        """The next block of the span of text this process reads, None at
+        its end; the block's strings are freed on return, before it is used."""
+        lines = next_lines(text, READ_CHARS)
+        if lines is None:
+            return None
+        words, ids = tokenize_lines(lines, self.table)
+        lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+        # taken one id at a time: a list of the block's ids would leave the
+        # heap fragmented
+        return lengths, np.fromiter(ids, dtype=np.int32, count=int(lengths.sum()))
+
+    def _read_child(self, child, start: int, end: int):
+        """The blocks of the span from start to end, as the child process
+        (a subprocess.Popen) that reads it writes them with tokenizer.main."""
+        def fill(buffer):
+            if child.stdout.readinto(buffer) < memoryview(buffer).nbytes:
+                status = child.wait()
+                how = (f"was killed by signal {-status}" if status < 0
+                       else f"exited with status {status}")
+                raise CorpusError(f"{self.path}: the reader of bytes {start} to {end} {how} "
+                                  "before it was done")
+            return buffer
+
+        def counts():
+            return fill(np.empty(2, dtype=np.int64)).tolist()
+
+        n_tokens, size = counts()
+        words = fill(bytearray(size)).decode("utf-8")
+        lookup = _token_ids(self.table, words.split("\n") if n_tokens else [])
+        while (sizes := counts())[0] >= 0:
+            lengths = fill(np.empty(sizes[0], dtype=np.int64))
+            yield lengths, lookup[fill(np.empty(sizes[1], dtype=np.int32))]
+        stopped = fill(bytearray(sizes[1])).decode("utf-8")
+        child.stdout.close()
+        child.wait()   # it exits once it has written
+        if stopped:
+            raise CorpusError(f"{self.path} {stopped}")
 
 
 def load_documents(source: DocumentFile) -> Documents | None:
@@ -258,23 +381,21 @@ def load_documents(source: DocumentFile) -> Documents | None:
     Raises CorpusError once the file's line count is known to differ from
     its label count.
     """
-    lines = source.next_lines()
-    if lines is None:
+    block = source.next_block()
+    if block is None:
         if source.labels is not None and len(source.labels) != source.lines:
             raise _label_mismatch(source.labels, source.lines)
         return None
+    lengths, ids = block
     start = source.lines
-    source.lines += len(lines)
+    source.lines += lengths.size
     labels = None
     if source.labels is not None:
         if source.lines > len(source.labels):
-            while (rest := source.next_lines()) is not None:   # count every line
-                source.lines += len(rest)
+            while (rest := source.next_block()) is not None:   # count every line
+                source.lines += rest[0].size
             raise _label_mismatch(source.labels, source.lines)
         labels = source.labels[start:source.lines]
-    lines = [line.split() for line in lines]
-    lengths = np.fromiter(map(len, lines), np.int64, len(lines))
-    ids = _token_ids(source.table, chain.from_iterable(lines), int(lengths.sum()))
     if not source.keep_blank:
         kept = np.flatnonzero(lengths)
         lengths = lengths[kept]
@@ -332,7 +453,7 @@ def count_documents(blocks: Iterable[Documents], vocab: Vocabulary) -> list[CsrR
         if docs.tokens is not vocab.tokens:
             if lookup is None or lookup.size != len(docs.tokens) + 1:
                 # vocab's id of each of the documents' tokens; the last entry keeps -1 at -1
-                lookup = np.append(_token_ids(vocab.index, docs.tokens, len(docs.tokens)),
+                lookup = np.append(_token_ids(vocab.index, docs.tokens),
                                    np.int32(-1))
             ids = lookup[ids]
         n_docs = docs.lengths.size

@@ -19,8 +19,9 @@ from .nn import BatchNorm, LeakyReLU, Linear, Softmax, Tensor
 class SamplingError(RuntimeError):
     """Prior sampling repeatedly produced degenerate (zero-sum) draws.
 
-    Raised in training, it carries as ``records`` the loss records of the
-    iterations completed before it; training.train() sets them.
+    Raised in training, its message ends with the iteration, and it carries
+    as ``records`` the loss records of the iterations completed before it;
+    training.train() sets both.
     """
 
 

@@ -13,8 +13,8 @@ A phase called on its own runs what train() runs: it draws its prior rows
 from the state's generator, and adv_loss scores each critic over one
 stacked [real; fake] batch. When train() aborts, on a non-finite loss
 (NonFiniteLossError) or on prior draws that keep underflowing
-(networks.SamplingError), the exception's records hold the loss records of
-the iterations completed before it.
+(networks.SamplingError), the exception names the iteration and its records
+hold the loss records of the iterations completed before it.
 """
 
 from __future__ import annotations
@@ -503,7 +503,11 @@ def train(rows: CsrRows, config: TrainConfig,
             critic_phase(state, [batcher.next()[0] for _ in range(config.critic_steps)])
             x, y = batcher.next()
             mapper_phase(state, x, y)
-    except (NonFiniteLossError, SamplingError) as exc:
+    except NonFiniteLossError as exc:
         exc.records = state.loss_log
         raise
+    except SamplingError as exc:
+        aborted = SamplingError(f"{exc} at iteration {state.iteration}")
+        aborted.records = state.loss_log
+        raise aborted from exc
     return state

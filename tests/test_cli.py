@@ -17,7 +17,10 @@ import numpy as np
 import pytest
 
 from test_corpus import (
+    Recorded,
+    children,
     csr_of,
+    force_spans,
     oracle_count_documents,
     oracle_count_matrix,
     oracle_load_documents,
@@ -850,18 +853,25 @@ def edges(workdir, tmp_path_factory):
 class TestStreamingMatchesWholeFile:
     """Each text command reads a block of lines at a time and counts and
     encodes BLOCK_ROWS documents at a time; its output must be the bytes of
-    the whole-file commands it replaced, whatever the block sizes. One
+    the whole-file commands it replaced, whatever the block sizes and
+    whether the file is read in spans, in one round of 3 or in several. One
     character per block makes every line a block."""
 
-    BLOCKS = [(read_chars, block_rows) for block_rows in (BLOCK_ROWS, 7)
-              for read_chars in (1, 7, corpus_module.READ_CHARS)]
+    # (read_chars, block_rows, largest span in bytes or None for one span)
+    BLOCKS = [(read_chars, block_rows, None) for block_rows in (BLOCK_ROWS, 7)
+              for read_chars in (1, 7, corpus_module.READ_CHARS)
+              ] + [(7, 7, 4096), (corpus_module.READ_CHARS, BLOCK_ROWS,
+                                  corpus_module.MAX_SPAN_BYTES)]
 
-    @pytest.fixture(params=BLOCKS, ids=lambda b: f"read_chars={b[0]}-block_rows={b[1]}")
+    @pytest.fixture(params=BLOCKS, ids=lambda b: f"read_chars={b[0]}-block_rows={b[1]}"
+                                                 + ("-spans" if b[2] else ""))
     def blocks(self, request, monkeypatch):
-        read_chars, block_rows = request.param
+        read_chars, block_rows, max_span_bytes = request.param
         monkeypatch.setattr(corpus_module, "READ_CHARS", read_chars)
         monkeypatch.setattr(corpus_module, "BLOCK_ROWS", block_rows)
         monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
+        if max_span_bytes:
+            force_spans(monkeypatch, 1024, max_span_bytes)
 
     def test_ingest_files(self, edges, tmp_path, capsys, blocks):
         want = whole_file.ingest(edges / "docs.txt", edges / "labels.txt", tmp_path / "want",
@@ -967,6 +977,70 @@ class TestMemoryBoundedByTheBlock:
         assert peaks[1] <= 1.3 * peaks[0] + self.ALLOWANCE, peaks
 
 
+class TestMemoryBoundedInSpans(TestMemoryBoundedByTheBlock):
+    """Read in spans, the commands keep a block of documents too: this
+    process takes each span reader's blocks one at a time. Every eightfold
+    corpus is read in 3 spans; so is infer's 1x corpus, and each of its spans
+    holds a full block of READ_CHARS characters."""
+
+    @pytest.fixture(autouse=True)
+    def spans(self, monkeypatch, children):
+        force_spans(monkeypatch, 1 << 17)
+        yield
+        assert children
+
+
+class TestSpanReaders:
+    """A span reader's failure is the command's: exit 1 with one error line
+    naming the file, nothing from the reader on stderr, and no reader left
+    running, as when the command is interrupted."""
+
+    @pytest.fixture
+    def docs(self, edges, tmp_path, monkeypatch):
+        force_spans(monkeypatch, 1024)
+        return edges / "docs.txt"
+
+    def assert_one_error_line(self, capfd, path):
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1, captured.err
+        assert captured.err.startswith(f"error: {path}")
+        return captured.err
+
+    def test_undecodable_byte_in_the_last_span_is_exit_1(self, docs, tmp_path, capfd,
+                                                         children):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(docs.read_bytes() + b"qqq \xff\n")
+        assert main(["ingest", "--docs", str(bad), "--out", str(tmp_path / "d")]) == 1
+        assert len(children) == 2
+        err = self.assert_one_error_line(capfd, bad)
+        assert err == f"error: {bad} is not UTF-8 text: invalid start byte (byte 0xff)\n"
+        assert not (tmp_path / "d").exists()
+
+    def test_killed_reader_is_exit_1(self, workdir, docs, capfd, children, monkeypatch):
+        class Killed(Recorded):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.kill()
+
+        monkeypatch.setattr(subprocess, "Popen", Killed)
+        assert main(["eval-coherence", "--ckpt", str(workdir / "model.ckpt"),
+                     "--reference", str(docs)]) == 1
+        err = self.assert_one_error_line(capfd, docs)
+        assert "was killed by signal 9 before it was done" in err
+
+    def test_interrupt_reaps_every_reader(self, workdir, docs, children, monkeypatch):
+        def interrupted(blocks, **kwargs):
+            next(blocks)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "build_cooc", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["eval-coherence", "--ckpt", str(workdir / "model.ckpt"),
+                  "--reference", str(docs)])
+        assert len(children) == 2
+
+
 class TestErrorPaths:
     def test_numerical_abort_is_exit_3(self, workdir, tmp_path, capsys, monkeypatch):
         from tomcat.training import NonFiniteLossError
@@ -1034,13 +1108,13 @@ class TestErrorPaths:
                      "--batch", "16", "--iters", "10", "--seed", "3",
                      "--out", str(tmp_path / "x.ckpt"), "--loss-log", str(log)])
         assert code == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {message} at iteration {k}\n"
         assert not (tmp_path / "x.ckpt").exists()
         lines = log.read_text(encoding="utf-8").splitlines()
         rows = [line for line in lines if not line.startswith("#")]
         assert [int(row.split("\t")[0]) for row in rows] == list(range(k))
         assert lines[0].startswith("#iteration")
-        assert lines[-1] == f"# aborted: {message}"
+        assert lines[-1] == f"# aborted: {message} at iteration {k}"
 
     def test_failed_save_keeps_previous_files(self, workdir, tmp_path, capsys, monkeypatch):
         out = tmp_path / "run"

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -6,6 +9,7 @@ import pytest
 
 import tomcat.corpus as corpus_module
 import whole_file
+from tomcat.tokenizer import open_span
 from tomcat.corpus import (
     BLOCK_ROWS,
     CorpusError,
@@ -696,14 +700,54 @@ def assert_reads_like_oracle(tmp_path, seed, rng, text, vocab):
     assert every_line.ids.tobytes() == docs.ids.tobytes(), seed
 
 
+def force_spans(monkeypatch, span_bytes, max_span_bytes=corpus_module.MAX_SPAN_BYTES):
+    """Read each file of at least span_bytes in byte spans of at most about
+    max_span_bytes, by 3 processes on 3 CPUs."""
+    monkeypatch.setattr(corpus_module, "SPAN_BYTES", span_bytes)
+    monkeypatch.setattr(corpus_module, "MAX_SPAN_BYTES", max_span_bytes)
+    monkeypatch.setattr(corpus_module, "READERS", 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+
+class Recorded(subprocess.Popen):
+    """Popen that lists every process it starts, each with the number of
+    those still running (not reaped) when it started."""
+
+    started: list = []
+
+    def __init__(self, *args, **kwargs):
+        self.running_before = sum(child.returncode is None for child in self.started)
+        super().__init__(*args, **kwargs)
+        self.started.append(self)
+
+
+@pytest.fixture
+def children(monkeypatch):
+    """The span readers started in a test; each must be reaped by its end."""
+    started = []
+    monkeypatch.setattr(Recorded, "started", started)
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    yield started
+    assert all(child.returncode is not None for child in started)
+
+
+# (with_vocab, read_chars, spans): one line per block at 1 character, blocks
+# end mid-text at 7, and with spans each text of 8 bytes or more is read in
+# up to 3 spans, whose readers number their own tokens (a vocabulary is
+# looked up in this process only, as TestStreamingMatchesWholeFile checks)
+READERS = [pytest.param(with_vocab, read_chars, False, id=f"{with_vocab}-{read_chars}")
+           for with_vocab in (False, True) for read_chars in (corpus_module.READ_CHARS, 1, 7)
+           ] + [pytest.param(False, 7, True, id="False-7-spans")]
+
+
 class TestReaderMatchesOracle:
     VOCAB = Vocabulary(["a", "b", "i\u0307", "\u03c3", "\u03c2", "k", "aa"])
 
-    @pytest.mark.parametrize("read_chars", [corpus_module.READ_CHARS, 1, 7])
-    @pytest.mark.parametrize("with_vocab", [False, True])
-    def test_random_texts(self, tmp_path, monkeypatch, read_chars, with_vocab):
-        # one line per block at 1 character; blocks end mid-text at 7
+    @pytest.mark.parametrize("with_vocab, read_chars, spans", READERS)
+    def test_random_texts(self, tmp_path, monkeypatch, with_vocab, read_chars, spans):
         monkeypatch.setattr(corpus_module, "READ_CHARS", read_chars)
+        if spans:
+            force_spans(monkeypatch, 8)
         for seed, rng, text in reader_cases():
             assert_reads_like_oracle(tmp_path, seed, rng, text,
                                      self.VOCAB if with_vocab else None)
@@ -716,3 +760,161 @@ class TestReaderMatchesOracle:
         assert any(line and not line.split() for line in lines)
         assert any(not text.endswith(LINE_ENDS) for text in texts if text)
         assert any(len(text.lower()) > len(text) for text in texts)
+
+
+def at_the_edge(tail: str, line_end: str = "\n") -> bytes:
+    """A line long enough that two spans meet just after its line_end, then
+    tail, as UTF-8."""
+    data = ("a " * (len(tail) + 2) + "b" + line_end + tail).encode("utf-8")
+    # the second span starts after the first "\n" at or after the middle
+    assert data[data.index(b"\n", len(data) // 2) + 1:] == tail.encode("utf-8")
+    return data
+
+
+class TestSpans:
+    """A file read in byte spans gives the documents, labels and errors of
+    one process reading it whole."""
+
+    @pytest.fixture(autouse=True)
+    def two_spans(self, monkeypatch):
+        monkeypatch.setattr(corpus_module, "SPAN_BYTES", 16)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def assert_reads_like_oracle(self, tmp_path, data, children, spans=2):
+        path = tmp_path / "docs.txt"
+        path.write_bytes(data)
+        n_lines = len(data.decode("utf-8").splitlines())
+        labels = tmp_path / "labels.txt"
+        labels.write_text("".join(f"{i}\n" for i in range(n_lines)), encoding="utf-8")
+        want, want_labels = oracle_load_documents(path, labels)
+        docs = read_documents(path, labels)
+        assert spans is None or len(children) == spans - 1
+        assert (token_lists(docs), docs.labels) == (want, want_labels)
+        every_line = read_documents(path, keep_blank=True)
+        assert every_line.lengths.tolist() == [len(line.lower().split())
+                                               for line in data.decode("utf-8").splitlines()]
+
+    def test_blank_line_at_the_edge(self, tmp_path, children):
+        self.assert_reads_like_oracle(tmp_path, at_the_edge("\n \nc A\n"), children)
+
+    def test_crlf_at_the_edge(self, tmp_path, children):
+        self.assert_reads_like_oracle(tmp_path, at_the_edge("\r\nc\r\n", "\r\n"), children)
+
+    def test_cr_only_file_is_one_span(self, tmp_path, children):
+        self.assert_reads_like_oracle(tmp_path, b"a b\r" * 20 + b"c", children, spans=1)
+
+    def test_no_final_line_end(self, tmp_path, children):
+        self.assert_reads_like_oracle(tmp_path, at_the_edge("c\nd e"), children)
+
+    @pytest.mark.parametrize("n_labels", [10, 14])
+    def test_label_count_mismatch_found_in_a_later_span(self, tmp_path, children, n_labels):
+        # 12 lines: the first span holds 7, so the mismatch shows in the second
+        path = tmp_path / "docs.txt"
+        path.write_text("a b\n" * 12, encoding="utf-8")
+        labels = tmp_path / "labels.txt"
+        labels.write_text("0\n" * n_labels, encoding="utf-8")
+        with pytest.raises(CorpusError, match=f"{n_labels} labels for 12 lines"):
+            read_documents(path, labels)
+        assert len(children) == 1
+
+    def test_undecodable_byte_in_a_later_span(self, tmp_path, children):
+        path = tmp_path / "docs.txt"
+        path.write_bytes(b"a b\n" * 12 + b"c \xff\n")
+        with DocumentFile(path) as source:
+            first = load_documents(source)
+            assert token_lists(first) == [["a", "b"]] * 7
+            with pytest.raises(CorpusError, match="docs.txt is not UTF-8 text"):
+                while load_documents(source) is not None:
+                    pass
+
+    def test_many_spans_read_in_turn(self, tmp_path, monkeypatch, children):
+        # 3 readers, each span under 3 lines: this process reads spans 0, 3,
+        # 6 ..., and a child starts only once the one 3 spans back is reaped
+        force_spans(monkeypatch, 16, 32)
+        data = "".join(f"w{i % 7} B{i % 3}\n" * (i % 3) + "\n" for i in range(40)).encode()
+        self.assert_reads_like_oracle(tmp_path, data, children, spans=None)
+        assert len(children) >= 6
+        assert max(child.running_before for child in children) == 1
+        longest_line = max(map(len, data.splitlines(keepends=True)))
+        assert all(int(child.args[-2]) - int(child.args[-3]) <= 32 + longest_line
+                   for child in children)
+
+    def test_a_span_reads_only_its_bytes(self, tmp_path):
+        path = tmp_path / "docs.txt"
+        path.write_bytes(b"a b\nc d\ne f\n")
+        with open(path, "rb") as file:
+            fd = file.fileno()
+            assert open_span(fd, 4, 8).read() == "c d\n"
+            assert open_span(fd, 4, 8).buffer.raw.readall() == b"c d\n"
+            assert open_span(fd, 4, 8).buffer.raw.read() == b"c d\n"
+            with pytest.raises(OSError):
+                open_span(fd, 4, 8).buffer.raw.seek(0)
+            assert file.tell() == 0
+
+    def test_pipe_is_one_span(self, tmp_path, children):
+        fifo = tmp_path / "docs.fifo"
+        os.mkfifo(fifo)
+        text = "a B\n\nc\r\nd e\n" * 20
+        writer = threading.Thread(target=lambda: fifo.write_text(text, encoding="utf-8"))
+        writer.start()
+        try:
+            docs = read_documents(fifo)
+        finally:
+            writer.join()
+        assert children == []
+        assert token_lists(docs) == [line.lower().split() for line in text.splitlines()
+                                     if line.split()]
+
+
+def vm_hwm_kib(pid: int) -> int:
+    """The peak resident set of a running process, in KiB."""
+    with open(f"/proc/{pid}/status", encoding="ascii") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+
+class Watched(Recorded):
+    """Recorded whose stdout notes the process's peak resident set
+    (``peak``, KiB) at the first read. A span's child writes only once it
+    has read its span, so that is its peak, and it cannot have exited while
+    more than a pipe's worth of its output is unread."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.peak = None
+        child, pipe = self, self.stdout
+
+        class FirstRead:
+            def readinto(self, buffer):
+                got = pipe.readinto(buffer)
+                if child.peak is None:
+                    child.peak = vm_hwm_kib(child.pid)
+                return got
+
+            def close(self):
+                pipe.close()
+
+        self.stdout = FirstRead()
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+class TestSpanReaderMemory:
+    """A span's child buffers one span, and a span has a largest size, so an
+    eightfold file starts more children, not bigger ones. Cut into one span
+    per process instead, the eightfold file's second half (8 MiB) was
+    buffered by one child whose peak was 6.3 MB above the 1x file's."""
+
+    def test_children_peak_does_not_grow_with_the_file(self, tmp_path, monkeypatch, children):
+        monkeypatch.setattr(subprocess, "Popen", Watched)
+        monkeypatch.setattr(corpus_module, "SPAN_BYTES", 1 << 18)
+        monkeypatch.setattr(corpus_module, "MAX_SPAN_BYTES", 1 << 20)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        line = " ".join(f"w{j}" for j in range(300)) + "\n"
+        peaks = []
+        for scale in (1, 8):   # at most 2 and 16 MiB: 2 spans, then 16
+            path = tmp_path / f"{scale}x.txt"
+            path.write_text(line * ((2 << 20) // len(line) * scale), encoding="utf-8")
+            first = len(children)
+            read_documents(path)
+            peaks.append([child.peak for child in children[first:]])
+        assert (len(peaks[0]), len(peaks[1])) == (1, 8)
+        assert max(peaks[1]) <= max(peaks[0]) + 1024, peaks

@@ -63,3 +63,18 @@ def test_every_definition_is_named_by_the_package_or_the_benchmark():
                and not (node.name.startswith("__") and node.name.endswith("__"))
                and node.name not in named]
     assert not unnamed, unnamed
+
+
+def test_tokenizer_imports_only_the_standard_library():
+    # each span reader runs it under `python -I -S`, without site-packages;
+    # importing numpy there would cost about 236 ms per child
+    path = Path(tomcat.__file__).parent / "tokenizer.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    outside = [name for name in imported
+               if name.startswith(".") or name.split(".")[0] not in sys.stdlib_module_names]
+    assert imported and not outside, outside

@@ -11,15 +11,22 @@ tomcat``, BLAS on one thread):
     ingest --max-vocab 2000, train --topics 20 --iters 30,
     infer, eval-coherence --window 10 (against the training corpus), topics
 
-and prints the child's peak resident set (``ru_maxrss`` as ``os.wait4``
-reports it, in MiB), the least of --repeat runs. The package is imported
-from --src, by default this checkout's ``src``, so that two checkouts can be
-compared with the same script. A command that fails stops the script.
+and prints two tables, in MiB: the child's peak resident set (``ru_maxrss``
+as ``os.wait4`` reports it), the least of --repeat runs, and the peak of
+its whole process tree, the sum of the resident sets of the command and of
+every process under it (the readers of a large document file's spans),
+sampled every TREE_SECONDS from /proc, the largest of --repeat runs, as a
+sample can only miss a peak. The package is
+imported from --src, by default this checkout's ``src``, so that two
+checkouts can be compared with the same script. A command that fails stops
+the script.
 
-A child's ru_maxrss starts from the resident set of the process that
-forked it, so this script imports nothing but the standard library: the
-corpora are written by a child of their own (``--write-corpus``), which
-imports perfbench/ng20corpus.py and numpy.
+A process's ru_maxrss starts from the peak of the process that started it,
+so ru_maxrss counts a reader's memory only where the reader outgrows the
+command: the tree table is the one that adds them up. For the same reason
+this script imports nothing but the standard library: the corpora are
+written by a child of their own (``--write-corpus``), which imports
+perfbench/ng20corpus.py and numpy.
 """
 
 from __future__ import annotations
@@ -30,12 +37,14 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("ingest", "train", "infer", "eval-coherence", "topics")
 SEEDS = (1, 8)
 ITERS = 30
+TREE_SECONDS = 0.002
 
 
 def write_corpus(path: Path, seeds: int) -> None:
@@ -64,19 +73,55 @@ def argv_of(command: str, work: Path, docs: Path) -> list[str]:
     }[command]
 
 
-def peak_mib(argv: list[str], src: Path) -> float:
-    """Run ``python -m tomcat argv`` with stdout discarded; its ru_maxrss in MiB."""
+def tree_rss_kib(pid: int) -> int:
+    """The resident sets of process pid and every process under it, summed,
+    in KiB. A process that is gone counts nothing, and so does one that
+    still runs its parent's command line: forked and not yet exec'd, it
+    holds its parent's pages, not pages of its own."""
+    total, stack = 0, [(pid, b"")]
+    while stack:
+        pid, parent_cmdline = stack.pop()
+        proc = Path("/proc", str(pid))
+        try:
+            cmdline = (proc / "cmdline").read_bytes()
+            status = (proc / "status").read_text()
+            children = (proc / "task" / proc.name / "children").read_text().split()
+        except OSError:
+            continue
+        if cmdline == parent_cmdline:
+            continue
+        total += sum(int(line.split()[1]) for line in status.splitlines()
+                     if line.startswith("VmRSS:"))
+        stack += [(int(child), cmdline) for child in children]
+    return total
+
+
+def peak_mib(argv: list[str], src: Path) -> tuple[float, float]:
+    """Run ``python -m tomcat argv`` with stdout discarded; its ru_maxrss and
+    the sampled peak of its process tree, in MiB."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.Popen([sys.executable, "-m", "tomcat", *argv], env=env,
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-    err = proc.stderr.read()
-    _, status, usage = os.wait4(proc.pid, 0)
+    tree, done = [0], threading.Event()
+
+    def sample() -> None:
+        while not done.wait(TREE_SECONDS):
+            tree[0] = max(tree[0], tree_rss_kib(proc.pid))
+
+    sampler = threading.Thread(target=sample)
+    sampler.start()
+    try:
+        err = proc.stderr.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+    finally:
+        done.set()
+        sampler.join()
     proc.returncode = os.waitstatus_to_exitcode(status)   # reaped here, not by Popen
     proc.stderr.close()
     if proc.returncode != 0:
         sys.exit(f"tomcat {' '.join(argv)} exited {proc.returncode}: {err.decode()[-500:]}")
-    return usage.ru_maxrss / 1024   # KiB on Linux
+    return usage.ru_maxrss / 1024, tree[0] / 1024   # KiB on Linux
 
 
 def main() -> int:
@@ -89,7 +134,8 @@ def main() -> int:
     args = parser.parse_args()
 
     work = Path(tempfile.mkdtemp(prefix="peak_rss."))
-    table: dict[str, dict[int, float]] = {command: {} for command in COMMANDS}
+    # (ru_maxrss, tree) of each command and corpus size
+    table: dict[str, dict[int, tuple[float, float]]] = {command: {} for command in COMMANDS}
     try:
         for seeds in SEEDS:
             run = work / f"{seeds}seed"
@@ -98,15 +144,16 @@ def main() -> int:
             subprocess.run([sys.executable, __file__, "--write-corpus", str(docs), str(seeds)],
                            check=True)
             for command in COMMANDS:
-                table[command][seeds] = min(
-                    peak_mib(argv_of(command, run, docs), args.src.resolve())
-                    for _ in range(args.repeat))
+                runs = [peak_mib(argv_of(command, run, docs), args.src.resolve())
+                        for _ in range(args.repeat)]
+                table[command][seeds] = (min(r[0] for r in runs), max(r[1] for r in runs))
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
-    print("command\t" + "\t".join(f"{seeds} seed{'s' * (seeds > 1)}" for seeds in SEEDS))
-    for command, row in table.items():
-        print(command + "\t" + "\t".join(f"{row[seeds]:.1f}" for seeds in SEEDS))
+    for column, title in enumerate(("ru_maxrss", "process tree")):
+        print(f"{title}\t" + "\t".join(f"{seeds} seed{'s' * (seeds > 1)}" for seeds in SEEDS))
+        for command, row in table.items():
+            print(command + "\t" + "\t".join(f"{row[seeds][column]:.1f}" for seeds in SEEDS))
     return 0
 
 
