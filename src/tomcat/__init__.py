@@ -30,7 +30,6 @@ from .evaluation import (
     classify_accuracy,
     make_synthetic,
     model_coherence,
-    topic_recovery_score,
     topic_word_ids,
 )
 from .networks import topic_word_distributions

@@ -13,6 +13,7 @@ import json
 import os
 import shutil
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,6 @@ from .corpus import (
     tfidf_transform,
 )
 from .evaluation import (
-    EvaluationError,
     SyntheticSpec,
     build_cooc,
     classify_accuracy,
@@ -174,13 +174,7 @@ def _check_output(path: Path, what: str) -> None:
 
 
 def cmd_train(args) -> int:
-    config = TrainConfig(
-        num_topics=args.topics, hidden=args.hidden, alpha=args.alpha,
-        batch_size=args.batch, iterations=args.iters, critic_steps=args.critic_steps,
-        clip_c=args.clip, lr_main=args.lr_main, beta1_main=args.beta1_main,
-        lr_cls=args.lr_cls, beta1_cls=args.beta1_cls, lambda1_hat=args.lambda1,
-        lambda2_hat=args.lambda2, lambda3_hat=args.lambda3,
-        supervised=args.supervised, seed=args.seed)
+    config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     loss_log_path = args.loss_log or (str(args.out) + ".losses.tsv")
     _check_output(Path(args.out), "checkpoint")
     _check_output(Path(loss_log_path), "loss log")
@@ -324,9 +318,7 @@ def cmd_eval_coherence(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = SyntheticSpec(num_topics=args.k, words_per_topic=args.words_per_topic,
-                         num_docs=args.docs, doc_length=args.doc_len,
-                         doc_topic_alpha=args.alpha, seed=args.seed)
+    spec = SyntheticSpec(**{f.name: getattr(args, f.name) for f in fields(SyntheticSpec)})
     counts, labels, supports = make_synthetic(spec)
     vocab = synthetic_vocabulary(spec)
     out = Path(args.out)
@@ -363,22 +355,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("train", help="train a model on an ingested directory")
+    # each flag that sets a config field is named (dest) after it, and shown
+    # in --help by its own name (metavar)
     p.add_argument("--data", required=True)
-    p.add_argument("--topics", type=int, required=True)
+    p.add_argument("--topics", dest="num_topics", metavar="TOPICS", type=int, required=True)
     p.add_argument("--supervised", action="store_true")
     p.add_argument("--hidden", type=int, default=TrainConfig.hidden)
     p.add_argument("--alpha", type=float, default=TrainConfig.alpha)
-    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--iters", type=int, default=TrainConfig.iterations)
+    p.add_argument("--batch", dest="batch_size", metavar="BATCH", type=int,
+                   default=TrainConfig.batch_size)
+    p.add_argument("--iters", dest="iterations", metavar="ITERS", type=int,
+                   default=TrainConfig.iterations)
     p.add_argument("--critic-steps", type=int, default=TrainConfig.critic_steps)
-    p.add_argument("--clip", type=float, default=TrainConfig.clip_c)
+    p.add_argument("--clip", dest="clip_c", metavar="CLIP", type=float,
+                   default=TrainConfig.clip_c)
     p.add_argument("--lr-main", type=float, default=TrainConfig.lr_main)
     p.add_argument("--beta1-main", type=float, default=TrainConfig.beta1_main)
     p.add_argument("--lr-cls", type=float, default=TrainConfig.lr_cls)
     p.add_argument("--beta1-cls", type=float, default=TrainConfig.beta1_cls)
-    p.add_argument("--lambda1", type=float, default=TrainConfig.lambda1_hat)
-    p.add_argument("--lambda2", type=float, default=TrainConfig.lambda2_hat)
-    p.add_argument("--lambda3", type=float, default=TrainConfig.lambda3_hat)
+    for k in (1, 2, 3):
+        p.add_argument(f"--lambda{k}", dest=f"lambda{k}_hat", metavar=f"LAMBDA{k}",
+                       type=float, default=getattr(TrainConfig, f"lambda{k}_hat"))
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--loss-log", default=None, help="loss log path "
@@ -410,12 +407,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval_coherence)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus with known topics")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", dest="num_topics", metavar="K", type=int, required=True)
     p.add_argument("--words-per-topic", type=int, required=True)
-    p.add_argument("--docs", type=int, required=True)
-    p.add_argument("--doc-len", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--docs", dest="num_docs", metavar="DOCS", type=int, required=True)
+    p.add_argument("--doc-len", dest="doc_length", metavar="DOC_LEN", type=int, required=True)
+    p.add_argument("--alpha", dest="doc_topic_alpha", metavar="ALPHA", type=float,
+                   default=SyntheticSpec.doc_topic_alpha)
+    p.add_argument("--seed", type=int, default=SyntheticSpec.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -438,14 +436,14 @@ def main(argv=None) -> int:
     except (CheckpointError, DataDirError, RowsError) as exc:
         _err(str(exc))
         return EXIT_CORRUPT
-    except (NonFiniteLossError, NonFiniteError) as exc:
+    except NonFiniteError as exc:   # NonFiniteLossError among them
         _err(str(exc))
         return EXIT_NUMERIC
     except MemoryError as exc:   # e.g. a size flag too large to allocate
         _err(str(exc) or "out of memory")
         return EXIT_INPUT
-    except (CorpusError, ConfigError, EvaluationError, SamplingError,
-            ValueError, OSError) as exc:
+    # CorpusError, ConfigError and EvaluationError are ValueErrors
+    except (SamplingError, ValueError, OSError) as exc:
         _err(str(exc))
         return EXIT_INPUT
 

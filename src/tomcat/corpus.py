@@ -87,16 +87,6 @@ class CsrRows:
     def shape(self) -> tuple[int, int]:
         return self.indptr.size - 1, self.num_cols
 
-    @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "CsrRows":
-        """The nonzero entries of a 2-d matrix, as float64."""
-        # a flat scan of a boolean mask: np.nonzero of the 2-d matrix itself
-        # is several times slower
-        flat = np.flatnonzero(dense.ravel() != 0)
-        rows, cols = np.divmod(flat, dense.shape[1])
-        return cls(_offsets(np.bincount(rows, minlength=dense.shape[0])), cols,
-                   dense.ravel()[flat].astype(np.float64), dense.shape[1])
-
     def slice(self, start: int, stop: int) -> "CsrRows":
         """Rows start to stop (at most the last row), sharing this matrix's
         columns and values."""

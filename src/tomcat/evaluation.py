@@ -10,7 +10,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .corpus import BLOCK_ROWS, CsrRows, Documents, Vocabulary
+from .corpus import BLOCK_ROWS, CsrRows, Documents, Vocabulary, _offsets
 from .networks import Network, sample_prior, top_word_ids, topic_word_distributions
 
 
@@ -251,8 +251,8 @@ class SyntheticSpec:
     words_per_topic: int
     num_docs: int
     doc_length: int
-    doc_topic_alpha: float
-    seed: int
+    doc_topic_alpha: float = 0.05
+    seed: int = 0
 
     def __post_init__(self):
         if min(self.num_topics, self.words_per_topic, self.num_docs, self.doc_length) < 1:
@@ -276,49 +276,26 @@ def make_synthetic(spec: SyntheticSpec) -> tuple[CsrRows, list[int], list[list[i
     document's mixture) and the ground-truth word-id support of every topic.
     """
     rng = np.random.default_rng(spec.seed)
-    # the arrays first: a size too large to allocate fails here, at once
-    counts = np.empty((spec.num_docs, spec.vocab_size))
     thetas = sample_prior(spec.num_topics, spec.doc_topic_alpha, spec.num_docs, rng)
-    supports = [list(range(k * spec.words_per_topic, (k + 1) * spec.words_per_topic))
-                for k in range(spec.num_topics)]
-    for row, theta in zip(counts, thetas):
+    # each document's stored entries: its words, in increasing order, and counts
+    cols, counts = [], []
+    for theta in thetas:
         topics = rng.choice(spec.num_topics, size=spec.doc_length, p=theta)
         offsets = rng.integers(0, spec.words_per_topic, size=spec.doc_length)
-        row[:] = np.bincount(topics * spec.words_per_topic + offsets,
-                             minlength=spec.vocab_size)
-    return CsrRows.from_dense(counts), thetas.argmax(axis=1).tolist(), supports
+        row = np.bincount(topics * spec.words_per_topic + offsets, minlength=spec.vocab_size)
+        col = np.flatnonzero(row)
+        cols.append(col)
+        counts.append(row[col].astype(np.float64))
+    rows = CsrRows(_offsets(np.array([c.size for c in cols], dtype=np.int64)),
+                   np.concatenate(cols), np.concatenate(counts), spec.vocab_size)
+    # the supports last: a size too large to allocate fails above, at an
+    # array's allocation, before any Python list fills the memory
+    supports = [list(range(k * spec.words_per_topic, (k + 1) * spec.words_per_topic))
+                for k in range(spec.num_topics)]
+    return rows, thetas.argmax(axis=1).tolist(), supports
 
 
 def synthetic_vocabulary(spec: SyntheticSpec) -> Vocabulary:
     """Token names for a synthetic corpus, one per word id."""
     width = len(str(spec.vocab_size - 1))
     return Vocabulary([f"w{idx:0{width}d}" for idx in range(spec.vocab_size)])
-
-
-def greedy_topic_matches(learned: np.ndarray,
-                         supports: list[list[int]]) -> list[tuple[int, int, float]]:
-    """Greedy one-to-one pairing of learned topics with true supports.
-
-    Repeatedly pairs the (topic, support) combination with the highest
-    remaining mass-on-support; returns (topic index, support index, mass)
-    triples, one per true support.
-    """
-    if learned.shape[0] < len(supports):
-        raise EvaluationError("need at least as many learned topics as true supports")
-    mass = np.stack([learned[:, sup].sum(axis=1) for sup in supports], axis=1)
-    available = mass.copy()
-    matches = []
-    for _ in range(len(supports)):
-        k, t = np.unravel_index(np.argmax(available), available.shape)
-        matches.append((int(k), int(t), float(mass[k, t])))
-        available[k, :] = -np.inf
-        available[:, t] = -np.inf
-    return matches
-
-
-def topic_recovery_score(learned: np.ndarray, supports: list[list[int]]) -> float:
-    """Mean, over greedily matched true topics, of the probability mass the
-    matched learned topic places on that support. Invariant under permutation
-    of the learned rows."""
-    matches = greedy_topic_matches(learned, supports)
-    return float(np.mean([m for _, _, m in matches]))

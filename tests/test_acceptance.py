@@ -19,21 +19,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import assert_grad_close, numerical_grad, row_batch
+from conftest import (
+    assert_grad_close,
+    csr_from_dense,
+    greedy_topic_matches,
+    numerical_grad,
+    row_batch,
+    topic_recovery_score,
+)
 from test_corpus import documents
 from test_networks import build_one
 from tomcat.checkpoint import load_checkpoint, save_checkpoint
-from tomcat.corpus import CsrRows, Vocabulary, build_vocabulary, count_documents, tfidf, tfidf_transform
+from tomcat.corpus import Vocabulary, build_vocabulary, count_documents, tfidf, tfidf_transform
 from tomcat.evaluation import (
     SyntheticSpec,
     build_cooc,
     classify_accuracy,
-    greedy_topic_matches,
     make_synthetic,
     model_coherence,
     npmi_pair,
     topic_npmi,
-    topic_recovery_score,
     topic_word_ids,
 )
 from tomcat.networks import sample_prior, topic_word_distributions
@@ -74,12 +79,12 @@ def supervised_run():
     split = np.random.default_rng(101).permutation(n_docs)
     test_idx = np.sort(split[: n_docs // 5])
     train_idx = np.sort(split[n_docs // 5:])
-    mat = tfidf([CsrRows.from_dense(counts.take(train_idx))])
+    mat = tfidf([csr_from_dense(counts.take(train_idx))])
     kept_labels = labels[train_idx][mat.kept_docs]
     config = TrainConfig(num_topics=5, batch_size=64, iterations=2000,
                          supervised=True, lambda3_hat=1.0, seed=0)
     state = train(mat.csr, config, labels=kept_labels, num_classes=5)
-    test_rows, valid = tfidf_transform(CsrRows.from_dense(counts.take(test_idx)),
+    test_rows, valid = tfidf_transform(csr_from_dense(counts.take(test_idx)),
                                        mat.doc_freq, mat.n_docs)
     test_z, _ = state.encoder.forward(test_rows[valid], train=False)
     accuracy = classify_accuracy(state.classifier, test_z, labels[test_idx][valid])
@@ -228,7 +233,7 @@ class TestCriterion2InvariantSuite:
                 for i in ids:
                     row[i] = rng.integers(1, 7)
             try:
-                mat = tfidf([CsrRows.from_dense(counts)])
+                mat = tfidf([csr_from_dense(counts)])
             except Exception:
                 continue
             assert np.all(mat.rows >= 0)
@@ -255,7 +260,7 @@ class TestCriterion2InvariantSuite:
             cfg = TrainConfig(num_topics=3, hidden=6, batch_size=16, iterations=2,
                               supervised=supervised, seed=6)
             labels = np.random.default_rng(7).integers(0, 3, size=200) if supervised else None
-            st = train(CsrRows.from_dense(rows), cfg, labels=labels)
+            st = train(csr_from_dense(rows), cfg, labels=labels)
             path = tmp_path / f"round_{int(supervised)}.ckpt"
             save_checkpoint(path, vocab=vocab, encoder=st.encoder, generator=st.generator,
                             critic_x=st.critic_x, critic_z=st.critic_z,
@@ -274,7 +279,7 @@ class TestCriterion2InvariantSuite:
         paths = []
         for name in ("det_a.ckpt", "det_b.ckpt"):
             cfg = TrainConfig(num_topics=3, hidden=6, batch_size=16, iterations=5, seed=17)
-            st = train(CsrRows.from_dense(rows), cfg)
+            st = train(csr_from_dense(rows), cfg)
             path = tmp_path / name
             save_checkpoint(path, vocab=vocab, encoder=st.encoder, generator=st.generator,
                             critic_x=st.critic_x, critic_z=st.critic_z, classifier=None,

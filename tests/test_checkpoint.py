@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from tomcat.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from conftest import csr_from_dense
 from tomcat.cli import main
-from tomcat.corpus import CsrRows, Vocabulary
+from tomcat.corpus import Vocabulary
 from tomcat.networks import build_networks, network_table, state_shapes
 from tomcat.training import TrainConfig, train
 
@@ -19,7 +20,7 @@ def trained_state(seed, supervised=False, num_words=9, num_topics=3):
     labels = rng.integers(0, 2, size=40) if supervised else None
     cfg = TrainConfig(num_topics=num_topics, hidden=5, batch_size=8, iterations=2,
                       critic_steps=2, supervised=supervised, seed=seed)
-    return train(CsrRows.from_dense(rows), cfg, labels=labels)
+    return train(csr_from_dense(rows), cfg, labels=labels)
 
 
 def save_state(state, vocab, path, doc_freq=None, train_doc_count=40, config=None):

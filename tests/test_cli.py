@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import errno
+import hashlib
 import io
 import json
 import os
@@ -11,6 +13,7 @@ import time
 import tracemalloc
 import weakref
 import zipfile
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,12 +31,18 @@ from test_corpus import (
 )
 import tomcat.corpus as corpus_module
 import whole_file
+from conftest import csr_from_dense
 from test_evaluation import oracle_cooc
 from tomcat import checkpoint, cli
 from tomcat.checkpoint import load_checkpoint
 from tomcat.cli import main
-from tomcat.corpus import BLOCK_ROWS, CsrRows, RowsError, Vocabulary, load_rows, tfidf_transform
-from tomcat.evaluation import format_coherence_report, model_coherence, topic_word_ids
+from tomcat.corpus import BLOCK_ROWS, RowsError, Vocabulary, load_rows, tfidf_transform
+from tomcat.evaluation import (
+    SyntheticSpec,
+    format_coherence_report,
+    model_coherence,
+    topic_word_ids,
+)
 from tomcat.training import ConfigError, TrainConfig
 
 
@@ -644,7 +653,7 @@ class TestInfer:
         ckpt = load_checkpoint(workdir / "model.ckpt")
         tokens = [line.lower().split() for line in docs]
         counts = oracle_count_matrix(oracle_count_documents(tokens, ckpt.vocab), ckpt.vocab.size)
-        rows, valid = tfidf_transform(CsrRows.from_dense(counts), ckpt.doc_freq,
+        rows, valid = tfidf_transform(csr_from_dense(counts), ckpt.doc_freq,
                                       ckpt.train_doc_count)
         z = np.full((len(docs), ckpt.num_topics), 1.0 / ckpt.num_topics)
         z[valid], _ = ckpt.encoder.forward(rows[valid], train=False)
@@ -669,7 +678,7 @@ class TestInfer:
         ckpt = load_checkpoint(workdir / "model.ckpt")
         tokens, _ = oracle_load_documents(path)
         counts = oracle_count_matrix(oracle_count_documents(tokens, ckpt.vocab), ckpt.vocab.size)
-        rows, valid = tfidf_transform(CsrRows.from_dense(counts), ckpt.doc_freq,
+        rows, valid = tfidf_transform(csr_from_dense(counts), ckpt.doc_freq,
                                       ckpt.train_doc_count)
         z = np.full((len(tokens), ckpt.num_topics), 1.0 / ckpt.num_topics)
         z[valid], _ = ckpt.encoder.forward(rows[valid], train=False)
@@ -1218,9 +1227,10 @@ class TestErrorPaths:
         assert done.returncode == 1
         assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")
         assert "Traceback" not in done.stderr
-        # numpy's message names the count matrix: the failure came from the
-        # first allocation, not from Python lists filling the capped memory
-        assert "(10, 2000000000000)" in done.stderr
+        # numpy's message names the prior draws, the first array synth makes:
+        # the failure came from that allocation, not from Python lists
+        # filling the capped memory
+        assert "(10, 1000000000000)" in done.stderr
         assert done.stdout == ""
 
     @pytest.mark.parametrize("flag, value", [("--alpha", "inf"), ("--alpha", "nan"),
@@ -1261,3 +1271,117 @@ class TestErrorPaths:
         assert main(["ingest", "--docs", str(tmp_path / "s" / "docs.txt"),
                      "--labels", str(tmp_path / "s" / "labels.txt"),
                      "--out", str(tmp_path / "d")]) == 0
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+COMMANDS = ("ingest", "train", "topics", "infer", "classify", "eval-coherence", "synth")
+
+
+class TestHelp:
+    # golden/help/*.txt: argparse's layout at 80 columns, recorded with
+    # Python 3.11
+    @pytest.mark.parametrize("argv", [["--help"]] + [[cmd, "--help"] for cmd in COMMANDS],
+                             ids=["tomcat", *COMMANDS])
+    def test_help_text_is_the_golden_one(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        name = "tomcat" if len(argv) == 1 else argv[0]
+        assert captured.out == (GOLDEN / "help" / f"{name}.txt").read_text(encoding="utf-8")
+        assert captured.err == ""
+
+
+class _Made(Exception):
+    """Raised by a config class once it is made, so the command stops there."""
+
+
+class TestFlagsSetFields:
+    """Each field of TrainConfig (train) and SyntheticSpec (synth) is set by
+    exactly one flag, whose default is the field's and which is required
+    exactly when the field has no default. Which field a flag sets is found
+    by running the command with that flag changed and comparing the config
+    it makes."""
+
+    CASES = {"train": (TrainConfig, ["--data", "d", "--topics", "2", "--out", "m.ckpt"]),
+             "synth": (SyntheticSpec, ["--k", "2", "--words-per-topic", "2", "--docs", "2",
+                                       "--doc-len", "2", "--out", "s"])}
+
+    @staticmethod
+    def made(cls, argv, monkeypatch):
+        """The cls instance the command makes from argv."""
+        made = []
+
+        class Recording(cls):
+            def __post_init__(self):
+                super().__post_init__()
+                made.append(self)
+                raise _Made
+
+        monkeypatch.setattr(cli, cls.__name__, Recording)
+        with pytest.raises(_Made):
+            main(argv)
+        return made[0]
+
+    @staticmethod
+    def changed(argv, action):
+        """argv with the action's flag given another valid value."""
+        flag = action.option_strings[0]
+        if action.nargs == 0:   # store_true
+            return argv + [flag]
+        if action.type in (int, float):
+            value = action.default
+            value = 3 if value is None else value + 1 if action.type is int else value / 2
+        else:
+            value = "other"
+        if flag in argv:
+            argv = argv[:argv.index(flag)] + argv[argv.index(flag) + 2:]
+        return argv + [flag, str(value)]
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_each_field_is_set_by_one_flag(self, command, monkeypatch):
+        cls, required = self.CASES[command]
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        actions = [a for a in subparsers.choices[command]._actions if a.dest != "help"]
+        base = self.made(cls, [command] + required, monkeypatch)
+        setters = {}
+        for action in actions:
+            config = self.made(cls, [command] + self.changed(required, action), monkeypatch)
+            moved = [f.name for f in fields(cls) if getattr(config, f.name) != getattr(base, f.name)]
+            assert len(moved) <= 1, (action.option_strings, moved)
+            for name in moved:
+                setters.setdefault(name, []).append(action)
+        assert sorted(setters) == sorted(f.name for f in fields(cls))
+        for f in fields(cls):
+            (action,) = setters[f.name]
+            assert action.required == (f.default is MISSING), f.name
+            if f.default is not MISSING:
+                assert action.default == f.default == getattr(base, f.name), f.name
+
+
+class TestSynthGolden:
+    # sha256 of each file and of stdout, recorded before synth stopped
+    # building a dense (docs, vocabulary) matrix
+    SPECS = {
+        "acceptance": (["--k", "5", "--words-per-topic", "20", "--docs", "2000",
+                        "--doc-len", "50", "--alpha", "0.05", "--seed", "13"], {
+            "docs.txt": "5827da3157c529bb94c91916849320a11f9f8913b73a7b527c1a6be6844b72a8",
+            "labels.txt": "e9b05a6992f2a22c9d7cdd4a443c4be3c363f1e73ec4d212a6f20e837d8e5829",
+            "supports.txt": "ba0ff28c83e4a770b5ec0e9d68eb4321fc9f3491bc05926da3d12f65a1f6551e",
+            "stdout": "cff49843f6b1d6507a0273119bce76540ec7299a55d88780ca78559734a53be4"}),
+        "wide": (["--k", "50", "--words-per-topic", "100", "--docs", "400",
+                  "--doc-len", "50"], {
+            "docs.txt": "dbc89274e083c4fbd56842cea1c4aa407d60d1602bdfc5630979a1f54201f72f",
+            "labels.txt": "7f5848c6c08324e6854acd7931601aa855e048acf2ff8c7b64d70269df28f632",
+            "supports.txt": "fae0872460029b659fe46742330aba6fd144dc55cddb0b3d3e6dae17e7092155",
+            "stdout": "974425edbd9f0115b88fc9c1f177d692b9ed0a6018e2903a2008154f2f9f4f5f"}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_outputs_are_the_golden_bytes(self, name, tmp_path, capsys):
+        argv, want = self.SPECS[name]
+        assert main(["synth", *argv, "--out", str(tmp_path)]) == 0
+        got = {"stdout": capsys.readouterr().out.encode("utf-8")}
+        got.update((f, (tmp_path / f).read_bytes()) for f in ("docs.txt", "labels.txt",
+                                                              "supports.txt"))
+        assert {f: hashlib.sha256(data).hexdigest() for f, data in got.items()} == want

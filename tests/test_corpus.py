@@ -9,6 +9,7 @@ import pytest
 
 import tomcat.corpus as corpus_module
 import whole_file
+from conftest import csr_from_dense
 from tomcat.tokenizer import open_span
 from tomcat.corpus import (
     BLOCK_ROWS,
@@ -44,7 +45,7 @@ def documents(token_lists, vocab=None):
 
 def count_rows(rows):
     """A dense count matrix as count_documents' output: one block of CSR rows."""
-    return [CsrRows.from_dense(np.array(rows, dtype=np.float64))]
+    return [csr_from_dense(np.array(rows, dtype=np.float64))]
 
 
 def read_documents(path, label_path=None, vocab=None, keep_blank=False):
@@ -182,15 +183,15 @@ class TestTfidf:
 
     def test_transform_flags_zero_weight_docs(self):
         mat = tfidf(count_rows([[2, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]]))
-        rows, valid = tfidf_transform(CsrRows.from_dense(np.array([[0.0, 0, 0, 0], [1, 0, 0, 0]])),
+        rows, valid = tfidf_transform(csr_from_dense(np.array([[0.0, 0, 0, 0], [1, 0, 0, 0]])),
                                       mat.doc_freq, mat.n_docs)
         assert valid.tolist() == [False, True]
         np.testing.assert_allclose(rows[0], 0.0)
 
     @pytest.mark.parametrize("counts", [
-        CsrRows.from_dense(np.array([[1.0, -1.0], [2.0, 1.0]])),
-        CsrRows.from_dense(np.array([[np.nan, 1.0], [2.0, 1.0]])),
-        CsrRows.from_dense(np.array([[np.inf, 1.0], [2.0, 1.0]])),
+        csr_from_dense(np.array([[1.0, -1.0], [2.0, 1.0]])),
+        csr_from_dense(np.array([[np.nan, 1.0], [2.0, 1.0]])),
+        csr_from_dense(np.array([[np.inf, 1.0], [2.0, 1.0]])),
         # a stored zero would count towards its word's document frequency
         CsrRows(np.array([0, 2, 3]), np.array([0, 1, 1]), np.array([1.0, 0.0, 2.0]), 2),
     ])
@@ -316,12 +317,12 @@ class TestCountDocuments:
 
 class TestCsrRows:
     def test_shape_gives_sizes(self):
-        csr = CsrRows.from_dense(np.zeros((3, 5)))
+        csr = csr_from_dense(np.zeros((3, 5)))
         assert csr.shape == (3, 5)
         assert csr.indptr.tolist() == [0, 0, 0, 0]
     def test_take_equals_dense_gather(self):
         dense = np.array([[0.0, 2.5, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 3.0], [0.0, 0.5, 0.0]])
-        csr = CsrRows.from_dense(dense)
+        csr = csr_from_dense(dense)
         assert csr.shape == (4, 3)
         assert csr.indptr.tolist() == [0, 1, 1, 3, 4]
         for idx in ([0, 1, 2, 3], [3, 3, 1, 0], [1], []):

@@ -19,9 +19,9 @@ from tomcat.evaluation import (
     npmi_pair,
     synthetic_vocabulary,
     topic_npmi,
-    topic_recovery_score,
     topic_word_ids,
 )
+from conftest import topic_recovery_score
 from test_corpus import documents, oracle_count_matrix
 from test_networks import build_one
 from tomcat.networks import sample_prior
@@ -470,6 +470,23 @@ class TestMakeSynthetic:
         np.testing.assert_allclose(mat.rows.sum(axis=1), 1.0, atol=1e-9)
         vocab = synthetic_vocabulary(spec)
         assert vocab.size == spec.vocab_size
+
+
+class TestMakeSyntheticMemory:
+    def test_peak_is_a_fraction_of_the_dense_count_matrix(self):
+        # V = 5000 and 2,000 documents: a dense float64 count matrix would
+        # take 80 MB; the stored counts take at most 100,000 entries
+        spec = SyntheticSpec(num_topics=50, words_per_topic=100, num_docs=2000,
+                             doc_length=50, doc_topic_alpha=0.05, seed=0)
+        tracemalloc.start()
+        try:
+            counts, _, _ = make_synthetic(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.shape == (2000, 5000)
+        assert counts.data.sum() == 2000 * 50
+        assert peak < 8 * 2000 * 5000 / 4, peak
 
 
 class TestCoherenceEndToEnd:

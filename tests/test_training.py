@@ -7,9 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import assert_grad_close, numerical_grad, row_batch
+from conftest import assert_grad_close, csr_from_dense, numerical_grad, row_batch
 from test_networks import build_one
-from tomcat.corpus import CsrRows
 from tomcat.networks import sample_prior
 from tomcat.nn import BatchNorm, ShapeError
 from tomcat.training import (
@@ -308,7 +307,7 @@ class TestStateCopy:
 
 class TestTrain:
     def test_deterministic_for_fixed_seed(self):
-        rows = CsrRows.from_dense(simplex_rows(80, 10, 29))
+        rows = csr_from_dense(simplex_rows(80, 10, 29))
         states = [train(rows, small_config(num_topics=3, hidden=6, iterations=3))
                   for _ in range(2)]
         for net_a, net_b in zip(
@@ -318,7 +317,7 @@ class TestTrain:
                 np.testing.assert_array_equal(arr, net_b.state()[key])
 
     def test_zero_iterations_keeps_initialization(self):
-        rows = CsrRows.from_dense(simplex_rows(80, 10, 30))
+        rows = csr_from_dense(simplex_rows(80, 10, 30))
         cfg = small_config(num_topics=3, hidden=6, iterations=0)
         trained = train(rows, cfg)
         fresh = init_state(cfg, num_words=10)
@@ -326,7 +325,7 @@ class TestTrain:
             np.testing.assert_array_equal(arr, fresh.encoder.state()[key])
 
     def test_unsupervised_ignores_labels(self):
-        rows = CsrRows.from_dense(simplex_rows(80, 10, 31))
+        rows = csr_from_dense(simplex_rows(80, 10, 31))
         labels = np.random.default_rng(32).integers(0, 2, size=80)
         a = train(rows, small_config(num_topics=3, hidden=6, iterations=3))
         b = train(rows, small_config(num_topics=3, hidden=6, iterations=3), labels=labels)
@@ -334,7 +333,7 @@ class TestTrain:
             np.testing.assert_array_equal(arr, b.generator.state()[key])
 
     def test_supervised_without_labels_rejected(self):
-        rows = CsrRows.from_dense(simplex_rows(80, 10, 33))
+        rows = csr_from_dense(simplex_rows(80, 10, 33))
         with pytest.raises(ConfigError):
             train(rows, small_config(supervised=True))
 
@@ -348,11 +347,11 @@ class TestTrain:
             monkeypatch.setattr(f"tomcat.training.{name}", must_not_run)
         labels = np.tile([0, 1, 2, bad], 20)   # None infers 3 classes from the 2s
         with pytest.raises(ConfigError, match=re.escape(f"label {bad} out of range [0, 3)")):
-            train(CsrRows.from_dense(simplex_rows(80, 10, 37)), small_config(supervised=True),
+            train(csr_from_dense(simplex_rows(80, 10, 37)), small_config(supervised=True),
                   labels=labels, num_classes=num_classes)
 
     def test_corpus_smaller_than_batch_rejected(self):
-        rows = CsrRows.from_dense(simplex_rows(8, 10, 34))
+        rows = csr_from_dense(simplex_rows(8, 10, 34))
         with pytest.raises(ConfigError):
             train(rows, small_config(batch_size=16))
 
@@ -368,7 +367,7 @@ class TestTrain:
                                   "lambda1", "lambda2", "total")
 
     def test_supervised_training_runs_and_logs(self):
-        rows = CsrRows.from_dense(simplex_rows(80, 10, 36))
+        rows = csr_from_dense(simplex_rows(80, 10, 36))
         labels = np.random.default_rng(37).integers(0, 2, size=80)
         cfg = small_config(num_topics=3, hidden=6, iterations=3, supervised=True)
         state = train(rows, cfg, labels=labels)
@@ -388,7 +387,7 @@ class TestWorkspace:
         labels = np.arange(200) % 3
         cfg = TrainConfig(num_topics=20, batch_size=64, supervised=supervised, seed=51)
         state = init_state(cfg, num_words=2000, num_classes=3)
-        batcher = _EpochBatcher(CsrRows.from_dense(dense), labels, 64, state.rng)
+        batcher = _EpochBatcher(csr_from_dense(dense), labels, 64, state.rng)
 
         def iteration():
             # as train() runs one: the batches drawn, then the two phases
@@ -415,7 +414,7 @@ class TestEpochBatcher:
         dense[dense < 0.025] = 0.0
         dense[[3, 41]] = 0.0
         labels = np.arange(70) % 4
-        batcher = _EpochBatcher(CsrRows.from_dense(dense), labels, 16,
+        batcher = _EpochBatcher(csr_from_dense(dense), labels, 16,
                                 np.random.default_rng(3))
         rng = np.random.default_rng(3)
         order, pos = rng.permutation(70), 0

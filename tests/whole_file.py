@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import csr_from_dense
 from tomcat.corpus import (
     CorpusError,
     CsrRows,
@@ -114,7 +115,7 @@ def tfidf(counts) -> TfidfMatrix:
     rows = counts.toarray()
     weight = _weigh_rows(rows, idf_weights(doc_freq, counts.shape[0]))
     kept = np.flatnonzero(weight > 0)
-    return TfidfMatrix(csr=CsrRows.from_dense(rows[kept] / weight[kept, None]),
+    return TfidfMatrix(csr=csr_from_dense(rows[kept] / weight[kept, None]),
                        kept_docs=kept.tolist(), dropped_docs=np.flatnonzero(weight <= 0).tolist(),
                        doc_freq=doc_freq, n_docs=counts.shape[0])
 
