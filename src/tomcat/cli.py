@@ -148,7 +148,7 @@ def cmd_ingest(args) -> int:
     vocab.save(out / "vocab.txt")
     if Path(args.docs).resolve() != (out / "docs.txt").resolve():
         shutil.copyfile(args.docs, out / "docs.txt")
-    save_rows(out / "rows.npz", mat,
+    save_rows(out / "rows.bin", mat,
               None if labels is None else np.asarray(labels, dtype=np.int64)[mat.kept_docs])
     manifest = {
         "n_docs": n_docs,
@@ -187,7 +187,7 @@ def cmd_train(args) -> int:
     manifest = _read_manifest(manifest_path)
     vocab = _read_vocabulary(data_dir / "vocab.txt", manifest["vocab_size"])
     check_vocabulary(vocab)   # fail now, not when saving after the whole run
-    rows_path = data_dir / "rows.npz"
+    rows_path = data_dir / "rows.bin"
     if not rows_path.exists():
         raise CorpusError(f"{rows_path} not found; the data directory was written "
                           "by an older ingest: re-run 'ingest'")

@@ -9,12 +9,10 @@ normalizes onto the vocabulary simplex.
 
 from __future__ import annotations
 
-import lzma
 import os
 import stat
+import struct
 import sys
-import tokenize
-import zipfile
 import zlib
 from collections import deque
 from collections.abc import Iterable, Iterator
@@ -25,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tokenizer
-from .fileio import atomic_path
+from .fileio import write_atomic
 from .tokenizer import (FirstSeen, next_lines, open_span, token_ids, tokenize_lines,
                         undecodable)
 
@@ -61,8 +59,8 @@ class Vocabulary:
 
 
 class RowsError(ValueError):
-    """A rows.npz archive that save_rows did not write: undecodable, or its
-    arrays break the layout."""
+    """A rows.bin file that save_rows did not write: damaged, or its header
+    or arrays break the layout."""
 
 
 # Documents per block: tfidf and infer weigh this many documents at a time,
@@ -557,69 +555,70 @@ def tfidf_transform(counts: CsrRows, doc_freq: np.ndarray, n_docs: int
     return rows, valid
 
 
-# The arrays of a rows.npz archive; "labels" is stored only for labelled corpora.
-_ROWS_ARRAYS = ("indptr", "indices", "data", "doc_freq", "kept_docs")
-# What reading a damaged zip or .npy member can raise: zipfile's own errors,
-# bad .npy headers and truncated members (ValueError, EOFError, and
-# TokenError from numpy's fallback parse of an old-style header), a flipped
-# compression method or flag (NotImplementedError, RuntimeError, zlib.error,
-# LZMAError, and OSError from bz2), a name absent from the directory (KeyError).
-_DECODE_ERRORS = (zipfile.BadZipFile, ValueError, EOFError, tokenize.TokenError, KeyError,
-                  NotImplementedError, RuntimeError, OSError, zlib.error, lzma.LZMAError)
+# rows.bin: ROWS_MAGIC and the header's counts n_rows, nnz, num_words and
+# labelled (0 or 1) as little-endian int64, then the arrays indptr
+# (n_rows + 1), indices (nnz), data (nnz, float64), doc_freq (num_words),
+# kept_docs (n_rows) and, when labelled, labels (n_rows), all but data
+# little-endian int64, then the zlib.crc32 of every byte before it as a
+# little-endian uint32. The 40-byte header keeps every array 8-byte aligned.
+ROWS_MAGIC = b"TCROWS01"
+_ROWS_HEADER = struct.Struct("<8s4q")
 
 
 def save_rows(path: str | Path, mat: TfidfMatrix, labels: np.ndarray | None) -> None:
     """Write mat's CSR rows, doc_freq, kept row ids and, when given, the kept
-    rows' labels to an uncompressed .npz archive, atomically."""
-    arrays = {"indptr": mat.csr.indptr, "indices": mat.csr.indices, "data": mat.csr.data,
-              "doc_freq": np.asarray(mat.doc_freq, dtype=np.int64),
-              "kept_docs": np.asarray(mat.kept_docs, dtype=np.int64)}
+    rows' labels to a rows.bin file, atomically; no array is copied."""
+    csr = mat.csr
+    arrays = [np.asarray(csr.indptr, dtype="<i8"), np.asarray(csr.indices, dtype="<i8"),
+              np.asarray(csr.data, dtype="<f8"), np.asarray(mat.doc_freq, dtype="<i8"),
+              np.asarray(mat.kept_docs, dtype="<i8")]
     if labels is not None:
-        arrays["labels"] = np.asarray(labels, dtype=np.int64)
-    # streamed to the file: an archive built in memory first would add its
-    # size to the peak of ingest
-    with atomic_path(path) as tmp, open(tmp, "xb") as fh:
-        np.savez(fh, **arrays)
-        fh.flush()
-        os.fsync(fh.fileno())
+        arrays.append(np.asarray(labels, dtype="<i8"))
+    header = _ROWS_HEADER.pack(ROWS_MAGIC, csr.indptr.size - 1, csr.indices.size,
+                               csr.num_cols, labels is not None)
+    crc = zlib.crc32(header)
+    for array in arrays:
+        crc = zlib.crc32(array, crc)
+    write_atomic(path, header, *arrays, crc.to_bytes(4, "little"))
 
 
 def load_rows(path: str | Path, num_words: int, n_docs: int,
               num_classes: int) -> tuple[TfidfMatrix, np.ndarray | None]:
-    """The TF-IDF rows and the kept rows' labels (None when the archive has
-    none) of a rows.npz archive of a corpus of n_docs documents over
-    num_words words.
+    """The TF-IDF rows and the kept rows' labels (None when the file has
+    none) of a rows.bin file of a corpus of n_docs documents over num_words
+    words. The arrays are read-only views of the file's bytes, read once.
 
-    Raises RowsError when the archive cannot be decoded or its arrays break
-    the layout save_rows writes; an unreadable file raises OSError.
+    Raises RowsError when the file is not one save_rows wrote: its magic or
+    CRC is wrong, its header disagrees with its length or the vocabulary, or
+    its arrays break the layout. An unreadable file raises OSError.
     """
-    with open(path, "rb") as fh:   # each array is read from the file once
-        if fh.read(4) != b"PK\x03\x04":
-            raise RowsError(f"{path} is not a zip archive")
-        fh.seek(0)
-        try:
-            with np.load(fh, allow_pickle=False) as npz:
-                arrays = {name: npz[name] for name in npz.files}
-        except _DECODE_ERRORS as exc:
-            raise RowsError(f"{path} cannot be decoded: {type(exc).__name__}: {exc}") from exc
-    if not set(_ROWS_ARRAYS) <= set(arrays) <= {*_ROWS_ARRAYS, "labels"}:
-        raise RowsError(f"{path} holds the arrays {sorted(arrays)}, not "
-                        f"{list(_ROWS_ARRAYS)} and optionally labels")
+    blob = Path(path).read_bytes()
 
     def check(ok, what: str) -> None:
         if not ok:
             raise RowsError(f"{path}: {what}")
 
-    for name, array in arrays.items():
-        check(array.ndim == 1 and array.dtype == (np.float64 if name == "data" else np.int64),
-              f"{name} must be a 1-d {'float64' if name == 'data' else 'int64'} array, "
-              f"not {array.ndim}-d {array.dtype}")
-    indptr, indices, data = arrays["indptr"], arrays["indices"], arrays["data"]
-    n_rows = indptr.size - 1
-    check(n_rows >= 0 and indptr[0] == 0 and indptr[-1] == indices.size == data.size,
+    check(len(blob) >= _ROWS_HEADER.size + 4 and blob.startswith(ROWS_MAGIC),
+          "not a rows file written by 'ingest'")
+    check(zlib.crc32(memoryview(blob)[:-4]) == int.from_bytes(blob[-4:], "little"),
+          "checksum mismatch: the file is damaged")
+    _, n_rows, nnz, words, labelled = _ROWS_HEADER.unpack_from(blob)
+    check(labelled in (0, 1), f"labelled must be 0 or 1, not {labelled}")
+    sizes = [n_rows + 1, nnz, nnz, words, n_rows] + [n_rows] * labelled
+    check(min(n_rows, nnz) >= 0 and _ROWS_HEADER.size + 8 * sum(sizes) + 4 == len(blob),
+          f"the header's {n_rows} rows, {nnz} entries and {words} words disagree with "
+          f"the file's {len(blob)} bytes")
+    check(words == num_words, f"{words} words, not the vocabulary's {num_words}")
+    arrays, at = [], _ROWS_HEADER.size
+    for k, size in enumerate(sizes):
+        arrays.append(np.frombuffer(blob, "<f8" if k == 2 else "<i8", size, at))
+        at += 8 * size
+    indptr, indices, data, doc_freq, kept = arrays[:5]
+    labels = arrays[5] if labelled else None
+    check(indptr[0] == 0 and indptr[-1] == nnz,
           "indptr must run from 0 to the number of stored entries")
     check((np.diff(indptr) > 0).all(), "indptr must be strictly increasing (no empty row)")
-    # every entry is checked with no temporary as long as the archive: the
+    # every entry is checked with no temporary as long as the file: the
     # ranges by their extremes (a NaN fails both), the order a block at a time
     check(indices.size == 0 or (indices.min() >= 0 and indices.max() < num_words),
           f"a column index lies outside [0, {num_words})")
@@ -631,16 +630,11 @@ def load_rows(path: str | Path, num_words: int, n_docs: int,
         check(rising.all(), "columns must increase within each row")
     check(data.size == 0 or (data.min() > 0 and data.max() < np.inf),
           "data must be finite and positive")
-    doc_freq = arrays["doc_freq"]
-    check(doc_freq.size == num_words and ((doc_freq >= 0) & (doc_freq <= n_docs)).all(),
-          f"doc_freq must hold {num_words} counts in [0, {n_docs}]")
-    kept = arrays["kept_docs"]
-    check(kept.size == n_rows, f"{kept.size} kept row ids for {n_rows} rows")
+    check(((doc_freq >= 0) & (doc_freq <= n_docs)).all(),
+          f"doc_freq must hold counts in [0, {n_docs}]")
     check(kept.size == 0 or (kept[0] >= 0 and kept[-1] < n_docs and (np.diff(kept) > 0).all()),
           f"kept row ids must increase within [0, {n_docs})")
-    labels = arrays.get("labels")
     if labels is not None:
-        check(labels.size == n_rows, f"{labels.size} labels for {n_rows} rows")
         check(((labels >= 0) & (labels < num_classes)).all(),
               f"a label lies outside [0, {num_classes})")
     dropped = np.ones(n_docs, dtype=bool)

@@ -1,0 +1,86 @@
+"""The sha256 of every output of one fixed command sequence, the golden
+outputs that tests/test_golden.py compares with tests/golden/outputs.json.
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden_outputs.py [--write]
+
+In an empty temporary directory, through cli.main in this one process and
+with relative paths (a checkpoint records its data directory), it runs
+SEQUENCE: synth on the acceptance spec, ingest with labels, train 60
+iterations unsupervised and --supervised, topics, infer, classify and
+eval-coherence. It prints a JSON object: numpy's version and BLAS build,
+and the sha256 of each command's stdout and of each file under the
+directory. With --write it records that object in golden/outputs.json
+instead, to re-base the golden outputs after a change made on purpose.
+
+Checkpoint bytes depend on the BLAS thread count, so run it with one BLAS
+thread, as the test does.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from tomcat.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "outputs.json"
+SEQUENCE = [
+    ("synth", ["synth", "--k", "5", "--words-per-topic", "20", "--docs", "2000",
+               "--doc-len", "50", "--alpha", "0.05", "--seed", "13", "--out", "raw"]),
+    ("ingest", ["ingest", "--docs", "raw/docs.txt", "--labels", "raw/labels.txt",
+                "--out", "data"]),
+    ("train", ["train", "--data", "data", "--topics", "5", "--iters", "60",
+               "--out", "model.ckpt"]),
+    ("train --supervised", ["train", "--data", "data", "--topics", "5", "--iters", "60",
+                            "--supervised", "--out", "supervised.ckpt"]),
+    ("topics", ["topics", "--ckpt", "model.ckpt"]),
+    ("infer", ["infer", "--ckpt", "model.ckpt", "--docs", "raw/docs.txt"]),
+    ("classify", ["classify", "--ckpt", "supervised.ckpt", "--docs", "raw/docs.txt",
+                  "--labels", "raw/labels.txt"]),
+    ("eval-coherence", ["eval-coherence", "--ckpt", "model.ckpt"]),
+]
+
+
+def build() -> dict:
+    """numpy's version and the BLAS it was built with."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def outputs() -> dict:
+    """The sha256 of each command's stdout ("<name> stdout") and of each file
+    the sequence writes (its path, relative to the directory it ran in)."""
+    hashes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for name, argv in SEQUENCE:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(argv)
+                if code != 0:
+                    raise SystemExit(f"{name} exited with {code}")
+                hashes[f"{name} stdout"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            for path in sorted(Path().rglob("*")):
+                if path.is_file():
+                    hashes[path.as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
+        finally:
+            os.chdir(cwd)
+    return hashes
+
+
+if __name__ == "__main__":
+    record = {"build": build(), "outputs": outputs()}
+    if sys.argv[1:] == ["--write"]:
+        GOLDEN.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    else:
+        json.dump(record, sys.stdout, indent=2)

@@ -331,49 +331,75 @@ class TestCsrRows:
         assert csr.toarray().tobytes() == dense.tobytes()
 
 
+def large_rows() -> TfidfMatrix:
+    """4,000 rows of 90 entries over 2,000 words: 5.5 MiB of indices and data."""
+    n_rows, num_words, per_row = 4000, 2000, 90
+    rows = CsrRows(np.arange(n_rows + 1, dtype=np.int64) * per_row,
+                   np.tile(np.arange(per_row, dtype=np.int64) * 22, n_rows),
+                   np.random.default_rng(0).uniform(0.1, 1.0, size=n_rows * per_row),
+                   num_words)
+    return TfidfMatrix(csr=rows, kept_docs=list(range(n_rows)), dropped_docs=[],
+                       doc_freq=np.ones(num_words, dtype=np.int64), n_docs=n_rows)
+
+
 class TestRowsArchive:
     def test_round_trip(self, tmp_path):
         mat = tfidf(count_rows([[2, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 1, 1, 1]]))
         for labels in (None, np.array([1, 0, 2, 1])[mat.kept_docs]):
-            save_rows(tmp_path / "rows.npz", mat, labels)
-            loaded, loaded_labels = load_rows(tmp_path / "rows.npz", 4, 4, 3)
+            save_rows(tmp_path / "rows.bin", mat, labels)
+            loaded, loaded_labels = load_rows(tmp_path / "rows.bin", 4, 4, 3)
             assert loaded.rows.tobytes() == mat.rows.tobytes()
             assert loaded.doc_freq.tobytes() == mat.doc_freq.tobytes()
             assert (loaded.kept_docs, loaded.dropped_docs) == (mat.kept_docs, mat.dropped_docs)
             assert loaded.n_docs == 4
             assert (loaded_labels is None if labels is None
                     else loaded_labels.tolist() == labels.tolist())
-        assert [p.name for p in tmp_path.iterdir()] == ["rows.npz"]
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.bin"]
 
-    def test_failed_save_keeps_the_previous_archive(self, tmp_path, monkeypatch):
+    def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
         mat = tfidf(count_rows([[2, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]))
-        save_rows(tmp_path / "rows.npz", mat, None)
-        before = (tmp_path / "rows.npz").read_bytes()
+        save_rows(tmp_path / "rows.bin", mat, None)
+        before = (tmp_path / "rows.bin").read_bytes()
+        real_write, writes = os.write, []
 
-        def write_part_then_fail(file, **arrays):
-            file.write(b"PK\x03\x04 part of an archive")
+        def write_half_of_an_array_then_fail(fd, data):
+            writes.append(data.nbytes)
+            if len(writes) == 1:   # the header
+                return real_write(fd, data)
+            real_write(fd, bytes(data[:len(data) // 2]))
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(np, "savez", write_part_then_fail)
+        monkeypatch.setattr(os, "write", write_half_of_an_array_then_fail)
+        other = tfidf(count_rows([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]))
         with pytest.raises(OSError):
-            save_rows(tmp_path / "rows.npz", mat, None)
-        assert [p.name for p in tmp_path.iterdir()] == ["rows.npz"]
-        assert (tmp_path / "rows.npz").read_bytes() == before
+            save_rows(tmp_path / "rows.bin", other, np.array([0, 1, 0]))
+        assert writes == [40, other.csr.indptr.nbytes]
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.bin"]
+        assert (tmp_path / "rows.bin").read_bytes() == before
 
-    def test_load_holds_the_arrays_once(self, tmp_path):
-        # read from the file, not from a copy of its bytes, and checked with
-        # no temporary as long as the archive
-        n_rows, num_words, per_row = 4000, 2000, 90
-        rows = CsrRows(np.arange(n_rows + 1, dtype=np.int64) * per_row,
-                       np.tile(np.arange(per_row, dtype=np.int64) * 22, n_rows),
-                       np.random.default_rng(0).uniform(0.1, 1.0, size=n_rows * per_row),
-                       num_words)
-        mat = TfidfMatrix(csr=rows, kept_docs=list(range(n_rows)), dropped_docs=[],
-                          doc_freq=np.ones(num_words, dtype=np.int64), n_docs=n_rows)
-        save_rows(tmp_path / "rows.npz", mat, None)
+    def test_save_copies_no_array(self, tmp_path):
+        # each array goes from its own memory to the file, and the CRC-32 is
+        # chained over them: numpy's savez copied the largest one
+        mat = large_rows()
         tracemalloc.start()
         try:
-            loaded, _ = load_rows(tmp_path / "rows.npz", num_words, n_rows, 0)
+            save_rows(tmp_path / "rows.bin", mat, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        written = (tmp_path / "rows.bin").stat().st_size
+        assert written > 5 * 2 ** 20
+        assert peak < 0.05 * written, peak / written
+
+    def test_load_holds_the_arrays_once(self, tmp_path):
+        # views of the file's bytes, read once, checked with no temporary as
+        # long as the file
+        mat = large_rows()
+        rows = mat.csr
+        save_rows(tmp_path / "rows.bin", mat, None)
+        tracemalloc.start()
+        try:
+            loaded, _ = load_rows(tmp_path / "rows.bin", rows.num_cols, rows.shape[0], 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -388,9 +414,9 @@ class TestRowsArchive:
         # the kept rows' labels must align with them and lie in [0, num_classes)
         mat = tfidf(count_rows([[2, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]))
         assert len(mat.kept_docs) == 2
-        save_rows(tmp_path / "rows.npz", mat, np.array(labels, dtype=np.int64))
+        save_rows(tmp_path / "rows.bin", mat, np.array(labels, dtype=np.int64))
         with pytest.raises(RowsError):
-            load_rows(tmp_path / "rows.npz", 4, 3, 2)
+            load_rows(tmp_path / "rows.bin", 4, 3, 2)
 
 
 # The pipeline the count matrix replaced: one dict of word-id counts per

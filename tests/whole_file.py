@@ -174,7 +174,7 @@ def build_cooc(docs, window_size, word_sets) -> CoocStats:
 
 
 def ingest(docs_path, label_path, out: Path, min_count=1, max_vocab=None) -> str:
-    """Write vocab.txt, rows.npz and manifest.json to out; return stdout."""
+    """Write vocab.txt, rows.bin and manifest.json to out; return stdout."""
     docs = load_documents(docs_path, label_path)
     vocab = build_vocabulary(docs, min_count=min_count, max_vocab=max_vocab)
     labels = docs.labels
@@ -183,7 +183,7 @@ def ingest(docs_path, label_path, out: Path, min_count=1, max_vocab=None) -> str
     mat = tfidf(counts)
     out.mkdir(parents=True, exist_ok=True)
     vocab.save(out / "vocab.txt")
-    save_rows(out / "rows.npz", mat,
+    save_rows(out / "rows.bin", mat,
               None if labels is None else np.asarray(labels, dtype=np.int64)[mat.kept_docs])
     manifest = {"n_docs": counts.shape[0], "vocab_size": vocab.size, "n_classes": num_classes,
                 "dropped_rows": mat.dropped_docs}
