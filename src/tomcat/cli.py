@@ -14,6 +14,7 @@ import os
 import shutil
 import sys
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -238,27 +239,43 @@ def _encode_documents(ckpt, docs_path):
     blank lines among them, are given the uniform sentinel row and reported
     on stderr by line."""
     with DocumentFile(docs_path, vocab=ckpt.vocab, keep_blank=True) as source:
-        z, unusable = _encode(ckpt, _blocks(source))
+        z, unusable = _encode(ckpt, source)
     _warn_unusable(unusable)
     return z
 
 
-def _encode(ckpt, blocks):
-    """Topic rows for the documents of blocks read with the checkpoint's
+def _encode(ckpt, source: DocumentFile, labels: list[int] | None = None):
+    """Topic rows for the documents of a file opened with the checkpoint's
     vocabulary, and the positions of those of zero weight, whose row is the
-    uniform sentinel: counted, weighted and encoded BLOCK_ROWS documents at a
-    time, so only the topic rows outlive a group."""
+    uniform sentinel. Each span is encoded where it is read (_encode_span),
+    and the spans' rows are joined in order; the documents' labels are
+    appended to labels, when given."""
     rows, unusable, done = [np.zeros((0, ckpt.num_topics))], [], 0
+    for (z, invalid), span_labels in source.map_spans(partial(_encode_span, ckpt)):
+        unusable += (done + invalid).tolist()
+        done += len(z)
+        rows.append(z)
+        if labels is not None:
+            labels += span_labels
+    return np.concatenate(rows), unusable
+
+
+def _encode_span(ckpt, blocks):
+    """Topic rows for the documents of blocks, and the positions among them
+    of those of zero weight: counted, weighted and encoded BLOCK_ROWS
+    documents at a time, so only the topic rows outlive a group. A row
+    depends on its document alone, so it is the same whatever the group."""
+    rows, invalid, done = [np.zeros((0, ckpt.num_topics))], [], 0
     for group in group_documents(blocks):
         x, valid = tfidf_transform(count_documents([group], ckpt.vocab)[0],
                                    ckpt.doc_freq, ckpt.train_doc_count)
         z = np.full((len(x), ckpt.num_topics), 1.0 / ckpt.num_topics)
         if valid.any():
             z[valid], _ = ckpt.encoder.forward(x if valid.all() else x[valid], train=False)
-        unusable += (done + np.flatnonzero(~valid)).tolist()
+        invalid.append(done + np.flatnonzero(~valid))
         done += len(x)
         rows.append(z)
-    return np.concatenate(rows), unusable
+    return np.concatenate(rows), np.concatenate([np.zeros(0, dtype=np.int64)] + invalid)
 
 
 def _warn_unusable(unusable: list[int]) -> None:
@@ -283,7 +300,7 @@ def cmd_classify(args) -> int:
         raise ConfigError("checkpoint was trained unsupervised; cannot classify")
     labels: list[int] = []
     with DocumentFile(args.docs, args.labels, vocab=ckpt.vocab) as source:
-        z, unusable = _encode(ckpt, _blocks(source, labels))
+        z, unusable = _encode(ckpt, source, labels)
     if not labels:
         raise ConfigError(f"{args.docs} holds no document (every line is blank)")
     bad = [lab for lab in labels if not 0 <= lab < ckpt.num_classes]

@@ -9,10 +9,13 @@ normalizes onto the vocabulary simplex.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
+import pickle
+import signal
 import stat
 import struct
-import sys
 import zlib
 from collections import deque
 from collections.abc import Iterable, Iterator
@@ -22,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tokenizer
 from .fileio import write_atomic
 from .tokenizer import (FirstSeen, next_lines, open_span, token_ids, tokenize_lines,
                         undecodable)
@@ -167,13 +169,13 @@ class Documents:
                    np.concatenate([p.lengths for p in parts]), labels)
 
 
-READ_CHARS = 1 << 16   # load_documents reads blocks of about this many characters
+READ_CHARS = 1 << 16   # a span is read in blocks of about this many characters
 # A regular file of at least this many bytes is read in byte spans, each
-# about half this long or more: a child process starts in about 20 ms, the
-# time it takes to tokenize about 1 MB.
+# about half this long or more. A reader starts in about 2 ms; smaller spans
+# have not been measured.
 SPAN_BYTES = 2 << 20
 # No span is longer but for the end of its last line: it bounds what a
-# span's child buffers, whatever the size of the file.
+# span's reader buffers, whatever the size of the file.
 MAX_SPAN_BYTES = 4 * SPAN_BYTES
 # The most processes that read one file, the command included: two, on two
 # CPUs, is the only count measured to gain.
@@ -190,9 +192,50 @@ def _label_mismatch(labels: list[int], lines: int) -> CorpusError:
 
 
 def _readers() -> int:
-    """How many processes read a large file: READERS, or fewer CPUs."""
+    """How many processes read a large file: READERS, or fewer CPUs; one
+    where processes cannot be forked."""
+    if not hasattr(os, "fork"):
+        return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     return min(READERS, cpus)
+
+
+@functools.cache
+def _blas_threads() -> tuple | None:
+    """The get and set functions of the thread count of the OpenBLAS numpy
+    is built with, or None where its BLAS is not OpenBLAS or they are not
+    found. Their names start with the library's name in numpy's build
+    configuration (scipy-openblas's with "scipy_openblas_") and end in
+    "64_" in a build with 64-bit integers; they are looked up in the
+    libraries that numpy's core module has loaded."""
+    try:
+        name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        core = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, KeyError, OSError, TypeError):
+        return None
+    name = name.replace("-", "_")
+    for suffix in ("64_", "") if "openblas" in name else ():
+        get, set_threads = (getattr(core, f"{name}_{op}_num_threads{suffix}", None)
+                            for op in ("get", "set"))
+        if get and set_threads:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            return get, set_threads
+    return None
+
+
+def _one_blas_thread():
+    """Set BLAS to one thread (_blas_threads) and return the function that
+    restores the count it had: two processes that each ran a thread per CPU
+    made infer slower on two CPUs. Where no setter is found, nothing is set
+    and the function does nothing."""
+    threads = _blas_threads()
+    if threads is None:
+        return lambda: None
+    get, set_threads = threads
+    before = get()
+    set_threads(1)
+    return lambda: set_threads(before)
 
 
 def _spans(fd: int, readers: int) -> list[tuple[int, int | None]]:
@@ -224,9 +267,25 @@ def _spans(fd: int, readers: int) -> list[tuple[int, int | None]]:
     return list(zip(starts, starts[1:] + [st.st_size]))
 
 
+def _next_block(text, table: dict) -> tuple[np.ndarray, np.ndarray] | None:
+    """The next block of about READ_CHARS characters of whole lines of text:
+    the number of tokens on each line (int64) and each token's id in table
+    (int32); None at its end. The block's strings are freed on return,
+    before it is used."""
+    lines = next_lines(text, READ_CHARS)
+    if lines is None:
+        return None
+    words, ids = tokenize_lines(lines, table)
+    lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    # taken one id at a time: a list of the block's ids would leave the
+    # heap fragmented
+    return lengths, np.fromiter(ids, dtype=np.int32, count=int(lengths.sum()))
+
+
 class DocumentFile:
     """A file of one whitespace-tokenized document per line, open to be read
-    by load_documents a block of whole lines at a time.
+    by load_documents a block of whole lines at a time, or a span at a time
+    by map_spans.
 
     Lines are those of ``str.splitlines``, lowercased. Every block's ids come
     from one table: vocab's, or, with no vocabulary, the file's distinct
@@ -236,15 +295,19 @@ class DocumentFile:
     whole on opening, must have exactly one integer per document line.
 
     A large file is read in byte spans (_spans) by _readers() processes in
-    turn: this process reads span 0, a child process running tokenizer.main
-    reads each of the next _readers() - 1, numbering its tokens itself, then
-    this process reads the next span, and so on. A child's blocks are handed
-    on once this process reaches its span, their ids mapped through the
-    table, and as each child is reaped the child of the span _readers()
-    further on starts. So the lines, ids and tokens are those of one process
-    reading the whole file, no vocabulary is sent to a child, and at most
-    _readers() - 1 children run at once, each buffering one span. close()
-    kills and reaps every running child.
+    turn, each span through a stage, a function of its blocks: handing them
+    on (load_documents), or what map_spans is given. This process runs the
+    stage on span 0, a reader forked from it runs it on each of the next
+    _readers() - 1 spans and sends the stage's items back through a pipe,
+    then this process runs the next span, and so on. A reader's items are
+    handed on once this process reaches its span, and as each reader is
+    reaped the reader of the span _readers() further on starts. So at most
+    _readers() - 1 readers run at once, each buffering its span's items, and
+    the output is that of one process reading the whole file. A reader
+    inherits the vocabulary and gives its ids; with none, it numbers its
+    span's tokens itself and this process maps them through its own table.
+    BLAS runs on one thread while readers run, and close() kills and reaps
+    every running reader.
     """
 
     def __init__(self, path: str | Path, label_path: str | Path | None = None,
@@ -265,24 +328,23 @@ class DocumentFile:
             self.table = vocab.index
             self.tokens = vocab.tokens
         self.lines = 0   # lines read so far
-        self.children: deque = deque()   # (process, start, end) of each running child
+        self.running: deque = deque()   # (pid, pipe, start, end) of each running reader
+        self.restore_blas = lambda: None   # BLAS's thread count, once readers run
         self.file = open(path, "rb", buffering=0)   # holds the descriptor every span reads
         try:
             self.readers = _readers()
             self.spans = _spans(self.file.fileno(), self.readers)
-            for k in range(1, min(self.readers, len(self.spans))):
-                self._start_child(k)
         except BaseException:
             self.close()
             raise
-        self.blocks = self._read()
+        self.blocks = self._items(lambda blocks: blocks)
 
     def close(self) -> None:
-        for child, _, _ in self.children:
-            child.kill()
-            child.stdout.close()
-            child.wait()
+        while self.running:
+            os.kill(self.running[0][0], signal.SIGKILL)
+            self._reap()
         self.file.close()
+        self.restore_blas()
 
     def __enter__(self) -> "DocumentFile":
         return self
@@ -296,71 +358,164 @@ class DocumentFile:
         None at the end of the file."""
         return next(self.blocks, None)
 
-    def _start_child(self, k: int) -> None:
-        """Start the child process that reads span k."""
-        # imported here, not with the module: it adds about 0.3 MB to the
-        # peak of every command
-        import subprocess
+    def map_spans(self, stage) -> Iterator[tuple]:
+        """stage(documents) of each span in turn, with the labels of those
+        documents (None without labels). documents iterates the span's
+        Documents, a block of lines at a time, with no labels; its ids are
+        the vocabulary's, which the file must have been opened with. A
+        stage's result must pickle.
 
-        fd = self.file.fileno()
-        start, end = self.spans[k]
-        self.children.append((subprocess.Popen(
-            [sys.executable, "-I", "-S", tokenizer.__file__, str(fd), str(start), str(end),
-             str(READ_CHARS)], stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL, pass_fds=(fd,)), start, end))
+        Raises CorpusError at the end once the file's line count is known to
+        differ from its label count.
+        """
+        def span(blocks):
+            lengths = [np.zeros(0, dtype=np.int64)]
 
-    def _read(self):
+            def documents():
+                for block in blocks:
+                    lengths.append(block[0])
+                    yield _documents(self, *block, None)
+            result = stage(documents())
+            return [(result, np.concatenate(lengths))]
+
+        for result, lengths in self._items(span):
+            yield result, self._labels_of(lengths)
+        if self.labels is not None and len(self.labels) != self.lines:
+            raise _label_mismatch(self.labels, self.lines)
+
+    def _labels_of(self, lengths: np.ndarray) -> list[int] | None:
+        """The labels of the next lines, with lengths tokens each: those of
+        the blank ones dropped unless keep_blank, None without labels. The
+        lines are counted; labels past the last are not there."""
+        start = self.lines
+        self.lines += lengths.size
+        if self.labels is None:
+            return None
+        labels = self.labels[start:self.lines]
+        return labels if self.keep_blank else [lab for lab, n in zip(labels, lengths) if n]
+
+    def _items(self, stage):
+        """The items of stage(blocks) for each span in turn, where blocks
+        iterates the span's blocks (_next_block): this process's spans'
+        items as the stage makes them, a reader's as they come through its
+        pipe."""
+        if len(self.spans) > 1:
+            self.restore_blas = _one_blas_thread()
+        for k in range(1, min(self.readers, len(self.spans))):
+            self._start_reader(k, stage)
         for k, span in enumerate(self.spans):
             if k % self.readers == 0:
-                text = open_span(self.file.fileno(), *span)
-                try:
-                    yield from iter(partial(self._read_own, text), None)
-                except UnicodeDecodeError as exc:
-                    raise CorpusError(f"{self.path} {undecodable(exc)}") from exc
+                yield from stage(self._blocks(span, self.table))
             else:
-                yield from self._read_child(*self.children[0])
-                self.children.popleft()   # reaped by _read_child
+                yield from self._reader_items()
                 if k + self.readers < len(self.spans):
-                    self._start_child(k + self.readers)
+                    self._start_reader(k + self.readers, stage)
 
-    def _read_own(self, text) -> tuple[np.ndarray, np.ndarray] | None:
-        """The next block of the span of text this process reads, None at
-        its end; the block's strings are freed on return, before it is used."""
-        lines = next_lines(text, READ_CHARS)
-        if lines is None:
-            return None
-        words, ids = tokenize_lines(lines, self.table)
-        lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
-        # taken one id at a time: a list of the block's ids would leave the
-        # heap fragmented
-        return lengths, np.fromiter(ids, dtype=np.int32, count=int(lengths.sum()))
+    def _blocks(self, span: tuple[int, int | None], table: dict):
+        """The blocks of a span, their ids taken from table."""
+        text = open_span(self.file.fileno(), *span)
+        try:
+            yield from iter(partial(_next_block, text, table), None)
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{self.path} {undecodable(exc)}") from exc
 
-    def _read_child(self, child, start: int, end: int):
-        """The blocks of the span from start to end, as the child process
-        (a subprocess.Popen) that reads it writes them with tokenizer.main."""
-        def fill(buffer):
-            if child.stdout.readinto(buffer) < memoryview(buffer).nbytes:
-                status = child.wait()
+    def _start_reader(self, k: int, stage) -> None:
+        """Fork the reader of span k, which runs _serve and leaves by
+        os._exit, so that it runs none of this process's cleanup and flushes
+        none of its buffers; an exception, an interrupt among them, ends it
+        there with status 1, before it can unwind into this process's frames
+        or print a traceback."""
+        start, end = self.spans[k]
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(read)
+            os.close(write)
+            raise
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read)
+                self._serve(write, (start, end), stage)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        self.running.append((pid, open(read, "rb"), start, end))
+
+    def _serve(self, fd: int, span: tuple[int, int], stage) -> None:
+        """In a reader: run stage on the span's blocks and keep every item
+        until the span is read, so that the reader never stalls on a pipe
+        that the command reads later; then write to fd, each pickled and
+        after its size as 8 little-endian bytes: the reader's own tokens
+        (None with a vocabulary), the number of items and the exception that
+        stopped the stage (None when it read the span), then the items.
+        Nothing is written to stdout or stderr."""
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.dup2(devnull, 2)
+        table = FirstSeen() if isinstance(self.table, FirstSeen) else self.table
+        items, stopped = [], None
+        try:
+            for item in stage(self._blocks(span, table)):
+                items.append(item)
+        except Exception as exc:
+            stopped = exc
+        tokens = table.tokens if table is not self.table else None
+        with open(fd, "wb") as out:
+            for message in [(tokens, len(items), stopped)] + items:
+                data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+                out.write(len(data).to_bytes(8, "little"))
+                out.write(data)
+
+    def _reader_items(self):
+        """The items of the oldest running reader, as it pickled them, its
+        tokens mapped through this process's table; the reader is reaped at
+        the end, and the exception that stopped its stage raised."""
+        _, pipe, start, end = self.running[0]
+
+        def fill(buffer: bytearray) -> bytearray:
+            # a short read is a reader that left before it was done
+            if pipe.readinto(buffer) < len(buffer):
+                status = self._reap()
                 how = (f"was killed by signal {-status}" if status < 0
                        else f"exited with status {status}")
                 raise CorpusError(f"{self.path}: the reader of bytes {start} to {end} {how} "
                                   "before it was done")
             return buffer
 
-        def counts():
-            return fill(np.empty(2, dtype=np.int64)).tolist()
+        def load():
+            return pickle.loads(fill(bytearray(int.from_bytes(fill(bytearray(8)), "little"))))
 
-        n_tokens, size = counts()
-        words = fill(bytearray(size)).decode("utf-8")
-        lookup = _token_ids(self.table, words.split("\n") if n_tokens else [])
-        while (sizes := counts())[0] >= 0:
-            lengths = fill(np.empty(sizes[0], dtype=np.int64))
-            yield lengths, lookup[fill(np.empty(sizes[1], dtype=np.int32))]
-        stopped = fill(bytearray(sizes[1])).decode("utf-8")
-        child.stdout.close()
-        child.wait()   # it exits once it has written
-        if stopped:
-            raise CorpusError(f"{self.path} {stopped}")
+        tokens, count, stopped = load()
+        # a reader numbers its own tokens only without a vocabulary, when its
+        # stage hands on its blocks
+        lookup = None if tokens is None else _token_ids(self.table, tokens)
+        for _ in range(count):
+            item = load()
+            yield item if lookup is None else (item[0], lookup[item[1]])
+        self._reap()
+        if stopped is not None:
+            raise stopped
+
+    def _reap(self) -> int:
+        """Wait for the oldest running reader to exit; its exit code, or
+        minus the signal that killed it."""
+        pid, pipe, _, _ = self.running[0]
+        pipe.close()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        self.running.popleft()
+        return status
+
+
+def _documents(source: DocumentFile, lengths: np.ndarray, ids: np.ndarray,
+               labels: list[int] | None) -> Documents:
+    """A block of source's lines as Documents: its blank lines dropped
+    unless source keeps them (labels are already those of the kept lines)."""
+    if not source.keep_blank:
+        lengths = lengths[lengths > 0]
+    return Documents(source.tokens, ids, lengths, labels)
 
 
 def load_documents(source: DocumentFile) -> Documents | None:
@@ -375,21 +530,12 @@ def load_documents(source: DocumentFile) -> Documents | None:
             raise _label_mismatch(source.labels, source.lines)
         return None
     lengths, ids = block
-    start = source.lines
-    source.lines += lengths.size
-    labels = None
-    if source.labels is not None:
-        if source.lines > len(source.labels):
-            while (rest := source.next_block()) is not None:   # count every line
-                source.lines += rest[0].size
-            raise _label_mismatch(source.labels, source.lines)
-        labels = source.labels[start:source.lines]
-    if not source.keep_blank:
-        kept = np.flatnonzero(lengths)
-        lengths = lengths[kept]
-        if labels is not None:
-            labels = [labels[i] for i in kept]
-    return Documents(source.tokens, ids, lengths, labels)
+    labels = source._labels_of(lengths)
+    if source.labels is not None and source.lines > len(source.labels):
+        while (rest := source.next_block()) is not None:   # count every line
+            source.lines += rest[0].size
+        raise _label_mismatch(source.labels, source.lines)
+    return _documents(source, lengths, ids, labels)
 
 
 def group_documents(blocks: Iterable[Documents]) -> Iterator[Documents]:

@@ -142,7 +142,7 @@ def pass_buffers(in_dim: int, hidden: int, out_dim: int, softmax: bool, batch: i
         pool = [new(hidden) for _ in range(4)] + ([new(out_dim)] if softmax else [])
     if out is None:
         out = new(out_dim)
-    forward = [{"y": pool[0]}, {"y": pool[1], "keep": new(hidden, np.bool_)},
+    forward = [{"y": pool[0]}, {"y": pool[1], "slope": new(hidden)},
                {"y": new(hidden), "x_hat": new(hidden)}, {"y": pool[4] if softmax else out}]
     backward = [{"gx": grad, "scratch": weight(hidden, in_dim)}, {"gx": pool[0]},
                 {"gx": pool[1], "tmp": pool[2]},

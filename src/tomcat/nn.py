@@ -195,23 +195,26 @@ class Linear:
 class LeakyReLU:
     """Elementwise max(x, LEAKY_SLOPE * x); the derivative at exactly 0 is taken as 1.
 
-    The cache is the bool mask of x >= 0, the entries passed through with
-    slope 1 (a NaN input takes LEAKY_SLOPE, as in the formula).
+    The cache is the slope of each entry: 1.0 where x >= 0, the entries
+    passed through, and LEAKY_SLOPE elsewhere (a NaN input among them, as in
+    the formula). No step masks a copy: a masked copy took 6 to 20 times as
+    long as a ufunc on training batches.
     """
 
     def forward(self, x: np.ndarray, train: bool, y: np.ndarray | None = None,
-                keep: np.ndarray | None = None):
-        keep = np.greater_equal(x, 0, out=keep)
+                slope: np.ndarray | None = None):
+        if slope is None:
+            slope = np.empty(x.shape)
+        np.greater_equal(x, 0, out=slope)   # 1.0 or 0.0
+        np.maximum(slope, LEAKY_SLOPE, out=slope)
         y = np.multiply(x, LEAKY_SLOPE, out=y)
-        np.copyto(y, x, where=keep)
-        return y, keep
+        # x for x >= 0 (at +-0 both are x), else LEAKY_SLOPE * x, the larger
+        return np.maximum(x, y, out=y), slope
 
     def backward(self, cache, grad_out: np.ndarray, param_grads: bool = True,
                  gx: np.ndarray | None = None) -> np.ndarray:
-        keep = cache
-        gx = np.multiply(grad_out, LEAKY_SLOPE, out=gx)
-        np.copyto(gx, grad_out, where=keep)
-        return gx
+        # grad_out * 1.0 is grad_out itself
+        return np.multiply(grad_out, cache, out=gx)
 
     def parameters(self) -> list[Tensor]:
         return []

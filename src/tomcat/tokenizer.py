@@ -1,40 +1,13 @@
-"""Word ids of a byte span of a document file, in the standard library only:
-the kernel that corpus.DocumentFile runs on the spans of a file it reads
-itself and, run as a script, the reader of each other span in a child
-process.
-
-A child is started as
-
-    python -I -S tokenizer.py FD START END READ_CHARS
-
-with the document file open on descriptor FD. It reads bytes START to END,
-which start just after a ``\\n`` byte, a block of about READ_CHARS
-characters of whole lines at a time, and numbers each distinct token in
-order of first appearance. It keeps every block's token counts and ids
-until the span is read, so that a parent that reads its pipe later never
-stalls it mid-span, and then writes, in native byte order:
-
-    q q           distinct tokens, bytes of their text
-    bytes         the tokens in order, UTF-8, joined by "\\n"
-    per block:
-    q q           lines, tokens
-    q * lines     the number of tokens on each line
-    i * tokens    the id of each token
-    q q           -1, bytes of the message
-    bytes         UTF-8: empty when the span was read to its end, else what
-                  stopped it, to follow the file's name
-
-A child writes nothing to stderr: every error reaches the user through its
-parent. The module imports nothing outside the standard library, so a child
-starts without numpy or the package.
+"""Word ids of a byte span of a document file: the kernel that
+corpus.DocumentFile runs on each span, in the command or in a reader forked
+from it. It turns text into lines, tokens and ids in plain Python and
+imports nothing outside the standard library; corpus makes the arrays.
 """
 
 from __future__ import annotations
 
 import io
 import os
-import sys
-from array import array
 from collections.abc import Iterable, Iterator
 from itertools import chain, repeat
 
@@ -109,35 +82,3 @@ def tokenize_lines(lines: list[str], table: dict) -> tuple[list[list[str]], Iter
 def undecodable(exc: UnicodeDecodeError) -> str:
     """What a decode error says of the file, after its name."""
     return f"is not UTF-8 text: {exc.reason} (byte 0x{exc.object[exc.start]:02x})"
-
-
-def main(argv: list[str]) -> None:
-    fd, start, end, read_chars = map(int, argv)
-    table, blocks, message = FirstSeen(), [], ""
-    text = open_span(fd, start, end)
-    try:
-        while (lines := next_lines(text, read_chars)) is not None:
-            words, ids = tokenize_lines(lines, table)
-            # array() fills from a list about a quarter faster than from the
-            # iterator itself
-            blocks.append((array("q", map(len, words)), array("i", list(ids))))
-    except UnicodeDecodeError as exc:
-        message = undecodable(exc)
-    except OSError as exc:
-        message = f"could not be read: {exc}"
-    out = sys.stdout.buffer
-    tokens = "\n".join(table.tokens).encode("utf-8")
-    out.write(array("q", [len(table.tokens), len(tokens)]))
-    out.write(tokens)
-    for lengths, ids in blocks:
-        out.write(array("q", [len(lengths), len(ids)]))
-        out.write(lengths)
-        out.write(ids)
-    stopped = message.encode("utf-8")
-    out.write(array("q", [-1, len(stopped)]))
-    out.write(stopped)
-    out.flush()
-
-
-if __name__ == "__main__":
-    main(sys.argv[1:])

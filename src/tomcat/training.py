@@ -7,7 +7,8 @@ combined adversarial, cycle-consistency, and classification objective.
 The cycle and classification weights are rebalanced every mapper step from
 the ratio of adversarial-to-auxiliary gradient norms measured at the output
 of the mapping that feeds each loss. Every batch-shaped array of an
-iteration lives in the run's Workspace, made once by init_state.
+iteration lives in the run's Workspace, made once by init_state and
+dropped when train() returns.
 
 A phase called on its own runs what train() runs: it draws its prior rows
 from the state's generator, and adv_loss scores each critic over one
@@ -249,7 +250,8 @@ class TrainState:
     """Networks, optimizers and their parameter groups: both critics, the
     mappings E and G, and the classifier each form one ParamGroup with its
     own Adam moments and step count. The workspace holds the iteration's
-    batch-shaped arrays."""
+    batch-shaped arrays; train drops it when it returns, and a phase makes
+    it again from the network table (_workspace)."""
 
     config: TrainConfig
     encoder: Network
@@ -263,7 +265,8 @@ class TrainState:
     mapper_params: ParamGroup
     classifier_params: ParamGroup | None
     rng: np.random.Generator
-    workspace: Workspace
+    table: list[tuple[str, int, int, bool]]
+    workspace: Workspace | None
     iteration: int = 0
     loss_log: list[LossRecord] = field(default_factory=list)
 
@@ -293,8 +296,16 @@ def init_state(config: TrainConfig, num_words: int, num_classes: int = 0) -> Tra
         mapper_params=ParamGroup(nets["E"].parameters() + nets["G"].parameters()),
         classifier_params=classifier_params,
         rng=rng,
+        table=table,
         workspace=Workspace(table, config.hidden, config.batch_size),
     )
+
+
+def _workspace(state: TrainState) -> Workspace:
+    """The state's workspace, made again if train dropped it."""
+    if state.workspace is None:
+        state.workspace = Workspace(state.table, state.config.hidden, state.config.batch_size)
+    return state.workspace
 
 
 def adv_loss(critic, pair: np.ndarray, bufs: PassBuffers | None):
@@ -358,7 +369,7 @@ def critic_phase(state: TrainState, x_batches: list[RowBatch]) -> None:
     cfg = state.config
     if len(x_batches) != cfg.critic_steps:
         raise ConfigError(f"expected {cfg.critic_steps} critic batches, got {len(x_batches)}")
-    critic_params, ws = state.critic_params, state.workspace
+    critic_params, ws = state.critic_params, _workspace(state)
     for x in x_batches:
         x.densify(ws.real_x)
         z = sample_prior(cfg.num_topics, cfg.alpha, cfg.batch_size, state.rng)
@@ -388,7 +399,7 @@ def mapper_phase(state: TrainState, x: RowBatch, labels: np.ndarray | None) -> L
     the backward cycle and classification pairs.
     """
     cfg = state.config
-    enc, gen, ws = state.encoder, state.generator, state.workspace
+    enc, gen, ws = state.encoder, state.generator, _workspace(state)
     batch = cfg.batch_size
     if cfg.supervised and labels is None:
         raise ConfigError("supervised mapper step needs labels")
@@ -477,7 +488,7 @@ def train(rows: CsrRows, config: TrainConfig,
     defaulting to the largest label plus one; this is checked before any
     network is built. Deterministic for a fixed
     config seed: initialization, batch order, and prior draws all come from
-    one seeded generator.
+    one seeded generator. The returned state holds no workspace.
     """
     if rows.shape[0] < config.batch_size:
         raise ConfigError(
@@ -510,4 +521,5 @@ def train(rows: CsrRows, config: TrainConfig,
         aborted = SamplingError(f"{exc} at iteration {state.iteration}")
         aborted.records = state.loss_log
         raise aborted from exc
+    state.workspace = None   # its batch arrays would outlive the run (9.5 MiB at V=2000)
     return state

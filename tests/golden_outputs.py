@@ -7,10 +7,15 @@ In an empty temporary directory, through cli.main in this one process and
 with relative paths (a checkpoint records its data directory), it runs
 SEQUENCE: synth on the acceptance spec, ingest with labels, train 60
 iterations unsupervised and --supervised, topics, infer, classify and
-eval-coherence. It prints a JSON object: numpy's version and BLAS build,
-and the sha256 of each command's stdout and of each file under the
-directory. With --write it records that object in golden/outputs.json
-instead, to re-base the golden outputs after a change made on purpose.
+eval-coherence. It then writes seed 0 of the benchmark's 20NG-shaped
+corpus (perfbench/ng20corpus.py, imported read-only) to ng20/docs.txt and
+runs NG20_SEQUENCE on it: ingest --max-vocab 2000, train 10 iterations,
+topics, infer and eval-coherence at windows 2 and 10. That file is 8.3 MB,
+so infer and eval-coherence read it in two spans. It prints a JSON object:
+numpy's version and BLAS build, and the sha256 of each command's stdout and
+of each file under the directory. With --write it records that object in
+golden/outputs.json instead, to re-base the golden outputs after a change
+made on purpose.
 
 Checkpoint bytes depend on the BLAS thread count, so run it with one BLAS
 thread, as the test does.
@@ -32,6 +37,7 @@ import numpy as np
 from tomcat.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "outputs.json"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SEQUENCE = [
     ("synth", ["synth", "--k", "5", "--words-per-topic", "20", "--docs", "2000",
                "--doc-len", "50", "--alpha", "0.05", "--seed", "13", "--out", "raw"]),
@@ -47,6 +53,18 @@ SEQUENCE = [
                   "--labels", "raw/labels.txt"]),
     ("eval-coherence", ["eval-coherence", "--ckpt", "model.ckpt"]),
 ]
+NG20_SEQUENCE = [
+    ("ng20 ingest", ["ingest", "--docs", "ng20/docs.txt", "--max-vocab", "2000",
+                     "--out", "ng20/data"]),
+    ("ng20 train", ["train", "--data", "ng20/data", "--topics", "20", "--iters", "10",
+                    "--out", "ng20/model.ckpt"]),
+    ("ng20 topics", ["topics", "--ckpt", "ng20/model.ckpt"]),
+    ("ng20 infer", ["infer", "--ckpt", "ng20/model.ckpt", "--docs", "ng20/docs.txt"]),
+    ("ng20 eval-coherence --window 2", ["eval-coherence", "--ckpt", "ng20/model.ckpt",
+                                        "--window", "2"]),
+    ("ng20 eval-coherence --window 10", ["eval-coherence", "--ckpt", "ng20/model.ckpt",
+                                         "--window", "10"]),
+]
 
 
 def build() -> dict:
@@ -55,21 +73,38 @@ def build() -> dict:
     return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
 
 
+def write_ng20_corpus(path: Path) -> None:
+    """Seed 0 of the benchmark's 20NG-shaped corpus."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import ng20corpus   # the benchmark's corpus generator, read only
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    ng20corpus.write_corpus(ng20corpus.generate(0), path)
+
+
+def run(sequence: list, hashes: dict) -> None:
+    """Run each command of sequence, recording the sha256 of its stdout."""
+    for name, argv in sequence:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        if code != 0:
+            raise SystemExit(f"{name} exited with {code}")
+        hashes[f"{name} stdout"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 def outputs() -> dict:
     """The sha256 of each command's stdout ("<name> stdout") and of each file
-    the sequence writes (its path, relative to the directory it ran in)."""
+    the sequences write (its path, relative to the directory they ran in)."""
     hashes = {}
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            for name, argv in SEQUENCE:
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    code = main(argv)
-                if code != 0:
-                    raise SystemExit(f"{name} exited with {code}")
-                hashes[f"{name} stdout"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            run(SEQUENCE, hashes)
+            write_ng20_corpus(Path("ng20", "docs.txt"))
+            run(NG20_SEQUENCE, hashes)
             for path in sorted(Path().rglob("*")):
                 if path.is_file():
                     hashes[path.as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()

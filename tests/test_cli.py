@@ -6,6 +6,7 @@ import json
 import os
 import resource
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -19,7 +20,6 @@ import numpy as np
 import pytest
 
 from test_corpus import (
-    Recorded,
     children,
     csr_of,
     force_spans,
@@ -35,8 +35,8 @@ from test_evaluation import oracle_cooc
 from tomcat import checkpoint, cli
 from tomcat.checkpoint import load_checkpoint
 from tomcat.cli import main
-from tomcat.corpus import (BLOCK_ROWS, ROWS_MAGIC, CsrRows, RowsError, TfidfMatrix, Vocabulary,
-                           load_rows, save_rows, tfidf_transform)
+from tomcat.corpus import (BLOCK_ROWS, ROWS_MAGIC, CsrRows, DocumentFile, RowsError, TfidfMatrix,
+                           Vocabulary, load_rows, save_rows, tfidf_transform)
 from tomcat.evaluation import (
     SyntheticSpec,
     format_coherence_report,
@@ -981,6 +981,7 @@ class TestMemoryBoundedByTheBlock:
     (infer) and 2.8 MB (eval-coherence) past 1.3 times the 1x peak."""
 
     ALLOWANCE = 2 ** 18   # bytes
+    GROUPS = 1   # groups of BLOCK_ROWS documents in infer's 1x corpus
 
     @pytest.fixture(scope="class")
     def corpus(self, workdir, tmp_path_factory):
@@ -995,14 +996,15 @@ class TestMemoryBoundedByTheBlock:
         def write(n: int) -> list[Path]:
             paths = [root / f"{n}x{scale}.txt" for scale in (1, 8)]
             for path, scale in zip(paths, (1, 8)):
-                path.write_text("\n".join((lines * 2)[:n] * scale) + "\n")
+                path.write_text("\n".join((lines * -(-n // len(lines)))[:n] * scale) + "\n")
             return paths
         return write
 
     def test_infer_peak(self, workdir, corpus):
-        # the 1x corpus fills a group of BLOCK_ROWS documents
+        # the 1x corpus fills a group of BLOCK_ROWS documents in each span
         peaks = [_traced_peak(["infer", "--ckpt", str(workdir / "model.ckpt"),
-                               "--docs", str(path)]) for path in corpus(BLOCK_ROWS)]
+                               "--docs", str(path)])
+                 for path in corpus(self.GROUPS * BLOCK_ROWS)]
         assert peaks[1] <= 1.3 * peaks[0] + self.ALLOWANCE, peaks
 
     def test_eval_coherence_peak(self, workdir, corpus):
@@ -1013,9 +1015,13 @@ class TestMemoryBoundedByTheBlock:
 
 class TestMemoryBoundedInSpans(TestMemoryBoundedByTheBlock):
     """Read in spans, the commands keep a block of documents too: this
-    process takes each span reader's blocks one at a time. Every eightfold
-    corpus is read in 3 spans; so is infer's 1x corpus, and each of its spans
-    holds a full block of READ_CHARS characters."""
+    process takes each span reader's blocks, or its topic rows, one at a
+    time. Every eightfold corpus is read in 3 spans; so is infer's 1x
+    corpus, and each of its spans holds a full block of READ_CHARS
+    characters and, as each span is encoded on its own, about a full group
+    of BLOCK_ROWS documents."""
+
+    GROUPS = 3
 
     @pytest.fixture(autouse=True)
     def spans(self, monkeypatch, children):
@@ -1052,16 +1058,38 @@ class TestSpanReaders:
         assert not (tmp_path / "d").exists()
 
     def test_killed_reader_is_exit_1(self, workdir, docs, capfd, children, monkeypatch):
-        class Killed(Recorded):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.kill()
+        fork = os.fork   # the children fixture's recording fork
 
-        monkeypatch.setattr(subprocess, "Popen", Killed)
+        def killed():   # each reader kills itself as soon as it is forked
+            pid = fork()
+            if pid == 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return pid
+
+        monkeypatch.setattr(os, "fork", killed)
         assert main(["eval-coherence", "--ckpt", str(workdir / "model.ckpt"),
                      "--reference", str(docs)]) == 1
         err = self.assert_one_error_line(capfd, docs)
         assert "was killed by signal 9 before it was done" in err
+
+    def test_killed_reader_of_infer_last_span_is_exit_1(self, workdir, docs, capfd, children,
+                                                         monkeypatch):
+        # the reader of the last span encodes it: its death is the command's
+        # error, and nothing of the spans before it is printed
+        serve = DocumentFile._serve
+
+        def killed_if_last(self, fd, span, stage):   # runs in the reader
+            if span == self.spans[-1]:
+                os.kill(os.getpid(), signal.SIGKILL)
+            serve(self, fd, span, stage)
+
+        monkeypatch.setattr(DocumentFile, "_serve", killed_if_last)
+        assert main(["infer", "--ckpt", str(workdir / "model.ckpt"), "--docs", str(docs)]) == 1
+        err = self.assert_one_error_line(capfd, docs)
+        start, end = children[-1].span
+        assert err.endswith(f": the reader of bytes {start} to {end} was killed by signal 9 "
+                            "before it was done\n")
+        assert len(children) == 2 and end == docs.stat().st_size
 
     def test_interrupt_reaps_every_reader(self, workdir, docs, children, monkeypatch):
         def interrupted(blocks, **kwargs):

@@ -1,7 +1,7 @@
 import os
-import subprocess
 import threading
 import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -736,26 +736,49 @@ def force_spans(monkeypatch, span_bytes, max_span_bytes=corpus_module.MAX_SPAN_B
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
 
 
-class Recorded(subprocess.Popen):
-    """Popen that lists every process it starts, each with the number of
-    those still running (not reaped) when it started."""
+@dataclass
+class Reader:
+    """A forked span reader: its pid, the number of readers still running
+    (not reaped) when it was forked, and its span's (start, end) bytes."""
 
-    started: list = []
-
-    def __init__(self, *args, **kwargs):
-        self.running_before = sum(child.returncode is None for child in self.started)
-        super().__init__(*args, **kwargs)
-        self.started.append(self)
+    pid: int
+    running_before: int
+    span: tuple[int, int] | None = None
 
 
 @pytest.fixture
 def children(monkeypatch):
-    """The span readers started in a test; each must be reaped by its end."""
-    started = []
-    monkeypatch.setattr(Recorded, "started", started)
-    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    """The span readers forked in a test, each a Reader, recorded at
+    os.fork and os.waitpid; each must be reaped by the test's end."""
+    started, reaped = [], set()
+    fork, waitpid = os.fork, os.waitpid
+    start_reader = DocumentFile._start_reader
+
+    def recorded_fork():
+        running = sum(reader.pid not in reaped for reader in started)
+        pid = fork()
+        if pid:
+            started.append(Reader(pid, running))
+        return pid
+
+    def recorded_waitpid(pid, options):
+        done = waitpid(pid, options)
+        if done[0]:
+            reaped.add(done[0])
+        return done
+
+    def spanned(self, k, stage):
+        start_reader(self, k, stage)
+        started[-1].span = self.spans[k]
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+    monkeypatch.setattr(DocumentFile, "_start_reader", spanned)
     yield started
-    assert all(child.returncode is not None for child in started)
+    for reader in started:
+        assert reader.pid in reaped
+        with pytest.raises(ChildProcessError):   # not a child any more
+            waitpid(reader.pid, os.WNOHANG)
 
 
 # (with_vocab, read_chars, spans): one line per block at 1 character, blocks
@@ -863,8 +886,26 @@ class TestSpans:
         assert len(children) >= 6
         assert max(child.running_before for child in children) == 1
         longest_line = max(map(len, data.splitlines(keepends=True)))
-        assert all(int(child.args[-2]) - int(child.args[-3]) <= 32 + longest_line
-                   for child in children)
+        assert all(child.span[1] - child.span[0] <= 32 + longest_line for child in children)
+
+    def test_blas_on_one_thread_while_readers_run(self, tmp_path, children):
+        threads = corpus_module._blas_threads()
+        if threads is None:
+            pytest.skip("numpy's BLAS has no thread setter that could be found")
+        get, set_threads = threads
+        before = get()
+        set_threads(2)
+        try:
+            for data, spans in ((b"a b\n" * 12, 2), (b"a b\n" * 3, 1)):
+                path = tmp_path / "docs.txt"
+                path.write_bytes(data)
+                with DocumentFile(path) as source:
+                    assert load_documents(source) is not None
+                    assert get() == (1 if spans > 1 else 2)
+                assert len(source.spans) == spans
+                assert get() == 2
+        finally:
+            set_threads(before)
 
     def test_a_span_reads_only_its_bytes(self, tmp_path):
         path = tmp_path / "docs.txt"
@@ -893,55 +934,53 @@ class TestSpans:
                                      if line.split()]
 
 
-def vm_hwm_kib(pid: int) -> int:
-    """The peak resident set of a running process, in KiB."""
-    with open(f"/proc/{pid}/status", encoding="ascii") as status:
-        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
-
-
-class Watched(Recorded):
-    """Recorded whose stdout notes the process's peak resident set
-    (``peak``, KiB) at the first read. A span's child writes only once it
-    has read its span, so that is its peak, and it cannot have exited while
-    more than a pipe's worth of its output is unread."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.peak = None
-        child, pipe = self, self.stdout
-
-        class FirstRead:
-            def readinto(self, buffer):
-                got = pipe.readinto(buffer)
-                if child.peak is None:
-                    child.peak = vm_hwm_kib(child.pid)
-                return got
-
-            def close(self):
-                pipe.close()
-
-        self.stdout = FirstRead()
+def vm_kib(field: str) -> int:
+    """A field of this process's /proc status (VmRSS, VmHWM ...), in KiB."""
+    with open("/proc/self/status", encoding="ascii") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith(field + ":"))
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
 class TestSpanReaderMemory:
-    """A span's child buffers one span, and a span has a largest size, so an
-    eightfold file starts more children, not bigger ones. Cut into one span
+    """A span's reader buffers one span, and a span has a largest size, so an
+    eightfold file starts more readers, not bigger ones. Cut into one span
     per process instead, the eightfold file's second half (8 MiB) was
-    buffered by one child whose peak was 6.3 MB above the 1x file's."""
+    buffered by one reader whose peak was 6.3 MB above the 1x file's."""
 
     def test_children_peak_does_not_grow_with_the_file(self, tmp_path, monkeypatch, children):
-        monkeypatch.setattr(subprocess, "Popen", Watched)
+        # each reader notes what it adds to the resident set it was forked
+        # with: its peak (VmHWM, which a fork does not inherit) at its exit,
+        # less its resident set at its start
+        fork, exit_ = os.fork, os._exit
+        peaks = tmp_path / "peaks"
+        peaks.mkdir()
+
+        def watched_fork():
+            pid = fork()
+            if pid == 0:
+                (peaks / str(os.getpid())).write_text(str(vm_kib("VmRSS")))
+            return pid
+
+        def watched_exit(status):
+            try:
+                note = peaks / str(os.getpid())
+                note.write_text(str(vm_kib("VmHWM") - int(note.read_text())))
+            finally:
+                exit_(status)
+
+        monkeypatch.setattr(os, "fork", watched_fork)
+        monkeypatch.setattr(os, "_exit", watched_exit)
         monkeypatch.setattr(corpus_module, "SPAN_BYTES", 1 << 18)
         monkeypatch.setattr(corpus_module, "MAX_SPAN_BYTES", 1 << 20)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         line = " ".join(f"w{j}" for j in range(300)) + "\n"
-        peaks = []
+        growth = []
         for scale in (1, 8):   # at most 2 and 16 MiB: 2 spans, then 16
             path = tmp_path / f"{scale}x.txt"
             path.write_text(line * ((2 << 20) // len(line) * scale), encoding="utf-8")
             first = len(children)
             read_documents(path)
-            peaks.append([child.peak for child in children[first:]])
-        assert (len(peaks[0]), len(peaks[1])) == (1, 8)
-        assert max(peaks[1]) <= max(peaks[0]) + 1024, peaks
+            growth.append([int((peaks / str(child.pid)).read_text())
+                           for child in children[first:]])
+        assert (len(growth[0]), len(growth[1])) == (1, 8)
+        assert max(growth[1]) <= max(growth[0]) + 1024, growth

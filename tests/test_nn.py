@@ -233,6 +233,12 @@ def old_linear_forward(layer, x):
     return x @ layer.W.data.T + layer.b.data
 
 
+# signed zeros, infinities, NaNs of both signs, subnormals (the least of
+# them, whose LEAKY_SLOPE multiple rounds to a signed zero) and a normal pair
+LEAKY_SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-320, -1e-320, 5e-324,
+                 -5e-324, 2.5, -2.5)
+
+
 def old_leaky_forward(x):
     return np.where(x >= 0, x, LEAKY_SLOPE * x)
 
@@ -286,7 +292,7 @@ class TestLayerRewritesMatchOldFormulas:
     def test_leaky_relu(self, shape, train):
         rng = np.random.default_rng(21)
         layer = LeakyReLU()
-        x = awkward_values(rng, shape, special=(np.inf, -np.inf, np.nan, 1e-320, -1e-320))
+        x = awkward_values(rng, shape, special=LEAKY_SPECIAL)
         y, cache = layer.forward(x, train)
         assert_bits_equal(y, old_leaky_forward(x))
         upstream = awkward_values(rng, shape)
@@ -297,9 +303,17 @@ class TestLayerRewritesMatchOldFormulas:
         x = np.array([[0.0, -0.0, -1.0, 1.0]])
         y, cache = layer.forward(x, train=True)
         assert_bits_equal(y, np.array([[0.0, -0.0, -0.1, 1.0]]))
-        assert cache.dtype == np.bool_
+        assert_bits_equal(cache, np.array([[1.0, 1.0, LEAKY_SLOPE, 1.0]]))
         assert_bits_equal(layer.backward(cache, np.full((1, 4), -2.0)),
                           np.array([[-2.0, -2.0, -0.2, -2.0]]))
+
+    def test_leaky_relu_special_values_each_way(self):
+        # every special value as input against every one as upstream gradient
+        layer = LeakyReLU()
+        x = np.repeat(np.array([LEAKY_SPECIAL]), len(LEAKY_SPECIAL), axis=0)
+        y, cache = layer.forward(x, train=True)
+        assert_bits_equal(y, old_leaky_forward(x))
+        assert_bits_equal(layer.backward(cache, x.T.copy()), old_leaky_backward(x, x.T.copy()))
 
     @pytest.mark.parametrize("shape", LAYER_SHAPES)
     def test_batchnorm_train_then_eval(self, shape):
@@ -366,11 +380,11 @@ class TestLayerRewritesMatchOldFormulas:
         same(lin.backward(cache, upstream, param_grads=False, input_rows=slice(rows // 2, None),
                           gx=gx), upstream[rows // 2:] @ lin.W.data, gx)
 
-        x = awkward_values(rng, shape, special=(np.inf, -np.inf, np.nan, 1e-320, -1e-320))
-        out, keep, gx = handed(), np.zeros(shape, dtype=bool), handed()
-        y, cache = LeakyReLU().forward(x, True, y=out, keep=keep)
+        x = awkward_values(rng, shape, special=LEAKY_SPECIAL)
+        out, slope, gx = handed(), handed(), handed()
+        y, cache = LeakyReLU().forward(x, True, y=out, slope=slope)
         same(y, old_leaky_forward(x), out)
-        assert cache is keep
+        assert cache is slope
         upstream = awkward_values(rng, shape)
         same(LeakyReLU().backward(cache, upstream, gx=gx), old_leaky_backward(x, upstream), gx)
 

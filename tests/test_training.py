@@ -405,6 +405,41 @@ class TestWorkspace:
         assert len(state.loss_log) == 2
         assert peak < np.empty((64, 2000)).nbytes, peak
 
+    @pytest.mark.parametrize("supervised", [False, True])
+    def test_phase_after_train_equals_one_on_a_state_that_kept_its_workspace(
+            self, monkeypatch, supervised):
+        # train returns its state without the workspace; a phase called on
+        # it makes a new one and gives the bytes of the same phase on a copy
+        # of the state taken, workspace and all, at train's last step
+        import tomcat.training as training
+        rows = csr_from_dense(simplex_rows(80, 10, 52))
+        labels = np.arange(80) % 2
+        cfg = small_config(num_topics=3, hidden=6, iterations=3, supervised=supervised)
+        mapper, kept = training.mapper_phase, []
+
+        def copied(state, x, y):
+            record = mapper(state, x, y)
+            kept[:] = [copy.deepcopy(state)]
+            return record
+
+        monkeypatch.setattr(training, "mapper_phase", copied)
+        returned = train(rows, cfg, labels=labels)
+        assert returned.workspace is None and kept[0].workspace is not None
+        batches = [row_batch(simplex_rows(cfg.batch_size, 10, 54 + k))
+                   for k in range(cfg.critic_steps + 1)]
+        y = np.arange(cfg.batch_size) % 2 if supervised else None
+        for state in (returned, kept[0]):
+            critic_phase(state, batches[:cfg.critic_steps])
+            mapper(state, batches[-1], y)
+        assert returned.workspace is not None
+        for net in ("encoder", "generator", "critic_x", "critic_z", "classifier"):
+            if getattr(returned, net) is None:
+                continue
+            for key, arr in getattr(returned, net).state().items():
+                assert arr.tobytes() == getattr(kept[0], net).state()[key].tobytes(), (net, key)
+        assert returned.loss_log[-1] == kept[0].loss_log[-1]
+        assert returned.rng.bit_generator.state == kept[0].rng.bit_generator.state
+
 
 class TestEpochBatcher:
     def test_csr_batches_equal_the_dense_gather(self):

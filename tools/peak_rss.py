@@ -13,19 +13,23 @@ tomcat``, BLAS on one thread):
 
 and prints two tables, in MiB: the child's peak resident set (``ru_maxrss``
 as ``os.wait4`` reports it), the least of --repeat runs, and the peak of
-its whole process tree, the sum of the resident sets of the command and of
-every process under it (the readers of a large document file's spans),
-sampled every TREE_SECONDS from /proc, the largest of --repeat runs, as a
-sample can only miss a peak. The package is
+its whole process tree, sampled every TREE_SECONDS from /proc, the largest
+of --repeat runs, as a sample can only miss a peak. The package is
 imported from --src, by default this checkout's ``src``, so that two
 checkouts can be compared with the same script. A command that fails stops
 the script.
 
-A process's ru_maxrss starts from the peak of the process that started it,
-so ru_maxrss counts a reader's memory only where the reader outgrows the
-command: the tree table is the one that adds them up. For the same reason
-this script imports nothing but the standard library: the corpora are
-written by a child of their own (``--write-corpus``), which imports
+The tree column sums the proportional set size (``Pss`` in
+/proc/PID/smaps_rollup) of the command and of every process under it (the
+readers of a large document file's spans): each page counts once, split
+evenly among the processes that map it. A reader is forked from its
+command and shares its pages, so a sum of resident sets would count those
+pages once per process. A process's ru_maxrss starts from the resident set
+of the process it was forked from, so ru_maxrss counts a reader's memory
+only where the reader outgrows the command: the tree table is the one that
+adds them up. This script imports nothing but the standard library, so
+that it adds nothing to a child's ru_maxrss: the corpora are written by a
+child of their own (``--write-corpus``), which imports
 perfbench/ng20corpus.py and numpy.
 """
 
@@ -73,26 +77,20 @@ def argv_of(command: str, work: Path, docs: Path) -> list[str]:
     }[command]
 
 
-def tree_rss_kib(pid: int) -> int:
-    """The resident sets of process pid and every process under it, summed,
-    in KiB. A process that is gone counts nothing, and so does one that
-    still runs its parent's command line: forked and not yet exec'd, it
-    holds its parent's pages, not pages of its own."""
-    total, stack = 0, [(pid, b"")]
+def tree_pss_kib(pid: int) -> int:
+    """The proportional set sizes of process pid and every process under
+    it, summed, in KiB. A process that is gone counts nothing."""
+    total, stack = 0, [pid]
     while stack:
-        pid, parent_cmdline = stack.pop()
-        proc = Path("/proc", str(pid))
+        proc = Path("/proc", str(stack.pop()))
         try:
-            cmdline = (proc / "cmdline").read_bytes()
-            status = (proc / "status").read_text()
+            rollup = (proc / "smaps_rollup").read_text()
             children = (proc / "task" / proc.name / "children").read_text().split()
         except OSError:
             continue
-        if cmdline == parent_cmdline:
-            continue
-        total += sum(int(line.split()[1]) for line in status.splitlines()
-                     if line.startswith("VmRSS:"))
-        stack += [(int(child), cmdline) for child in children]
+        total += sum(int(line.split()[1]) for line in rollup.splitlines()
+                     if line.startswith("Pss:"))
+        stack += [int(child) for child in children]
     return total
 
 
@@ -107,7 +105,7 @@ def peak_mib(argv: list[str], src: Path) -> tuple[float, float]:
 
     def sample() -> None:
         while not done.wait(TREE_SECONDS):
-            tree[0] = max(tree[0], tree_rss_kib(proc.pid))
+            tree[0] = max(tree[0], tree_pss_kib(proc.pid))
 
     sampler = threading.Thread(target=sample)
     sampler.start()
