@@ -10,13 +10,15 @@ data_dir, if any, a string), the RNG seed, and finally the training-split
 document count (at least 2) and document frequencies (none above that
 count) needed to TF-IDF-transform unseen documents at inference time.
 Nothing may follow them. Every stored float must be finite. Files are
-written atomically, each array straight from its own memory.
+written atomically, each array straight from its own memory, and read
+back field by field, each array straight into the one its network keeps.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -133,18 +135,29 @@ def save_checkpoint(path: str | Path, *, vocab: Vocabulary, encoder: Network,
 
 
 class _Reader:
-    """Fields read in order from a view of the file's bytes; nothing is
-    copied until a field is decoded."""
+    """Fields read in order from an open checkpoint file. A read longer
+    than the rest of the file is refused before anything is made for it."""
 
-    def __init__(self, buf: bytes):
-        self.buf = memoryview(buf)
-        self.pos = 0
+    def __init__(self, file):
+        self.file = file
+        self.left = os.fstat(file.fileno()).st_size   # bytes not read yet
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.buf):
+    def take(self, n: int) -> bytes:
+        if n > self.left:
             raise CheckpointError("checkpoint truncated")
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += n
+        self.left -= n
+        return self.file.read(n)
+
+    def floats(self, dims: tuple[int, ...]) -> np.ndarray:
+        """A new array of shape dims, its little-endian float64s read
+        straight into it from the file."""
+        size = 8 * math.prod(dims)
+        if size > self.left:
+            raise CheckpointError("checkpoint truncated")
+        self.left -= size
+        out = np.empty(dims, dtype="<f8")
+        if self.file.readinto(out) < size:   # cut since fstat
+            raise CheckpointError("checkpoint truncated")
         return out
 
     def unpack(self, fmt: str):
@@ -160,74 +173,68 @@ class _Reader:
             raise CheckpointError(f"undecodable text field: {exc}") from exc
 
     def tokens(self, count: int) -> list[str]:
-        """count strings, each after its u16 length prefix, read by walking
-        the prefixes on the file's bytes."""
-        raw, pos, end = self.buf.obj, self.pos, len(self.buf)
-        tokens = []
+        """count strings, each after its u16 length prefix."""
+        read, tokens = self.file.read, []
         try:
             for _ in range(count):
-                start = pos + 2
-                pos = start + (raw[pos] | raw[pos + 1] << 8)
-                if pos > end:
+                size = int.from_bytes(read(2), "little")
+                raw = read(size)
+                self.left -= 2 + size
+                if self.left < 0:   # the prefix or the string cut short by the end
                     raise CheckpointError("checkpoint truncated")
-                tokens.append(raw[start:pos].decode("utf-8"))
-        except IndexError:   # a length prefix cut short by the end
-            raise CheckpointError("checkpoint truncated") from None
+                tokens.append(raw.decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"undecodable text field: {exc}") from exc
-        self.pos = pos
         return tokens
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    reader = _Reader(Path(path).read_bytes())
-    if reader.take(len(MAGIC)) != MAGIC:
-        raise CheckpointError(f"{path} is not a model checkpoint (bad magic)")
-    (mode,) = reader.unpack("<B")
-    if mode not in (0, 1):
-        raise CheckpointError(f"unknown mode byte {mode}")
-    num_topics, num_words, hidden, num_classes = reader.unpack("<4I")
+    with open(path, "rb") as file:
+        reader = _Reader(file)
+        if reader.take(len(MAGIC)) != MAGIC:
+            raise CheckpointError(f"{path} is not a model checkpoint (bad magic)")
+        (mode,) = reader.unpack("<B")
+        if mode not in (0, 1):
+            raise CheckpointError(f"unknown mode byte {mode}")
+        num_topics, num_words, hidden, num_classes = reader.unpack("<4I")
 
-    (token_count,) = reader.unpack("<I")
-    if token_count != num_words:
-        raise CheckpointError("vocabulary size disagrees with dims")
-    try:
-        vocab = Vocabulary(reader.tokens(token_count))
-    except ValueError as exc:
-        raise CheckpointError(f"invalid vocabulary in checkpoint: {exc}") from exc
+        (token_count,) = reader.unpack("<I")
+        if token_count != num_words:
+            raise CheckpointError("vocabulary size disagrees with dims")
+        try:
+            vocab = Vocabulary(reader.tokens(token_count))
+        except ValueError as exc:
+            raise CheckpointError(f"invalid vocabulary in checkpoint: {exc}") from exc
 
-    (blob_count,) = reader.unpack("<I")
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(blob_count):
-        (n,) = reader.unpack("<H")
-        name = reader.text(n)
-        (rank,) = reader.unpack("<B")
-        if rank not in (1, 2):   # every stored array is a vector or a matrix
-            raise CheckpointError(f"blob {name!r} has rank {rank}")
-        if name in arrays:
-            raise CheckpointError(f"blob {name!r} is repeated")
-        dims = reader.unpack(f"<{rank}I")
-        size = math.prod(dims)
-        # a view of the file's bytes, copied once, into its network
-        data = np.frombuffer(reader.take(size * 8), dtype="<f8")
-        if not np.isfinite(data).all():   # training never saves a NaN or inf
-            raise CheckpointError(f"blob {name!r} holds a non-finite value")
-        arrays[name] = data.reshape(dims)
+        (blob_count,) = reader.unpack("<I")
+        arrays: dict[str, np.ndarray] = {}
+        for _ in range(blob_count):
+            (n,) = reader.unpack("<H")
+            name = reader.text(n)
+            (rank,) = reader.unpack("<B")
+            if rank not in (1, 2):   # every stored array is a vector or a matrix
+                raise CheckpointError(f"blob {name!r} has rank {rank}")
+            if name in arrays:
+                raise CheckpointError(f"blob {name!r} is repeated")
+            # read into the array its network takes
+            arrays[name] = reader.floats(reader.unpack(f"<{rank}I"))
+            if not np.isfinite(arrays[name]).all():   # training never saves a NaN or inf
+                raise CheckpointError(f"blob {name!r} holds a non-finite value")
 
-    (config_len,) = reader.unpack("<I")
-    try:
-        config = json.loads(reader.text(config_len))
-    except (json.JSONDecodeError, RecursionError) as exc:   # RecursionError: deep nesting
-        raise CheckpointError("invalid config echo") from exc
-    if not isinstance(config, dict):
-        raise CheckpointError("config echo is not an object")
-    if not isinstance(config.get("data_dir", ""), str):   # train echoes a path string
-        raise CheckpointError("config echo's data_dir is not a string")
-    (seed,) = reader.unpack("<q")
-    (train_doc_count,) = reader.unpack("<I")
-    doc_freq = np.frombuffer(reader.take(num_words * 4), dtype="<u4").astype(np.int64)
-    if reader.pos != len(reader.buf):
-        raise CheckpointError(f"{len(reader.buf) - reader.pos} unexpected bytes after the end")
+        (config_len,) = reader.unpack("<I")
+        try:
+            config = json.loads(reader.text(config_len))
+        except (json.JSONDecodeError, RecursionError) as exc:   # RecursionError: deep nesting
+            raise CheckpointError("invalid config echo") from exc
+        if not isinstance(config, dict):
+            raise CheckpointError("config echo is not an object")
+        if not isinstance(config.get("data_dir", ""), str):   # train echoes a path string
+            raise CheckpointError("config echo's data_dir is not a string")
+        (seed,) = reader.unpack("<q")
+        (train_doc_count,) = reader.unpack("<I")
+        doc_freq = np.frombuffer(reader.take(num_words * 4), dtype="<u4").astype(np.int64)
+        if reader.left:
+            raise CheckpointError(f"{reader.left} unexpected bytes after the end")
     # tfidf needs 2 documents, and a word is in at most every one of them
     if train_doc_count < 2:
         raise CheckpointError(f"training document count {train_doc_count} is below 2")
@@ -244,10 +251,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     problem = _layout_problem(arrays, table, hidden)
     if problem:
         raise CheckpointError(f"blobs disagree with the dims: {problem}")
-    # uninitialised weights, every array filled below
+    # uninitialised weights, every array taken from the file below
     networks = build_networks(table, hidden, None)
-    for name, arr in _blob_arrays(networks.values()).items():
-        np.copyto(arr, arrays[name])
+    for net in networks.values():
+        net.adopt_state(arrays)
 
     return Checkpoint(num_topics=num_topics, num_classes=num_classes, vocab=vocab,
                       encoder=networks["E"], generator=networks["G"],

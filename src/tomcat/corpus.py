@@ -11,23 +11,24 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import io
 import os
 import pickle
 import signal
 import stat
 import struct
+import sys
 import zlib
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .fileio import write_atomic
-from .tokenizer import (FirstSeen, next_lines, open_span, token_ids, tokenize_lines,
-                        undecodable)
 
 
 class CorpusError(ValueError):
@@ -182,13 +183,29 @@ MAX_SPAN_BYTES = 4 * SPAN_BYTES
 READERS = 2
 
 
-def _token_ids(table: dict, tokens: list[str]) -> np.ndarray:
-    """The int32 id of each token in table (tokenizer.token_ids)."""
-    return np.fromiter(token_ids(table, tokens), dtype=np.int32, count=len(tokens))
+class FirstSeen(dict):
+    """token -> id, each new token taking the next id; ``tokens`` lists
+    them by id."""
+
+    def __init__(self):
+        super().__init__()
+        self.tokens: list[str] = []
+
+    def __missing__(self, token: str) -> int:
+        self[token] = wid = len(self.tokens)
+        self.tokens.append(token)
+        return wid
 
 
-def _label_mismatch(labels: list[int], lines: int) -> CorpusError:
-    return CorpusError(f"label/document count mismatch: {len(labels)} labels for {lines} lines")
+def _token_ids(table: dict, tokens: Iterable[str], count: int) -> np.ndarray:
+    """The int32 id of each of the count tokens: the one place a token
+    becomes an id. A FirstSeen table gives a new token the next id; any
+    other table is a vocabulary's index, which gives -1 to a token outside
+    it and stays as it is. The ids are taken one at a time: a list of a
+    block's ids would leave the heap fragmented."""
+    ids = (map(table.__getitem__, tokens) if isinstance(table, FirstSeen)
+           else map(table.get, tokens, repeat(-1)))
+    return np.fromiter(ids, dtype=np.int32, count=count)
 
 
 def _readers() -> int:
@@ -201,18 +218,19 @@ def _readers() -> int:
 
 
 @functools.cache
-def _blas_threads() -> tuple | None:
+def blas_threads() -> tuple | None:
     """The get and set functions of the thread count of the OpenBLAS numpy
-    is built with, or None where its BLAS is not OpenBLAS or they are not
-    found. Their names start with the library's name in numpy's build
-    configuration (scipy-openblas's with "scipy_openblas_") and end in
-    "64_" in a build with 64-bit integers; they are looked up in the
-    libraries that numpy's core module has loaded."""
+    is built with, or None, said once on stderr, where its BLAS is not
+    OpenBLAS or they are not found. Their names start with the library's
+    name in numpy's build configuration (scipy-openblas's with
+    "scipy_openblas_") and end in "64_" in a build with 64-bit integers;
+    they are looked up in the libraries that numpy's core module has
+    loaded."""
     try:
         name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
         core = ctypes.CDLL(np._core._multiarray_umath.__file__)
     except (AttributeError, KeyError, OSError, TypeError):
-        return None
+        name = ""   # not OpenBLAS: nothing is looked up
     name = name.replace("-", "_")
     for suffix in ("64_", "") if "openblas" in name else ():
         get, set_threads = (getattr(core, f"{name}_{op}_num_threads{suffix}", None)
@@ -221,15 +239,18 @@ def _blas_threads() -> tuple | None:
             get.argtypes, get.restype = [], ctypes.c_int
             set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
             return get, set_threads
+    print("warning: no BLAS thread setter found; BLAS keeps its thread count",
+          file=sys.stderr)
     return None
 
 
-def _one_blas_thread():
-    """Set BLAS to one thread (_blas_threads) and return the function that
-    restores the count it had: two processes that each ran a thread per CPU
-    made infer slower on two CPUs. Where no setter is found, nothing is set
-    and the function does nothing."""
-    threads = _blas_threads()
+def one_blas_thread():
+    """Set BLAS to one thread (blas_threads) and return the function that
+    restores the count it had. Training gives the same bytes whatever the
+    count it was started with, and two processes that each ran a thread per
+    CPU made infer slower on two CPUs. Where no setter is found, nothing is
+    set and the function does nothing."""
+    threads = blas_threads()
     if threads is None:
         return lambda: None
     get, set_threads = threads
@@ -267,19 +288,47 @@ def _spans(fd: int, readers: int) -> list[tuple[int, int | None]]:
     return list(zip(starts, starts[1:] + [st.st_size]))
 
 
-def _next_block(text, table: dict) -> tuple[np.ndarray, np.ndarray] | None:
-    """The next block of about READ_CHARS characters of whole lines of text:
-    the number of tokens on each line (int64) and each token's id in table
-    (int32); None at its end. The block's strings are freed on return,
-    before it is used."""
-    lines = next_lines(text, READ_CHARS)
-    if lines is None:
+class _Span(io.FileIO):
+    """Bytes start to end of an open file descriptor, each read at its
+    offset, so that processes sharing the descriptor share no position.
+    Every read goes through readinto, and the descriptor's offset is
+    neither read nor moved: the span seeks as a stream that cannot."""
+
+    read, readall = io.RawIOBase.read, io.RawIOBase.readall
+    seekable, seek, tell = io.RawIOBase.seekable, io.RawIOBase.seek, io.RawIOBase.tell
+
+    def __init__(self, fd: int, start: int, end: int):
+        super().__init__(fd, closefd=False)
+        self.pos, self.end = start, end
+
+    def readinto(self, buffer) -> int:
+        size = min(len(buffer), self.end - self.pos)
+        got = os.preadv(self.fileno(), [memoryview(buffer)[:size]], self.pos) if size > 0 else 0
+        self.pos += got
+        return got
+
+
+def open_span(fd: int, start: int, end: int | None) -> io.TextIOWrapper:
+    """Bytes start to end of fd as the text stream that open(path,
+    encoding="utf-8") gives: strict UTF-8, universal newlines. With end
+    None, the bytes from fd's position on, read in order (from a pipe too)."""
+    raw = io.FileIO(fd, closefd=False) if end is None else _Span(fd, start, end)
+    return io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8")
+
+
+def _next_block(text: io.TextIOWrapper, table: dict) -> tuple[np.ndarray, np.ndarray] | None:
+    """The next block of about READ_CHARS characters of whole lines of text,
+    lowercased and cut at every line end of ``str.splitlines``: the number
+    of whitespace-separated tokens on each line (int64) and each token's id
+    in table (int32); None at its end. The block's strings are freed on
+    return, before it is used."""
+    # each block ends at a line end, so its lines are the file's lines
+    block = text.readlines(READ_CHARS)
+    if not block:
         return None
-    words, ids = tokenize_lines(lines, table)
+    words = [line.split() for line in "".join(block).lower().splitlines()]
     lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
-    # taken one id at a time: a list of the block's ids would leave the
-    # heap fragmented
-    return lengths, np.fromiter(ids, dtype=np.int32, count=int(lengths.sum()))
+    return lengths, _token_ids(table, chain.from_iterable(words), int(lengths.sum()))
 
 
 class DocumentFile:
@@ -307,7 +356,8 @@ class DocumentFile:
     inherits the vocabulary and gives its ids; with none, it numbers its
     span's tokens itself and this process maps them through its own table.
     BLAS runs on one thread while readers run, and close() kills and reaps
-    every running reader.
+    every running reader. Either way of reading checks the label count once
+    the last span's items are taken (_items).
     """
 
     def __init__(self, path: str | Path, label_path: str | Path | None = None,
@@ -352,21 +402,12 @@ class DocumentFile:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def next_block(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The next block of about READ_CHARS characters of whole lines: the
-        number of tokens on each line (int64) and each token's id (int32);
-        None at the end of the file."""
-        return next(self.blocks, None)
-
     def map_spans(self, stage) -> Iterator[tuple]:
         """stage(documents) of each span in turn, with the labels of those
         documents (None without labels). documents iterates the span's
         Documents, a block of lines at a time, with no labels; its ids are
         the vocabulary's, which the file must have been opened with. A
         stage's result must pickle.
-
-        Raises CorpusError at the end once the file's line count is known to
-        differ from its label count.
         """
         def span(blocks):
             lengths = [np.zeros(0, dtype=np.int64)]
@@ -380,8 +421,6 @@ class DocumentFile:
 
         for result, lengths in self._items(span):
             yield result, self._labels_of(lengths)
-        if self.labels is not None and len(self.labels) != self.lines:
-            raise _label_mismatch(self.labels, self.lines)
 
     def _labels_of(self, lengths: np.ndarray) -> list[int] | None:
         """The labels of the next lines, with lengths tokens each: those of
@@ -398,9 +437,14 @@ class DocumentFile:
         """The items of stage(blocks) for each span in turn, where blocks
         iterates the span's blocks (_next_block): this process's spans'
         items as the stage makes them, a reader's as they come through its
-        pipe."""
+        pipe.
+
+        Raises CorpusError once the last span's items are taken, when the
+        file's line count, which the taker counts (_labels_of), differs
+        from its label count.
+        """
         if len(self.spans) > 1:
-            self.restore_blas = _one_blas_thread()
+            self.restore_blas = one_blas_thread()
         for k in range(1, min(self.readers, len(self.spans))):
             self._start_reader(k, stage)
         for k, span in enumerate(self.spans):
@@ -410,6 +454,9 @@ class DocumentFile:
                 yield from self._reader_items()
                 if k + self.readers < len(self.spans):
                     self._start_reader(k + self.readers, stage)
+        if self.labels is not None and len(self.labels) != self.lines:
+            raise CorpusError(f"label/document count mismatch: {len(self.labels)} labels "
+                              f"for {self.lines} lines")
 
     def _blocks(self, span: tuple[int, int | None], table: dict):
         """The blocks of a span, their ids taken from table."""
@@ -417,7 +464,8 @@ class DocumentFile:
         try:
             yield from iter(partial(_next_block, text, table), None)
         except UnicodeDecodeError as exc:
-            raise CorpusError(f"{self.path} {undecodable(exc)}") from exc
+            raise CorpusError(f"{self.path} is not UTF-8 text: {exc.reason} "
+                              f"(byte 0x{exc.object[exc.start]:02x})") from exc
 
     def _start_reader(self, k: int, stage) -> None:
         """Fork the reader of span k, which runs _serve and leaves by
@@ -491,7 +539,7 @@ class DocumentFile:
         tokens, count, stopped = load()
         # a reader numbers its own tokens only without a vocabulary, when its
         # stage hands on its blocks
-        lookup = None if tokens is None else _token_ids(self.table, tokens)
+        lookup = None if tokens is None else _token_ids(self.table, tokens, len(tokens))
         for _ in range(count):
             item = load()
             yield item if lookup is None else (item[0], lookup[item[1]])
@@ -519,23 +567,14 @@ def _documents(source: DocumentFile, lengths: np.ndarray, ids: np.ndarray,
 
 
 def load_documents(source: DocumentFile) -> Documents | None:
-    """The next block of source's documents, None at the end of the file.
-
-    Raises CorpusError once the file's line count is known to differ from
-    its label count.
-    """
-    block = source.next_block()
+    """The next block of source's documents, None at the end of the file,
+    where a label count that differs from the line count raises CorpusError
+    (DocumentFile._items)."""
+    block = next(source.blocks, None)
     if block is None:
-        if source.labels is not None and len(source.labels) != source.lines:
-            raise _label_mismatch(source.labels, source.lines)
         return None
     lengths, ids = block
-    labels = source._labels_of(lengths)
-    if source.labels is not None and source.lines > len(source.labels):
-        while (rest := source.next_block()) is not None:   # count every line
-            source.lines += rest[0].size
-        raise _label_mismatch(source.labels, source.lines)
-    return _documents(source, lengths, ids, labels)
+    return _documents(source, lengths, ids, source._labels_of(lengths))
 
 
 def group_documents(blocks: Iterable[Documents]) -> Iterator[Documents]:
@@ -587,7 +626,7 @@ def count_documents(blocks: Iterable[Documents], vocab: Vocabulary) -> list[CsrR
         if docs.tokens is not vocab.tokens:
             if lookup is None or lookup.size != len(docs.tokens) + 1:
                 # vocab's id of each of the documents' tokens; the last entry keeps -1 at -1
-                lookup = np.append(_token_ids(vocab.index, docs.tokens),
+                lookup = np.append(_token_ids(vocab.index, docs.tokens, len(docs.tokens)),
                                    np.int32(-1))
             ids = lookup[ids]
         n_docs = docs.lengths.size

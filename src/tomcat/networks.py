@@ -82,6 +82,17 @@ class Network:
                 out[f"{i}.{key}"] = arr
         return out
 
+    def adopt_state(self, arrays: dict[str, np.ndarray]) -> None:
+        """Make the arrays named "<name>.<state key>" (state_shapes' names)
+        the network's state, uncopied."""
+        for i, layer in enumerate(self.layers):
+            for key in layer.state():
+                array = arrays[f"{self.name}.{i}.{key}"]
+                if isinstance(getattr(layer, key), Tensor):
+                    getattr(layer, key).data = array
+                else:   # a running statistic
+                    setattr(layer, key, array)
+
 
 def network_table(num_words: int, num_topics: int,
                   num_classes: int = 0) -> list[tuple[str, int, int, bool]]:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import CsrRows
+from .corpus import CsrRows, one_blas_thread
 from .fileio import write_atomic
 from .networks import (
     Network,
@@ -488,7 +488,9 @@ def train(rows: CsrRows, config: TrainConfig,
     defaulting to the largest label plus one; this is checked before any
     network is built. Deterministic for a fixed
     config seed: initialization, batch order, and prior draws all come from
-    one seeded generator. The returned state holds no workspace.
+    one seeded generator, and BLAS runs on one thread while the loop runs
+    (corpus.one_blas_thread), as a product split over threads may sum in
+    another order. The returned state holds no workspace.
     """
     if rows.shape[0] < config.batch_size:
         raise ConfigError(
@@ -508,6 +510,7 @@ def train(rows: CsrRows, config: TrainConfig,
                        num_classes=num_classes or 0)
     batcher = _EpochBatcher(rows, labels if config.supervised else None,
                             config.batch_size, state.rng)
+    restore_blas = one_blas_thread()
     try:
         for it in range(config.iterations):
             state.iteration = it
@@ -521,5 +524,7 @@ def train(rows: CsrRows, config: TrainConfig,
         aborted = SamplingError(f"{exc} at iteration {state.iteration}")
         aborted.records = state.loss_log
         raise aborted from exc
+    finally:
+        restore_blas()
     state.workspace = None   # its batch arrays would outlive the run (9.5 MiB at V=2000)
     return state

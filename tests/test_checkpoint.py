@@ -397,6 +397,15 @@ class TestBlobNames:
         self.assert_corrupt(path, _join_blobs(head, records, tail), capsys,
                             "'X.junk' belongs to no network")
 
+    def test_empty_blob_is_exit_2(self, tmp_path, capsys):
+        # a blob of no floats is read like any other, then fails its shape
+        path = self.saved(tmp_path)
+        head, records, tail = _split_blobs(path.read_bytes())
+        records = [_record("E.0.b", np.zeros((0, 5))) if n == "E.0.b" else (n, r)
+                   for n, r in records]
+        self.assert_corrupt(path, _join_blobs(head, records, tail), capsys,
+                            "blob 'E.0.b' has shape")
+
     def test_classifier_blob_in_unsupervised_file_is_exit_2(self, tmp_path, capsys):
         path = self.saved(tmp_path)
         head, records, tail = _split_blobs(path.read_bytes())
@@ -513,9 +522,9 @@ class TestSaveMemory:
 
 class TestLoadMemory:
     def test_peak_allocation_below_two_and_a_half_file_sizes(self, tmp_path):
-        # the blobs are read as views of the file's bytes and copied once,
-        # into networks that allocate no gradient buffer: the file and the
-        # weights, not four copies of each weight
+        # each blob is read straight into the array its network keeps, and
+        # the networks allocate no gradient buffer: the weights, not four
+        # copies of each weight
         nets, vocab = wide_networks()
         path = tmp_path / "model.ckpt"
         save_networks(path, nets, vocab)

@@ -945,8 +945,8 @@ class TestStreamingMatchesWholeFile:
         assert capsys.readouterr().out == want
 
     def test_label_count_mismatch_counts_every_line(self, edges, tmp_path, capsys, blocks):
-        # too few labels are found at the first line past them, too many at
-        # the end of the file; the message counts every line either way
+        # too few labels and too many are both found at the end of the
+        # file, and the message counts every line
         lines = (edges / "labels.txt").read_text().splitlines()
         for labels in (lines[:5], lines + ["0"]):
             (tmp_path / "labels.txt").write_text("\n".join(labels) + "\n")
@@ -1101,6 +1101,28 @@ class TestSpanReaders:
             main(["eval-coherence", "--ckpt", str(workdir / "model.ckpt"),
                   "--reference", str(docs)])
         assert len(children) == 2
+
+
+class TestLabelCountInSpans:
+    """classify reads its file through map_spans: read in two spans, as
+    TestSpans reads one, a label file one line short or one line long is
+    exit 1, its message counting every line, with nothing on stdout."""
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["one too few", "one too many"])
+    def test_classify_label_count_mismatch_is_exit_1(self, workdir, edges, tmp_path, capsys,
+                                                     children, monkeypatch, extra):
+        monkeypatch.setattr(corpus_module, "SPAN_BYTES", 16)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        lines = (edges / "labels.txt").read_text().splitlines()
+        labels = lines[:extra] if extra < 0 else lines + ["0"] * extra
+        (tmp_path / "labels.txt").write_text("\n".join(labels) + "\n")
+        code = main(["classify", "--ckpt", str(workdir / "model_sup.ckpt"),
+                     "--docs", str(edges / "docs.txt"), "--labels", str(tmp_path / "labels.txt")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert len(children) == 1
+        assert f"{len(labels)} labels for {len(lines)} lines" in captured.err
+        assert captured.out == ""
 
 
 class TestErrorPaths:

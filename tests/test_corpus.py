@@ -10,7 +10,6 @@ import pytest
 import tomcat.corpus as corpus_module
 import whole_file
 from conftest import csr_from_dense
-from tomcat.tokenizer import open_span
 from tomcat.corpus import (
     BLOCK_ROWS,
     CorpusError,
@@ -25,6 +24,7 @@ from tomcat.corpus import (
     idf_weights,
     load_documents,
     load_rows,
+    open_span,
     save_rows,
     tfidf,
     tfidf_transform,
@@ -889,7 +889,7 @@ class TestSpans:
         assert all(child.span[1] - child.span[0] <= 32 + longest_line for child in children)
 
     def test_blas_on_one_thread_while_readers_run(self, tmp_path, children):
-        threads = corpus_module._blas_threads()
+        threads = corpus_module.blas_threads()
         if threads is None:
             pytest.skip("numpy's BLAS has no thread setter that could be found")
         get, set_threads = threads

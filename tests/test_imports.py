@@ -66,17 +66,3 @@ def test_every_definition_is_named_by_the_package_or_the_benchmark():
                and node.name not in named]
     assert not unnamed, unnamed
 
-
-def test_tokenizer_imports_only_the_standard_library():
-    # the text kernel every span reader runs stays plain Python: lines,
-    # tokens and ids, with the arrays made in corpus
-    path = Path(tomcat.__file__).parent / "tokenizer.py"
-    imported = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Import):
-            imported += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            imported.append("." * node.level + (node.module or ""))
-    outside = [name for name in imported
-               if name.startswith(".") or name.split(".")[0] not in sys.stdlib_module_names]
-    assert imported and not outside, outside

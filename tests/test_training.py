@@ -1,14 +1,22 @@
 import copy
 import dataclasses
+import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import assert_grad_close, csr_from_dense, numerical_grad, row_batch
 from test_networks import build_one
+import tomcat.training as training_module
+from tomcat.cli import main
+from tomcat.corpus import blas_threads
 from tomcat.networks import sample_prior
 from tomcat.nn import BatchNorm, ShapeError
 from tomcat.training import (
@@ -374,6 +382,60 @@ class TestTrain:
         assert len(state.loss_log) == 3
         rec = state.loss_log[-1]
         assert rec.lambda3 > 0 and np.isfinite(rec.cls)
+
+    def test_blas_on_one_thread_while_training_and_restored(self, monkeypatch):
+        threads = blas_threads()
+        if threads is None:
+            pytest.skip("numpy's BLAS has no thread setter that could be found")
+        get, set_threads = threads
+        seen = []
+        critic = training_module.critic_phase
+
+        def noted(*args):
+            seen.append(get())
+            return critic(*args)
+
+        def abort(*args):
+            seen.append(get())
+            raise NonFiniteLossError(0, "total")
+
+        rows = csr_from_dense(simplex_rows(80, 10, 38))
+        before = get()
+        set_threads(2)
+        try:
+            monkeypatch.setattr(training_module, "critic_phase", noted)
+            train(rows, small_config(iterations=2))
+            assert (seen, get()) == ([1, 1], 2)
+            monkeypatch.setattr(training_module, "critic_phase", abort)
+            with pytest.raises(NonFiniteLossError):
+                train(rows, small_config(iterations=2))
+            assert (seen, get()) == ([1, 1, 1], 2)
+        finally:
+            set_threads(before)
+
+    def test_same_bytes_at_one_and_two_blas_threads(self, tmp_path, capsys):
+        # at V=2000 a product split over two BLAS threads can sum in another
+        # order: run at the thread count it was started with, train wrote
+        # another checkpoint at two threads than at one
+        assert main(["synth", "--k", "20", "--words-per-topic", "100", "--docs", "300",
+                     "--doc-len", "60", "--seed", "0", "--out", str(tmp_path / "raw")]) == 0
+        assert main(["ingest", "--docs", str(tmp_path / "raw" / "docs.txt"),
+                     "--out", str(tmp_path / "data")]) == 0
+        capsys.readouterr()
+        src = Path(training_module.__file__).parents[1]
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{threads}.ckpt"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+            done = subprocess.run(
+                [sys.executable, "-m", "tomcat", "train", "--data", str(tmp_path / "data"),
+                 "--topics", "20", "--iters", "4", "--seed", "0", "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            digests.append([hashlib.sha256(path.read_bytes()).hexdigest()
+                            for path in (out, Path(f"{out}.losses.tsv"))])
+        assert digests[0] == digests[1]
 
 
 class TestWorkspace:

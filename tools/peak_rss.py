@@ -19,18 +19,20 @@ imported from --src, by default this checkout's ``src``, so that two
 checkouts can be compared with the same script. A command that fails stops
 the script.
 
-The tree column sums the proportional set size (``Pss`` in
-/proc/PID/smaps_rollup) of the command and of every process under it (the
-readers of a large document file's spans): each page counts once, split
-evenly among the processes that map it. A reader is forked from its
-command and shares its pages, so a sum of resident sets would count those
-pages once per process. A process's ru_maxrss starts from the resident set
+The tree column adds to the command's resident set (``Rss`` in
+/proc/PID/smaps_rollup) the private pages (``Private_Clean`` and
+``Private_Dirty``) of every process under it (the readers of a large
+document file's spans). A reader is forked from its command and shares its
+pages, so a sum of resident sets would count those pages once per process;
+the pages a reader has of its own are its private ones. Unlike proportional
+set sizes (``Pss``), the figure does not move with what else on the machine
+maps the same libraries. A process's ru_maxrss starts from the resident set
 of the process it was forked from, so ru_maxrss counts a reader's memory
 only where the reader outgrows the command: the tree table is the one that
-adds them up. This script imports nothing but the standard library, so
-that it adds nothing to a child's ru_maxrss: the corpora are written by a
-child of their own (``--write-corpus``), which imports
-perfbench/ng20corpus.py and numpy.
+adds them up. This script imports nothing but the standard library, so that
+it adds nothing to a child's ru_maxrss: the corpora are written by a child
+of their own (``--write-corpus``), which imports perfbench/ng20corpus.py
+and numpy.
 """
 
 from __future__ import annotations
@@ -77,9 +79,9 @@ def argv_of(command: str, work: Path, docs: Path) -> list[str]:
     }[command]
 
 
-def tree_pss_kib(pid: int) -> int:
-    """The proportional set sizes of process pid and every process under
-    it, summed, in KiB. A process that is gone counts nothing."""
+def tree_kib(pid: int) -> int:
+    """The resident set of process pid plus the private pages of every
+    process under it, in KiB. A process that is gone counts nothing."""
     total, stack = 0, [pid]
     while stack:
         proc = Path("/proc", str(stack.pop()))
@@ -88,8 +90,9 @@ def tree_pss_kib(pid: int) -> int:
             children = (proc / "task" / proc.name / "children").read_text().split()
         except OSError:
             continue
+        fields = ("Rss:",) if proc.name == str(pid) else ("Private_Clean:", "Private_Dirty:")
         total += sum(int(line.split()[1]) for line in rollup.splitlines()
-                     if line.startswith("Pss:"))
+                     if line.startswith(fields))
         stack += [int(child) for child in children]
     return total
 
@@ -105,7 +108,7 @@ def peak_mib(argv: list[str], src: Path) -> tuple[float, float]:
 
     def sample() -> None:
         while not done.wait(TREE_SECONDS):
-            tree[0] = max(tree[0], tree_pss_kib(proc.pid))
+            tree[0] = max(tree[0], tree_kib(proc.pid))
 
     sampler = threading.Thread(target=sample)
     sampler.start()
