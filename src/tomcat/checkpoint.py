@@ -12,6 +12,8 @@ count) needed to TF-IDF-transform unseen documents at inference time.
 Nothing may follow them. Every stored float must be finite. Files are
 written atomically, each array straight from its own memory, and read
 back field by field, each array straight into the one its network keeps.
+A load may build only some of the networks: every blob is still read and
+checked, and the floats of the others pass through one small buffer.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import math
 import os
 import struct
+from collections.abc import Collection
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,13 +42,15 @@ class CheckpointError(Exception):
 
 @dataclass
 class Checkpoint:
+    """A loaded checkpoint; a network that the load did not build is None."""
+
     num_topics: int
     num_classes: int
     vocab: Vocabulary
-    encoder: Network
-    generator: Network
-    critic_x: Network
-    critic_z: Network
+    encoder: Network | None
+    generator: Network | None
+    critic_x: Network | None
+    critic_z: Network | None
     classifier: Network | None
     config: dict
     seed: int
@@ -69,16 +74,17 @@ def _blob_arrays(networks) -> dict[str, np.ndarray]:
     return {f"{net.name}.{key}": arr for net in networks for key, arr in net.state().items()}
 
 
-def _layout_problem(arrays: dict[str, np.ndarray], table, hidden: int) -> str | None:
-    """The first way in which arrays, by blob name, are not exactly the arrays
-    that build_networks(table, hidden, ...) makes, or None."""
+def _layout_problem(dims: dict[str, tuple[int, ...]], table, hidden: int) -> str | None:
+    """The first way in which arrays of the given shapes, by blob name, are
+    not exactly the arrays that build_networks(table, hidden, ...) makes,
+    or None."""
     shapes = state_shapes(table, hidden)
     for name, shape in shapes.items():
-        if name not in arrays:
+        if name not in dims:
             return f"blob {name!r} is missing"
-        if arrays[name].shape != shape:
-            return f"blob {name!r} has shape {arrays[name].shape}, the dims give {shape}"
-    for name in arrays:
+        if dims[name] != shape:
+            return f"blob {name!r} has shape {dims[name]}, the dims give {shape}"
+    for name in dims:
         if name not in shapes:
             return f"blob {name!r} belongs to no network of this checkpoint"
     return None
@@ -98,7 +104,7 @@ def save_checkpoint(path: str | Path, *, vocab: Vocabulary, encoder: Network,
     given = {net.name: net for net in (encoder, generator, critic_x, critic_z, classifier)
              if net is not None}
     blobs = _blob_arrays(given[name] for name, *_ in table)
-    problem = _layout_problem(blobs, table, hidden)
+    problem = _layout_problem({name: arr.shape for name, arr in blobs.items()}, table, hidden)
     if problem:
         raise ValueError(f"the networks disagree with their dims: {problem}")
 
@@ -138,9 +144,12 @@ class _Reader:
     """Fields read in order from an open checkpoint file. A read longer
     than the rest of the file is refused before anything is made for it."""
 
+    CHUNK = 8192   # floats passed through at a time by finite_floats
+
     def __init__(self, file):
         self.file = file
         self.left = os.fstat(file.fileno()).st_size   # bytes not read yet
+        self.chunk = np.empty(self.CHUNK, dtype="<f8")
 
     def take(self, n: int) -> bytes:
         if n > self.left:
@@ -148,17 +157,36 @@ class _Reader:
         self.left -= n
         return self.file.read(n)
 
+    def _fill(self, out: np.ndarray) -> None:
+        if self.file.readinto(out) < out.nbytes:   # cut since fstat
+            raise CheckpointError("checkpoint truncated")
+
     def floats(self, dims: tuple[int, ...]) -> np.ndarray:
         """A new array of shape dims, its little-endian float64s read
         straight into it from the file."""
-        size = 8 * math.prod(dims)
-        if size > self.left:
-            raise CheckpointError("checkpoint truncated")
-        self.left -= size
+        self.take_floats(math.prod(dims))
         out = np.empty(dims, dtype="<f8")
-        if self.file.readinto(out) < size:   # cut since fstat
-            raise CheckpointError("checkpoint truncated")
+        self._fill(out)
         return out
+
+    def take_floats(self, count: int) -> None:
+        """Refuse count float64s that the rest of the file cannot hold, and
+        count them as read."""
+        if 8 * count > self.left:
+            raise CheckpointError("checkpoint truncated")
+        self.left -= 8 * count
+
+    def finite_floats(self, dims: tuple[int, ...]) -> bool:
+        """Whether the float64s of an array of shape dims, read through one
+        reused buffer of CHUNK floats and kept nowhere, are all finite."""
+        count = math.prod(dims)
+        self.take_floats(count)
+        for start in range(0, count, self.CHUNK):
+            part = self.chunk[:min(self.CHUNK, count - start)]
+            self._fill(part)
+            if not np.isfinite(part).all():
+                return False
+        return True
 
     def unpack(self, fmt: str):
         try:
@@ -188,7 +216,10 @@ class _Reader:
         return tokens
 
 
-def load_checkpoint(path: str | Path) -> Checkpoint:
+def load_checkpoint(path: str | Path, networks: Collection[str] | None = None) -> Checkpoint:
+    """The checkpoint at path, with only the named networks (network_table
+    names) built; None builds every network of the file's mode. Every blob
+    is read and checked all the same, in file order."""
     with open(path, "rb") as file:
         reader = _Reader(file)
         if reader.take(len(MAGIC)) != MAGIC:
@@ -207,6 +238,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise CheckpointError(f"invalid vocabulary in checkpoint: {exc}") from exc
 
         (blob_count,) = reader.unpack("<I")
+        dims: dict[str, tuple[int, ...]] = {}
         arrays: dict[str, np.ndarray] = {}
         for _ in range(blob_count):
             (n,) = reader.unpack("<H")
@@ -214,11 +246,16 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             (rank,) = reader.unpack("<B")
             if rank not in (1, 2):   # every stored array is a vector or a matrix
                 raise CheckpointError(f"blob {name!r} has rank {rank}")
-            if name in arrays:
+            if name in dims:
                 raise CheckpointError(f"blob {name!r} is repeated")
-            # read into the array its network takes
-            arrays[name] = reader.floats(reader.unpack(f"<{rank}I"))
-            if not np.isfinite(arrays[name]).all():   # training never saves a NaN or inf
+            dims[name] = reader.unpack(f"<{rank}I")
+            if networks is None or name.split(".", 1)[0] in networks:
+                # read into the array its network takes
+                arrays[name] = reader.floats(dims[name])
+                finite = np.isfinite(arrays[name]).all()
+            else:
+                finite = reader.finite_floats(dims[name])
+            if not finite:   # training never saves a NaN or inf
                 raise CheckpointError(f"blob {name!r} holds a non-finite value")
 
         (config_len,) = reader.unpack("<I")
@@ -248,16 +285,17 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError(f"dims K={num_topics} H={hidden} L={num_classes} out of range "
                               f"for a {'supervised' if mode else 'unsupervised'} checkpoint")
     table = network_table(num_words, num_topics, num_classes)
-    problem = _layout_problem(arrays, table, hidden)
+    problem = _layout_problem(dims, table, hidden)
     if problem:
         raise CheckpointError(f"blobs disagree with the dims: {problem}")
     # uninitialised weights, every array taken from the file below
-    networks = build_networks(table, hidden, None)
-    for net in networks.values():
+    built = build_networks([row for row in table if networks is None or row[0] in networks],
+                           hidden, None)
+    for net in built.values():
         net.adopt_state(arrays)
 
     return Checkpoint(num_topics=num_topics, num_classes=num_classes, vocab=vocab,
-                      encoder=networks["E"], generator=networks["G"],
-                      critic_x=networks["D_X"], critic_z=networks["D_Z"],
-                      classifier=networks.get("C"), config=config,
+                      encoder=built.get("E"), generator=built.get("G"),
+                      critic_x=built.get("D_X"), critic_z=built.get("D_Z"),
+                      classifier=built.get("C"), config=config,
                       seed=seed, doc_freq=doc_freq, train_doc_count=train_doc_count)

@@ -14,7 +14,7 @@ import os
 import shutil
 import sys
 from dataclasses import fields
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -225,7 +225,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_topics(args) -> int:
-    ckpt = load_checkpoint(args.ckpt)
+    ckpt = load_checkpoint(args.ckpt, networks=("G",))
     rows = topic_word_distributions(ckpt.generator)
     for k, row in enumerate(rows):
         ids = top_word_ids(row, args.top_n)
@@ -285,7 +285,7 @@ def _warn_unusable(unusable: list[int]) -> None:
 
 
 def cmd_infer(args) -> int:
-    ckpt = load_checkpoint(args.ckpt)
+    ckpt = load_checkpoint(args.ckpt, networks=("E",))
     z = _encode_documents(ckpt, args.docs)
     line = "\t".join(["%.9g"] * ckpt.num_topics) + "\n"   # _fmt's format
     for start in range(0, len(z), BLOCK_ROWS):
@@ -295,7 +295,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    ckpt = load_checkpoint(args.ckpt)
+    ckpt = load_checkpoint(args.ckpt, networks=("E", "C"))
     if ckpt.classifier is None:
         raise ConfigError("checkpoint was trained unsupervised; cannot classify")
     labels: list[int] = []
@@ -317,7 +317,7 @@ def cmd_eval_coherence(args) -> int:
         raise ConfigError("--top-n must be >= 2: topic coherence needs at least 2 words")
     if args.window < 2:
         raise ConfigError("--window must be >= 2")
-    ckpt = load_checkpoint(args.ckpt)
+    ckpt = load_checkpoint(args.ckpt, networks=("G",))
     reference = args.reference
     if reference is None:
         data_dir = ckpt.config.get("data_dir")
@@ -357,7 +357,10 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as
+    it was, and main() may run many times in one process."""
     parser = argparse.ArgumentParser(
         prog="tomcat",
         description="Cycle-consistent adversarial topic modeling")

@@ -43,11 +43,11 @@ class Vocabulary:
     index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(set(self.tokens)) != len(self.tokens):
+        self.index = dict(zip(self.tokens, range(len(self.tokens))))
+        if len(self.index) != len(self.tokens):   # a repeated token keeps one key
             raise ValueError("vocabulary tokens must be unique")
         if len(self.tokens) < 2:
             raise ValueError("vocabulary needs at least 2 tokens")
-        self.index = {t: i for i, t in enumerate(self.tokens)}
 
     @property
     def size(self) -> int:

@@ -111,6 +111,30 @@ class TestRoundTrip:
             assert {key: arr.tobytes() for key, arr in got.items()} == {
                 key: arr.tobytes() for key, arr in want.state().items()}, name
 
+    @pytest.mark.parametrize("networks", [("G",), ("E",), ("E", "C"), ("D_X", "D_Z"), ()])
+    @pytest.mark.parametrize("supervised", [False, True])
+    def test_load_of_some_networks(self, tmp_path, networks, supervised):
+        # the named networks hold the arrays a full load gives, byte for
+        # byte; the others, and a classifier the file lacks, are None
+        path = tmp_path / "model.ckpt"
+        save_state(trained_state(20, supervised=supervised),
+                   Vocabulary([f"t{i}" for i in range(9)]), path)
+        full = load_checkpoint(path)
+        part = load_checkpoint(path, networks=networks)
+        for name, attr in (("E", "encoder"), ("G", "generator"), ("D_X", "critic_x"),
+                           ("D_Z", "critic_z"), ("C", "classifier")):
+            want, got = getattr(full, attr), getattr(part, attr)
+            if name not in networks or want is None:
+                assert got is None, name
+                continue
+            assert {key: arr.tobytes() for key, arr in got.state().items()} == {
+                key: arr.tobytes() for key, arr in want.state().items()}, name
+        assert part.vocab.tokens == full.vocab.tokens
+        assert part.doc_freq.tobytes() == full.doc_freq.tobytes()
+        assert (part.num_topics, part.num_classes, part.config, part.seed,
+                part.train_doc_count) == (full.num_topics, full.num_classes, full.config,
+                                          full.seed, full.train_doc_count)
+
     def test_config_echo_preserved(self, tmp_path):
         state = trained_state(8)
         vocab = Vocabulary([f"t{i}" for i in range(9)])
@@ -316,6 +340,51 @@ class TestCorruptionFuzz:
         path.write_bytes(clean)
         assert main(["topics", "--ckpt", str(path), "--top-n", "3"]) == 0
 
+    @pytest.mark.parametrize("command", ["infer", "eval-coherence", "classify"])
+    def test_non_finite_value_in_any_blob_is_exit_2_for_each_read_command(
+            self, tmp_path, capsys, command):
+        # a command builds only the networks it runs, yet reads and checks
+        # every blob: a NaN or inf in a critic's blob is corruption too
+        path = tmp_path / "model.ckpt"
+        save_state(trained_state(14, supervised=True),
+                   Vocabulary([f"t{i}" for i in range(9)]), path)
+        docs, labels = tmp_path / "docs.txt", tmp_path / "labels.txt"
+        docs.write_text("t0 t1 t2 t3\nt4 t5 t6\nt7 t8 t0 t4\n")
+        labels.write_text("0\n1\n0\n")
+        argv = [command, "--ckpt", str(path)] + {
+            "infer": ["--docs", str(docs)],
+            "eval-coherence": ["--reference", str(docs), "--top-n", "3"],
+            "classify": ["--docs", str(docs), "--labels", str(labels)]}[command]
+        clean = path.read_bytes()
+        _, data = _layout(clean)
+        assert len(data) == 40   # the eight arrays of each of the five networks
+        for start, end in data:
+            at = start + 8 * ((end - start) // 16)
+            for value in (b"\xff" * 8, struct.pack("<d", float("inf"))):
+                path.write_bytes(clean[:at] + value + clean[at + 8:])
+                assert main(argv) == 2, (start, value)
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert "non-finite" in captured.err
+        path.write_bytes(clean)
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("index", [0, 8191, 8192, -1])
+    def test_non_finite_value_anywhere_in_a_large_blob_not_built(self, tmp_path, capsys,
+                                                                  index):
+        # the floats of a network that is not built pass through the
+        # reader's buffer a chunk at a time: every chunk is checked
+        nets, vocab = wide_networks()
+        nets["D_X"].layers[0].W.data.reshape(-1)[index] = np.nan
+        path = tmp_path / "model.ckpt"
+        save_networks(path, nets, vocab)
+        with pytest.raises(CheckpointError, match="'D_X.0.W' holds a non-finite value"):
+            load_checkpoint(path, networks=("G",))
+        assert main(["topics", "--ckpt", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+
 
 def _split_blobs(data: bytes):
     """A TOMCAT01 file as the bytes before the blob count, a list of
@@ -364,8 +433,10 @@ class TestBlobNames:
 
     def assert_corrupt(self, path, data, capsys, message):
         path.write_bytes(data)
-        with pytest.raises(CheckpointError, match=message):
-            load_checkpoint(path)
+        # a load that builds only the generator checks every blob all the same
+        for networks in (None, ("G",)):
+            with pytest.raises(CheckpointError, match=message):
+                load_checkpoint(path, networks=networks)
         assert main(["topics", "--ckpt", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -439,7 +510,8 @@ class TestBlobNames:
         self.assert_corrupt(path, _join_blobs(head, records, tail), capsys,
                             f"blob {name!r} has shape")
 
-    @pytest.mark.parametrize("name", ["E.2.gamma", "G.2.running_var", "D_Z.0.b", "C.3.b"])
+    @pytest.mark.parametrize("name", ["E.2.gamma", "G.2.running_var", "D_X.2.beta", "D_Z.0.b",
+                                      "C.3.b"])
     def test_middle_array_of_wrong_length_is_exit_2(self, tmp_path, capsys, name):
         path = self.saved(tmp_path, supervised=True)
         head, records, tail = _split_blobs(path.read_bytes())
@@ -542,3 +614,21 @@ class TestLoadMemory:
                       "D_Z": ckpt.critic_z, "C": ckpt.classifier}[name]
             for key, arr in net.state().items():
                 assert loaded.state()[key].tobytes() == arr.tobytes(), (name, key)
+
+    def test_load_of_the_generator_alone_peaks_below_the_file_size(self, tmp_path):
+        # the encoder's, the critics' and the classifier's floats pass through
+        # one small buffer, and only the generator is built
+        nets, vocab = wide_networks()
+        path = tmp_path / "model.ckpt"
+        save_networks(path, nets, vocab)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            ckpt = load_checkpoint(path, networks=("G",))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.0 * size, peak / size
+        assert (ckpt.encoder, ckpt.critic_x, ckpt.critic_z, ckpt.classifier) == (None,) * 4
+        for key, arr in nets["G"].state().items():
+            assert ckpt.generator.state()[key].tobytes() == arr.tobytes(), key

@@ -1366,6 +1366,28 @@ class TestHelp:
         assert captured.err == ""
 
 
+class TestOneParser:
+    def test_one_parser_serves_many_calls(self, workdir, capsys, monkeypatch):
+        # main() parses with the process's one parser: after a refused flag,
+        # a missing required flag and --help, each call gives what it gives
+        # as the first call of a fresh process
+        assert cli.build_parser() is cli.build_parser()
+        monkeypatch.setenv("COLUMNS", "80")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                               os.environ.get("PYTHONPATH", "")]))
+        calls = [(["topics", "--bogus"], 1), (["topics"], 1), (["--help"], 0),
+                 (["topics", "--ckpt", str(workdir / "model.ckpt")], 0)]
+        for argv, want in calls:
+            fresh = subprocess.run([sys.executable, "-m", "tomcat", *argv], env=env,
+                                   capture_output=True, text=True, timeout=60)
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == fresh.returncode == want, argv
+            assert (captured.out, captured.err) == (fresh.stdout, fresh.stderr), argv
+            assert captured.out or captured.err
+
+
 class _Made(Exception):
     """Raised by a config class once it is made, so the command stops there."""
 

@@ -113,6 +113,19 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary(["a", "a"])
 
+    @pytest.mark.parametrize("tokens, message", [(["a", "a"], "must be unique"),
+                                                 (["a", "b", "c", "b"], "must be unique"),
+                                                 (["a"], "at least 2 tokens"),
+                                                 ([], "at least 2 tokens")])
+    def test_each_rule_has_its_message(self, tokens, message):
+        # a repeated token is reported before a count below two
+        with pytest.raises(ValueError, match=message):
+            Vocabulary(tokens)
+
+    def test_index_gives_each_token_its_position(self):
+        tokens = [f"w{i}" for i in range(2000)]
+        assert Vocabulary(tokens).index == {t: i for i, t in enumerate(tokens)}
+
 
 class TestTfidf:
     def test_hand_example_idf_cancels(self):
