@@ -11,9 +11,15 @@ eval-coherence. It then writes seed 0 of the benchmark's 20NG-shaped
 corpus (perfbench/ng20corpus.py, imported read-only) to ng20/docs.txt and
 runs NG20_SEQUENCE on it: ingest --max-vocab 2000, train 10 iterations,
 topics, infer and eval-coherence at windows 2 and 10. That file is 8.3 MB,
-so infer and eval-coherence read it in two spans. It prints a JSON object:
-numpy's version and BLAS build, and the sha256 of each command's stdout and
-of each file under the directory. With --write it records that object in
+so infer and eval-coherence read it in two spans. Last it runs
+MIXED_SEQUENCE on mixed/docs.txt, the same lines with the line ends of
+MIXED_ENDS in turn, a whitespace-only line every 97 lines and a non-ASCII
+token every 389 (write_mixed_corpus), also read in two spans: ingest
+--max-vocab 2000, and infer and eval-coherence at window 10 with the ng20
+checkpoint; infer's stderr is hashed too, as its warnings place the
+whitespace-only lines. It prints a JSON object:
+numpy's version and BLAS build, and the sha256 of each command's stdout (and
+of infer's stderr on mixed/docs.txt) and of each file under the directory. With --write it records that object in
 golden/outputs.json instead, to re-base the golden outputs after a change
 made on purpose.
 
@@ -65,6 +71,15 @@ NG20_SEQUENCE = [
     ("ng20 eval-coherence --window 10", ["eval-coherence", "--ckpt", "ng20/model.ckpt",
                                          "--window", "10"]),
 ]
+MIXED_SEQUENCE = [
+    ("mixed ingest", ["ingest", "--docs", "mixed/docs.txt", "--max-vocab", "2000",
+                      "--out", "mixed/data"]),
+    ("mixed infer", ["infer", "--ckpt", "ng20/model.ckpt", "--docs", "mixed/docs.txt"]),
+    ("mixed eval-coherence --window 10", ["eval-coherence", "--ckpt", "ng20/model.ckpt",
+                                          "--reference", "mixed/docs.txt", "--window", "10"]),
+]
+# every line end of universal newlines, and three that only str.splitlines cuts at
+MIXED_ENDS = ("\n", "\r\n", "\r", "\x0c", "\x85", "\u2028")
 
 
 def build() -> dict:
@@ -83,15 +98,32 @@ def write_ng20_corpus(path: Path) -> None:
     ng20corpus.write_corpus(ng20corpus.generate(0), path)
 
 
-def run(sequence: list, hashes: dict) -> None:
-    """Run each command of sequence, recording the sha256 of its stdout."""
+def write_mixed_corpus(source: Path, path: Path) -> None:
+    """The lines of source with the line ends of MIXED_ENDS in turn, a
+    whitespace-only line added every 97 lines and a non-ASCII token every
+    389."""
+    lines = []
+    for i, line in enumerate(source.read_text(encoding="utf-8").splitlines()):
+        if i % 97 == 96:
+            lines.append(" \t")
+        lines.append(f"{line} \u00c9t\u00e9{i % 5}" if i % 389 == 388 else line)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes("".join(line + MIXED_ENDS[i % len(MIXED_ENDS)]
+                             for i, line in enumerate(lines)).encode("utf-8"))
+
+
+def run(sequence: list, hashes: dict, stderr: tuple[str, ...] = ()) -> None:
+    """Run each command of sequence, recording the sha256 of its stdout, and
+    of its stderr for the commands named in stderr."""
     for name, argv in sequence:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         if code != 0:
-            raise SystemExit(f"{name} exited with {code}")
+            raise SystemExit(f"{name} exited with {code}: {err.getvalue()}")
         hashes[f"{name} stdout"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        if name in stderr:
+            hashes[f"{name} stderr"] = hashlib.sha256(err.getvalue().encode()).hexdigest()
 
 
 def outputs() -> dict:
@@ -105,6 +137,8 @@ def outputs() -> dict:
             run(SEQUENCE, hashes)
             write_ng20_corpus(Path("ng20", "docs.txt"))
             run(NG20_SEQUENCE, hashes)
+            write_mixed_corpus(Path("ng20", "docs.txt"), Path("mixed", "docs.txt"))
+            run(MIXED_SEQUENCE, hashes, stderr=("mixed infer",))
             for path in sorted(Path().rglob("*")):
                 if path.is_file():
                     hashes[path.as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
