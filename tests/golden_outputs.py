@@ -17,9 +17,9 @@ MIXED_ENDS in turn, a whitespace-only line every 97 lines and a non-ASCII
 token every 389 (write_mixed_corpus), also read in two spans: ingest
 --max-vocab 2000, and infer and eval-coherence at window 10 with the ng20
 checkpoint; infer's stderr is hashed too, as its warnings place the
-whitespace-only lines. It prints a JSON object:
-numpy's version and BLAS build, and the sha256 of each command's stdout (and
-of infer's stderr on mixed/docs.txt) and of each file under the directory. With --write it records that object in
+whitespace-only lines. It prints a JSON object: numpy's version and BLAS
+build, and the sha256 of each command's stdout (and of that stderr) and of
+each file under the directory. With --write it records that object in
 golden/outputs.json instead, to re-base the golden outputs after a change
 made on purpose.
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-CHECKED = ("BENCH_26.json", "BENCH_29.json")
+CHECKED = ("BENCH_22.json", "BENCH_24.json", "BENCH_25.json", "BENCH_26.json", "BENCH_29.json",
+           "BENCH_30.json")
 
 
 def _bounds() -> dict[str, tuple[str, float]]:

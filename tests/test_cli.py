@@ -109,7 +109,7 @@ class TestIngest:
         # ingest reads every block to rank its vocabulary, then hands each
         # to count_documents and drops it: when count_documents asks for a
         # block, only the one it has just counted is still alive
-        monkeypatch.setattr(corpus_module, "READ_CHARS", 64)
+        monkeypatch.setattr(corpus_module, "READ_BYTES", 64)
         count_documents, alive, refs = cli.count_documents, [], []
 
         def watched(blocks, vocab):
@@ -889,19 +889,19 @@ class TestStreamingMatchesWholeFile:
     encodes BLOCK_ROWS documents at a time; its output must be the bytes of
     the whole-file commands it replaced, whatever the block sizes and
     whether the file is read in spans, in one round of 3 or in several. One
-    character per block makes every line a block."""
+    byte per read makes every line a block."""
 
-    # (read_chars, block_rows, largest span in bytes or None for one span)
+    # (read bytes, block_rows, largest span in bytes or None for one span)
     BLOCKS = [(read_chars, block_rows, None) for block_rows in (BLOCK_ROWS, 7)
-              for read_chars in (1, 7, corpus_module.READ_CHARS)
-              ] + [(7, 7, 4096), (corpus_module.READ_CHARS, BLOCK_ROWS,
+              for read_chars in (1, 7, corpus_module.READ_BYTES)
+              ] + [(7, 7, 4096), (corpus_module.READ_BYTES, BLOCK_ROWS,
                                   corpus_module.MAX_SPAN_BYTES)]
 
     @pytest.fixture(params=BLOCKS, ids=lambda b: f"read_chars={b[0]}-block_rows={b[1]}"
                                                  + ("-spans" if b[2] else ""))
     def blocks(self, request, monkeypatch):
         read_chars, block_rows, max_span_bytes = request.param
-        monkeypatch.setattr(corpus_module, "READ_CHARS", read_chars)
+        monkeypatch.setattr(corpus_module, "READ_BYTES", read_chars)
         monkeypatch.setattr(corpus_module, "BLOCK_ROWS", block_rows)
         monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
         if max_span_bytes:
@@ -1017,8 +1017,8 @@ class TestMemoryBoundedInSpans(TestMemoryBoundedByTheBlock):
     """Read in spans, the commands keep a block of documents too: this
     process takes each span reader's blocks, or its topic rows, one at a
     time. Every eightfold corpus is read in 3 spans; so is infer's 1x
-    corpus, and each of its spans holds a full block of READ_CHARS
-    characters and, as each span is encoded on its own, about a full group
+    corpus, and each of its spans holds a full block of READ_BYTES
+    bytes and, as each span is encoded on its own, about a full group
     of BLOCK_ROWS documents."""
 
     GROUPS = 3
@@ -1028,6 +1028,13 @@ class TestMemoryBoundedInSpans(TestMemoryBoundedByTheBlock):
         force_spans(monkeypatch, 1 << 17)
         yield
         assert children
+
+
+class KilledWhenPickled:
+    """An object whose pickling kills the process that pickles it."""
+
+    def __reduce__(self):
+        os.kill(os.getpid(), signal.SIGKILL)
 
 
 class TestSpanReaders:
@@ -1084,6 +1091,26 @@ class TestSpanReaders:
             serve(self, fd, span, stage)
 
         monkeypatch.setattr(DocumentFile, "_serve", killed_if_last)
+        assert main(["infer", "--ckpt", str(workdir / "model.ckpt"), "--docs", str(docs)]) == 1
+        err = self.assert_one_error_line(capfd, docs)
+        start, end = children[-1].span
+        assert err.endswith(f": the reader of bytes {start} to {end} was killed by signal 9 "
+                            "before it was done\n")
+        assert len(children) == 2 and end == docs.stat().st_size
+
+    def test_reader_killed_while_pickling_an_item_is_exit_1(self, workdir, docs, capfd,
+                                                             children, monkeypatch):
+        # the reader of the last span dies part-way through pickling an item
+        # of 1 MiB, so what reaches the pipe, if anything, ends inside it
+        serve = DocumentFile._serve
+
+        def dies_pickling_if_last(self, fd, span, stage):   # runs in the reader
+            def staged(blocks):
+                yield from stage(blocks)
+                yield bytes(1 << 20), KilledWhenPickled()
+            serve(self, fd, span, staged if span == self.spans[-1] else stage)
+
+        monkeypatch.setattr(DocumentFile, "_serve", dies_pickling_if_last)
         assert main(["infer", "--ckpt", str(workdir / "model.ckpt"), "--docs", str(docs)]) == 1
         err = self.assert_one_error_line(capfd, docs)
         start, end = children[-1].span

@@ -16,6 +16,7 @@ from tomcat.corpus import (
     CsrRows,
     DocumentFile,
     Documents,
+    FirstSeen,
     RowsError,
     TfidfMatrix,
     Vocabulary,
@@ -24,10 +25,10 @@ from tomcat.corpus import (
     idf_weights,
     load_documents,
     load_rows,
-    open_span,
     save_rows,
     tfidf,
     tfidf_transform,
+    _read_blocks,
 )
 
 
@@ -794,12 +795,12 @@ def children(monkeypatch):
             waitpid(reader.pid, os.WNOHANG)
 
 
-# (with_vocab, read_chars, spans): one line per block at 1 character, blocks
-# end mid-text at 7, and with spans each text of 8 bytes or more is read in
+# (with_vocab, read bytes, spans): one line per block at 1 byte, reads end
+# mid-text at 7, and with spans each text of 8 bytes or more is read in
 # up to 3 spans, whose readers number their own tokens (a vocabulary is
 # looked up in this process only, as TestStreamingMatchesWholeFile checks)
 READERS = [pytest.param(with_vocab, read_chars, False, id=f"{with_vocab}-{read_chars}")
-           for with_vocab in (False, True) for read_chars in (corpus_module.READ_CHARS, 1, 7)
+           for with_vocab in (False, True) for read_chars in (corpus_module.READ_BYTES, 1, 7)
            ] + [pytest.param(False, 7, True, id="False-7-spans")]
 
 
@@ -808,7 +809,7 @@ class TestReaderMatchesOracle:
 
     @pytest.mark.parametrize("with_vocab, read_chars, spans", READERS)
     def test_random_texts(self, tmp_path, monkeypatch, with_vocab, read_chars, spans):
-        monkeypatch.setattr(corpus_module, "READ_CHARS", read_chars)
+        monkeypatch.setattr(corpus_module, "READ_BYTES", read_chars)
         if spans:
             force_spans(monkeypatch, 8)
         for seed, rng, text in reader_cases():
@@ -921,16 +922,20 @@ class TestSpans:
             set_threads(before)
 
     def test_a_span_reads_only_its_bytes(self, tmp_path):
+        # a span is read at its offsets and moves no position of the file;
+        # with no end, the file is read from its position on
         path = tmp_path / "docs.txt"
-        path.write_bytes(b"a b\nc d\ne f\n")
+        path.write_bytes(b"a b\nc D\ne f g\n")
         with open(path, "rb") as file:
-            fd = file.fileno()
-            assert open_span(fd, 4, 8).read() == "c d\n"
-            assert open_span(fd, 4, 8).buffer.raw.readall() == b"c d\n"
-            assert open_span(fd, 4, 8).buffer.raw.read() == b"c d\n"
-            with pytest.raises(OSError):
-                open_span(fd, 4, 8).buffer.raw.seek(0)
+            table = FirstSeen()
+            blocks = list(_read_blocks(file.fileno(), 4, 8, table))
             assert file.tell() == 0
+            assert [(n.tolist(), ids.tolist()) for n, ids in blocks] == [([2], [0, 1])]
+            assert table.tokens == ["c", "d"]
+            file.seek(4)
+            blocks = list(_read_blocks(file.fileno(), 0, None, table))
+            assert [(n.tolist(), ids.tolist()) for n, ids in blocks] == [([2, 3], [0, 1, 2, 3, 4])]
+            assert table.tokens == ["c", "d", "e", "f", "g"]
 
     def test_pipe_is_one_span(self, tmp_path, children):
         fifo = tmp_path / "docs.fifo"
