@@ -31,6 +31,7 @@ from .corpus import (
     group_documents,
     load_documents,
     load_rows,
+    one_blas_thread,
     save_rows,
     tfidf,
     tfidf_transform,
@@ -263,18 +264,29 @@ def _encode(ckpt, source: DocumentFile, labels: list[int] | None = None):
 def _encode_span(ckpt, blocks):
     """Topic rows for the documents of blocks, and the positions among them
     of those of zero weight: counted, weighted and encoded BLOCK_ROWS
-    documents at a time, so only the topic rows outlive a group. A row
-    depends on its document alone, so it is the same whatever the group."""
+    documents at a time, so only the topic rows outlive a group. Each group
+    is weighed into one zero (BLOCK_ROWS, V) array, made once, which E
+    encodes whole, a short group's rows padded with zero rows; the group's
+    entries are cleared after it. So every product has BLOCK_ROWS rows and
+    runs on one BLAS thread (corpus.one_blas_thread), and a row depends on
+    its document alone: a product over fewer rows, or split over threads,
+    may sum in another order."""
+    x = np.zeros((BLOCK_ROWS, ckpt.vocab.size))
     rows, invalid, done = [np.zeros((0, ckpt.num_topics))], [], 0
-    for group in group_documents(blocks):
-        x, valid = tfidf_transform(count_documents([group], ckpt.vocab)[0],
-                                   ckpt.doc_freq, ckpt.train_doc_count)
-        z = np.full((len(x), ckpt.num_topics), 1.0 / ckpt.num_topics)
-        if valid.any():
-            z[valid], _ = ckpt.encoder.forward(x if valid.all() else x[valid], train=False)
-        invalid.append(done + np.flatnonzero(~valid))
-        done += len(x)
-        rows.append(z)
+    restore_blas = one_blas_thread()
+    try:
+        for group in group_documents(blocks):
+            counts = count_documents([group], ckpt.vocab)[0]
+            n = counts.shape[0]
+            _, valid = tfidf_transform(counts, ckpt.doc_freq, ckpt.train_doc_count, out=x[:n])
+            z = ckpt.encoder.forward(x, train=False)[0][:n]
+            z[~valid] = 1.0 / ckpt.num_topics
+            x[np.repeat(np.arange(n), np.diff(counts.indptr)), counts.indices] = 0.0
+            invalid.append(done + np.flatnonzero(~valid))
+            done += n
+            rows.append(z)
+    finally:
+        restore_blas()
     return np.concatenate(rows), np.concatenate([np.zeros(0, dtype=np.int64)] + invalid)
 
 

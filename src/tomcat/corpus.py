@@ -78,7 +78,7 @@ class CsrRows:
     not stored are zero."""
 
     indptr: np.ndarray    # int64, n_rows + 1 offsets from 0 to nnz
-    indices: np.ndarray   # int64 column of each stored entry
+    indices: np.ndarray   # int32 column of each stored entry
     data: np.ndarray      # float64 value of each stored entry
     num_cols: int
 
@@ -619,8 +619,8 @@ def count_documents(blocks: Iterable[Documents], vocab: Vocabulary) -> list[CsrR
         cells = (np.repeat(np.arange(n_docs) * vocab.size, docs.lengths) + ids)[ids >= 0]
         cells, counts = np.unique(cells, return_counts=True)
         doc, cols = np.divmod(cells, vocab.size)
-        rows.append(CsrRows(_offsets(np.bincount(doc, minlength=n_docs)), cols,
-                            counts.astype(np.float64), vocab.size))
+        rows.append(CsrRows(_offsets(np.bincount(doc, minlength=n_docs)),
+                            cols.astype(np.int32), counts.astype(np.float64), vocab.size))
     return rows
 
 
@@ -681,7 +681,7 @@ def tfidf(counts: list[CsrRows]) -> TfidfMatrix:
     weight = np.empty(n_docs)
     lengths = np.empty(n_docs, dtype=np.int64)   # entries kept in each row
     total = sum(int(block.indptr[-1]) for block in counts)
-    indices = np.empty(total, dtype=np.int64)
+    indices = np.empty(total, dtype=np.int32)
     data = np.empty(total)
     nnz = done = 0
     for block in counts:
@@ -708,16 +708,17 @@ def tfidf(counts: list[CsrRows]) -> TfidfMatrix:
                        doc_freq=doc_freq, n_docs=n_docs)
 
 
-def tfidf_transform(counts: CsrRows, doc_freq: np.ndarray, n_docs: int
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def tfidf_transform(counts: CsrRows, doc_freq: np.ndarray, n_docs: int,
+                    out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Dense TF-IDF rows of unseen documents' count rows, using training-split
-    idf statistics.
+    idf statistics, written over out when given: a contiguous zero array of
+    counts' shape, of which only the stored entries are written.
 
     Returns (rows, valid): documents whose weight sums to zero keep an
     all-zero row and are marked invalid rather than dropped, so callers
     can report them positionally.
     """
-    rows = np.zeros(counts.shape)   # also the kernel's row-sum buffer
+    rows = np.zeros(counts.shape) if out is None else out   # also the kernel's row-sum buffer
     row, values, weight = _weigh(counts, idf_weights(doc_freq, n_docs), rows)
     valid = weight > 0
     # an invalid row's values are all zero: dividing them by 1 keeps them zero
@@ -727,23 +728,28 @@ def tfidf_transform(counts: CsrRows, doc_freq: np.ndarray, n_docs: int
 
 # rows.bin: ROWS_MAGIC and the header's counts n_rows, nnz, num_words and
 # labelled (0 or 1) as little-endian int64, then the arrays indptr
-# (n_rows + 1), indices (nnz), data (nnz, float64), doc_freq (num_words),
-# kept_docs (n_rows) and, when labelled, labels (n_rows), all but data
-# little-endian int64, then the zlib.crc32 of every byte before it as a
-# little-endian uint32. The 40-byte header keeps every array 8-byte aligned.
-ROWS_MAGIC = b"TCROWS01"
+# (n_rows + 1), data (nnz, float64), doc_freq (num_words), kept_docs
+# (n_rows) and, when labelled, labels (n_rows), all but data little-endian
+# int64, then indices (nnz, little-endian int32), then the zlib.crc32 of
+# every byte before it as a little-endian uint32. The 40-byte header and the
+# 8-byte arrays ahead of the 4-byte indices keep every array aligned.
+ROWS_MAGIC = b"TCROWS02"
+# the layout before it, with the same header and trailer and int64 indices
+# between indptr and data
+_OLD_ROWS_MAGIC = b"TCROWS01"
 _ROWS_HEADER = struct.Struct("<8s4q")
 
 
 def save_rows(path: str | Path, mat: TfidfMatrix, labels: np.ndarray | None) -> None:
     """Write mat's CSR rows, doc_freq, kept row ids and, when given, the kept
-    rows' labels to a rows.bin file, atomically; no array is copied."""
+    rows' labels to a rows.bin file, atomically; no array of the layout's
+    type is copied."""
     csr = mat.csr
-    arrays = [np.asarray(csr.indptr, dtype="<i8"), np.asarray(csr.indices, dtype="<i8"),
-              np.asarray(csr.data, dtype="<f8"), np.asarray(mat.doc_freq, dtype="<i8"),
-              np.asarray(mat.kept_docs, dtype="<i8")]
+    arrays = [np.asarray(csr.indptr, dtype="<i8"), np.asarray(csr.data, dtype="<f8"),
+              np.asarray(mat.doc_freq, dtype="<i8"), np.asarray(mat.kept_docs, dtype="<i8")]
     if labels is not None:
         arrays.append(np.asarray(labels, dtype="<i8"))
+    arrays.append(np.asarray(csr.indices, dtype="<i4"))
     header = _ROWS_HEADER.pack(ROWS_MAGIC, csr.indptr.size - 1, csr.indices.size,
                                csr.num_cols, labels is not None)
     crc = zlib.crc32(header)
@@ -759,8 +765,9 @@ def load_rows(path: str | Path, num_words: int, n_docs: int,
     words. The arrays are read-only views of the file's bytes, read once.
 
     Raises RowsError when the file is not one save_rows wrote: its magic or
-    CRC is wrong, its header disagrees with its length or the vocabulary, or
-    its arrays break the layout. An unreadable file raises OSError.
+    CRC is wrong, its header disagrees with its length or the vocabulary,
+    or its arrays break the layout. An undamaged file of an older ingest's
+    layout raises CorpusError, and an unreadable file OSError.
     """
     blob = Path(path).read_bytes()
 
@@ -768,23 +775,27 @@ def load_rows(path: str | Path, num_words: int, n_docs: int,
         if not ok:
             raise RowsError(f"{path}: {what}")
 
-    check(len(blob) >= _ROWS_HEADER.size + 4 and blob.startswith(ROWS_MAGIC),
+    check(len(blob) >= _ROWS_HEADER.size + 4 and blob[:8] in (ROWS_MAGIC, _OLD_ROWS_MAGIC),
           "not a rows file written by 'ingest'")
     check(zlib.crc32(memoryview(blob)[:-4]) == int.from_bytes(blob[-4:], "little"),
           "checksum mismatch: the file is damaged")
+    if blob.startswith(_OLD_ROWS_MAGIC):
+        raise CorpusError(f"{path} was written by an older ingest: re-run 'ingest'")
     _, n_rows, nnz, words, labelled = _ROWS_HEADER.unpack_from(blob)
     check(labelled in (0, 1), f"labelled must be 0 or 1, not {labelled}")
-    sizes = [n_rows + 1, nnz, nnz, words, n_rows] + [n_rows] * labelled
-    check(min(n_rows, nnz) >= 0 and _ROWS_HEADER.size + 8 * sum(sizes) + 4 == len(blob),
+    layout = ([("<i8", n_rows + 1), ("<f8", nnz), ("<i8", words), ("<i8", n_rows)]
+              + [("<i8", n_rows)] * labelled + [("<i4", nnz)])
+    size = _ROWS_HEADER.size + sum(np.dtype(dtype).itemsize * n for dtype, n in layout) + 4
+    check(min(n_rows, nnz) >= 0 and size == len(blob),
           f"the header's {n_rows} rows, {nnz} entries and {words} words disagree with "
           f"the file's {len(blob)} bytes")
     check(words == num_words, f"{words} words, not the vocabulary's {num_words}")
     arrays, at = [], _ROWS_HEADER.size
-    for k, size in enumerate(sizes):
-        arrays.append(np.frombuffer(blob, "<f8" if k == 2 else "<i8", size, at))
-        at += 8 * size
-    indptr, indices, data, doc_freq, kept = arrays[:5]
-    labels = arrays[5] if labelled else None
+    for dtype, n in layout:
+        arrays.append(np.frombuffer(blob, dtype, n, at))
+        at += arrays[-1].nbytes
+    indptr, data, doc_freq, kept, *labels, indices = arrays
+    labels = labels[0] if labelled else None
     check(indptr[0] == 0 and indptr[-1] == nnz,
           "indptr must run from 0 to the number of stored entries")
     check((np.diff(indptr) > 0).all(), "indptr must be strictly increasing (no empty row)")

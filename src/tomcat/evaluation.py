@@ -277,22 +277,22 @@ def make_synthetic(spec: SyntheticSpec) -> tuple[CsrRows, list[int], list[list[i
     """
     rng = np.random.default_rng(spec.seed)
     thetas = sample_prior(spec.num_topics, spec.doc_topic_alpha, spec.num_docs, rng)
+    if spec.vocab_size > np.iinfo(np.int32).max:
+        raise EvaluationError(f"{spec.vocab_size} words do not fit int32 word ids")
+    # the supports next: the one array as long as the vocabulary, so a size
+    # too large to allocate fails here, before any document is drawn
+    supports = np.arange(spec.vocab_size, dtype=np.int32).reshape(spec.num_topics, -1)
     # each document's stored entries: its words, in increasing order, and counts
     cols, counts = [], []
     for theta in thetas:
         topics = rng.choice(spec.num_topics, size=spec.doc_length, p=theta)
         offsets = rng.integers(0, spec.words_per_topic, size=spec.doc_length)
-        row = np.bincount(topics * spec.words_per_topic + offsets, minlength=spec.vocab_size)
-        col = np.flatnonzero(row)
-        cols.append(col)
-        counts.append(row[col].astype(np.float64))
+        col, count = np.unique(topics * spec.words_per_topic + offsets, return_counts=True)
+        cols.append(col.astype(np.int32))
+        counts.append(count.astype(np.float64))
     rows = CsrRows(_offsets(np.array([c.size for c in cols], dtype=np.int64)),
                    np.concatenate(cols), np.concatenate(counts), spec.vocab_size)
-    # the supports last: a size too large to allocate fails above, at an
-    # array's allocation, before any Python list fills the memory
-    supports = [list(range(k * spec.words_per_topic, (k + 1) * spec.words_per_topic))
-                for k in range(spec.num_topics)]
-    return rows, thetas.argmax(axis=1).tolist(), supports
+    return rows, thetas.argmax(axis=1).tolist(), supports.tolist()
 
 
 def synthetic_vocabulary(spec: SyntheticSpec) -> Vocabulary:

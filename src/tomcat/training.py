@@ -20,6 +20,7 @@ hold the loss records of the iterations completed before it.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -207,19 +208,24 @@ class Workspace:
     input gradient takes G(E(x))'s output array (at V=2000 this sharing
     lowers the whole training run's peak RSS by about 2.3 MB). The passes
     of E and G share one weight-shaped scratch array for the second
-    gradient term of each weight. The workspace holds no state between
-    steps; a deep copy is a new one.
+    gradient term of each weight: the head of the critics' flat gradient
+    buffer, critic_params.grad, which holds more entries than either weight
+    of E or G. Only the mapper phase writes the scratch, and it computes no
+    critic gradient; a critic step writes each critic gradient's first term
+    over it before Adam reads it. The workspace holds no state between
+    steps; a deep copy is a new one, on the copy of critic_params.
     """
 
-    def __init__(self, table: list[tuple[str, int, int, bool]], hidden: int, batch: int):
-        self.args = (table, hidden, batch)
+    def __init__(self, table: list[tuple[str, int, int, bool]], hidden: int, batch: int,
+                 critic_params: ParamGroup):
+        self.args = (table, hidden, batch, critic_params)
         nets = {name: (in_dim, hidden, out_dim, softmax)
                 for name, in_dim, out_dim, softmax in table}
         num_words, _, num_topics, _ = nets["E"]
         self.x_pair = np.empty((2 * batch, num_words))
         self.z_pair = np.empty((2 * batch, num_topics))
         self.real_x, self.real_z = self.x_pair[:batch], self.z_pair[:batch]
-        scratch = np.empty(hidden * max(num_words, num_topics))
+        scratch = critic_params.grad[:hidden * max(num_words, num_topics)]
         self.e_x = pass_buffers(*nets["E"], batch, out=self.z_pair[batch:], scratch=scratch)
         self.g_z = pass_buffers(*nets["G"], batch, out=self.x_pair[batch:], scratch=scratch)
         self.g_e_x = pass_buffers(*nets["G"], batch, grad=np.empty((batch, num_topics)),
@@ -242,7 +248,8 @@ class Workspace:
         self.mapper_up = np.vstack([np.zeros((batch, 1)), np.full((batch, 1), -1.0 / batch)])
 
     def __deepcopy__(self, memo):
-        return Workspace(*self.args)
+        *args, critic_params = self.args
+        return Workspace(*args, copy.deepcopy(critic_params, memo))
 
 
 @dataclass
@@ -278,6 +285,7 @@ def init_state(config: TrainConfig, num_words: int, num_classes: int = 0) -> Tra
     rng = np.random.default_rng(config.seed)
     table = network_table(num_words, config.num_topics, num_classes if config.supervised else 0)
     nets = build_networks(table, config.hidden, rng)
+    critic_params = ParamGroup(nets["D_X"].parameters() + nets["D_Z"].parameters())
     adam_cls = None
     classifier_params = None
     if config.supervised:
@@ -292,19 +300,20 @@ def init_state(config: TrainConfig, num_words: int, num_classes: int = 0) -> Tra
         classifier=nets.get("C"),
         adam_main=Adam(lr=config.lr_main, beta1=config.beta1_main),
         adam_cls=adam_cls,
-        critic_params=ParamGroup(nets["D_X"].parameters() + nets["D_Z"].parameters()),
+        critic_params=critic_params,
         mapper_params=ParamGroup(nets["E"].parameters() + nets["G"].parameters()),
         classifier_params=classifier_params,
         rng=rng,
         table=table,
-        workspace=Workspace(table, config.hidden, config.batch_size),
+        workspace=Workspace(table, config.hidden, config.batch_size, critic_params),
     )
 
 
 def _workspace(state: TrainState) -> Workspace:
     """The state's workspace, made again if train dropped it."""
     if state.workspace is None:
-        state.workspace = Workspace(state.table, state.config.hidden, state.config.batch_size)
+        state.workspace = Workspace(state.table, state.config.hidden, state.config.batch_size,
+                                    state.critic_params)
     return state.workspace
 
 

@@ -36,7 +36,7 @@ def csr_from_dense(dense: np.ndarray) -> CsrRows:
     # is several times slower
     flat = np.flatnonzero(dense.ravel() != 0)
     rows, cols = np.divmod(flat, dense.shape[1])
-    return CsrRows(_offsets(np.bincount(rows, minlength=dense.shape[0])), cols,
+    return CsrRows(_offsets(np.bincount(rows, minlength=dense.shape[0])), cols.astype(np.int32),
                    dense.ravel()[flat].astype(np.float64), dense.shape[1])
 
 

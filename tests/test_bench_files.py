@@ -10,7 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 CHECKED = ("BENCH_22.json", "BENCH_24.json", "BENCH_25.json", "BENCH_26.json", "BENCH_29.json",
-           "BENCH_30.json")
+           "BENCH_30.json", "BENCH_31.json")
 
 
 def _bounds() -> dict[str, tuple[str, float]]:

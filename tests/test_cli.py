@@ -35,14 +35,15 @@ from test_evaluation import oracle_cooc
 from tomcat import checkpoint, cli
 from tomcat.checkpoint import load_checkpoint
 from tomcat.cli import main
-from tomcat.corpus import (BLOCK_ROWS, ROWS_MAGIC, CsrRows, DocumentFile, RowsError, TfidfMatrix,
-                           Vocabulary, load_rows, save_rows, tfidf_transform)
+from tomcat.corpus import (BLOCK_ROWS, CorpusError, CsrRows, DocumentFile, RowsError,
+                           TfidfMatrix, Vocabulary, load_rows, save_rows, tfidf_transform)
 from tomcat.evaluation import (
     SyntheticSpec,
     format_coherence_report,
     model_coherence,
     topic_word_ids,
 )
+from tomcat.networks import build_networks, network_table
 from tomcat.training import ConfigError, TrainConfig
 
 
@@ -472,13 +473,8 @@ class TestDataDirectory:
         vocab = Vocabulary.load(workdir / "data" / "vocab.txt")
         rows, kept, _, doc_freq = oracle_tfidf(oracle_count_documents(docs, vocab), vocab.size)
         indptr, indices, data = csr_of(rows)
-        arrays = [indptr, indices, data, doc_freq, np.array(kept),
-                  np.array(labels)[kept]]
-        want = (ROWS_MAGIC
-                + np.array([len(kept), indices.size, vocab.size, 1], dtype="<i8").tobytes()
-                + b"".join(a.astype("<f8" if k == 2 else "<i8").tobytes()
-                           for k, a in enumerate(arrays)))
-        want += zlib.crc32(want).to_bytes(4, "little")
+        want = whole_file.rows_file(indptr, indices, data, vocab.size, doc_freq, kept,
+                                    np.array(labels)[kept])
         assert (workdir / "data" / "rows.bin").read_bytes() == want
         assert sorted(p.name for p in (workdir / "data").iterdir()) == [
             "docs.txt", "manifest.json", "rows.bin", "vocab.txt"]
@@ -556,6 +552,31 @@ class TestDataDirectory:
         assert "rows.bin" in captured.err and "older ingest" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "m.ckpt").exists()
+
+    def test_rows_file_of_an_older_ingest_is_exit_1(self, workdir, tmp_path, capsys):
+        # TCROWS01: the same header and trailer, int64 column ids between
+        # indptr and data; its CRC holds, so only ingest can mend it
+        data = tmp_path / "data"
+        shutil.copytree(workdir / "data", data)
+        mat, labels = load_rows(data / "rows.bin", 12, 150, 3)
+        arrays = [mat.csr.indptr, mat.csr.indices, mat.csr.data, mat.doc_freq,
+                  mat.kept_docs, labels]
+        old = (b"TCROWS01" + np.array([len(mat.kept_docs), mat.csr.indices.size, 12, 1],
+                                      "<i8").tobytes()
+               + b"".join(np.asarray(a, "<f8" if k == 2 else "<i8").tobytes()
+                          for k, a in enumerate(arrays)))
+        (data / "rows.bin").write_bytes(old + zlib.crc32(old).to_bytes(4, "little"))
+        with pytest.raises(CorpusError, match="older ingest"):
+            load_rows(data / "rows.bin", 12, 150, 3)
+        code = main(_train_args(data, tmp_path))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "rows.bin" in captured.err and "re-run 'ingest'" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "m.ckpt").exists()
+        # a damaged one is corrupt, as a damaged file of this layout is
+        (data / "rows.bin").write_bytes(old + b"\0\0\0\0")
+        assert main(_train_args(data, tmp_path)) == 2
 
     @pytest.mark.parametrize("content", ["empty", "wrong magic", "truncated", "header only"])
     def test_unreadable_rows_file_is_exit_2(self, workdir, tmp_path, capsys, content):
@@ -715,6 +736,49 @@ class TestInfer:
             for i in np.flatnonzero(~valid))
         assert cli._encode_documents(ckpt, path).tobytes() == z.tobytes()
         capsys.readouterr()
+
+
+class TestTopicRowsDependOnTheDocumentAlone:
+    """At the ng20 shape (V=2000, H=100) a product over a few rows may sum in
+    another order than one over a full group: every group is encoded as
+    BLOCK_ROWS rows, so a document's topic row has the same bits in a group
+    of one, at the end of a span and in a full group."""
+
+    @pytest.fixture(scope="class")
+    def ckpt(self):
+        rng = np.random.default_rng(60)
+        encoder = build_networks(network_table(2000, 20)[:1], 100, rng)["E"]
+        return checkpoint.Checkpoint(
+            num_topics=20, num_classes=0, vocab=Vocabulary([f"w{i:04d}" for i in range(2000)]),
+            encoder=encoder, generator=None, critic_x=None, critic_z=None, classifier=None,
+            config={}, seed=0, doc_freq=rng.integers(1, 3000, size=2000), train_doc_count=6000)
+
+    @pytest.fixture(scope="class")
+    def docs(self, tmp_path_factory):
+        # 601 lines of 150 five-character tokens, 900 bytes each: two
+        # readers cut the file after line 301, so their spans end in groups
+        # of 45 and 44 documents, and one reader's last group holds 89
+        rng = np.random.default_rng(61)
+        path = tmp_path_factory.mktemp("alone") / "docs.txt"
+        path.write_text("".join(" ".join(f"w{i:04d}" for i in rng.integers(0, 2000, 150)) + "\n"
+                                for _ in range(601)))
+        return path
+
+    def test_two_readers_give_the_rows_of_one(self, ckpt, docs, monkeypatch, children):
+        monkeypatch.setattr(corpus_module, "READERS", 1)
+        one = cli._encode_documents(ckpt, docs)
+        monkeypatch.setattr(corpus_module, "SPAN_BYTES", 1 << 16)
+        monkeypatch.setattr(corpus_module, "READERS", 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        two = cli._encode_documents(ckpt, docs)
+        assert [reader.span for reader in children] == [(301 * 900, 601 * 900)]
+        assert one.shape == (601, 20) and np.array_equal(one, two)
+
+    def test_a_document_alone_gives_its_row_in_a_full_group(self, ckpt, docs, tmp_path):
+        alone = tmp_path / "one.txt"
+        alone.write_text(docs.read_text().splitlines()[0] + "\n")
+        assert np.array_equal(cli._encode_documents(ckpt, alone)[0],
+                              cli._encode_documents(ckpt, docs)[0])
 
 
 class TestClassify:
@@ -1334,6 +1398,15 @@ class TestErrorPaths:
         # filling the capped memory
         assert "(10, 1000000000000)" in done.stderr
         assert done.stdout == ""
+
+    def test_synth_vocabulary_past_int32_word_ids_is_exit_1(self, tmp_path, capsys):
+        # 2 ** 31 words: one more than an int32 id can name
+        code = main(["synth", "--k", "2", "--words-per-topic", str(2 ** 30), "--docs", "10",
+                     "--doc-len", "5", "--out", str(tmp_path / "s")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {2 ** 31} words do not fit int32 word ids\n"
+        assert captured.out == "" and not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("flag, value", [("--alpha", "inf"), ("--alpha", "nan"),
                                              ("--seed", "-1")])

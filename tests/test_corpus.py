@@ -317,7 +317,7 @@ class TestCountDocuments:
         rng = np.random.default_rng(3)
         vocab = Vocabulary([f"w{i}" for i in range(500)])
         blocks = [Documents(vocab.tokens, rng.integers(0, 500, size=200 * 50, dtype=np.int32),
-                            np.full(200, 50, dtype=np.int64), None) for _ in range(64)]
+                            np.full(200, 50, dtype=np.int64), None) for _ in range(80)]
         tracemalloc.start()
         try:
             counts = count_documents(blocks, vocab)
@@ -346,10 +346,10 @@ class TestCsrRows:
 
 
 def large_rows() -> TfidfMatrix:
-    """4,000 rows of 90 entries over 2,000 words: 5.5 MiB of indices and data."""
-    n_rows, num_words, per_row = 4000, 2000, 90
+    """6,000 rows of 90 entries over 2,000 words: 6.2 MiB of indices and data."""
+    n_rows, num_words, per_row = 6000, 2000, 90
     rows = CsrRows(np.arange(n_rows + 1, dtype=np.int64) * per_row,
-                   np.tile(np.arange(per_row, dtype=np.int64) * 22, n_rows),
+                   np.tile(np.arange(per_row, dtype=np.int32) * 22, n_rows),
                    np.random.default_rng(0).uniform(0.1, 1.0, size=n_rows * per_row),
                    num_words)
     return TfidfMatrix(csr=rows, kept_docs=list(range(n_rows)), dropped_docs=[],
@@ -522,7 +522,7 @@ def csr_of(dense):
     """(indptr, indices, data) of the nonzero entries of a dense matrix."""
     rows, cols = np.nonzero(dense)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=dense.shape[0]))])
-    return indptr.astype(np.int64), cols.astype(np.int64), dense[rows, cols]
+    return indptr.astype(np.int64), cols.astype(np.int32), dense[rows, cols]
 
 
 def assert_matches_oracle(vocab, docs, held_out, case):

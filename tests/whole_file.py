@@ -7,6 +7,7 @@ the oracle."""
 from __future__ import annotations
 
 import json
+import zlib
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
@@ -22,7 +23,6 @@ from tomcat.corpus import (
     Vocabulary,
     _offsets,
     idf_weights,
-    save_rows,
 )
 from tomcat.evaluation import (
     CoocStats,
@@ -173,6 +173,20 @@ def build_cooc(docs, window_size, word_sets) -> CoocStats:
                      word_doc_counts=word_counts, pair_doc_counts=pair_counts)
 
 
+def rows_file(indptr, indices, data, num_words, doc_freq, kept, labels=None) -> bytes:
+    """The bytes of a rows.bin file, its layout spelled out here: the magic
+    TCROWS02 and the int64 counts n_rows, nnz, num_words and labelled, the
+    8-byte arrays indptr, data (float64), doc_freq, kept and, when given,
+    labels, then the int32 column ids, all little-endian, then the CRC-32 of
+    every byte before it."""
+    arrays = [np.asarray(indptr, "<i8"), np.asarray(data, "<f8"), np.asarray(doc_freq, "<i8"),
+              np.asarray(kept, "<i8")] + ([] if labels is None else [np.asarray(labels, "<i8")])
+    blob = (b"TCROWS02"
+            + np.array([len(kept), len(indices), num_words, labels is not None], "<i8").tobytes()
+            + b"".join(a.tobytes() for a in arrays) + np.asarray(indices, "<i4").tobytes())
+    return blob + zlib.crc32(blob).to_bytes(4, "little")
+
+
 def ingest(docs_path, label_path, out: Path, min_count=1, max_vocab=None) -> str:
     """Write vocab.txt, rows.bin and manifest.json to out; return stdout."""
     docs = load_documents(docs_path, label_path)
@@ -183,8 +197,10 @@ def ingest(docs_path, label_path, out: Path, min_count=1, max_vocab=None) -> str
     mat = tfidf(counts)
     out.mkdir(parents=True, exist_ok=True)
     vocab.save(out / "vocab.txt")
-    save_rows(out / "rows.bin", mat,
-              None if labels is None else np.asarray(labels, dtype=np.int64)[mat.kept_docs])
+    csr = mat.csr
+    (out / "rows.bin").write_bytes(rows_file(
+        csr.indptr, csr.indices, csr.data, vocab.size, mat.doc_freq, mat.kept_docs,
+        None if labels is None else np.asarray(labels)[mat.kept_docs]))
     manifest = {"n_docs": counts.shape[0], "vocab_size": vocab.size, "n_classes": num_classes,
                 "dropped_rows": mat.dropped_docs}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
