@@ -31,7 +31,6 @@ from .corpus import (
     group_documents,
     load_documents,
     load_rows,
-    one_blas_thread,
     save_rows,
     tfidf,
     tfidf_transform,
@@ -48,7 +47,7 @@ from .evaluation import (
 )
 from .fileio import write_atomic
 from .networks import SamplingError, top_word_ids, topic_word_distributions
-from .nn import NonFiniteError
+from .nn import NonFiniteError, one_blas_thread
 from .training import (
     LOSS_LOG_FIELDS,
     ConfigError,
@@ -268,13 +267,12 @@ def _encode_span(ckpt, blocks):
     is weighed into one zero (BLOCK_ROWS, V) array, made once, which E
     encodes whole, a short group's rows padded with zero rows; the group's
     entries are cleared after it. So every product has BLOCK_ROWS rows and
-    runs on one BLAS thread (corpus.one_blas_thread), and a row depends on
+    runs on one BLAS thread (nn.one_blas_thread), and a row depends on
     its document alone: a product over fewer rows, or split over threads,
     may sum in another order."""
     x = np.zeros((BLOCK_ROWS, ckpt.vocab.size))
     rows, invalid, done = [np.zeros((0, ckpt.num_topics))], [], 0
-    restore_blas = one_blas_thread()
-    try:
+    with one_blas_thread():
         for group in group_documents(blocks):
             counts = count_documents([group], ckpt.vocab)[0]
             n = counts.shape[0]
@@ -285,8 +283,6 @@ def _encode_span(ckpt, blocks):
             invalid.append(done + np.flatnonzero(~valid))
             done += n
             rows.append(z)
-    finally:
-        restore_blas()
     return np.concatenate(rows), np.concatenate([np.zeros(0, dtype=np.int64)] + invalid)
 
 

@@ -9,14 +9,11 @@ normalizes onto the vocabulary simplex.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import os
 import pickle
 import signal
 import stat
 import struct
-import sys
 import zlib
 from collections import deque
 from collections.abc import Iterable, Iterator
@@ -216,48 +213,6 @@ def _readers() -> int:
     return min(READERS, cpus)
 
 
-@functools.cache
-def blas_threads() -> tuple | None:
-    """The get and set functions of the thread count of the OpenBLAS numpy
-    is built with, or None, said once on stderr, where its BLAS is not
-    OpenBLAS or they are not found. Their names start with the library's
-    name in numpy's build configuration (scipy-openblas's with
-    "scipy_openblas_") and end in "64_" in a build with 64-bit integers;
-    they are looked up in the libraries that numpy's core module has
-    loaded."""
-    try:
-        name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-        core = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    except (AttributeError, KeyError, OSError, TypeError):
-        name = ""   # not OpenBLAS: nothing is looked up
-    name = name.replace("-", "_")
-    for suffix in ("64_", "") if "openblas" in name else ():
-        get, set_threads = (getattr(core, f"{name}_{op}_num_threads{suffix}", None)
-                            for op in ("get", "set"))
-        if get and set_threads:
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            return get, set_threads
-    print("warning: no BLAS thread setter found; BLAS keeps its thread count",
-          file=sys.stderr)
-    return None
-
-
-def one_blas_thread():
-    """Set BLAS to one thread (blas_threads) and return the function that
-    restores the count it had. Training gives the same bytes whatever the
-    count it was started with, and two processes that each ran a thread per
-    CPU made infer slower on two CPUs. Where no setter is found, nothing is
-    set and the function does nothing."""
-    threads = blas_threads()
-    if threads is None:
-        return lambda: None
-    get, set_threads = threads
-    before = get()
-    set_threads(1)
-    return lambda: set_threads(before)
-
-
 def _spans(fd: int, readers: int) -> list[tuple[int, int | None]]:
     """The (start, end) byte offsets of the spans the open file fd is read
     in by readers processes: for a regular file of at least SPAN_BYTES,
@@ -346,9 +301,8 @@ class DocumentFile:
     the output is that of one process reading the whole file. A reader
     inherits the vocabulary and gives its ids; with none, it numbers its
     span's tokens itself and this process maps them through its own table.
-    BLAS runs on one thread while readers run, and close() kills and reaps
-    every running reader. Either way of reading checks the label count once
-    the last span's items are taken (_items).
+    close() kills and reaps every running reader. Either way of reading
+    checks the label count once the last span's items are taken (_items).
     """
 
     def __init__(self, path: str | Path, label_path: str | Path | None = None,
@@ -370,7 +324,6 @@ class DocumentFile:
             self.tokens = vocab.tokens
         self.lines = 0   # lines read so far
         self.running: deque = deque()   # (pid, pipe, start, end) of each running reader
-        self.restore_blas = lambda: None   # BLAS's thread count, once readers run
         self.file = open(path, "rb", buffering=0)   # holds the descriptor every span reads
         try:
             self.readers = _readers()
@@ -385,7 +338,6 @@ class DocumentFile:
             os.kill(self.running[0][0], signal.SIGKILL)
             self._reap()
         self.file.close()
-        self.restore_blas()
 
     def __enter__(self) -> "DocumentFile":
         return self
@@ -434,8 +386,6 @@ class DocumentFile:
         file's line count, which the taker counts (_labels_of), differs
         from its label count.
         """
-        if len(self.spans) > 1:
-            self.restore_blas = one_blas_thread()
         for k in range(1, min(self.readers, len(self.spans))):
             self._start_reader(k, stage)
         for k, span in enumerate(self.spans):
@@ -605,14 +555,15 @@ def build_vocabulary(blocks: list[Documents], min_count: int = 1,
 def count_documents(blocks: Iterable[Documents], vocab: Vocabulary) -> list[CsrRows]:
     """The count rows of each block's documents over vocab's words, one
     CsrRows per block, in order; tokens outside the vocabulary are dropped."""
-    rows, lookup = [], None
+    rows, lookup, looked_up = [], None, None
     for docs in blocks:
         ids = docs.ids
         if docs.tokens is not vocab.tokens:
-            if lookup is None or lookup.size != len(docs.tokens) + 1:
+            if docs.tokens is not looked_up or lookup.size != len(docs.tokens) + 1:
                 # vocab's id of each of the documents' tokens; the last entry keeps -1 at -1
                 lookup = np.append(_token_ids(vocab.index, docs.tokens, len(docs.tokens)),
                                    np.int32(-1))
+                looked_up = docs.tokens
             ids = lookup[ids]
         n_docs = docs.lengths.size
         # the flat index doc * V + id of each in-vocabulary token's cell

@@ -46,27 +46,26 @@ def build_cooc(reference_docs: Iterable[Documents], window_size: int,
     pair of distinct words inside one set, each at most once per window, and
     stores a count, zero included, for exactly those words and pairs. Word
     ids index the tokens of the blocks of reference_docs, which are read
-    once, a block at a time. Every other token, in the vocabulary or not,
-    occupies its window slot but is never counted.
+    once, a block at a time; the table may grow from block to block, and
+    the scored ids are checked against it at the end. Every other token, in
+    the vocabulary or not, occupies its window slot but is never counted.
     """
     if window_size < 2:
         raise EvaluationError("window_size must be >= 2")
     scored = sorted({int(w) for words in word_sets for w in words})
-    local = None
+    # set-local id of each word of the table so far, -1 if unscored; the
+    # last entry keeps -1 at -1. The smallest type that holds them: 8- and
+    # 16-bit ids sort by radix, several times faster
+    local = np.full(1, -1, dtype=np.min_scalar_type(-len(scored) - 1))
     # for each occurrence of a scored word: its set-local id and the first
     # and last window that hold it
     hit_words, hit_firsts, hit_lasts = [], [], []
     n_docs = n_windows = 0
     for docs in reference_docs:
-        if local is None:
-            num_words = len(docs.tokens)
-            if scored and (scored[0] < 0 or scored[-1] >= num_words):
-                raise EvaluationError(f"a scored word id lies outside [0, {num_words})")
-            # set-local id of each word, -1 if unscored; the last entry keeps
-            # -1 at -1. The smallest type that holds them: 8- and 16-bit ids
-            # sort by radix, several times faster
-            local = np.full(num_words + 1, -1, dtype=np.min_scalar_type(-len(scored) - 1))
-            local[scored] = np.arange(len(scored))
+        if local.size != len(docs.tokens) + 1:
+            local = np.full(len(docs.tokens) + 1, -1, dtype=local.dtype)
+            lo, hi = np.searchsorted(scored, [0, len(docs.tokens)])
+            local[scored[lo:hi]] = np.arange(lo, hi)
         lengths = docs.lengths
         tokens = local[docs.ids]
         windows = np.maximum(1, lengths - window_size + 1)
@@ -82,6 +81,8 @@ def build_cooc(reference_docs: Iterable[Documents], window_size: int,
         n_windows += int(windows.sum())
     if not n_docs:
         raise EvaluationError("empty reference corpus")
+    if scored and (scored[0] < 0 or scored[-1] >= local.size - 1):
+        raise EvaluationError(f"a scored word id lies outside [0, {local.size - 1})")
 
     # the occurrences grouped by word, each word's in corpus order, in which
     # neither their first nor their last windows ever decrease

@@ -17,8 +17,12 @@ BN_MOMENTUM and BN_EPS for BatchNorm, ADAM_BETA2 and ADAM_EPS for Adam.
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import ctypes
+import functools
 import math
+import sys
 from typing import Iterable
 
 import numpy as np
@@ -34,6 +38,49 @@ BN_MOMENTUM = 0.1      # weight of each batch in BatchNorm's running statistics
 BN_EPS = 1e-5          # added to BatchNorm's variance before the square root
 ADAM_BETA2 = 0.999     # Adam's second-moment decay
 ADAM_EPS = 1e-8        # added to Adam's bias-corrected root second moment
+
+
+@functools.cache
+def blas_threads() -> tuple | None:
+    """The get and set functions of the thread count of the OpenBLAS numpy
+    is built with, or None, said once on stderr, where its BLAS is not
+    OpenBLAS or they are not found. Their names start with the library's
+    name in numpy's build configuration (scipy-openblas's with
+    "scipy_openblas_") and end in "64_" in a build with 64-bit integers;
+    they are looked up in the libraries that numpy's core module has
+    loaded."""
+    try:
+        name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        core = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, KeyError, OSError, TypeError):
+        name = ""   # not OpenBLAS: nothing is looked up
+    name = name.replace("-", "_")
+    for suffix in ("64_", "") if "openblas" in name else ():
+        get, set_threads = (getattr(core, f"{name}_{op}_num_threads{suffix}", None)
+                            for op in ("get", "set"))
+        if get and set_threads:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            return get, set_threads
+    print("warning: no BLAS thread setter found; BLAS keeps its thread count",
+          file=sys.stderr)
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with BLAS on one thread (blas_threads), and restore the
+    count it had when the block ends, by return or by exception. Training
+    and encoding then give the same bytes whatever the count they were
+    started with, and two processes that each ran a thread per CPU made
+    infer slower on two CPUs. Where no setter is found, nothing is set."""
+    get, set_threads = blas_threads() or (lambda: None, lambda count: None)
+    before = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 class ShapeError(ValueError):

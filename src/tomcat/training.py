@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import CsrRows, one_blas_thread
+from .corpus import CsrRows
 from .fileio import write_atomic
 from .networks import (
     Network,
@@ -48,6 +48,7 @@ from .nn import (
     cross_entropy_backward,
     l1_loss,
     l1_loss_backward,
+    one_blas_thread,
 )
 
 
@@ -498,7 +499,7 @@ def train(rows: CsrRows, config: TrainConfig,
     network is built. Deterministic for a fixed
     config seed: initialization, batch order, and prior draws all come from
     one seeded generator, and BLAS runs on one thread while the loop runs
-    (corpus.one_blas_thread), as a product split over threads may sum in
+    (nn.one_blas_thread), as a product split over threads may sum in
     another order. The returned state holds no workspace.
     """
     if rows.shape[0] < config.batch_size:
@@ -519,13 +520,13 @@ def train(rows: CsrRows, config: TrainConfig,
                        num_classes=num_classes or 0)
     batcher = _EpochBatcher(rows, labels if config.supervised else None,
                             config.batch_size, state.rng)
-    restore_blas = one_blas_thread()
     try:
-        for it in range(config.iterations):
-            state.iteration = it
-            critic_phase(state, [batcher.next()[0] for _ in range(config.critic_steps)])
-            x, y = batcher.next()
-            mapper_phase(state, x, y)
+        with one_blas_thread():
+            for it in range(config.iterations):
+                state.iteration = it
+                critic_phase(state, [batcher.next()[0] for _ in range(config.critic_steps)])
+                x, y = batcher.next()
+                mapper_phase(state, x, y)
     except NonFiniteLossError as exc:
         exc.records = state.loss_log
         raise
@@ -533,7 +534,5 @@ def train(rows: CsrRows, config: TrainConfig,
         aborted = SamplingError(f"{exc} at iteration {state.iteration}")
         aborted.records = state.loss_log
         raise aborted from exc
-    finally:
-        restore_blas()
     state.workspace = None   # its batch arrays would outlive the run (9.5 MiB at V=2000)
     return state

@@ -1,7 +1,7 @@
 """The sha256 of every output of one fixed command sequence, the golden
 outputs that tests/test_golden.py compares with tests/golden/outputs.json.
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden_outputs.py [--write]
+    PYTHONPATH=src python tests/golden_outputs.py [--write]
 
 In an empty temporary directory, through cli.main in this one process and
 with relative paths (a checkpoint records its data directory), it runs
@@ -23,8 +23,8 @@ each file under the directory. With --write it records that object in
 golden/outputs.json instead, to re-base the golden outputs after a change
 made on purpose.
 
-Checkpoint bytes depend on the BLAS thread count, so run it with one BLAS
-thread, as the test does.
+The outputs do not depend on the BLAS thread count: the test runs it at
+two threads.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ import whole_file
 from conftest import csr_from_dense
 from test_evaluation import oracle_cooc
 from tomcat import checkpoint, cli
-from tomcat.checkpoint import load_checkpoint
+from tomcat.checkpoint import load_checkpoint, save_checkpoint
 from tomcat.cli import main
 from tomcat.corpus import (BLOCK_ROWS, CorpusError, CsrRows, DocumentFile, RowsError,
                            TfidfMatrix, Vocabulary, load_rows, save_rows, tfidf_transform)
@@ -44,6 +44,7 @@ from tomcat.evaluation import (
     topic_word_ids,
 )
 from tomcat.networks import build_networks, network_table
+from tomcat.nn import blas_threads
 from tomcat.training import ConfigError, TrainConfig
 
 
@@ -779,6 +780,56 @@ class TestTopicRowsDependOnTheDocumentAlone:
         alone.write_text(docs.read_text().splitlines()[0] + "\n")
         assert np.array_equal(cli._encode_documents(ckpt, alone)[0],
                               cli._encode_documents(ckpt, docs)[0])
+
+
+class TestReadersAtTwoBlasThreads:
+    """With BLAS on two threads in the command, eval-coherence and classify
+    print the same bytes when the file is read by the command alone and in
+    two spans, one by a reader: the encoder runs on one thread
+    (cli._encode_span), and the co-occurrence counts are sums of integers."""
+
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory):
+        # a supervised checkpoint at the ng20 shape (V=2000, K=20, H=100, 3
+        # classes) and 601 labelled lines of 900 bytes, cut after line 301
+        rng = np.random.default_rng(62)
+        root = tmp_path_factory.mktemp("two_threads")
+        nets = build_networks(network_table(2000, 20, 3), 100, rng)
+        save_checkpoint(root / "model.ckpt", vocab=Vocabulary([f"w{i:04d}" for i in range(2000)]),
+                        encoder=nets["E"], generator=nets["G"], critic_x=nets["D_X"],
+                        critic_z=nets["D_Z"], classifier=nets["C"], config={}, seed=0,
+                        doc_freq=rng.integers(1, 3000, size=2000), train_doc_count=6000)
+        (root / "docs.txt").write_text(
+            "".join(" ".join(f"w{i:04d}" for i in rng.integers(0, 2000, 150)) + "\n"
+                    for _ in range(601)))
+        (root / "labels.txt").write_text("".join(f"{i % 3}\n" for i in range(601)))
+        return root
+
+    @pytest.mark.parametrize("command", [
+        ["eval-coherence", "--reference", "docs.txt", "--window", "10"],
+        ["classify", "--docs", "docs.txt", "--labels", "labels.txt"]])
+    def test_one_reader_and_two_print_the_same_bytes(self, data, command, monkeypatch,
+                                                     children, capsys):
+        threads = blas_threads()
+        if threads is None:
+            pytest.skip("numpy's BLAS has no thread setter that could be found")
+        get, set_threads = threads
+        args = [str(data / arg) if arg.endswith(".txt") else arg for arg in command]
+        args += ["--ckpt", str(data / "model.ckpt")]
+        monkeypatch.setattr(corpus_module, "SPAN_BYTES", 1 << 16)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        outs, before = [], get()
+        set_threads(2)
+        try:
+            for readers in (1, 2):
+                monkeypatch.setattr(corpus_module, "READERS", readers)
+                assert main(args) == 0
+                outs.append(capsys.readouterr().out)
+            assert get() == 2
+        finally:
+            set_threads(before)
+        assert [reader.span for reader in children] == [(301 * 900, 601 * 900)]
+        assert outs[0] == outs[1] and outs[0]
 
 
 class TestClassify:

@@ -304,6 +304,25 @@ class TestCountDocuments:
         assert docs[0].ids.tolist() == [-1, 2, -1]
         assert count_documents(docs, Vocabulary(["a", "b"]))[0].toarray().tolist() == [[0, 1]]
 
+    def test_lookup_follows_each_block_table(self):
+        # two files read without a vocabulary number a and b the other way
+        # round, and a file's own table grows as its blocks are read: a
+        # lookup built for another table would count the second file's a as b
+        vocab = Vocabulary(["a", "b"])
+        blocks = documents([["a", "b", "b"]]) + documents([["b", "a", "a"]])
+        assert [docs.tokens for docs in blocks] == [["a", "b"], ["b", "a"]]
+        counts = count_documents(blocks, vocab)
+        assert [c.toarray().tolist() for c in counts] == [[[1, 2]], [[2, 1]]]
+
+        def growing():
+            tokens = ["a"]
+            yield Documents(tokens, np.array([0], np.int32), np.array([1]), None)
+            tokens.append("b")
+            yield Documents(tokens, np.array([1, 1, 0], np.int32), np.array([3]), None)
+
+        counts = count_documents(growing(), vocab)
+        assert [c.toarray().tolist() for c in counts] == [[[1, 0]], [[1, 2]]]
+
     def test_one_block_of_rows_per_block_of_documents(self):
         vocab = Vocabulary(["a", "b"])
         blocks = (documents([["a"], ["b", "b"]], vocab) + documents([], vocab)
@@ -901,25 +920,6 @@ class TestSpans:
         assert max(child.running_before for child in children) == 1
         longest_line = max(map(len, data.splitlines(keepends=True)))
         assert all(child.span[1] - child.span[0] <= 32 + longest_line for child in children)
-
-    def test_blas_on_one_thread_while_readers_run(self, tmp_path, children):
-        threads = corpus_module.blas_threads()
-        if threads is None:
-            pytest.skip("numpy's BLAS has no thread setter that could be found")
-        get, set_threads = threads
-        before = get()
-        set_threads(2)
-        try:
-            for data, spans in ((b"a b\n" * 12, 2), (b"a b\n" * 3, 1)):
-                path = tmp_path / "docs.txt"
-                path.write_bytes(data)
-                with DocumentFile(path) as source:
-                    assert load_documents(source) is not None
-                    assert get() == (1 if spans > 1 else 2)
-                assert len(source.spans) == spans
-                assert get() == 2
-        finally:
-            set_threads(before)
 
     def test_a_span_reads_only_its_bytes(self, tmp_path):
         # a span is read at its offsets and moves no position of the file;

@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from tomcat.corpus import BLOCK_ROWS, Documents, Vocabulary, tfidf
+from tomcat.corpus import BLOCK_ROWS, DocumentFile, Documents, Vocabulary, load_documents, tfidf
 from tomcat.evaluation import (
     CoocStats,
     EvaluationError,
@@ -112,6 +112,26 @@ class TestBuildCooc:
         with pytest.raises(EvaluationError, match="outside"):
             build_cooc(documents([["a", "b"]], Vocabulary(["a", "b"])), window_size=2,
                        word_sets=[[0, word]])
+
+    @pytest.mark.parametrize("word_sets", [[[0, 1]], [[0, 1], [1, 20_001]]])
+    def test_blocks_of_a_file_read_without_a_vocabulary(self, tmp_path, word_sets):
+        # the file's table grows as its blocks are read: a later block's new
+        # tokens, and a scored word first seen after the first block, count
+        # as they do with a vocabulary of its tokens in first-seen order
+        path = tmp_path / "docs.txt"
+        path.write_text("".join(f"a b c{i}\n" for i in range(20_000)))
+        vocab = Vocabulary(["a", "b"] + [f"c{i}" for i in range(20_000)])
+
+        def blocks(vocabulary):
+            with DocumentFile(path, vocab=vocabulary) as source:
+                while (docs := load_documents(source)) is not None:
+                    yield docs
+
+        assert sum(1 for _ in blocks(None)) > 1
+        stats = [build_cooc(blocks(v), window_size=2, word_sets=word_sets)
+                 for v in (None, vocab)]
+        assert stats[0] == stats[1]
+        assert stats[0].word_doc_counts[1] == 40_000
 
     def test_only_scored_words_and_pairs_inside_one_set(self):
         vocab = Vocabulary(["a", "b", "c", "d"])

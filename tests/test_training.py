@@ -16,9 +16,8 @@ from conftest import assert_grad_close, csr_from_dense, numerical_grad, row_batc
 from test_networks import build_one
 import tomcat.training as training_module
 from tomcat.cli import main
-from tomcat.corpus import blas_threads
 from tomcat.networks import sample_prior
-from tomcat.nn import BatchNorm, ShapeError
+from tomcat.nn import BatchNorm, ShapeError, blas_threads
 from tomcat.training import (
     ConfigError,
     NonFiniteLossError,
