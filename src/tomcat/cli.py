@@ -224,8 +224,15 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _check_top_n(top_n: int, low: int, ckpt) -> None:
+    if not low <= top_n <= ckpt.vocab.size:
+        raise ConfigError(f"--top-n must lie in [{low}, {ckpt.vocab.size}] for a checkpoint "
+                          f"of {ckpt.vocab.size} words, not {top_n}")
+
+
 def cmd_topics(args) -> int:
     ckpt = load_checkpoint(args.ckpt, networks=("G",))
+    _check_top_n(args.top_n, 1, ckpt)
     rows = topic_word_distributions(ckpt.generator)
     for k, row in enumerate(rows):
         ids = top_word_ids(row, args.top_n)
@@ -321,11 +328,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_eval_coherence(args) -> int:
-    if args.top_n < 2:
-        raise ConfigError("--top-n must be >= 2: topic coherence needs at least 2 words")
-    if args.window < 2:
-        raise ConfigError("--window must be >= 2")
+    if not 2 <= args.window < 2**63:   # numpy takes it as a signed 64-bit int
+        raise ConfigError(f"--window must lie in [2, 2**63), not {args.window}")
     ckpt = load_checkpoint(args.ckpt, networks=("G",))
+    _check_top_n(args.top_n, 2, ckpt)   # coherence scores word pairs
     reference = args.reference
     if reference is None:
         data_dir = ckpt.config.get("data_dir")
@@ -343,6 +349,8 @@ def cmd_eval_coherence(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.doc_length >= 2**63:   # numpy takes it as a signed 64-bit int
+        raise ConfigError(f"--doc-len must be below 2**63, not {args.doc_length}")
     spec = SyntheticSpec(**{f.name: getattr(args, f.name) for f in fields(SyntheticSpec)})
     counts, labels, supports = make_synthetic(spec)
     vocab = synthetic_vocabulary(spec)

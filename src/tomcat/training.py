@@ -7,8 +7,9 @@ combined adversarial, cycle-consistency, and classification objective.
 The cycle and classification weights are rebalanced every mapper step from
 the ratio of adversarial-to-auxiliary gradient norms measured at the output
 of the mapping that feeds each loss. Every batch-shaped array of an
-iteration lives in the run's Workspace, made once by init_state and
-dropped when train() returns.
+iteration lives in a Workspace: train() makes one before its loop and lets
+it go when it returns, and a caller running a phase on its own passes one
+made from the state, Workspace(state).
 
 A phase called on its own runs what train() runs: it draws its prior rows
 from the state's generator, and adv_loss scores each critic over one
@@ -20,7 +21,6 @@ hold the loss records of the iterations completed before it.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -209,36 +209,37 @@ class Workspace:
     input gradient takes G(E(x))'s output array (at V=2000 this sharing
     lowers the whole training run's peak RSS by about 2.3 MB). The passes
     of E and G share one weight-shaped scratch array for the second
-    gradient term of each weight: the head of the critics' flat gradient
+    gradient term of each weight: the head of the state's critic gradient
     buffer, critic_params.grad, which holds more entries than either weight
     of E or G. Only the mapper phase writes the scratch, and it computes no
     critic gradient; a critic step writes each critic gradient's first term
     over it before Adam reads it. The workspace holds no state between
-    steps; a deep copy is a new one, on the copy of critic_params.
+    steps.
     """
 
-    def __init__(self, table: list[tuple[str, int, int, bool]], hidden: int, batch: int,
-                 critic_params: ParamGroup):
-        self.args = (table, hidden, batch, critic_params)
-        nets = {name: (in_dim, hidden, out_dim, softmax)
-                for name, in_dim, out_dim, softmax in table}
-        num_words, _, num_topics, _ = nets["E"]
+    def __init__(self, state: TrainState):
+        batch, hidden = state.config.batch_size, state.config.hidden
+        e, g = state.encoder.widths, state.generator.widths
+        num_words, _, num_topics = e
         self.x_pair = np.empty((2 * batch, num_words))
         self.z_pair = np.empty((2 * batch, num_topics))
         self.real_x, self.real_z = self.x_pair[:batch], self.z_pair[:batch]
-        scratch = critic_params.grad[:hidden * max(num_words, num_topics)]
-        self.e_x = pass_buffers(*nets["E"], batch, out=self.z_pair[batch:], scratch=scratch)
-        self.g_z = pass_buffers(*nets["G"], batch, out=self.x_pair[batch:], scratch=scratch)
-        self.g_e_x = pass_buffers(*nets["G"], batch, grad=np.empty((batch, num_topics)),
+        scratch = state.critic_params.grad[:hidden * max(num_words, num_topics)]
+        self.e_x = pass_buffers(*e, True, batch, out=self.z_pair[batch:], scratch=scratch)
+        self.g_z = pass_buffers(*g, True, batch, out=self.x_pair[batch:], scratch=scratch)
+        self.g_e_x = pass_buffers(*g, True, batch, grad=np.empty((batch, num_topics)),
                                   scratch=scratch, like=self.g_z)
         # E(G(z))'s backward runs after G(E(x))'s, which reads G(E(x)) last
-        self.e_g_z = pass_buffers(*nets["E"], batch, grad=self.g_e_x.forward[-1]["y"],
+        self.e_g_z = pass_buffers(*e, True, batch, grad=self.g_e_x.forward[-1]["y"],
                                   scratch=scratch, like=self.e_x)
         # the critics' input gradients: the fake rows only
-        self.d_x = pass_buffers(*nets["D_X"], 2 * batch, grad=np.empty((batch, num_words)))
-        self.d_z = pass_buffers(*nets["D_Z"], 2 * batch, grad=np.empty((batch, num_topics)))
-        self.c = (pass_buffers(*nets["C"], batch, grad=np.empty((batch, num_topics)))
-                  if "C" in nets else None)
+        self.d_x = pass_buffers(*state.critic_x.widths, False, 2 * batch,
+                                grad=np.empty((batch, num_words)))
+        self.d_z = pass_buffers(*state.critic_z.widths, False, 2 * batch,
+                                grad=np.empty((batch, num_topics)))
+        self.c = (pass_buffers(*state.classifier.widths, True, batch,
+                               grad=np.empty((batch, num_topics)))
+                  if state.classifier is not None else None)
         # |G(E(x)) - x| and |E(G(z)) - z|, then their l1 gradients
         self.x_cyc = np.empty((batch, num_words))
         self.z_cyc = np.empty((batch, num_topics))
@@ -248,18 +249,14 @@ class Workspace:
         # the mappers descend the fake halves (-mean fake score) only
         self.mapper_up = np.vstack([np.zeros((batch, 1)), np.full((batch, 1), -1.0 / batch)])
 
-    def __deepcopy__(self, memo):
-        *args, critic_params = self.args
-        return Workspace(*args, copy.deepcopy(critic_params, memo))
-
 
 @dataclass
 class TrainState:
     """Networks, optimizers and their parameter groups: both critics, the
     mappings E and G, and the classifier each form one ParamGroup with its
-    own Adam moments and step count. The workspace holds the iteration's
-    batch-shaped arrays; train drops it when it returns, and a phase makes
-    it again from the network table (_workspace)."""
+    own Adam moments and step count. It holds only what outlives an
+    iteration; the batch-shaped arrays of one are in the Workspace that
+    train() makes for its run and passes to each phase."""
 
     config: TrainConfig
     encoder: Network
@@ -273,20 +270,17 @@ class TrainState:
     mapper_params: ParamGroup
     classifier_params: ParamGroup | None
     rng: np.random.Generator
-    table: list[tuple[str, int, int, bool]]
-    workspace: Workspace | None
     iteration: int = 0
     loss_log: list[LossRecord] = field(default_factory=list)
 
 
 def init_state(config: TrainConfig, num_words: int, num_classes: int = 0) -> TrainState:
-    """Networks, optimizers, rng and workspace for a config."""
+    """Networks, optimizers and rng for a config."""
     if config.supervised and num_classes < 2:
         raise ConfigError("supervised training needs at least 2 classes")
     rng = np.random.default_rng(config.seed)
     table = network_table(num_words, config.num_topics, num_classes if config.supervised else 0)
     nets = build_networks(table, config.hidden, rng)
-    critic_params = ParamGroup(nets["D_X"].parameters() + nets["D_Z"].parameters())
     adam_cls = None
     classifier_params = None
     if config.supervised:
@@ -301,21 +295,11 @@ def init_state(config: TrainConfig, num_words: int, num_classes: int = 0) -> Tra
         classifier=nets.get("C"),
         adam_main=Adam(lr=config.lr_main, beta1=config.beta1_main),
         adam_cls=adam_cls,
-        critic_params=critic_params,
+        critic_params=ParamGroup(nets["D_X"].parameters() + nets["D_Z"].parameters()),
         mapper_params=ParamGroup(nets["E"].parameters() + nets["G"].parameters()),
         classifier_params=classifier_params,
         rng=rng,
-        table=table,
-        workspace=Workspace(table, config.hidden, config.batch_size, critic_params),
     )
-
-
-def _workspace(state: TrainState) -> Workspace:
-    """The state's workspace, made again if train dropped it."""
-    if state.workspace is None:
-        state.workspace = Workspace(state.table, state.config.hidden, state.config.batch_size,
-                                    state.critic_params)
-    return state.workspace
 
 
 def adv_loss(critic, pair: np.ndarray, bufs: PassBuffers | None):
@@ -369,17 +353,18 @@ def _check_finite(state: TrainState, **terms: float) -> None:
             raise NonFiniteLossError(state.iteration, name)
 
 
-def critic_phase(state: TrainState, x_batches: list[RowBatch]) -> None:
+def critic_phase(state: TrainState, ws: Workspace, x_batches: list[RowBatch]) -> None:
     """critic_steps WGAN updates of both critics, clipping after each.
 
     Each batch of batch_size documents is densified when its step runs.
     Generator and encoder produce the fake samples but receive no updates;
-    their trainable parameters are untouched.
+    their trainable parameters are untouched. The steps write into ws, a
+    Workspace(state).
     """
     cfg = state.config
     if len(x_batches) != cfg.critic_steps:
         raise ConfigError(f"expected {cfg.critic_steps} critic batches, got {len(x_batches)}")
-    critic_params, ws = state.critic_params, _workspace(state)
+    critic_params = state.critic_params
     for x in x_batches:
         x.densify(ws.real_x)
         z = sample_prior(cfg.num_topics, cfg.alpha, cfg.batch_size, state.rng)
@@ -400,16 +385,18 @@ def critic_phase(state: TrainState, x_batches: list[RowBatch]) -> None:
         clip_weights(critic_params, cfg.clip_c)
 
 
-def mapper_phase(state: TrainState, x: RowBatch, labels: np.ndarray | None) -> LossRecord:
+def mapper_phase(state: TrainState, ws: Workspace, x: RowBatch,
+                 labels: np.ndarray | None) -> LossRecord:
     """One update of generator and encoder (plus classifier when supervised)
     on a batch of batch_size documents, with their class ids as labels (None
     when unsupervised). Critic parameters are read but never updated, and no
     gradient is computed for them. Gradient norms for the balancing factors
     are taken at G's output for the forward cycle pair and at E's output for
-    the backward cycle and classification pairs.
+    the backward cycle and classification pairs. The step writes into ws,
+    a Workspace(state).
     """
     cfg = state.config
-    enc, gen, ws = state.encoder, state.generator, _workspace(state)
+    enc, gen = state.encoder, state.generator
     batch = cfg.batch_size
     if cfg.supervised and labels is None:
         raise ConfigError("supervised mapper step needs labels")
@@ -500,7 +487,8 @@ def train(rows: CsrRows, config: TrainConfig,
     config seed: initialization, batch order, and prior draws all come from
     one seeded generator, and BLAS runs on one thread while the loop runs
     (nn.one_blas_thread), as a product split over threads may sum in
-    another order. The returned state holds no workspace.
+    another order. The run's Workspace is made before the loop and is
+    not kept: the returned state holds no batch-shaped array.
     """
     if rows.shape[0] < config.batch_size:
         raise ConfigError(
@@ -520,13 +508,15 @@ def train(rows: CsrRows, config: TrainConfig,
                        num_classes=num_classes or 0)
     batcher = _EpochBatcher(rows, labels if config.supervised else None,
                             config.batch_size, state.rng)
+    ws = Workspace(state)
     try:
         with one_blas_thread():
             for it in range(config.iterations):
                 state.iteration = it
-                critic_phase(state, [batcher.next()[0] for _ in range(config.critic_steps)])
+                critic_phase(state, ws,
+                             [batcher.next()[0] for _ in range(config.critic_steps)])
                 x, y = batcher.next()
-                mapper_phase(state, x, y)
+                mapper_phase(state, ws, x, y)
     except NonFiniteLossError as exc:
         exc.records = state.loss_log
         raise
@@ -534,5 +524,4 @@ def train(rows: CsrRows, config: TrainConfig,
         aborted = SamplingError(f"{exc} at iteration {state.iteration}")
         aborted.records = state.loss_log
         raise aborted from exc
-    state.workspace = None   # its batch arrays would outlive the run (9.5 MiB at V=2000)
     return state

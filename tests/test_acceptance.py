@@ -43,7 +43,7 @@ from tomcat.evaluation import (
 )
 from tomcat.networks import sample_prior, topic_word_distributions
 from tomcat.nn import BatchNorm, LeakyReLU, Linear, Softmax, cross_entropy, cross_entropy_backward, l1_loss, l1_loss_backward
-from tomcat.training import TrainConfig, balance, critic_phase, init_state, mapper_phase, train
+from tomcat.training import TrainConfig, Workspace, balance, critic_phase, init_state, mapper_phase, train
 
 
 def report(criterion, ok, detail):
@@ -177,7 +177,7 @@ class TestCriterion1GradientCorrectness:
         z = sample_prior(config.num_topics, config.alpha, 5, copy.deepcopy(state.rng))
 
         reference = copy.deepcopy(state)
-        rec = mapper_phase(reference, row_batch(x), None)
+        rec = mapper_phase(reference, Workspace(reference), row_batch(x), None)
         lam1, lam2 = rec.lambda1, rec.lambda2
 
         def objective():
@@ -245,14 +245,16 @@ class TestCriterion2InvariantSuite:
         raw = np.random.default_rng(4).uniform(0.01, 1, size=(200, 15))
         rows = raw / raw.sum(axis=1, keepdims=True)
         state = init_state(config, num_words=15)
+        ws = Workspace(state)
         order = np.random.default_rng(5)
         for it in range(config.iterations):
             state.iteration = it
             idx = order.choice(200, size=(5, 16), replace=True)
-            critic_phase(state, [row_batch(rows[i]) for i in idx])
+            critic_phase(state, ws, [row_batch(rows[i]) for i in idx])
             for p in state.critic_params:
                 assert np.all(np.abs(p.data) <= config.clip_c + 1e-15)
-            mapper_phase(state, row_batch(rows[order.choice(200, size=16, replace=False)]), None)
+            mapper_phase(state, ws, row_batch(rows[order.choice(200, size=16, replace=False)]),
+                         None)
 
         # checkpoint bitwise round-trip, both modes
         vocab = Vocabulary([f"t{i}" for i in range(15)])

@@ -662,6 +662,16 @@ class TestTopics:
         assert capsys.readouterr().out == first
         assert len(first.strip().split("\n")) == 3
 
+    @pytest.mark.parametrize("top_n", ["0", "13"])
+    def test_top_n_outside_the_vocabulary_rejected(self, workdir, capsys, top_n):
+        # the checkpoint has 12 words
+        code = main(["topics", "--ckpt", str(workdir / "model.ckpt"), "--top-n", top_n])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ("error: --top-n must lie in [1, 12] for a checkpoint "
+                                f"of 12 words, not {top_n}\n")
+        assert captured.out == ""
+
 
 class TestInfer:
     def test_rows_sum_to_one(self, workdir, capsys):
@@ -920,12 +930,12 @@ class TestEvalCoherence:
         reference.write_text("\n".join(lines) + "\n")
         longest = max(len(line.split()) for line in lines)
         reports = []
-        for window in (longest, 10 ** 8):
+        for window in (longest, 10 ** 8, 2 ** 63 - 1):   # the last: the widest numpy takes
             start = time.perf_counter()
             assert main(["eval-coherence", "--ckpt", str(workdir / "model.ckpt"),
                          "--reference", str(reference), "--window", str(window)]) == 0
             reports.append((capsys.readouterr().out, time.perf_counter() - start))
-        assert reports[0][0] == reports[1][0]
+        assert reports[0][0] == reports[1][0] == reports[2][0]
         assert reports[1][1] < 2.0
 
     def test_each_topic_ranked_once(self, workdir, capsys, monkeypatch):
@@ -971,6 +981,22 @@ class TestEvalCoherence:
         captured = capsys.readouterr()
         assert code == 1
         assert flag in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--top-n", "13", "--top-n must lie in [2, 12] for a checkpoint of 12 words"),
+        ("--window", str(2 ** 63), "--window must lie in [2, 2**63)")])
+    def test_too_large_rejected_before_reading_reference(self, workdir, capsys, monkeypatch,
+                                                         flag, value, rule):
+        def unexpected(*args, **kwargs):
+            pytest.fail("the reference corpus was read")
+
+        monkeypatch.setattr("tomcat.cli.load_documents", unexpected)
+        code = main(["eval-coherence", "--ckpt", str(workdir / "model.ckpt"),
+                     "--reference", str(workdir / "data" / "docs.txt"), flag, value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {rule}, not {value}\n"
         assert captured.out == ""
 
 
@@ -1460,14 +1486,15 @@ class TestErrorPaths:
         assert captured.out == "" and not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("flag, value", [("--alpha", "inf"), ("--alpha", "nan"),
-                                             ("--seed", "-1")])
+                                             ("--seed", "-1"), ("--doc-len", str(10 ** 20))])
     def test_synth_bad_value_rejected(self, tmp_path, capsys, flag, value):
         code = main(["synth", "--k", "2", "--words-per-topic", "3", "--docs", "10",
                      "--doc-len", "5", flag, value, "--out", str(tmp_path / "s")])
         captured = capsys.readouterr()
         assert code == 1
         rule = {"--alpha": "doc_topic_alpha must be finite and positive",
-                "--seed": "seed must be >= 0"}[flag]
+                "--seed": "seed must be >= 0",
+                "--doc-len": "--doc-len must be below 2**63"}[flag]
         assert captured.err == f"error: {rule}, not {value}\n"
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []

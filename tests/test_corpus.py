@@ -1,4 +1,7 @@
+import json
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 from dataclasses import dataclass
@@ -952,10 +955,62 @@ class TestSpans:
                                      if line.split()]
 
 
-def vm_kib(field: str) -> int:
-    """A field of this process's /proc status (VmRSS, VmHWM ...), in KiB."""
+# Reads a 1x and an 8x file in spans of at most 1 MiB, by 2 readers at a
+# time, and prints as JSON what each file's readers added to the resident
+# set they were forked with (their peak, VmHWM, which a fork does not
+# inherit, at their exit, less their resident set at their start), with the
+# pids forked and those reaped. Its one argument is a directory for the
+# files and the readers' notes.
+READER_GROWTH = r"""
+import json, os, sys
+from pathlib import Path
+
+import tomcat.corpus as corpus
+
+def vm_kib(field):
     with open("/proc/self/status", encoding="ascii") as status:
         return next(int(line.split()[1]) for line in status if line.startswith(field + ":"))
+
+root = Path(sys.argv[1])
+fork, exit_, waitpid = os.fork, os._exit, os.waitpid
+forked, reaped = [], []
+
+def watched_fork():
+    pid = fork()
+    if pid == 0:
+        (root / str(os.getpid())).write_text(str(vm_kib("VmRSS")))
+    else:
+        forked.append(pid)
+    return pid
+
+def watched_exit(status):
+    try:
+        note = root / str(os.getpid())
+        note.write_text(str(vm_kib("VmHWM") - int(note.read_text())))
+    finally:
+        exit_(status)
+
+def watched_waitpid(pid, options):
+    done = waitpid(pid, options)
+    if done[0]:
+        reaped.append(done[0])
+    return done
+
+os.fork, os._exit, os.waitpid = watched_fork, watched_exit, watched_waitpid
+os.sched_getaffinity = lambda pid: {0, 1}
+corpus.SPAN_BYTES, corpus.MAX_SPAN_BYTES = 1 << 18, 1 << 20
+line = " ".join(f"w{j}" for j in range(300)) + "\n"
+growth = []
+for scale in (1, 8):   # at most 2 and 16 MiB: 2 spans, then 16
+    path = root / f"{scale}x.txt"
+    path.write_text(line * ((2 << 20) // len(line) * scale), encoding="utf-8")
+    first = len(forked)
+    with corpus.DocumentFile(path) as source:
+        while corpus.load_documents(source) is not None:
+            pass
+    growth.append([int((root / str(pid)).read_text()) for pid in forked[first:]])
+print(json.dumps({"growth": growth, "forked": forked, "reaped": reaped}))
+"""
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
@@ -965,40 +1020,18 @@ class TestSpanReaderMemory:
     per process instead, the eightfold file's second half (8 MiB) was
     buffered by one reader whose peak was 6.3 MB above the 1x file's."""
 
-    def test_children_peak_does_not_grow_with_the_file(self, tmp_path, monkeypatch, children):
-        # each reader notes what it adds to the resident set it was forked
-        # with: its peak (VmHWM, which a fork does not inherit) at its exit,
-        # less its resident set at its start
-        fork, exit_ = os.fork, os._exit
-        peaks = tmp_path / "peaks"
-        peaks.mkdir()
-
-        def watched_fork():
-            pid = fork()
-            if pid == 0:
-                (peaks / str(os.getpid())).write_text(str(vm_kib("VmRSS")))
-            return pid
-
-        def watched_exit(status):
-            try:
-                note = peaks / str(os.getpid())
-                note.write_text(str(vm_kib("VmHWM") - int(note.read_text())))
-            finally:
-                exit_(status)
-
-        monkeypatch.setattr(os, "fork", watched_fork)
-        monkeypatch.setattr(os, "_exit", watched_exit)
-        monkeypatch.setattr(corpus_module, "SPAN_BYTES", 1 << 18)
-        monkeypatch.setattr(corpus_module, "MAX_SPAN_BYTES", 1 << 20)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        line = " ".join(f"w{j}" for j in range(300)) + "\n"
-        growth = []
-        for scale in (1, 8):   # at most 2 and 16 MiB: 2 spans, then 16
-            path = tmp_path / f"{scale}x.txt"
-            path.write_text(line * ((2 << 20) // len(line) * scale), encoding="utf-8")
-            first = len(children)
-            read_documents(path)
-            growth.append([int((peaks / str(child.pid)).read_text())
-                           for child in children[first:]])
+    def test_children_peak_does_not_grow_with_the_file(self, tmp_path):
+        # in a fresh interpreter, as a command forks its readers: what a
+        # reader adds to its resident set depends on the heap it was forked
+        # with, and a test run's heap holds what earlier tests left in it
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(Path(corpus_module.__file__).parents[1]),
+                                               os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", READER_GROWTH, str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout)
+        growth = result["growth"]
+        assert sorted(result["forked"]) == sorted(result["reaped"])
         assert (len(growth[0]), len(growth[1])) == (1, 8)
         assert max(growth[1]) <= max(growth[0]) + 1024, growth

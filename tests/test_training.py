@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import hashlib
 import math
 import os
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from tomcat.training import (
     ConfigError,
     NonFiniteLossError,
     TrainConfig,
+    Workspace,
     _EpochBatcher,
     adv_loss,
     balance,
@@ -133,14 +136,14 @@ class TestCycleLosses:
         ident = _StubNet(lambda x: x)
         x = simplex_rows(5, 4, 6)
         z = simplex_rows(5, 4, 7)
-        ws = init_state(small_config(num_topics=4, batch_size=5), num_words=4).workspace
+        ws = Workspace(init_state(small_config(num_topics=4, batch_size=5), num_words=4))
         assert cycle_losses(ident, ident, x, z, ws)[:2] == (0.0, 0.0)
 
     def test_nonnegative_and_bounded_on_simplex(self):
         state = init_state(small_config(), num_words=9)
         x = simplex_rows(16, 9, 8)
         z = prior_rows(state.config, 16, 9)
-        fwd, bwd, _ = cycle_losses(state.generator, state.encoder, x, z, state.workspace)
+        fwd, bwd, _ = cycle_losses(state.generator, state.encoder, x, z, Workspace(state))
         assert fwd >= 0 and bwd >= 0
         # the L1 diameter of the probability simplex is 2
         assert fwd <= 2.0 + 1e-12 and bwd <= 2.0 + 1e-12
@@ -178,7 +181,8 @@ class TestCriticPhase:
         state = init_state(cfg, num_words=12)
         rows = simplex_rows(200, 12, 12)
         mapper_before = [p.data.copy() for p in state.mapper_params]
-        critic_phase(state, [row_batch(rows[i * 16:(i + 1) * 16]) for i in range(5)])
+        critic_phase(state, Workspace(state),
+                     [row_batch(rows[i * 16:(i + 1) * 16]) for i in range(5)])
         for p in state.critic_params:
             assert np.all(np.abs(p.data) <= cfg.clip_c)
         for before, p in zip(mapper_before, state.mapper_params):
@@ -187,7 +191,7 @@ class TestCriticPhase:
     def test_wrong_batch_count_rejected(self):
         state = init_state(small_config(), num_words=12)
         with pytest.raises(ConfigError):
-            critic_phase(state, [row_batch(simplex_rows(16, 12, 13))])
+            critic_phase(state, Workspace(state), [row_batch(simplex_rows(16, 12, 13))])
 
     def test_critic_improves_on_frozen_mappers(self):
         # smoke oracle: the critics' objective (real - fake) should rise
@@ -206,9 +210,10 @@ class TestCriticPhase:
                     + adv_loss(state.critic_z, np.vstack([probe_z, probe_zf]), None)[0])
 
         start = critic_objective()
+        ws = Workspace(state)
         for _ in range(100):
             idx = rng.choice(rows.shape[0], size=(5, 16), replace=True)
-            critic_phase(state, [row_batch(rows[i]) for i in idx])
+            critic_phase(state, ws, [row_batch(rows[i]) for i in idx])
         assert critic_objective() > start
 
     def test_gradients_match_finite_differences(self):
@@ -220,7 +225,7 @@ class TestCriticPhase:
         x_fake, _ = state.generator.forward(z, train=True)
 
         reference = copy.deepcopy(state)
-        critic_phase(reference, [row_batch(x)])
+        critic_phase(reference, Workspace(reference), [row_batch(x)])
 
         def neg_adv(critic, real, fake):
             bn = [l for l in critic.layers if isinstance(l, BatchNorm)][0]
@@ -238,7 +243,7 @@ class TestMapperPhase:
     def test_critics_untouched(self):
         state = init_state(small_config(), num_words=12)
         critic_before = [p.data.copy() for p in state.critic_params]
-        mapper_phase(state, row_batch(simplex_rows(16, 12, 21)), None)
+        mapper_phase(state, Workspace(state), row_batch(simplex_rows(16, 12, 21)), None)
         for before, p in zip(critic_before, state.critic_params):
             np.testing.assert_array_equal(before, p.data)
 
@@ -251,7 +256,7 @@ class TestMapperPhase:
         object.__setattr__(state.config, "lambda1_hat", 0.0)
         object.__setattr__(state.config, "lambda2_hat", 0.0)
         gen_before = [p.data.copy() for p in state.generator.parameters()]
-        mapper_phase(state, row_batch(simplex_rows(16, 12, 22)), None)
+        mapper_phase(state, Workspace(state), row_batch(simplex_rows(16, 12, 22)), None)
         for p in state.generator.parameters():
             np.testing.assert_array_equal(p.grad, np.zeros_like(p.grad))
         for before, p in zip(gen_before, state.generator.parameters()):
@@ -260,28 +265,29 @@ class TestMapperPhase:
     def test_no_critic_gradients(self):
         state = init_state(small_config(), num_words=12)
         rows = simplex_rows(96, 12, 40)
-        critic_phase(state, [row_batch(rows[i * 16:(i + 1) * 16]) for i in range(5)])
+        ws = Workspace(state)
+        critic_phase(state, ws, [row_batch(rows[i * 16:(i + 1) * 16]) for i in range(5)])
         assert all(p.grad is not None for p in state.critic_params)
-        mapper_phase(state, row_batch(rows[80:]), None)
+        mapper_phase(state, ws, row_batch(rows[80:]), None)
         assert all(p.grad is None for p in state.critic_params)
         assert all(p.grad is not None for p in state.mapper_params)
 
     def test_batch_of_another_size_rejected(self):
         state = init_state(small_config(), num_words=12)
         with pytest.raises(ShapeError, match="a batch of shape"):
-            mapper_phase(state, row_batch(simplex_rows(8, 12, 23)), None)
+            mapper_phase(state, Workspace(state), row_batch(simplex_rows(8, 12, 23)), None)
 
     def test_supervised_requires_labels(self):
         cfg = small_config(supervised=True)
         state = init_state(cfg, num_words=12, num_classes=2)
         with pytest.raises(ConfigError):
-            mapper_phase(state, row_batch(simplex_rows(16, 12, 23)), None)
+            mapper_phase(state, Workspace(state), row_batch(simplex_rows(16, 12, 23)), None)
 
     def test_loss_record_bookkeeping(self):
         cfg = small_config(supervised=True)
         state = init_state(cfg, num_words=12, num_classes=3)
         labels = np.random.default_rng(24).integers(0, 3, size=16)
-        rec = mapper_phase(state, row_batch(simplex_rows(16, 12, 25)), labels)
+        rec = mapper_phase(state, Workspace(state), row_batch(simplex_rows(16, 12, 25)), labels)
         recomputed = (rec.adv_x + rec.adv_z + rec.lambda1 * rec.cyc_forward
                       + rec.lambda2 * rec.cyc_backward + rec.lambda3 * rec.cls)
         assert abs(recomputed - rec.total) < 1e-9
@@ -294,11 +300,13 @@ class TestStateCopy:
         rows = simplex_rows(96, 12, 41)
         labels = np.random.default_rng(42).integers(0, 2, size=16)
         state = init_state(cfg, num_words=12, num_classes=2)
-        critic_phase(state, [row_batch(rows[i * 16:(i + 1) * 16]) for i in range(5)])
+        critic_phase(state, Workspace(state),
+                     [row_batch(rows[i * 16:(i + 1) * 16]) for i in range(5)])
         clone = copy.deepcopy(state)
         for s in (state, clone):
-            critic_phase(s, [row_batch(rows[i * 16:(i + 1) * 16]) for i in range(5)])
-            mapper_phase(s, row_batch(rows[80:]), labels)
+            ws = Workspace(s)
+            critic_phase(s, ws, [row_batch(rows[i * 16:(i + 1) * 16]) for i in range(5)])
+            mapper_phase(s, ws, row_batch(rows[80:]), labels)
         groups = [(state.critic_params, clone.critic_params),
                   (state.mapper_params, clone.mapper_params)]
         if supervised:
@@ -368,7 +376,7 @@ class TestTrain:
         bad = simplex_rows(16, 12, 35)
         bad[0, 0] = np.nan
         with pytest.raises(NonFiniteLossError) as err:
-            mapper_phase(state, row_batch(bad), None)
+            mapper_phase(state, Workspace(state), row_batch(bad), None)
         assert err.value.iteration == 7
         assert err.value.term in ("adv_x", "adv_z", "cyc_forward", "cyc_backward",
                                   "lambda1", "lambda2", "total")
@@ -449,12 +457,13 @@ class TestWorkspace:
         cfg = TrainConfig(num_topics=20, batch_size=64, supervised=supervised, seed=51)
         state = init_state(cfg, num_words=2000, num_classes=3)
         batcher = _EpochBatcher(csr_from_dense(dense), labels, 64, state.rng)
+        ws = Workspace(state)
 
         def iteration():
             # as train() runs one: the batches drawn, then the two phases
-            critic_phase(state, [batcher.next()[0] for _ in range(cfg.critic_steps)])
+            critic_phase(state, ws, [batcher.next()[0] for _ in range(cfg.critic_steps)])
             x, y = batcher.next()
-            mapper_phase(state, x, y)
+            mapper_phase(state, ws, x, y)
 
         iteration()
         tracemalloc.start()
@@ -467,32 +476,31 @@ class TestWorkspace:
         assert peak < np.empty((64, 2000)).nbytes, peak
 
     @pytest.mark.parametrize("supervised", [False, True])
-    def test_phase_after_train_equals_one_on_a_state_that_kept_its_workspace(
-            self, monkeypatch, supervised):
-        # train returns its state without the workspace; a phase called on
-        # it makes a new one and gives the bytes of the same phase on a copy
-        # of the state taken, workspace and all, at train's last step
+    def test_a_new_workspace_gives_the_bytes_of_the_one_train_used(self, monkeypatch,
+                                                                   supervised):
+        # a workspace carries nothing from one step to the next: phases on
+        # the returned state with a new workspace give the bytes of the same
+        # phases on a copy of the state taken at train's last step, run with
+        # the workspace train used
         import tomcat.training as training
         rows = csr_from_dense(simplex_rows(80, 10, 52))
         labels = np.arange(80) % 2
         cfg = small_config(num_topics=3, hidden=6, iterations=3, supervised=supervised)
         mapper, kept = training.mapper_phase, []
 
-        def copied(state, x, y):
-            record = mapper(state, x, y)
-            kept[:] = [copy.deepcopy(state)]
+        def copied(state, ws, x, y):
+            record = mapper(state, ws, x, y)
+            kept[:] = [copy.deepcopy(state), ws]
             return record
 
         monkeypatch.setattr(training, "mapper_phase", copied)
         returned = train(rows, cfg, labels=labels)
-        assert returned.workspace is None and kept[0].workspace is not None
         batches = [row_batch(simplex_rows(cfg.batch_size, 10, 54 + k))
                    for k in range(cfg.critic_steps + 1)]
         y = np.arange(cfg.batch_size) % 2 if supervised else None
-        for state in (returned, kept[0]):
-            critic_phase(state, batches[:cfg.critic_steps])
-            mapper(state, batches[-1], y)
-        assert returned.workspace is not None
+        for state, ws in ((returned, Workspace(returned)), tuple(kept)):
+            critic_phase(state, ws, batches[:cfg.critic_steps])
+            mapper(state, ws, batches[-1], y)
         for net in ("encoder", "generator", "critic_x", "critic_z", "classifier"):
             if getattr(returned, net) is None:
                 continue
@@ -500,6 +508,20 @@ class TestWorkspace:
                 assert arr.tobytes() == getattr(kept[0], net).state()[key].tobytes(), (net, key)
         assert returned.loss_log[-1] == kept[0].loss_log[-1]
         assert returned.rng.bit_generator.state == kept[0].rng.bit_generator.state
+
+    def test_train_lets_its_workspace_go(self, monkeypatch):
+        made = []
+
+        class Noted(Workspace):
+            def __init__(self, state):
+                super().__init__(state)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(training_module, "Workspace", Noted)
+        returned = train(csr_from_dense(simplex_rows(80, 10, 53)), small_config(iterations=2))
+        gc.collect()
+        assert len(returned.loss_log) == 2
+        assert len(made) == 1 and made[0]() is None
 
 
 class TestEpochBatcher:
